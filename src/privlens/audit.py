@@ -212,7 +212,7 @@ def _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
     alpha_i = u.alphabets[i]
     count = len(alpha_i) * (len(alpha_i) - 1) * len(comps) ** 3
     if count > budget:
-        raise EnumerationBudgetError(count, budget)
+        raise EnumerationBudgetError(count, budget, "worstcase_sup")
     for x_num in alpha_i:
         for x_den in alpha_i:
             if x_num == x_den:
@@ -377,6 +377,54 @@ class TightnessResult:
     notes: Tuple[str, ...] = ()
 
 
+def _first_realizing_pair(u, num_hist, den_hist, k, budget):
+    """The first pair of sorted(change_sequence_pairs(u, k)) whose histograms
+    are (num_hist, den_hist), found without listing the pairs.
+
+    Sorted order compares symbol strings (BOT sorts after letters), so the
+    realizations of num_hist are tried in that order and each is paired with
+    its smallest edit of at most k positions that realizes den_hist.
+    """
+    for s_num in sorted(u.sequences_with_histogram(num_hist, budget)):
+        s_den = _smallest_edit(u, s_num, den_hist, k)
+        if s_den is not None:
+            return s_num, s_den
+    return None
+
+
+def _smallest_edit(u, seq, hist, k):
+    """Smallest sequence in string order that realizes hist and differs from
+    seq in at most k positions, or None."""
+    weights = u.code_weights
+    # fewest[i] maps the code of a histogram left to place on individuals
+    # i..n-1 to the fewest edits of seq[i:] that place it.
+    fewest = [{0: 0}]
+    for i in reversed(range(u.n)):
+        layer = {}
+        for code, d in fewest[-1].items():
+            for sym in u.alphabets[i]:
+                e = d if sym == seq[i] else d + 1
+                key = code + weights[sym]
+                if e <= k and e < layer.get(key, k + 1):
+                    layer[key] = e
+        fewest.append(layer)
+    fewest.reverse()
+    rest = u.encode_histogram(hist)
+    if rest not in fewest[0]:
+        return None
+    out = []
+    used = 0
+    for i in range(u.n):
+        for sym in sorted(u.alphabets[i]):
+            e = used if sym == seq[i] else used + 1
+            nxt = rest - weights[sym]
+            if e + fewest[i + 1].get(nxt, k + 1) <= k:
+                out.append(sym)
+                rest, used = nxt, e
+                break
+    return tuple(out)
+
+
 def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
                  budget: Optional[int] = None, tol: float = TOL) -> TightnessResult:
     """Rebuild the scan's worst pair as a near-point-mass member and check the
@@ -392,14 +440,7 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
             notes=("scan was vacuous; nothing to attain",),
         )
     u = channel.universe
-    found = None
-    for s_num, s_den in change_sequence_pairs(u, k, budget):
-        if (
-            u.to_histogram(s_num, validate=False) == scan.num_hist
-            and u.to_histogram(s_den, validate=False) == scan.den_hist
-        ):
-            found = (s_num, s_den)
-            break
+    found = _first_realizing_pair(u, scan.num_hist, scan.den_hist, k, budget)
     if found is None:
         # Cannot happen: the scan's pairs come from the same edit moves.
         raise AuditError("no sequence pair realizes the scan witness")
@@ -567,7 +608,7 @@ def necessary_pdelta(
         alpha = u.alphabets[i]
         work = len(alpha) * len(comps) * n_out
         if work > budget:
-            raise EnumerationBudgetError(work, budget)
+            raise EnumerationBudgetError(work, budget, "necessary_pdelta")
 
         def seq_of(x_i, comp):
             s = [None] * n
@@ -764,7 +805,7 @@ def sufficient_nk(
                 )
                 work = len(u.alphabets[i]) * len(avg_cells) * len(free_cells) * n_out
                 if work > budget:
-                    raise EnumerationBudgetError(work, budget)
+                    raise EnumerationBudgetError(work, budget, "sufficient_nk")
 
                 def avg_row(x_i, x_free):
                     acc = [Fraction(0)] * n_out

@@ -180,6 +180,21 @@ def build_family(raw) -> FamilyParams:
     )
 
 
+def parse_budget(raw, what="budget") -> int:
+    """A positive integer enumeration budget: a JSON integer, an integral
+    number or a decimal string."""
+    if isinstance(raw, str):
+        try:
+            raw = int(raw)
+        except ValueError:
+            pass
+    elif isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
+        raise SchemaError(f"{what} must be a positive integer, got {raw!r}")
+    return raw
+
+
 class Scenario:
     """Parsed scenario: shared objects plus raw per-command sections."""
 
@@ -188,6 +203,9 @@ class Scenario:
             raise SchemaError("scenario must be a JSON object")
         self.raw = raw
         self.name = raw.get("name")
+        self.budget = parse_budget(
+            raw.get("budget", DEFAULT_ENUMERATION_BUDGET)
+        )
         if "universe" not in raw:
             raise SchemaError("scenario needs a universe")
         self.universe = build_universe(raw["universe"])
@@ -200,7 +218,6 @@ class Scenario:
         self.family = build_family(raw["family"]) if "family" in raw else None
         self.seed = raw.get("seed", 0)
         self.samples = raw.get("samples", 1000)
-        self.budget = raw.get("budget", DEFAULT_ENUMERATION_BUDGET)
 
     def prior(self, name) -> JointPrior:
         if name not in self.priors:
@@ -682,8 +699,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the scenario seed")
         p.add_argument("--samples", type=int, default=None,
                        help="override the scenario sample count")
-        p.add_argument("--budget", type=int, default=None,
-                       help="override the enumeration budget")
+        p.add_argument("--budget", default=None,
+                       help="override the enumeration budget (a positive "
+                            "integer; counts enumerated items or kernel steps)")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads for sampled evaluation "
                             "(default: PRIVLENS_THREADS or 1)")
@@ -719,19 +737,21 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return EXIT_INPUT
 
     try:
+        if args.budget is not None:
+            args.budget = parse_budget(args.budget, "--budget")
         scenario = Scenario(raw)
         if args.seed is None:
             args.seed = int(scenario.seed)
         if args.samples is None:
             args.samples = int(scenario.samples)
         if args.budget is None:
-            args.budget = int(scenario.budget)
+            args.budget = scenario.budget
         rng = random.Random(args.seed)
         results, verdicts, exit_hint = COMMANDS[args.command](scenario, args, rng)
     except EnumerationBudgetError as exc:
         print(
-            f"error: enumeration budget exceeded: {exc.cardinality} items "
-            f"against budget {exc.budget}",
+            f"error: enumeration budget exceeded in {exc.stage}: "
+            f"{exc.cardinality} items against budget {exc.budget}",
             file=stderr,
         )
         return EXIT_BUDGET

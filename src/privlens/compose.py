@@ -47,7 +47,7 @@ def product_channel(channels: Sequence[Channel],
     n_out = prod(len(c.outcomes) for c in channels)
     cardinality = n_out * len(u.achievable_histograms())
     if cardinality > budget:
-        raise EnumerationBudgetError(cardinality, budget)
+        raise EnumerationBudgetError(cardinality, budget, "product_channel")
     outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
     rows = {}
     for h in u.achievable_histograms():
@@ -197,7 +197,9 @@ def direct_epoch_max_mi(model: EpochModel, target,
         support *= p.support_size()
         out_card *= len(c.outcomes)
     if support * out_card > budget:
-        raise EnumerationBudgetError(support * out_card, budget)
+        raise EnumerationBudgetError(
+            support * out_card, budget, "direct_epoch_max_mi"
+        )
 
     epoch_supports = [list(p.iter_support()) for p, _ in model.epochs]
     p_x: Dict[tuple, Prob] = {}

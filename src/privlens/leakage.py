@@ -78,7 +78,9 @@ class JointTables:
         if budget is None:
             budget = DEFAULT_ENUMERATION_BUDGET
         if prior.support_size() > budget:
-            raise EnumerationBudgetError(prior.support_size(), budget)
+            raise EnumerationBudgetError(
+                prior.support_size(), budget, "JointTables"
+            )
         u = prior.universe
         n_out = len(channel.outcomes)
         p_x: Dict[Tuple[str, ...], Prob] = {}

@@ -209,7 +209,11 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
 
     rows = {}
     for h in achievable:
-        rep = universe.sequences_with_histogram(h)[0]
+        # Canonical representative: the first realization in alphabet order,
+        # i.e. the non-decreasing sequence by alphabet position.
+        counts = dict(zip(universe.pooled_alphabet, h))
+        counts[BOT] = universe.n - sum(h)
+        rep = [v for v in alpha0 for _ in range(counts[v])]
         states: Dict[Tuple[int, ...], Prob] = {zero: Fraction(1)}
         for v in rep:
             nxt: Dict[Tuple[int, ...], Prob] = {}
@@ -240,38 +244,42 @@ def change_histogram_pairs(
     """Unordered pairs of distinct achievable histograms reachable from each
     other by editing at most k records of some realizing sequence.
 
-    For k >= n this is every pair. Returned sorted for deterministic scans.
+    For k >= n this is every pair. Otherwise one pass over the individuals
+    carries every pair of partial histograms (h1, h2) with the fewest record
+    changes that reach it, dropping pairs that need more than k; the budget
+    counts its steps, one per (state, record pair). Returned sorted for
+    deterministic scans.
     """
     if k < 1:
         raise ChannelError("k must be at least 1")
-    n = universe.n
+    if k >= universe.n:
+        # achievable_histograms is sorted, so its combinations are too.
+        hists = universe.achievable_histograms(budget)
+        return list(itertools.combinations(hists, 2))
     if budget is None:
         budget = DEFAULT_ENUMERATION_BUDGET
-    hists = universe.achievable_histograms(budget)
-    if k >= n:
-        pairs = {
-            (a, b)
-            for a, b in itertools.combinations(hists, 2)
-        }
-        return sorted(pairs)
-    pairs = set()
-    work = 0
-    for seq in universe.iter_sequences(budget):
-        h1 = universe.to_histogram(seq, validate=False)
-        for positions in _position_subsets(n, k):
-            value_sets = [universe.alphabets[i] for i in positions]
-            for replacement in itertools.product(*value_sets):
-                work += 1
-                if work > budget:
-                    raise EnumerationBudgetError(work, budget)
-                edited = list(seq)
-                for i, v in zip(positions, replacement):
-                    edited[i] = v
-                h2 = universe.to_histogram(tuple(edited), validate=False)
-                if h2 == h1:
-                    continue
-                pairs.add((h1, h2) if h1 < h2 else (h2, h1))
-    return sorted(pairs)
+    states = {(0, 0): 0}
+    steps = 0
+    for alpha in universe.alphabets:
+        weights = [universe.code_weights[s] for s in alpha]
+        steps += len(states) * len(weights) ** 2
+        if steps > budget:
+            raise EnumerationBudgetError(
+                steps, budget, "change_histogram_pairs"
+            )
+        nxt = {}
+        for (c1, c2), d in states.items():
+            for x in weights:
+                for y in weights:
+                    e = d if x == y else d + 1
+                    if e > k:
+                        continue
+                    key = (c1 + x, c2 + y)
+                    if e < nxt.get(key, k + 1):
+                        nxt[key] = e
+        states = nxt
+    decode = universe.decode_histogram
+    return [(decode(c1), decode(c2)) for c1, c2 in sorted(states) if c1 < c2]
 
 
 def change_sequence_pairs(
@@ -292,7 +300,9 @@ def change_sequence_pairs(
             for replacement in itertools.product(*value_sets):
                 work += 1
                 if work > budget:
-                    raise EnumerationBudgetError(work, budget)
+                    raise EnumerationBudgetError(
+                        work, budget, "change_sequence_pairs"
+                    )
                 if all(seq[i] == v for i, v in zip(positions, replacement)):
                     continue
                 edited = list(seq)

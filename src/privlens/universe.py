@@ -23,24 +23,27 @@ class UniverseError(ValueError):
 
 
 class EnumerationBudgetError(RuntimeError):
-    """An enumeration would exceed the configured budget.
+    """An enumeration or kernel would exceed the configured budget.
 
-    Carries the offending cardinality so callers can report it.
+    Carries the offending cardinality (items enumerated, or steps taken by a
+    histogram-domain kernel) and the stage that ran out, so callers can
+    report both.
     """
 
-    def __init__(self, cardinality, budget):
+    def __init__(self, cardinality, budget, stage):
         super().__init__(
-            f"enumeration of {cardinality} items exceeds budget {budget}"
+            f"{stage}: enumeration of {cardinality} items exceeds budget {budget}"
         )
         self.cardinality = cardinality
         self.budget = budget
+        self.stage = stage
 
 
-def _check_budget(cardinality, budget):
+def _check_budget(cardinality, budget, stage):
     if budget is None:
         budget = DEFAULT_ENUMERATION_BUDGET
     if cardinality > budget:
-        raise EnumerationBudgetError(cardinality, budget)
+        raise EnumerationBudgetError(cardinality, budget, stage)
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,11 @@ class RecordUniverse:
     that defines table layouts everywhere else. The pooled alphabet is the
     first-appearance union of non-BOT symbols across individuals and fixes the
     coordinate order of histograms.
+
+    The histogram-domain kernels encode a histogram as one integer whose
+    digits, in base n + 1, are its counts with the first pooled symbol most
+    significant. Integer order is then tuple order, and adding a record adds
+    its symbol's ``code_weights`` entry (BOT weighs 0).
     """
 
     alphabets: Tuple[Tuple[str, ...], ...]
@@ -78,6 +86,12 @@ class RecordUniverse:
                 if sym != BOT and sym not in pooled:
                     pooled.append(sym)
         object.__setattr__(self, "pooled_alphabet", tuple(pooled))
+        base = len(self.alphabets) + 1
+        places = tuple(base**j for j in reversed(range(len(pooled))))
+        object.__setattr__(self, "_places", places)
+        object.__setattr__(
+            self, "code_weights", {BOT: 0, **dict(zip(pooled, places))}
+        )
         object.__setattr__(self, "_histogram_cache", {})
 
     @property
@@ -102,7 +116,7 @@ class RecordUniverse:
 
     def iter_sequences(self, budget=None) -> Iterator[Tuple[str, ...]]:
         """All dataset sequences in lexicographic alphabet order."""
-        _check_budget(self.sequence_count(), budget)
+        _check_budget(self.sequence_count(), budget, "iter_sequences")
         return itertools.product(*self.alphabets)
 
     def to_histogram(self, seq: Sequence[str], *, validate=True) -> Tuple[int, ...]:
@@ -122,23 +136,83 @@ class RecordUniverse:
             cache["index"] = {s: j for j, s in enumerate(self.pooled_alphabet)}
         return cache["index"]
 
+    def encode_histogram(self, hist) -> int:
+        return sum(c * p for c, p in zip(hist, self._places))
+
+    def decode_histogram(self, code: int) -> Tuple[int, ...]:
+        counts = []
+        for p in self._places:
+            c, code = divmod(code, p)
+            counts.append(c)
+        return tuple(counts)
+
+    def _reachable_codes(self, alphabets, budget, stage):
+        """Codes of the histograms that the given individuals can produce,
+        after each prefix of them: element i covers alphabets[:i]. The budget
+        counts steps, one per (partial histogram, symbol)."""
+        layers = [{0}]
+        steps = 0
+        for alpha in alphabets:
+            steps += len(layers[-1]) * len(alpha)
+            _check_budget(steps, budget, stage)
+            weights = [self.code_weights[s] for s in alpha]
+            layers.append({c + w for c in layers[-1] for w in weights})
+        return layers, steps
+
     def achievable_histograms(self, budget=None) -> Tuple[Tuple[int, ...], ...]:
-        """Sorted tuple of histograms achievable by some sequence."""
+        """Sorted tuple of histograms achievable by some sequence.
+
+        Built one individual at a time; the budget counts those steps, and is
+        checked against the same count when the result comes from the cache.
+        """
         cache = self._histogram_cache
         if "achievable" not in cache:
-            seen = set()
-            for seq in self.iter_sequences(budget):
-                seen.add(self.to_histogram(seq, validate=False))
-            cache["achievable"] = tuple(sorted(seen))
-        return cache["achievable"]
+            layers, steps = self._reachable_codes(
+                self.alphabets, budget, "achievable_histograms"
+            )
+            hists = tuple(self.decode_histogram(c) for c in sorted(layers[-1]))
+            cache["achievable"] = (steps, hists)
+        steps, hists = cache["achievable"]
+        _check_budget(steps, budget, "achievable_histograms")
+        return hists
 
     def sequences_with_histogram(self, hist, budget=None):
-        """All sequences producing a given histogram, lexicographic order."""
+        """All sequences producing a given histogram, lexicographic order.
+
+        Backtracks against the histograms each suffix of individuals can
+        reach, so only realizations of hist are visited. The budget counts the
+        steps that build those suffix sets.
+        """
         hist = tuple(hist)
+        # A count outside 0..n would carry into a neighbouring digit of the
+        # code and alias some other histogram.
+        if len(hist) != len(self.pooled_alphabet) or not all(
+            0 <= c <= self.n for c in hist
+        ):
+            return []
+        # suffix[i]: codes reachable by individuals i..n-1.
+        suffix = self._reachable_codes(
+            reversed(self.alphabets), budget, "sequences_with_histogram"
+        )[0][::-1]
         out = []
-        for seq in self.iter_sequences(budget):
-            if self.to_histogram(seq, validate=False) == hist:
-                out.append(seq)
+        prefix = []
+
+        def extend(i, rest):
+            if i == self.n:
+                out.append(tuple(prefix))
+                return
+            for sym in self.alphabets[i]:
+                # rest - weight is a code of the next suffix only when sym's
+                # count in rest is positive, so membership needs no sign test.
+                nxt = rest - self.code_weights[sym]
+                if nxt in suffix[i + 1]:
+                    prefix.append(sym)
+                    extend(i + 1, nxt)
+                    prefix.pop()
+
+        code = self.encode_histogram(hist)
+        if code in suffix[0]:
+            extend(0, code)
         return out
 
     def histogram_label(self, hist) -> str:

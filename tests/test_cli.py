@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,76 @@ def test_leakage_budget_exhaustion_is_exit_three(tmp_path):
     assert code == 3
     assert "budget" in err
     assert "4" in err
+
+
+def test_budget_error_names_the_stage_that_ran_out(tmp_path):
+    # Two individuals over {BOT, a}: the one-change pair kernel takes 4 + 16
+    # steps, the achievable histograms only 2 + 4.
+    scn = base_scenario(
+        certify={"kind": "k_change", "mechanism": "geo", "k": 1, "exp_epsilon": "3"}
+    )
+    path = write_scenario(tmp_path, scn)
+    code, _, err = invoke(["certify", path, "--budget", "10"])
+    assert code == 3
+    assert err.strip() == (
+        "error: enumeration budget exceeded in change_histogram_pairs: "
+        "20 items against budget 10"
+    )
+
+
+@pytest.mark.parametrize("budget", ["x", 2.5, -1, 0, True, None])
+def test_bad_scenario_budget_is_an_input_error(tmp_path, budget):
+    scn = base_scenario(
+        budget=budget,
+        certify={"kind": "k_change", "mechanism": "geo", "k": 1, "exp_epsilon": "3"},
+    )
+    path = write_scenario(tmp_path, scn)
+    code, out, err = invoke(["certify", path])
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: budget must be a positive integer")
+
+
+@pytest.mark.parametrize("budget", ["x", "2.5", "-1", "0"])
+def test_bad_budget_option_is_an_input_error(tmp_path, budget):
+    scn = base_scenario(
+        certify={"kind": "k_change", "mechanism": "geo", "k": 1, "exp_epsilon": "3"}
+    )
+    path = write_scenario(tmp_path, scn)
+    code, out, err = invoke(["certify", path, "--budget", budget])
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: --budget must be a positive integer")
+
+
+@pytest.mark.parametrize("budget", [1000, 1000.0, "1000"])
+def test_integral_scenario_budgets_are_accepted(tmp_path, budget):
+    scn = base_scenario(
+        budget=budget,
+        certify={"kind": "k_change", "mechanism": "geo", "k": 1, "exp_epsilon": "3"},
+    )
+    path = write_scenario(tmp_path, scn)
+    code, out, _ = invoke(["certify", path, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["budget"] == 1000
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    scn = base_scenario(
+        certify={"kind": "k_change", "mechanism": "geo", "k": 1, "exp_epsilon": "3"}
+    )
+    path = write_scenario(tmp_path, scn)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "privlens", "certify", path, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, direct, _ = invoke(["certify", path, "--format", "json"])
+    assert proc.stdout == direct
 
 
 # ---------------------------------------------------------------------------
