@@ -13,6 +13,7 @@ from .probability import (
     nats_to_bits,
     parse_probability,
     ratio_div,
+    ratios_agree,
 )
 from .universe import (
     BOT,
@@ -30,7 +31,6 @@ from .prior import (
     PriorError,
     check_membership,
     dataset_distribution,
-    dataset_prob,
     extremal_pair_prior,
     extremal_pdelta_prior,
     independent_prior,
@@ -64,6 +64,7 @@ from .leakage import (
     max_mi,
     max_rel_entropy,
     mi,
+    normalize_target,
     output_entropy,
 )
 from .audit import (

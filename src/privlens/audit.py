@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .leakage import JointTables, max_mi
+from .leakage import max_mi, normalize_target
 from .mechanism import (
     Channel,
     RatioScan,
@@ -34,8 +33,8 @@ from .prior import (
     extremal_pdelta_prior,
     sample_prior,
 )
-from .probability import TOL, Prob, log_ratio, parse_probability
-from .universe import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError
+from .probability import TOL, Prob, is_inf, log_ratio, parse_probability
+from .universe import check_budget
 
 
 class AuditError(ValueError):
@@ -65,17 +64,22 @@ class Verdict:
 def leq_with_tol(measured, bound, tol: float = TOL) -> bool:
     """measured <= bound with an absolute-plus-relative float tolerance;
     exact comparison when both sides are rational."""
-    m_inf = isinstance(measured, float) and math.isinf(measured)
-    b_inf = isinstance(bound, float) and math.isinf(bound)
-    if m_inf:
-        return b_inf
-    if b_inf:
+    if is_inf(measured):
+        return is_inf(bound)
+    if is_inf(bound):
         return True
     if isinstance(measured, Fraction) and isinstance(bound, Fraction):
         if measured <= bound:
             return True
     mf, bf = float(measured), float(bound)
     return mf <= bf + tol * max(1.0, abs(bf))
+
+
+def _number(value, what) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise AuditError(f"{what} must be a number, got {value!r}") from None
 
 
 def _parse_bound(epsilon=None, exp_epsilon=None, *, what="epsilon"):
@@ -88,7 +92,7 @@ def _parse_bound(epsilon=None, exp_epsilon=None, *, what="epsilon"):
             raise AuditError(f"exp_{what} must be positive")
         return val
     try:
-        return math.exp(float(epsilon))
+        return math.exp(_number(epsilon, what))
     except OverflowError:
         return math.inf
 
@@ -148,18 +152,6 @@ class SupResult:
     conclusive: bool
 
 
-def _normalize_group(universe, target) -> Tuple[int, ...]:
-    if isinstance(target, int):
-        target = (target,)
-    tgt = tuple(sorted(set(int(i) for i in target)))
-    if not tgt:
-        raise AuditError("target must name at least one individual")
-    for i in tgt:
-        if not (0 <= i < universe.n):
-            raise AuditError(f"target {i} out of range")
-    return tgt
-
-
 def _extremal_pair_candidates(channel, family, tgt, eta, budget):
     """Near-point-mass pair priors compatible with the family's block budget.
 
@@ -207,12 +199,9 @@ def _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
     i = tgt[0]
     others = [j for j in range(n) if j != i]
     comps = list(itertools.product(*(u.alphabets[j] for j in others)))
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
     alpha_i = u.alphabets[i]
     count = len(alpha_i) * (len(alpha_i) - 1) * len(comps) ** 3
-    if count > budget:
-        raise EnumerationBudgetError(count, budget, "worstcase_sup")
+    check_budget(count, budget, "worstcase_sup")
     for x_num in alpha_i:
         for x_den in alpha_i:
             if x_num == x_den:
@@ -244,7 +233,6 @@ def worstcase_sup(
     samples: int = 1000,
     eta: Prob = DEFAULT_ETA,
     budget: Optional[int] = None,
-    threads: int = 1,
 ) -> SupResult:
     """Search the family for the largest exp(max_mi) about the target.
 
@@ -259,7 +247,7 @@ def worstcase_sup(
     for s in strategies:
         if s not in ("extremal", "sampled"):
             raise AuditError(f"unknown strategy {s!r}")
-    tgt = _normalize_group(channel.universe, target)
+    tgt = normalize_target(channel.universe.n, target)
     best = None
     best_wit = None
     notes = []
@@ -279,12 +267,11 @@ def worstcase_sup(
 
     extremal_best = None
     if "extremal" in strategies:
-        for prior, desc in _extremal_pair_candidates(channel, family, tgt, eta, budget):
-            if not check_membership(prior, family).ok:
-                evaluated["filtered_candidates"] += 1
-                continue
-            consider(prior, desc, "extremal")
-        for prior, desc in _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
+        candidates = itertools.chain(
+            _extremal_pair_candidates(channel, family, tgt, eta, budget),
+            _extremal_pdelta_candidates(channel, family, tgt, eta, budget),
+        )
+        for prior, desc in candidates:
             if not check_membership(prior, family).ok:
                 evaluated["filtered_candidates"] += 1
                 continue
@@ -299,33 +286,14 @@ def worstcase_sup(
         if rng is None:
             rng = random.Random(0)
             notes.append("no rng given; sampled strategy seeded with 0")
-        drawn = []
         for _ in range(samples):
             p = sample_prior(channel.universe, family, rng)
             if p is None:
                 evaluated["rejected_samples"] += 1
-            else:
-                drawn.append(p)
-
-        def eval_one(p):
-            return max_mi(p, channel, tgt, budget)
-
-        if threads > 1 and len(drawn) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(eval_one, drawn))
-        else:
-            results = [eval_one(p) for p in drawn]
-        for p, q in zip(drawn, results):
-            evaluated["sampled"] += 1
-            r = q.ratio
-            if best is None or r > best:
-                best = r
-                best_wit = {
-                    "kind": "sampled_member",
-                    "blocks": [list(b) for b in p.blocks],
-                    "leak": q.witness,
-                    "origin": "sampled",
-                }
+                continue
+            desc = {"kind": "sampled_member",
+                    "blocks": [list(b) for b in p.blocks]}
+            consider(p, desc, "sampled")
 
     if best is None:
         return SupResult(
@@ -449,11 +417,9 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
     target = diff[0]
     prior = extremal_pair_prior(u, s_num, s_den, eta=eta)
     achieved = max_mi(prior, channel, target, budget).ratio
-    a_inf = isinstance(achieved, float) and math.isinf(achieved)
-    s_inf = isinstance(scan.ratio, float) and math.isinf(scan.ratio)
     notes = ()
-    if s_inf:
-        if a_inf:
+    if is_inf(scan.ratio):
+        if is_inf(achieved):
             attained = True
         else:
             # No single prior with numerator mass eta can jump past 1/eta,
@@ -464,7 +430,7 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
                 "hard distinguishing event: the level is infinite and the "
                 "witness prior attains the 1/eta ceiling",
             )
-    elif a_inf:
+    elif is_inf(achieved):
         attained = False
     else:
         attained = abs(float(achieved) - float(scan.ratio)) <= tol * max(
@@ -510,7 +476,6 @@ def bound_pdelta(
     samples: int = 1000,
     eta: Prob = DEFAULT_ETA,
     budget: Optional[int] = None,
-    threads: int = 1,
 ) -> Verdict:
     """Check the dependence-interpolated leakage bound on a channel.
 
@@ -528,7 +493,7 @@ def bound_pdelta(
     if exp_eps_step is not None:
         step = parse_probability(exp_eps_step, allow_unit_excess=True)
     else:
-        step = math.exp(float(epsilon) / k)
+        step = math.exp(_number(epsilon, "epsilon") / k)
     dp = dp_epsilon(channel, budget)
     if not leq_with_tol(dp.ratio, step):
         raise AuditError(
@@ -539,7 +504,7 @@ def bound_pdelta(
     sup = worstcase_sup(
         channel, family, target,
         strategies=strategies, rng=rng, samples=samples,
-        eta=eta, budget=budget, threads=threads,
+        eta=eta, budget=budget,
     )
     bound = interpolated_bound(step, k, exp_delta)
     notes = list(sup.notes)
@@ -596,8 +561,6 @@ def necessary_pdelta(
     bound = _parse_bound(epsilon, exp_epsilon)
     u = channel.universe
     n = u.n
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
 
     best = None
     wit = None
@@ -606,9 +569,9 @@ def necessary_pdelta(
         others = [j for j in range(n) if j != i]
         comps = list(itertools.product(*(u.alphabets[j] for j in others)))
         alpha = u.alphabets[i]
-        work = len(alpha) * len(comps) * n_out
-        if work > budget:
-            raise EnumerationBudgetError(work, budget, "necessary_pdelta")
+        check_budget(
+            len(alpha) * len(comps) * n_out, budget, "necessary_pdelta"
+        )
 
         def seq_of(x_i, comp):
             s = [None] * n
@@ -733,8 +696,6 @@ def sufficient_nk(
     if tau < 0:
         raise AuditError("tau must be nonnegative")
     bound = _parse_bound(epsilon, exp_epsilon)
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
 
     notes = []
     conclusive = True
@@ -804,8 +765,7 @@ def sufficient_nk(
                     itertools.product(*(u.alphabets[j] for j in free))
                 )
                 work = len(u.alphabets[i]) * len(avg_cells) * len(free_cells) * n_out
-                if work > budget:
-                    raise EnumerationBudgetError(work, budget, "sufficient_nk")
+                check_budget(work, budget, "sufficient_nk")
 
                 def avg_row(x_i, x_free):
                     acc = [Fraction(0)] * n_out
@@ -892,7 +852,6 @@ def group_certify(
     samples: int = 500,
     eta: Prob = DEFAULT_ETA,
     budget: Optional[int] = None,
-    threads: int = 1,
 ) -> Verdict:
     """Group leakage under a k-change privacy premise.
 
@@ -903,7 +862,7 @@ def group_certify(
     """
     if k < 1:
         raise AuditError("k must be at least 1")
-    tgt = _normalize_group(channel.universe, group)
+    tgt = normalize_target(channel.universe.n, group)
     s = len(tgt)
     bound_unit = _parse_bound(epsilon, exp_epsilon)
     scan = lipschitz_ratio(channel, k, budget)
@@ -913,17 +872,14 @@ def group_certify(
             f"exp(epsilon) {float(bound_unit)!r}"
         )
     hops = math.ceil((s - 1) / k) + 1
-    if isinstance(bound_unit, Fraction):
-        bound_mid: Prob = bound_unit**hops
-        bound_full: Prob = bound_unit**s
-    else:
-        bound_mid = bound_unit**hops if not math.isinf(bound_unit) else math.inf
-        bound_full = bound_unit**s if not math.isinf(bound_unit) else math.inf
+    # Exact on a rational level; an infinite level stays infinite.
+    bound_mid: Prob = bound_unit**hops
+    bound_full: Prob = bound_unit**s
     family = FamilyParams(k=k)
     sup = worstcase_sup(
         channel, family, tgt,
         strategies=strategies, rng=rng, samples=samples,
-        eta=eta, budget=budget, threads=threads,
+        eta=eta, budget=budget,
     )
     chain_ok = leq_with_tol(sup.ratio, bound_mid) and leq_with_tol(
         bound_mid, bound_full

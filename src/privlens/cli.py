@@ -44,7 +44,7 @@ from .compose import (
     equal_epoch_reduction,
     product_channel,
 )
-from .leakage import LeakageError, leakage_report
+from .leakage import LeakageError, leakage_report, normalize_target
 from .mechanism import (
     Channel,
     ChannelError,
@@ -62,7 +62,12 @@ from .prior import (
     independent_prior,
     prior_from_flat,
 )
-from .probability import ProbabilityError, format_number, log_ratio
+from .probability import (
+    ProbabilityError,
+    format_number,
+    log_ratio,
+    ratios_agree,
+)
 from .universe import (
     BOT,
     DEFAULT_ENUMERATION_BUDGET,
@@ -108,7 +113,8 @@ def build_universe(raw) -> RecordUniverse:
         )
     if "n" in raw and "alphabet" in raw:
         return uniform_universe(
-            int(raw["n"]), tuple(_symbol(s) for s in raw["alphabet"])
+            parse_int(raw["n"], "universe.n"),
+            tuple(_symbol(s) for s in raw["alphabet"]),
         )
     raise SchemaError("universe needs alphabets, or n with a shared alphabet")
 
@@ -171,18 +177,20 @@ def build_family(raw) -> FamilyParams:
             delta = -math.inf
         else:
             raise SchemaError(f"bad delta {delta!r}; use a number or \"-inf\"")
+    k, ell = raw.get("k"), raw.get("ell")
     return FamilyParams.of(
-        k=raw.get("k"),
+        k=None if k is None else parse_int(k, "family.k"),
         delta=delta,
         exp_delta=raw.get("exp_delta"),
-        ell=raw.get("ell"),
+        ell=None if ell is None else parse_int(ell, "family.ell"),
         tau=raw.get("tau"),
     )
 
 
-def parse_budget(raw, what="budget") -> int:
-    """A positive integer enumeration budget: a JSON integer, an integral
-    number or a decimal string."""
+def parse_int(raw, what, positive=False) -> int:
+    """An integer scenario value: a JSON integer, an integral number or a
+    decimal string. Anything else, or a value below 1 when positive is set,
+    is a SchemaError naming what."""
     if isinstance(raw, str):
         try:
             raw = int(raw)
@@ -190,8 +198,9 @@ def parse_budget(raw, what="budget") -> int:
             pass
     elif isinstance(raw, float) and raw.is_integer():
         raw = int(raw)
-    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
-        raise SchemaError(f"{what} must be a positive integer, got {raw!r}")
+    if not isinstance(raw, int) or isinstance(raw, bool) or (positive and raw < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise SchemaError(f"{what} must be {kind}, got {raw!r}")
     return raw
 
 
@@ -203,8 +212,10 @@ class Scenario:
             raise SchemaError("scenario must be a JSON object")
         self.raw = raw
         self.name = raw.get("name")
-        self.budget = parse_budget(
-            raw.get("budget", DEFAULT_ENUMERATION_BUDGET)
+        self.budget = parse_int(
+            raw.get("budget", DEFAULT_ENUMERATION_BUDGET),
+            "budget",
+            positive=True,
         )
         if "universe" not in raw:
             raise SchemaError("scenario needs a universe")
@@ -341,21 +352,13 @@ def _parse_targets(raw, n):
     if raw is None:
         return list(range(n))
     if isinstance(raw, int):
-        return [raw]
-    out = []
-    for entry in raw:
-        if isinstance(entry, int):
-            out.append(entry)
-        elif isinstance(entry, list):
-            out.append(tuple(int(i) for i in entry))
-        else:
-            raise SchemaError(f"bad target {entry!r}")
-    return out
+        raw = [raw]
+    if not isinstance(raw, list):
+        raise SchemaError(f"targets must be a list, got {raw!r}")
+    return [normalize_target(n, entry) for entry in raw]
 
 
 def _target_key(tgt) -> str:
-    if isinstance(tgt, int):
-        return str(tgt)
     return ",".join(str(i) for i in tgt)
 
 
@@ -421,7 +424,7 @@ def _run_certify_task(scenario: Scenario, sec: dict, args, rng) -> Verdict:
     if kind == "k_change":
         return certify_pk(
             channel,
-            int(sec.get("k", 1)),
+            parse_int(sec.get("k", 1), "certify.k"),
             epsilon=sec.get("epsilon"),
             exp_epsilon=sec.get("exp_epsilon"),
             budget=args.budget,
@@ -443,7 +446,7 @@ def _run_certify_task(scenario: Scenario, sec: dict, args, rng) -> Verdict:
     if kind == "sufficient_averaged":
         return sufficient_nk(
             channel,
-            int(sec.get("k", 1)),
+            parse_int(sec.get("k", 1), "certify.k"),
             epsilon=sec.get("epsilon"),
             exp_epsilon=sec.get("exp_epsilon"),
             tau=float(sec.get("tau", 0.0)),
@@ -453,14 +456,13 @@ def _run_certify_task(scenario: Scenario, sec: dict, args, rng) -> Verdict:
     if kind == "group":
         return group_certify(
             channel,
-            int(sec.get("k", 1)),
+            parse_int(sec.get("k", 1), "certify.k"),
             sec.get("group", [0]),
             epsilon=sec.get("epsilon"),
             exp_epsilon=sec.get("exp_epsilon"),
             rng=rng,
             samples=args.samples,
             budget=args.budget,
-            threads=args.threads,
         )
     if kind == "personalized":
         prior = scenario.prior(sec.get("prior"))
@@ -488,7 +490,10 @@ def cmd_bound(scenario: Scenario, args, rng) -> tuple:
             exp_delta = scenario.family.exp_delta
         if exp_delta is None:
             raise SchemaError("interpolated bound needs exp_delta")
-        k = int(sec.get("k", scenario.family.k if scenario.family else 1) or 1)
+        k = parse_int(
+            sec.get("k", scenario.family.k if scenario.family else 1) or 1,
+            "bound.k",
+        )
         v = bound_pdelta(
             channel,
             k,
@@ -499,7 +504,6 @@ def cmd_bound(scenario: Scenario, args, rng) -> tuple:
             rng=rng,
             samples=args.samples,
             budget=args.budget,
-            threads=args.threads,
         )
         return {}, [v], EXIT_PASS
     if kind == "worstcase":
@@ -515,7 +519,6 @@ def cmd_bound(scenario: Scenario, args, rng) -> tuple:
             rng=rng,
             samples=args.samples,
             budget=args.budget,
-            threads=args.threads,
         )
         results = {
             "sup": {
@@ -550,7 +553,9 @@ def cmd_bound(scenario: Scenario, args, rng) -> tuple:
         exit_hint = EXIT_PASS if (verdicts or sup.conclusive) else EXIT_INCONCLUSIVE
         return results, verdicts, exit_hint
     if kind == "tightness":
-        t = tightness_pk(channel, int(sec.get("k", 1)), budget=args.budget)
+        t = tightness_pk(
+            channel, parse_int(sec.get("k", 1), "bound.k"), budget=args.budget
+        )
         results = {
             "tightness": {
                 "scan_ratio": to_jsonable(t.scan.ratio),
@@ -575,7 +580,7 @@ def cmd_compose(scenario: Scenario, args, rng) -> tuple:
         channels = [scenario.mechanism(n) for n in names]
         v = certify_composition(
             channels,
-            int(sec.get("k", 1)),
+            parse_int(sec.get("k", 1), "compose.k"),
             epsilons=sec.get("epsilons"),
             exp_epsilons=sec.get("exp_epsilons"),
             budget=args.budget,
@@ -603,7 +608,7 @@ def cmd_compose(scenario: Scenario, args, rng) -> tuple:
         }
         if sec.get("verify", True):
             direct = direct_epoch_max_mi(model, target, args.budget)
-            agree = _ratios_agree(rep.total_ratio, direct.ratio)
+            agree = ratios_agree(rep.total_ratio, direct.ratio)
             results["direct"] = quantity_dict(direct)
             results["additivity_agrees"] = agree
             code = EXIT_PASS if agree else EXIT_VIOLATION
@@ -625,15 +630,6 @@ def cmd_compose(scenario: Scenario, args, rng) -> tuple:
         }
         return results, [], EXIT_PASS if out["agree"] else EXIT_VIOLATION
     raise SchemaError(f"unknown compose kind {kind!r}")
-
-
-def _ratios_agree(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    fa, fb = float(a), float(b)
-    if math.isinf(fa) or math.isinf(fb):
-        return fa == fb
-    return abs(fa - fb) <= 1e-9 * max(1.0, abs(fb))
 
 
 def cmd_sweep(scenario: Scenario, args, rng) -> tuple:
@@ -703,8 +699,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the enumeration budget (a positive "
                             "integer; counts enumerated items or kernel steps)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for sampled evaluation "
-                            "(default: PRIVLENS_THREADS or 1)")
+                       help="accepted and validated (at least 1; default: "
+                            "PRIVLENS_THREADS or 1); sampled evaluation "
+                            "runs serially")
     return parser
 
 
@@ -738,12 +735,12 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
     try:
         if args.budget is not None:
-            args.budget = parse_budget(args.budget, "--budget")
+            args.budget = parse_int(args.budget, "--budget", positive=True)
         scenario = Scenario(raw)
         if args.seed is None:
-            args.seed = int(scenario.seed)
+            args.seed = parse_int(scenario.seed, "seed")
         if args.samples is None:
-            args.samples = int(scenario.samples)
+            args.samples = parse_int(scenario.samples, "samples")
         if args.budget is None:
             args.budget = scenario.budget
         rng = random.Random(args.seed)

@@ -12,16 +12,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .leakage import Quantity, max_mi
-from .mechanism import Channel, ChannelError, lipschitz_ratio
-from .prior import JointPrior, PriorError
-from .probability import Prob, log_ratio, nats_to_bits, parse_probability
-from .universe import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError
+from .leakage import JointTables, Quantity, max_mi, normalize_target
+from .mechanism import Channel, lipschitz_ratio
+from .prior import JointPrior
+from .probability import (
+    Prob,
+    log_ratio,
+    nats_to_bits,
+    parse_probability,
+    ratios_agree,
+)
+from .universe import check_budget
 from .audit import Verdict, leq_with_tol
 
 
@@ -42,12 +48,10 @@ def product_channel(channels: Sequence[Channel],
     for c in channels[1:]:
         if c.universe is not u and c.universe.alphabets != u.alphabets:
             raise CompositionError("channels are over different universes")
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
     n_out = prod(len(c.outcomes) for c in channels)
-    cardinality = n_out * len(u.achievable_histograms())
-    if cardinality > budget:
-        raise EnumerationBudgetError(cardinality, budget, "product_channel")
+    check_budget(
+        n_out * len(u.achievable_histograms()), budget, "product_channel"
+    )
     outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
     rows = {}
     for h in u.achievable_histograms():
@@ -176,81 +180,50 @@ def epoch_leakage(model: EpochModel, target,
     )
 
 
+def _fold_rows(rows):
+    """Product of component rows, indexed in itertools.product order over
+    the component outcomes."""
+    out = rows[0]
+    for row in rows[1:]:
+        out = [a * b for a in out for b in row]
+    return out
+
+
 def direct_epoch_max_mi(model: EpochModel, target,
                         budget: Optional[int] = None) -> Quantity:
     """The same quantity measured from first principles: enumerate the full
     product space of per-epoch sequences and outcome tuples, aggregate the
     joint of (per-epoch target records, outcome tuple), and take the largest
     pointwise mutual information. Exists to check the additive path."""
-    if isinstance(target, int):
-        tgt = (target,)
-    else:
-        tgt = tuple(sorted(set(int(i) for i in target)))
-    for i in tgt:
-        if not (0 <= i < model.n):
-            raise CompositionError(f"target {i} out of range")
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
-    support = 1
-    out_card = 1
-    for p, c in model.epochs:
-        support *= p.support_size()
-        out_card *= len(c.outcomes)
-    if support * out_card > budget:
-        raise EnumerationBudgetError(
-            support * out_card, budget, "direct_epoch_max_mi"
-        )
+    tgt = normalize_target(model.n, target)
+    support = prod(p.support_size() for p, _ in model.epochs)
+    out_card = prod(len(c.outcomes) for _, c in model.epochs)
+    check_budget(support * out_card, budget, "direct_epoch_max_mi")
 
-    epoch_supports = [list(p.iter_support()) for p, _ in model.epochs]
-    p_x: Dict[tuple, Prob] = {}
-    joint: Dict[tuple, Prob] = {}
-    p_r: Dict[tuple, Prob] = {}
-    for combo in itertools.product(*epoch_supports):
-        mass: Prob = Fraction(1)
-        for _, p in combo:
-            mass = mass * p
-        xkey = tuple(
-            tuple(seq[i] for i in tgt) for (seq, _) in combo
-        )
-        p_x[xkey] = p_x.get(xkey, 0) + mass
-        rows = []
-        for (seq, _), (p, c) in zip(combo, model.epochs):
-            h = p.universe.to_histogram(seq, validate=False)
-            rows.append(c.rows[h])
-        for out_combo in itertools.product(
-            *(range(len(c.outcomes)) for _, c in model.epochs)
-        ):
-            w = mass
-            for row, j in zip(rows, out_combo):
-                w = w * row[j]
-            if w == 0:
-                continue
-            joint[(xkey, out_combo)] = joint.get((xkey, out_combo), 0) + w
-            p_r[out_combo] = p_r.get(out_combo, 0) + w
+    # Per epoch: (target records, mass, row) for each support sequence.
+    epoch_cells = [
+        [
+            (tuple(seq[i] for i in tgt), mass,
+             c.rows[p.universe.to_histogram(seq, validate=False)])
+            for seq, mass in p.iter_support()
+        ]
+        for p, c in model.epochs
+    ]
 
-    best = None
-    wit = None
-    for (xkey, out_combo), w in sorted(joint.items()):
-        r = (w / p_x[xkey]) / p_r[out_combo]
-        if best is None or r > best:
-            best = r
-            wit = (xkey, out_combo)
-    if best is None:
-        return Quantity(nats=0.0, bits=0.0, ratio=Fraction(1),
-                        notes=("empty joint",))
-    nats = log_ratio(best)
-    labels = tuple(
-        model.epochs[t][1].outcomes[j] for t, j in enumerate(wit[1])
-    )
-    return Quantity(
-        nats=nats,
-        bits=nats_to_bits(nats),
-        ratio=best,
-        witness={
-            "records_by_epoch": [list(x) for x in wit[0]],
-            "outcomes_by_epoch": list(labels),
-        },
-    )
+    def cells():
+        for combo in itertools.product(*epoch_cells):
+            keys, masses, rows = zip(*combo)
+            yield keys, prod(masses, start=Fraction(1)), _fold_rows(rows)
+
+    outcomes = tuple(itertools.product(*(c.outcomes for _, c in model.epochs)))
+    q = max_mi(None, None, None,
+               tables=JointTables.from_cells(cells(), outcomes))
+    if q.witness is None:
+        return q
+    return replace(q, witness={
+        "records_by_epoch": [list(x) for x in q.witness["records"]],
+        "outcomes_by_epoch": list(q.witness["outcome"]),
+    })
 
 
 def equal_epoch_reduction(prior: JointPrior, channels: Sequence[Channel],
@@ -259,49 +232,24 @@ def equal_epoch_reduction(prior: JointPrior, channels: Sequence[Channel],
     leakage equals the product-channel leakage. Returns both measurements
     (product-channel route and a direct tuple-space enumeration) and whether
     they agree exactly."""
+    tgt = normalize_target(prior.universe.n, target)
     combined = product_channel(channels, budget)
-    via_product = max_mi(prior, combined, target, budget)
+    via_product = max_mi(prior, combined, tgt, budget)
 
-    if isinstance(target, int):
-        tgt = (target,)
-    else:
-        tgt = tuple(sorted(set(int(i) for i in target)))
     u = prior.universe
-    p_x: Dict[tuple, Prob] = {}
-    joint: Dict[tuple, Prob] = {}
-    p_r: Dict[tuple, Prob] = {}
-    for seq, mass in prior.iter_support():
-        xv = tuple(seq[i] for i in tgt)
-        p_x[xv] = p_x.get(xv, 0) + mass
-        h = u.to_histogram(seq, validate=False)
-        rows = [c.rows[h] for c in channels]
-        for out_combo in itertools.product(
-            *(range(len(c.outcomes)) for c in channels)
-        ):
-            w = mass
-            for row, j in zip(rows, out_combo):
-                w = w * row[j]
-            if w == 0:
-                continue
-            joint[(xv, out_combo)] = joint.get((xv, out_combo), 0) + w
-            p_r[out_combo] = p_r.get(out_combo, 0) + w
-    best = None
-    for (xv, out_combo), w in sorted(joint.items()):
-        r = (w / p_x[xv]) / p_r[out_combo]
-        if best is None or r > best:
-            best = r
-    direct_nats = log_ratio(best) if best is not None else 0.0
-    agree = False
-    if best is not None:
-        if isinstance(best, Fraction) and isinstance(via_product.ratio, Fraction):
-            agree = best == via_product.ratio
-        else:
-            agree = abs(float(best) - float(via_product.ratio)) <= 1e-9 * max(
-                1.0, abs(float(via_product.ratio))
-            )
+
+    def cells():
+        for seq, mass in prior.iter_support():
+            h = u.to_histogram(seq, validate=False)
+            rows = [c.rows[h] for c in channels]
+            yield tuple(seq[i] for i in tgt), mass, _fold_rows(rows)
+
+    outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
+    direct = max_mi(None, None, None,
+                    tables=JointTables.from_cells(cells(), outcomes))
     return {
         "via_product_channel": via_product,
-        "direct_ratio": best,
-        "direct_nats": direct_nats,
-        "agree": agree,
+        "direct_ratio": direct.ratio,
+        "direct_nats": direct.nats,
+        "agree": ratios_agree(direct.ratio, via_product.ratio),
     }

@@ -11,14 +11,15 @@ results stay exact Fractions whenever both inputs are rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from .prior import JointPrior, PriorError, dataset_distribution
-from .mechanism import Channel, ChannelError
+from .prior import JointPrior, dataset_distribution
+from .mechanism import Channel
 from .probability import Prob, log_ratio, nats_to_bits, ratio_div
-from .universe import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError
+from .universe import check_budget
 
 
 class LeakageError(ValueError):
@@ -41,15 +42,23 @@ class Quantity:
     notes: Tuple[str, ...] = ()
 
 
-def _normalize_target(prior: JointPrior, target) -> Tuple[int, ...]:
+def normalize_target(n: int, target) -> Tuple[int, ...]:
+    """Sorted distinct indices of the targeted individuals; a bare integer
+    names one individual."""
     if isinstance(target, int):
         target = (target,)
-    tgt = tuple(sorted(set(int(i) for i in target)))
+    try:
+        tgt = tuple(sorted({operator.index(i) for i in target}))
+    except TypeError:
+        raise LeakageError(
+            "target must be an individual index or a list of them, "
+            f"got {target!r}"
+        ) from None
     if not tgt:
         raise LeakageError("target must name at least one individual")
     for i in tgt:
-        if not (0 <= i < prior.universe.n):
-            raise LeakageError(f"target {i} out of range for n={prior.universe.n}")
+        if not (0 <= i < n):
+            raise LeakageError(f"target {i} out of range for n={n}")
     return tgt
 
 
@@ -61,10 +70,11 @@ def _check_compatible(prior: JointPrior, channel: Channel):
 
 
 class JointTables:
-    """Exact joint of (X_target, outcome) plus both marginals.
+    """Exact joint of (records key, outcome) plus both marginals.
 
-    p_x maps target value tuples to prior mass, p_r is aligned with the
-    channel outcomes, joint maps (value tuple, outcome index) to mass. Keys
+    p_x maps records keys (the target's records) to prior mass, p_r is
+    aligned with outcomes, joint maps (records key, outcome index) to mass.
+    from_cells builds the same tables for the composition cross-checks. Keys
     appear in deterministic sorted order so every scan below is reproducible
     bit for bit.
     """
@@ -74,22 +84,35 @@ class JointTables:
         _check_compatible(prior, channel)
         self.prior = prior
         self.channel = channel
-        self.target = _normalize_target(prior, target)
-        if budget is None:
-            budget = DEFAULT_ENUMERATION_BUDGET
-        if prior.support_size() > budget:
-            raise EnumerationBudgetError(
-                prior.support_size(), budget, "JointTables"
-            )
-        u = prior.universe
-        n_out = len(channel.outcomes)
-        p_x: Dict[Tuple[str, ...], Prob] = {}
-        joint: Dict[Tuple[Tuple[str, ...], int], Prob] = {}
+        self.target = tgt = normalize_target(prior.universe.n, target)
+        check_budget(prior.support_size(), budget, "JointTables")
+        rows = channel.rows
+        to_histogram = prior.universe.to_histogram
+        self._accumulate(
+            (
+                (tuple(seq[i] for i in tgt), p,
+                 rows[to_histogram(seq, validate=False)])
+                for seq, p in prior.iter_support()
+            ),
+            channel.outcomes,
+        )
+
+    @classmethod
+    def from_cells(cls, cells, outcomes) -> "JointTables":
+        """Tables over (records key, mass, row) cells whose rows are aligned
+        with outcomes; prior, channel and target are None."""
+        t = cls.__new__(cls)
+        t.prior = t.channel = t.target = None
+        t._accumulate(cells, outcomes)
+        return t
+
+    def _accumulate(self, cells, outcomes):
+        n_out = len(outcomes)
+        p_x: Dict[tuple, Prob] = {}
+        joint: Dict[Tuple[tuple, int], Prob] = {}
         p_r = [Fraction(0)] * n_out
-        for seq, p in prior.iter_support():
-            xv = tuple(seq[i] for i in self.target)
+        for xv, p, row in cells:
             p_x[xv] = p_x.get(xv, 0) + p
-            row = channel.rows[u.to_histogram(seq, validate=False)]
             for j in range(n_out):
                 q = row[j]
                 if q == 0:
@@ -97,6 +120,7 @@ class JointTables:
                 w = p * q
                 joint[(xv, j)] = joint.get((xv, j), 0) + w
                 p_r[j] = p_r[j] + w
+        self.outcomes = tuple(outcomes)
         self.p_x = {k: p_x[k] for k in sorted(p_x)}
         self.p_r = p_r
         self.joint = joint
@@ -110,14 +134,17 @@ class JointTables:
 
 def max_mi(prior, channel, target, budget=None, tables=None) -> Quantity:
     """Largest pointwise mutual information between the target's records and
-    the outcome: the worst-case multiplicative posterior-to-prior jump."""
+    the outcome: the worst-case multiplicative posterior-to-prior jump.
+
+    Cells are scanned by sorted records key, then outcome index, and the
+    first maximum is kept, so witnesses are reproducible."""
     t = tables or JointTables(prior, channel, target, budget)
     best = None
     wit = None
     for xv, px in t.p_x.items():
         if px == 0:
             continue
-        for j, label in enumerate(t.channel.outcomes):
+        for j, label in enumerate(t.outcomes):
             pr = t.p_r[j]
             if pr == 0:
                 continue
@@ -163,7 +190,7 @@ def max_rel_entropy(prior, channel, target, budget=None, tables=None) -> Quantit
     t = tables or JointTables(prior, channel, target, budget)
     best = None
     wit = None
-    for j, label in enumerate(t.channel.outcomes):
+    for j, label in enumerate(t.outcomes):
         pr = t.p_r[j]
         if pr == 0:
             continue
@@ -207,7 +234,7 @@ def inferential_eps(prior, channel, target, budget=None, tables=None) -> Quantit
             if a == b:
                 continue
             pb = t.p_x[b]
-            for j, label in enumerate(t.channel.outcomes):
+            for j, label in enumerate(t.outcomes):
                 la = t.joint.get((a, j), 0) / pa
                 lb = t.joint.get((b, j), 0) / pb
                 r = ratio_div(la, lb)

@@ -29,6 +29,7 @@ from .universe import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
     RecordUniverse,
+    check_budget,
 )
 
 
@@ -256,17 +257,12 @@ def change_histogram_pairs(
         # achievable_histograms is sorted, so its combinations are too.
         hists = universe.achievable_histograms(budget)
         return list(itertools.combinations(hists, 2))
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
     states = {(0, 0): 0}
     steps = 0
     for alpha in universe.alphabets:
         weights = [universe.code_weights[s] for s in alpha]
         steps += len(states) * len(weights) ** 2
-        if steps > budget:
-            raise EnumerationBudgetError(
-                steps, budget, "change_histogram_pairs"
-            )
+        check_budget(steps, budget, "change_histogram_pairs")
         nxt = {}
         for (c1, c2), d in states.items():
             for x in weights:

@@ -242,12 +242,6 @@ def dataset_distribution(prior: JointPrior) -> Dict[Tuple[int, ...], Prob]:
     return out
 
 
-def dataset_prob(prior: JointPrior, hist) -> Prob:
-    """Probability that the dataset histogram equals ``hist``."""
-    hist = tuple(hist)
-    return dataset_distribution(prior).get(hist, Fraction(0))
-
-
 def verify_factorization(prior: JointPrior, full_table, tol: float = TOL):
     """Check a claimed full joint table against the block factorization.
 

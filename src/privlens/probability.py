@@ -94,11 +94,27 @@ def ratio_div(num: Prob, den: Prob):
     return num / den
 
 
+def is_inf(value) -> bool:
+    """True for a float infinity; Fractions are always finite."""
+    return isinstance(value, float) and math.isinf(value)
+
+
+def ratios_agree(a, b) -> bool:
+    """Exact equality on two Fractions, equality on infinities, otherwise
+    agreement within TOL relative to b."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    if is_inf(a) or is_inf(b):
+        return a == b
+    fa, fb = float(a), float(b)
+    return abs(fa - fb) <= TOL * max(1.0, abs(fb))
+
+
 def log_ratio(value) -> float:
     """Natural log of a ratio-scale value, with inf passed through."""
     if value is None:
         raise ProbabilityError("cannot take log of an excluded ratio")
-    if isinstance(value, float) and math.isinf(value):
+    if is_inf(value):
         return math.inf
     if value == 0:
         return -math.inf

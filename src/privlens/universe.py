@@ -39,7 +39,9 @@ class EnumerationBudgetError(RuntimeError):
         self.stage = stage
 
 
-def _check_budget(cardinality, budget, stage):
+def check_budget(cardinality, budget, stage):
+    """Raise EnumerationBudgetError when cardinality exceeds the budget
+    (DEFAULT_ENUMERATION_BUDGET when None)."""
     if budget is None:
         budget = DEFAULT_ENUMERATION_BUDGET
     if cardinality > budget:
@@ -116,7 +118,7 @@ class RecordUniverse:
 
     def iter_sequences(self, budget=None) -> Iterator[Tuple[str, ...]]:
         """All dataset sequences in lexicographic alphabet order."""
-        _check_budget(self.sequence_count(), budget, "iter_sequences")
+        check_budget(self.sequence_count(), budget, "iter_sequences")
         return itertools.product(*self.alphabets)
 
     def to_histogram(self, seq: Sequence[str], *, validate=True) -> Tuple[int, ...]:
@@ -154,7 +156,7 @@ class RecordUniverse:
         steps = 0
         for alpha in alphabets:
             steps += len(layers[-1]) * len(alpha)
-            _check_budget(steps, budget, stage)
+            check_budget(steps, budget, stage)
             weights = [self.code_weights[s] for s in alpha]
             layers.append({c + w for c in layers[-1] for w in weights})
         return layers, steps
@@ -173,7 +175,7 @@ class RecordUniverse:
             hists = tuple(self.decode_histogram(c) for c in sorted(layers[-1]))
             cache["achievable"] = (steps, hists)
         steps, hists = cache["achievable"]
-        _check_budget(steps, budget, "achievable_histograms")
+        check_budget(steps, budget, "achievable_histograms")
         return hists
 
     def sequences_with_histogram(self, hist, budget=None):

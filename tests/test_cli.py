@@ -573,6 +573,54 @@ def test_minus_inf_delta_means_independence(tmp_path):
     assert not rep["results"]["membership"]["coupled"]["ok"]
 
 
+K_CHANGE = {"kind": "k_change", "mechanism": "geo", "k": 1, "exp_epsilon": "3"}
+
+
+@pytest.mark.parametrize(
+    "command, patch",
+    [
+        ("validate", {"universe": {"n": "x", "alphabet": ["BOT", "a"]}}),
+        ("certify", {"certify": dict(K_CHANGE, k="x")}),
+        ("certify", {"certify": dict(K_CHANGE, k=2.5)}),
+        ("certify", {"seed": "x", "certify": K_CHANGE}),
+        ("certify", {"samples": "x", "certify": K_CHANGE}),
+        ("validate", {"family": {"k": "x"}}),
+        (
+            "certify",
+            {"certify": {"kind": "k_change", "mechanism": "geo", "epsilon": "abc"}},
+        ),
+        (
+            "bound",
+            {"bound": {"kind": "worstcase", "mechanism": "geo", "target": "x",
+                       "family": {"k": 1}}},
+        ),
+        (
+            "leakage",
+            {"leakage": {"prior": "uniform", "mechanism": "geo",
+                         "targets": [[0, "x"]]}},
+        ),
+    ],
+    ids=[
+        "universe.n=x",
+        "certify.k=x",
+        "certify.k=2.5",
+        "seed=x",
+        "samples=x",
+        "family.k=x",
+        "certify.epsilon=abc",
+        "bound.target=x",
+        "leakage.targets=[[0,x]]",
+    ],
+)
+def test_malformed_numbers_are_input_errors(tmp_path, command, patch):
+    path = write_scenario(tmp_path, base_scenario(**patch))
+    code, out, err = invoke([command, path])
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ")
+
+
 def test_table_format_smoke(tmp_path):
     scn = base_scenario(
         certify={"kind": "k_change", "mechanism": "geo", "k": 1, "exp_epsilon": "3"}

@@ -9,6 +9,7 @@ from privlens import (
     CompositionError,
     EnumerationBudgetError,
     EpochModel,
+    LeakageError,
     certify_composition,
     direct_epoch_max_mi,
     dp_epsilon,
@@ -157,6 +158,8 @@ def test_two_equal_epochs_multiply_exactly():
     direct = direct_epoch_max_mi(model, 0)
     assert direct.ratio == Fraction(9, 4)
     assert set(direct.witness) == {"records_by_epoch", "outcomes_by_epoch"}
+    assert direct.witness["records_by_epoch"] == [["a"], ["a"]]
+    assert direct.witness["outcomes_by_epoch"] == ["1", "1"]
 
 
 def test_mixed_epochs_multiply_exactly():
@@ -183,6 +186,16 @@ def test_epoch_additivity_on_random_instances():
         rep = epoch_leakage(model, tgt)
         direct = direct_epoch_max_mi(model, tgt)
         assert abs(rep.total_nats - direct.nats) < 1e-9
+
+
+@pytest.mark.parametrize("target", [[], 1])
+def test_composition_cross_checks_reject_bad_targets(target):
+    u, prior = one_record()
+    rr = randomized_response_channel(u, HALF)
+    with pytest.raises(LeakageError):
+        direct_epoch_max_mi(EpochModel(((prior, rr), (prior, rr))), target)
+    with pytest.raises(LeakageError):
+        equal_epoch_reduction(prior, [rr, rr], target)
 
 
 def test_epoch_budget_counts_the_product_space():
