@@ -33,6 +33,7 @@ from .prior import (
     dataset_distribution,
     extremal_pair_prior,
     extremal_pdelta_prior,
+    histogram_masses,
     independent_prior,
     prior_from_flat,
     sample_prior,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,6 +81,20 @@ def _number(value, what) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise AuditError(f"{what} must be a number, got {value!r}") from None
+
+
+def _index(value, what, n) -> int:
+    """An individual index given as an integer or a decimal string (JSON
+    object keys are strings)."""
+    try:
+        i = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise AuditError(
+            f"{what} must be an individual index, got {value!r}"
+        ) from None
+    if not 0 <= i < n:
+        raise AuditError(f"{what} {i} out of range for n={n}")
+    return i
 
 
 def _parse_bound(epsilon=None, exp_epsilon=None, *, what="epsilon"):
@@ -701,9 +716,13 @@ def sufficient_nk(
     conclusive = True
     supplied = None
     if marginals is not None:
+        if not isinstance(marginals, dict):
+            raise AuditError("marginals must map individuals to tables")
         supplied = {}
         for j, table in marginals.items():
-            j = int(j)
+            j = _index(j, "marginals key", n)
+            if not isinstance(table, dict):
+                raise AuditError(f"marginal for individual {j} must be a table")
             alpha = u.alphabets[j]
             w = {sym: parse_probability(table.get(sym, 0)) for sym in alpha}
             total = sum(w.values())
@@ -921,12 +940,17 @@ def personalized_check(
     mapping from individual to level."""
     n = prior.universe.n
     if isinstance(epsilons, dict):
-        levels = {int(i): float(e) for i, e in epsilons.items()}
+        levels = {
+            _index(i, "epsilons key", n): _number(e, "epsilons entry")
+            for i, e in epsilons.items()
+        }
         if sorted(levels) != list(range(n)):
             raise AuditError("need a level for every individual")
         eps = [levels[i] for i in range(n)]
     else:
-        eps = [float(e) for e in epsilons]
+        if not isinstance(epsilons, (list, tuple)):
+            raise AuditError("epsilons must be a list or a mapping")
+        eps = [_number(e, "epsilons entry") for e in epsilons]
         if len(eps) != n:
             raise AuditError(f"need {n} levels, got {len(eps)}")
     rows = []

@@ -93,6 +93,15 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _expect(raw, kind, what):
+    """raw when it is a list or a dict (as kind says), else a SchemaError
+    naming what, so a malformed shape never reaches the builders."""
+    if not isinstance(raw, kind):
+        shape = "a list" if kind is list else "an object"
+        raise SchemaError(f"{what} must be {shape}, got {raw!r}")
+    return raw
+
+
 def _symbol(raw) -> str:
     if raw == "BOT":
         return BOT
@@ -105,16 +114,16 @@ def build_universe(raw) -> RecordUniverse:
     if not isinstance(raw, dict):
         raise SchemaError("universe must be an object")
     if "alphabets" in raw:
-        alphabets = raw["alphabets"]
-        if not isinstance(alphabets, list):
-            raise SchemaError("universe.alphabets must be a list of lists")
-        return RecordUniverse(
-            tuple(tuple(_symbol(s) for s in a) for a in alphabets)
-        )
+        alphabets = _expect(raw["alphabets"], list, "universe.alphabets")
+        return RecordUniverse(tuple(
+            tuple(_symbol(s) for s in _expect(a, list, "universe.alphabets entry"))
+            for a in alphabets
+        ))
     if "n" in raw and "alphabet" in raw:
         return uniform_universe(
             parse_int(raw["n"], "universe.n"),
-            tuple(_symbol(s) for s in raw["alphabet"]),
+            tuple(_symbol(s) for s in _expect(raw["alphabet"], list,
+                                              "universe.alphabet")),
         )
     raise SchemaError("universe needs alphabets, or n with a shared alphabet")
 
@@ -123,11 +132,12 @@ def build_prior(universe: RecordUniverse, raw) -> JointPrior:
     if not isinstance(raw, dict):
         raise SchemaError("prior must be an object")
     if "independent" in raw:
-        margs = raw["independent"]
+        margs = _expect(raw["independent"], list, "prior.independent")
         if len(margs) != universe.n:
             raise SchemaError("independent prior needs one marginal per individual")
         tables = []
         for i, entries in enumerate(margs):
+            _expect(entries, list, "prior.independent entry")
             alpha = universe.alphabets[i]
             if len(entries) != len(alpha):
                 raise SchemaError(
@@ -141,7 +151,16 @@ def build_prior(universe: RecordUniverse, raw) -> JointPrior:
             [{s: parse_probability(p) for s, p in t.items()} for t in tables],
         )
     if "blocks" in raw and "tables" in raw:
-        return prior_from_flat(universe, raw["blocks"], raw["tables"])
+        blocks = [
+            [parse_int(i, "prior.blocks index")
+             for i in _expect(b, list, "prior.blocks entry")]
+            for b in _expect(raw["blocks"], list, "prior.blocks")
+        ]
+        tables = [
+            _expect(t, list, "prior.tables entry")
+            for t in _expect(raw["tables"], list, "prior.tables")
+        ]
+        return prior_from_flat(universe, blocks, tables)
     raise SchemaError("prior needs blocks+tables or independent marginals")
 
 
@@ -152,14 +171,20 @@ def build_mechanism(universe: RecordUniverse, raw) -> Channel:
     if kind == "matrix":
         if "outcomes" not in raw or "rows" not in raw:
             raise SchemaError("matrix mechanism needs outcomes and rows")
-        return matrix_channel(universe, tuple(raw["outcomes"]), raw["rows"])
+        rows = _expect(raw["rows"], dict, "matrix rows")
+        for row in rows.values():
+            _expect(row, list, "matrix row")
+        outcomes = _expect(raw["outcomes"], list, "matrix outcomes")
+        return matrix_channel(universe, tuple(outcomes), rows)
     if kind == "geometric_counting":
+        epsilon, max_count = raw.get("epsilon"), raw.get("max_count")
         return geometric_counting_channel(
             universe,
             _symbol(raw.get("target_symbol")),
             ratio=raw.get("ratio"),
-            epsilon=raw.get("epsilon"),
-            max_count=raw.get("max_count"),
+            epsilon=None if epsilon is None else parse_float(epsilon, "epsilon"),
+            max_count=(None if max_count is None
+                       else parse_int(max_count, "max_count")),
         )
     if kind == "randomized_response":
         if "keep_prob" not in raw:
@@ -177,13 +202,18 @@ def build_family(raw) -> FamilyParams:
             delta = -math.inf
         else:
             raise SchemaError(f"bad delta {delta!r}; use a number or \"-inf\"")
-    k, ell = raw.get("k"), raw.get("ell")
+    elif delta is not None:
+        delta = parse_float(delta, "family.delta")
+    k, ell, tau = raw.get("k"), raw.get("ell"), raw.get("tau")
+    if tau is not None:
+        # Checked only: the family reports tau as given.
+        parse_float(tau, "family.tau")
     return FamilyParams.of(
         k=None if k is None else parse_int(k, "family.k"),
         delta=delta,
         exp_delta=raw.get("exp_delta"),
         ell=None if ell is None else parse_int(ell, "family.ell"),
-        tau=raw.get("tau"),
+        tau=tau,
     )
 
 
@@ -204,6 +234,17 @@ def parse_int(raw, what, positive=False) -> int:
     return raw
 
 
+def parse_float(raw, what) -> float:
+    """A real scenario value: a JSON number or a numeric string. Anything
+    else is a SchemaError naming what."""
+    if not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(f"{what} must be a number, got {raw!r}")
+
+
 class Scenario:
     """Parsed scenario: shared objects plus raw per-command sections."""
 
@@ -221,10 +262,12 @@ class Scenario:
             raise SchemaError("scenario needs a universe")
         self.universe = build_universe(raw["universe"])
         self.priors = {}
-        for name, p in (raw.get("priors") or {}).items():
+        priors = _expect(raw.get("priors") or {}, dict, "priors")
+        for name, p in priors.items():
             self.priors[name] = build_prior(self.universe, p)
         self.mechanisms = {}
-        for name, m in (raw.get("mechanisms") or {}).items():
+        mechanisms = _expect(raw.get("mechanisms") or {}, dict, "mechanisms")
+        for name, m in mechanisms.items():
             self.mechanisms[name] = build_mechanism(self.universe, m)
         self.family = build_family(raw["family"]) if "family" in raw else None
         self.seed = raw.get("seed", 0)
@@ -449,7 +492,7 @@ def _run_certify_task(scenario: Scenario, sec: dict, args, rng) -> Verdict:
             parse_int(sec.get("k", 1), "certify.k"),
             epsilon=sec.get("epsilon"),
             exp_epsilon=sec.get("exp_epsilon"),
-            tau=float(sec.get("tau", 0.0)),
+            tau=parse_float(sec.get("tau", 0.0), "certify.tau"),
             marginals=sec.get("marginals"),
             budget=args.budget,
         )
@@ -591,7 +634,8 @@ def cmd_compose(scenario: Scenario, args, rng) -> tuple:
         if not entries:
             raise SchemaError("compose.epochs needs an epochs list")
         pairs = []
-        for e in entries:
+        for e in _expect(entries, list, "compose.epochs"):
+            _expect(e, dict, "compose.epochs entry")
             pairs.append(
                 (scenario.prior(e.get("prior")), scenario.mechanism(e.get("mechanism")))
             )
@@ -639,6 +683,7 @@ def cmd_sweep(scenario: Scenario, args, rng) -> tuple:
     task = sec.get("task")
     if not over or values is None or not isinstance(task, dict):
         raise SchemaError("sweep needs over, values, and a task object")
+    _expect(values, list, "sweep.values")
     command = task.get("command", "bound")
     rows = []
     verdicts = []

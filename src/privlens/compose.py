@@ -4,14 +4,14 @@ Two distinct regimes live here. Running several mechanisms on the same
 records composes into a product channel over outcome tuples. Running across
 epochs draws fresh records each epoch (independent priors), so per-epoch
 leakage adds on the log scale; the additive total is verified against a
-direct enumeration of the full product space rather than trusting the
+direct pass over the full product space of per-epoch (target records,
+histogram) masses and outcome tuples rather than trusting the
 factorization.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 from .leakage import JointTables, Quantity, max_mi, normalize_target
 from .mechanism import Channel, lipschitz_ratio
-from .prior import JointPrior
+from .prior import JointPrior, histogram_masses
 from .probability import (
     Prob,
     log_ratio,
@@ -28,7 +28,7 @@ from .probability import (
     ratios_agree,
 )
 from .universe import check_budget
-from .audit import Verdict, leq_with_tol
+from .audit import Verdict, _parse_bound, leq_with_tol
 
 
 class CompositionError(ValueError):
@@ -85,7 +85,9 @@ def certify_composition(
     if exp_epsilons is not None:
         units = [parse_probability(e, allow_unit_excess=True) for e in exp_epsilons]
     else:
-        units = [math.exp(float(e)) for e in epsilons]
+        if not isinstance(epsilons, (list, tuple)):
+            raise CompositionError(f"epsilons must be a list, got {epsilons!r}")
+        units = [_parse_bound(epsilon=e) for e in epsilons]
     if len(units) != len(channels):
         raise CompositionError("need one level per channel")
     per_component = []
@@ -191,33 +193,31 @@ def _fold_rows(rows):
 
 def direct_epoch_max_mi(model: EpochModel, target,
                         budget: Optional[int] = None) -> Quantity:
-    """The same quantity measured from first principles: enumerate the full
-    product space of per-epoch sequences and outcome tuples, aggregate the
-    joint of (per-epoch target records, outcome tuple), and take the largest
-    pointwise mutual information. Exists to check the additive path."""
+    """The same quantity measured from first principles: take the product
+    space of the per-epoch (target records, histogram) masses and outcome
+    tuples, aggregate the joint of (per-epoch target records, outcome
+    tuple), and take the largest pointwise mutual information. Exists to
+    check the additive path, so the product is never factorized."""
     tgt = normalize_target(model.n, target)
     support = prod(p.support_size() for p, _ in model.epochs)
     out_card = prod(len(c.outcomes) for _, c in model.epochs)
     check_budget(support * out_card, budget, "direct_epoch_max_mi")
 
-    # Per epoch: (target records, mass, row) for each support sequence.
     epoch_cells = [
-        [
-            (tuple(seq[i] for i in tgt), mass,
-             c.rows[p.universe.to_histogram(seq, validate=False)])
-            for seq, mass in p.iter_support()
-        ]
-        for p, c in model.epochs
+        list(histogram_masses(p, tgt).items()) for p, _ in model.epochs
     ]
 
     def cells():
         for combo in itertools.product(*epoch_cells):
-            keys, masses, rows = zip(*combo)
-            yield keys, prod(masses, start=Fraction(1)), _fold_rows(rows)
+            keys_hists, masses = zip(*combo)
+            yield tuple(zip(*keys_hists)), prod(masses, start=Fraction(1))
+
+    def row_of(hists):
+        return _fold_rows([c.rows[h] for (_, c), h in zip(model.epochs, hists)])
 
     outcomes = tuple(itertools.product(*(c.outcomes for _, c in model.epochs)))
     q = max_mi(None, None, None,
-               tables=JointTables.from_cells(cells(), outcomes))
+               tables=JointTables.from_cells(cells(), row_of, outcomes))
     if q.witness is None:
         return q
     return replace(q, witness={
@@ -230,23 +230,19 @@ def equal_epoch_reduction(prior: JointPrior, channels: Sequence[Channel],
                           target, budget: Optional[int] = None) -> dict:
     """Same records observed through several mechanisms: the trajectory
     leakage equals the product-channel leakage. Returns both measurements
-    (product-channel route and a direct tuple-space enumeration) and whether
-    they agree exactly."""
+    (product-channel route and a direct tuple-space route that folds the
+    component rows itself) and whether they agree exactly."""
     tgt = normalize_target(prior.universe.n, target)
     combined = product_channel(channels, budget)
     via_product = max_mi(prior, combined, tgt, budget)
 
-    u = prior.universe
+    def row_of(h):
+        return _fold_rows([c.rows[h] for c in channels])
 
-    def cells():
-        for seq, mass in prior.iter_support():
-            h = u.to_histogram(seq, validate=False)
-            rows = [c.rows[h] for c in channels]
-            yield tuple(seq[i] for i in tgt), mass, _fold_rows(rows)
-
+    cells = histogram_masses(prior, tgt).items()
     outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
     direct = max_mi(None, None, None,
-                    tables=JointTables.from_cells(cells(), outcomes))
+                    tables=JointTables.from_cells(cells, row_of, outcomes))
     return {
         "via_product_channel": via_product,
         "direct_ratio": direct.ratio,

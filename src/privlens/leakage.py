@@ -1,11 +1,12 @@
 """Adversarial leakage measurements for a prior and a channel.
 
 Everything here works on the exact joint distribution of (target records,
-outcome) assembled from the prior's support and the channel rows. Maxima range
-over positive-probability records and positive-probability outcomes only;
-zero-probability joint cells are skipped (they can never attain a maximum
-because every outcome column contains a ratio of at least one). Ratio-scale
-results stay exact Fractions whenever both inputs are rational.
+outcome) assembled from the prior's (target records, histogram) masses and
+the channel rows. Maxima range over positive-probability records and
+positive-probability outcomes only; zero-probability joint cells are skipped
+(they can never attain a maximum because every outcome column contains a
+ratio of at least one). Ratio-scale results stay exact Fractions whenever
+both inputs are rational.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .prior import JointPrior, dataset_distribution
+from .prior import JointPrior, dataset_distribution, histogram_masses
 from .mechanism import Channel
 from .probability import Prob, log_ratio, nats_to_bits, ratio_div
 from .universe import check_budget
@@ -74,9 +75,11 @@ class JointTables:
 
     p_x maps records keys (the target's records) to prior mass, p_r is
     aligned with outcomes, joint maps (records key, outcome index) to mass.
-    from_cells builds the same tables for the composition cross-checks. Keys
-    appear in deterministic sorted order so every scan below is reproducible
-    bit for bit.
+    A channel sees only the histogram, so the joint is built from the
+    prior's (records key, histogram) masses, one cell per pair, never from
+    its support sequences. from_cells builds the same tables for the
+    composition cross-checks. Keys appear in deterministic sorted order so
+    every scan below is reproducible bit for bit.
     """
 
     def __init__(self, prior: JointPrior, channel: Channel, target,
@@ -86,43 +89,53 @@ class JointTables:
         self.channel = channel
         self.target = tgt = normalize_target(prior.universe.n, target)
         check_budget(prior.support_size(), budget, "JointTables")
-        rows = channel.rows
-        to_histogram = prior.universe.to_histogram
         self._accumulate(
-            (
-                (tuple(seq[i] for i in tgt), p,
-                 rows[to_histogram(seq, validate=False)])
-                for seq, p in prior.iter_support()
-            ),
+            histogram_masses(prior, tgt).items(),
+            channel.rows.__getitem__,
             channel.outcomes,
         )
 
     @classmethod
-    def from_cells(cls, cells, outcomes) -> "JointTables":
-        """Tables over (records key, mass, row) cells whose rows are aligned
-        with outcomes; prior, channel and target are None."""
+    def from_cells(cls, cells, row_of, outcomes) -> "JointTables":
+        """Tables over ((records key, row key), mass) cells, where row_of
+        maps a row key to a row aligned with outcomes; prior, channel and
+        target are None."""
         t = cls.__new__(cls)
         t.prior = t.channel = t.target = None
-        t._accumulate(cells, outcomes)
+        t._accumulate(cells, row_of, outcomes)
         return t
 
-    def _accumulate(self, cells, outcomes):
-        n_out = len(outcomes)
+    def _accumulate(self, cells, row_of, outcomes):
         p_x: Dict[tuple, Prob] = {}
         joint: Dict[Tuple[tuple, int], Prob] = {}
-        p_r = [Fraction(0)] * n_out
-        for xv, p, row in cells:
-            p_x[xv] = p_x.get(xv, 0) + p
-            for j in range(n_out):
-                q = row[j]
-                if q == 0:
-                    continue
+        # None until an outcome gets mass; a first mass is stored as is, so
+        # no sum starts from an int (an int + Fraction takes the slow
+        # operator fallback).
+        p_r = [None] * len(outcomes)
+        # Nonzero (outcome index, entry) pairs per (row key, float mass).
+        # A float mass meets a float copy of the row: float * Fraction is
+        # computed as float * float(Fraction) anyway, so the bits are the
+        # same and the Fraction operator fallback is skipped.
+        entries = {}
+        for (xv, rk), p in cells:
+            old = p_x.get(xv)
+            p_x[xv] = p if old is None else old + p
+            is_float = isinstance(p, float)
+            row = entries.get((rk, is_float))
+            if row is None:
+                row = entries[(rk, is_float)] = [
+                    (j, float(q) if is_float else q)
+                    for j, q in enumerate(row_of(rk)) if q != 0
+                ]
+            for j, q in row:
                 w = p * q
-                joint[(xv, j)] = joint.get((xv, j), 0) + w
-                p_r[j] = p_r[j] + w
+                old = joint.get((xv, j))
+                joint[(xv, j)] = w if old is None else old + w
+                old = p_r[j]
+                p_r[j] = w if old is None else old + w
         self.outcomes = tuple(outcomes)
         self.p_x = {k: p_x[k] for k in sorted(p_x)}
-        self.p_r = p_r
+        self.p_r = [Fraction(0) if pr is None else pr for pr in p_r]
         self.joint = joint
 
     def posterior(self, xv, j) -> Prob:
@@ -171,15 +184,17 @@ def max_mi(prior, channel, target, budget=None, tables=None) -> Quantity:
 
 def mi(prior, channel, target, budget=None, tables=None) -> Quantity:
     """Mutual information between the target's records and the outcome, in
-    nats (averaged, so no ratio scale)."""
+    nats (averaged, so no ratio scale). Cells are summed by sorted records
+    key, then outcome index, so the float sum does not depend on the order
+    in which the joint was built."""
     t = tables or JointTables(prior, channel, target, budget)
     total = 0.0
-    for (xv, j), w in t.joint.items():
-        if w == 0:
-            continue
-        px = t.p_x[xv]
-        pr = t.p_r[j]
-        total += float(w) * math.log(float(w) / (float(px) * float(pr)))
+    for xv, px in t.p_x.items():
+        for j, pr in enumerate(t.p_r):
+            w = t.joint.get((xv, j), 0)
+            if w == 0:
+                continue
+            total += float(w) * math.log(float(w) / (float(px) * float(pr)))
     total = max(total, 0.0)
     return Quantity(nats=total, bits=nats_to_bits(total))
 

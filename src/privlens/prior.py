@@ -209,6 +209,12 @@ def prior_from_flat(
     """Build from flat arrays in row-major order over each block's alphabets
     (block indices sorted ascending; alphabets in universe order)."""
     blocks = tuple(tuple(sorted(b)) for b in blocks)
+    for b in blocks:
+        for i in b:
+            if not 0 <= i < universe.n:
+                raise PriorError(
+                    f"block index {i} out of range for n={universe.n}"
+                )
     tables = []
     for b, flat in zip(blocks, flat_tables):
         keys = list(itertools.product(*(universe.alphabets[i] for i in b)))
@@ -232,14 +238,63 @@ def prior_from_flat(
 # ---------------------------------------------------------------------------
 
 
+def histogram_masses(
+    prior: JointPrior, target: Sequence[int] = ()
+) -> Dict[Tuple[Tuple[str, ...], Tuple[int, ...]], Prob]:
+    """Joint mass of (the target's records, the dataset histogram).
+
+    Keys are (records key, histogram): the records of the sorted distinct
+    target indices, in index order, and the histogram of the whole sequence.
+    Masses are the sums of ``iter_support`` masses over the sequences with
+    that key and histogram, without visiting the sequences: each block's
+    positive cells are aggregated by (their target records, their histogram
+    code), then convolved into (partial records key, partial histogram code)
+    states one block at a time. The states number at most the target's
+    record combinations times the achievable histograms, so the work grows
+    polynomially in n for a fixed alphabet. Sums of Fractions stay exact.
+    """
+    u = prior.universe
+    weight = u.code_weights.__getitem__
+    tgt = set(target)
+    # Target indices in the order the blocks contribute them to a state key.
+    contributed = []
+    states = None
+    for b, table in zip(prior.blocks, prior.tables):
+        pos = [j for j, i in enumerate(b) if i in tgt]
+        contributed.extend(b[j] for j in pos)
+        local: Dict[Tuple[Tuple[str, ...], int], Prob] = {}
+        for key, p in table.items():
+            if p > 0:
+                cell = (tuple(map(key.__getitem__, pos)), sum(map(weight, key)))
+                old = local.get(cell)
+                local[cell] = p if old is None else old + p
+        if states is None:
+            # iter_support starts each mass at Fraction(1), and 1 * p is p
+            # itself for a float or a Fraction; only an int changes type.
+            states = {
+                cell: Fraction(m) if isinstance(m, int) else m
+                for cell, m in local.items()
+            }
+            continue
+        nxt: Dict[Tuple[Tuple[str, ...], int], Prob] = {}
+        for (key0, code0), m0 in states.items():
+            for (key1, code1), m1 in local.items():
+                cell = (key0 + key1, code0 + code1)
+                m = m0 * m1
+                old = nxt.get(cell)
+                nxt[cell] = m if old is None else old + m
+        states = nxt
+    order = sorted(range(len(contributed)), key=contributed.__getitem__)
+    decode = u.decode_histogram
+    return {
+        (tuple(map(key.__getitem__, order)), decode(code)): m
+        for (key, code), m in states.items()
+    }
+
+
 def dataset_distribution(prior: JointPrior) -> Dict[Tuple[int, ...], Prob]:
     """Distribution over achievable histograms induced by the prior."""
-    out: Dict[Tuple[int, ...], Prob] = {}
-    u = prior.universe
-    for seq, p in prior.iter_support():
-        h = u.to_histogram(seq, validate=False)
-        out[h] = out.get(h, 0) + p
-    return out
+    return {h: m for (_, h), m in histogram_masses(prior).items()}
 
 
 def verify_factorization(prior: JointPrior, full_table, tol: float = TOL):

@@ -95,6 +95,7 @@ class RecordUniverse:
             self, "code_weights", {BOT: 0, **dict(zip(pooled, places))}
         )
         object.__setattr__(self, "_histogram_cache", {})
+        object.__setattr__(self, "_decoded", {})
 
     @property
     def n(self) -> int:
@@ -142,11 +143,15 @@ class RecordUniverse:
         return sum(c * p for c, p in zip(hist, self._places))
 
     def decode_histogram(self, code: int) -> Tuple[int, ...]:
-        counts = []
-        for p in self._places:
-            c, code = divmod(code, p)
-            counts.append(c)
-        return tuple(counts)
+        hist = self._decoded.get(code)
+        if hist is None:
+            counts = []
+            rest = code
+            for p in self._places:
+                c, rest = divmod(rest, p)
+                counts.append(c)
+            hist = self._decoded[code] = tuple(counts)
+        return hist
 
     def _reachable_codes(self, alphabets, budget, stage):
         """Codes of the histograms that the given individuals can produce,

@@ -1,7 +1,14 @@
 """Sequence-domain enumerators kept as oracles for the histogram-domain
-kernels. Each walks all |A|^n dataset sequences, so keep universes small."""
+kernels. Each walks dataset sequences, all |A|^n of them or a prior's whole
+support, so keep universes small."""
 
 import itertools
+from dataclasses import replace
+from fractions import Fraction
+from math import prod
+from types import SimpleNamespace
+
+from privlens import max_mi
 
 
 def iter_sequences(universe):
@@ -42,3 +49,91 @@ def change_histogram_pairs(universe, k):
                     if h2 != h1:
                         pairs.add((h1, h2) if h1 < h2 else (h2, h1))
     return sorted(pairs)
+
+
+# ---------------------------------------------------------------------------
+# Joint tables, one cell per support sequence
+# ---------------------------------------------------------------------------
+
+
+def tables_from_cells(cells, outcomes):
+    """The joint-table build over (records key, mass, row) cells: every mass
+    times its whole row, in cell order. Has the attributes the leakage
+    quantities read."""
+    n_out = len(outcomes)
+    p_x, joint, p_r = {}, {}, [Fraction(0)] * n_out
+    for xv, p, row in cells:
+        p_x[xv] = p_x.get(xv, 0) + p
+        for j in range(n_out):
+            q = row[j]
+            if q == 0:
+                continue
+            w = p * q
+            joint[(xv, j)] = joint.get((xv, j), 0) + w
+            p_r[j] = p_r[j] + w
+    return SimpleNamespace(
+        outcomes=tuple(outcomes),
+        p_x={k: p_x[k] for k in sorted(p_x)},
+        p_r=p_r,
+        joint=joint,
+    )
+
+
+def _sequence_cells(prior, target, row_of):
+    u = prior.universe
+    tgt = tuple(sorted(set(target)))
+    return [
+        (tuple(seq[i] for i in tgt), p,
+         row_of(u.to_histogram(seq, validate=False)))
+        for seq, p in prior.iter_support()
+    ]
+
+
+def _fold_rows(rows):
+    out = rows[0]
+    for row in rows[1:]:
+        out = [a * b for a in out for b in row]
+    return out
+
+
+def joint_tables(prior, channel, target):
+    return tables_from_cells(
+        _sequence_cells(prior, target, channel.rows.__getitem__),
+        channel.outcomes,
+    )
+
+
+def dataset_distribution(prior):
+    out = {}
+    for seq, p in prior.iter_support():
+        h = prior.universe.to_histogram(seq, validate=False)
+        out[h] = out.get(h, 0) + p
+    return out
+
+
+def direct_epoch_max_mi(epochs, target):
+    """max_mi over the product of the epochs' support sequences, witness as
+    (records by epoch, outcomes by epoch)."""
+    per_epoch = [
+        _sequence_cells(p, target, c.rows.__getitem__) for p, c in epochs
+    ]
+    cells = []
+    for combo in itertools.product(*per_epoch):
+        keys, masses, rows = zip(*combo)
+        cells.append((keys, prod(masses, start=Fraction(1)), _fold_rows(rows)))
+    outcomes = tuple(itertools.product(*(c.outcomes for _, c in epochs)))
+    q = max_mi(None, None, None, tables=tables_from_cells(cells, outcomes))
+    return replace(q, witness={
+        "records_by_epoch": [list(x) for x in q.witness["records"]],
+        "outcomes_by_epoch": list(q.witness["outcome"]),
+    })
+
+
+def equal_epoch_direct(prior, channels, target):
+    """max_mi of one prior seen through several channels, rows folded per
+    support sequence."""
+    cells = _sequence_cells(
+        prior, target, lambda h: _fold_rows([c.rows[h] for c in channels])
+    )
+    outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
+    return max_mi(None, None, None, tables=tables_from_cells(cells, outcomes))

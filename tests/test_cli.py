@@ -631,3 +631,88 @@ def test_table_format_smoke(tmp_path):
     assert "privlens certify" in out
     assert "SATISFIED" in out
     assert "measured ratio 3" in out
+
+
+PERSONALIZED = {"kind": "personalized", "mechanism": "geo", "prior": "uniform"}
+AVERAGED = {"kind": "sufficient_averaged", "mechanism": "geo", "k": 1,
+            "epsilon": 1}
+
+
+@pytest.mark.parametrize(
+    "command,patch",
+    [
+        ("compose", {"compose": {"kind": "product", "mechanisms": ["geo", "rr"],
+                                 "k": 1, "epsilons": ["abc", "1"]}}),
+        ("certify", {"certify": {**PERSONALIZED, "epsilons": ["abc", "1"]}}),
+        ("certify", {"certify": {**PERSONALIZED,
+                                 "epsilons": {"0": "abc", "1": "1"}}}),
+        ("certify", {"certify": {**AVERAGED, "tau": "x"}}),
+        ("certify", {"certify": {**AVERAGED, "marginals": {"x": {}}}}),
+        ("validate", {"family": {"tau": "x"}}),
+        ("validate", {"family": {"delta": [1]}}),
+        ("validate", {"mechanisms": {"g": {
+            "type": "geometric_counting", "target_symbol": "a",
+            "epsilon": "x"}}}),
+        ("validate", {"mechanisms": {"g": {
+            "type": "geometric_counting", "target_symbol": "a",
+            "ratio": "1/3", "max_count": "x"}}}),
+    ],
+    ids=[
+        "compose.epsilons=[abc,1]",
+        "personalized.epsilons=[abc,1]",
+        "personalized.epsilons={0:abc}",
+        "sufficient_averaged.tau=x",
+        "sufficient_averaged.marginals={x:{}}",
+        "family.tau=x",
+        "family.delta=[1]",
+        "geometric.epsilon=x",
+        "geometric.max_count=x",
+    ],
+)
+def test_non_numeric_values_are_input_errors(tmp_path, command, patch):
+    path = write_scenario(tmp_path, base_scenario(**patch))
+    code, out, err = invoke([command, path])
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ")
+
+
+def test_huge_composition_level_is_unbounded(tmp_path):
+    # exp(1000) overflows a float; the level then bounds nothing.
+    scn = base_scenario(compose={"kind": "product", "mechanisms": ["geo", "rr"],
+                                 "k": 1, "epsilons": [1000, 1]})
+    code, out, err = invoke(["compose", write_scenario(tmp_path, scn),
+                             "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["verdicts"][0]["bound"]["ratio"] == "inf"
+
+
+def test_malformed_structures_are_input_errors(tmp_path):
+    probes = [
+        ("validate", "priors",
+         {"priors": [{"independent": [["1/2", "1/2"]] * 2}]}),
+        ("validate", "mechanisms",
+         {"mechanisms": [{"type": "randomized_response", "keep_prob": "1/2"}]}),
+        ("validate", "universe.alphabet",
+         {"universe": {"n": 2, "alphabet": 5}}),
+        ("validate", "prior.tables",
+         {"priors": {"p": {"blocks": [[0, 1]], "tables": 5}}}),
+        ("validate", "prior.blocks",
+         {"priors": {"p": {"blocks": "ab", "tables": [[1]]}}}),
+        ("validate", "matrix rows",
+         {"mechanisms": {"m": {"type": "matrix", "outcomes": ["x"],
+                               "rows": [["1"], ["1"]]}}}),
+        ("compose", "compose.epochs entry",
+         {"compose": {"kind": "epochs", "epochs": [1, 2]}}),
+        ("sweep", "sweep.values",
+         {"sweep": {"over": "k", "values": 5,
+                    "task": {"kind": "tightness", "mechanism": "geo"}}}),
+    ]
+    for command, what, patch in probes:
+        path = write_scenario(tmp_path, base_scenario(**patch))
+        code, out, err = invoke([command, path])
+        assert code == 4, what
+        assert out == ""
+        assert err.count("\n") == 1, what
+        assert err.startswith(f"error: {what} must be "), err

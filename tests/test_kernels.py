@@ -1,5 +1,7 @@
 """Histogram-domain kernels against the sequence-domain oracles."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,11 +10,25 @@ import pytest
 import oracles
 from privlens import (
     BOT,
+    TOL,
+    Channel,
     EnumerationBudgetError,
+    EpochModel,
+    JointPrior,
+    JointTables,
     RecordUniverse,
     change_histogram_pairs,
     change_sequence_pairs,
+    dataset_distribution,
+    direct_epoch_max_mi,
+    equal_epoch_reduction,
+    histogram_masses,
+    inferential_eps,
     matrix_channel,
+    max_mi,
+    max_rel_entropy,
+    mi,
+    ratios_agree,
     uniform_universe,
 )
 from privlens.audit import tightness_pk
@@ -21,17 +37,19 @@ from gen import random_channel
 SYMBOLS = (BOT, "a", "b", "c")
 
 
+def random_alphabet(rng):
+    """A shuffled non-empty subset of SYMBOLS, maybe without BOT, maybe of
+    one symbol."""
+    alpha = [s for s in SYMBOLS if rng.random() < 0.6] or [rng.choice(SYMBOLS)]
+    rng.shuffle(alpha)
+    return tuple(alpha)
+
+
 def per_individual_universe(rng, n_max=5, max_sequences=200):
-    """Individuals with their own alphabets: shuffled non-empty subsets of
-    SYMBOLS, some without BOT, some of one symbol."""
+    """Individuals with their own random alphabets."""
     while True:
         n = rng.randint(1, n_max)
-        alphabets = []
-        for _ in range(n):
-            alpha = [s for s in SYMBOLS if rng.random() < 0.6] or [rng.choice(SYMBOLS)]
-            rng.shuffle(alpha)
-            alphabets.append(tuple(alpha))
-        u = RecordUniverse(tuple(alphabets))
+        u = RecordUniverse(tuple(random_alphabet(rng) for _ in range(n)))
         if u.sequence_count() <= max_sequences:
             return u
 
@@ -132,3 +150,204 @@ def test_tightness_pair_follows_string_order_where_bot_sorts_last():
     assert t.prior_summary["denominator_sequence"] == [BOT, BOT]
     assert t.target == 0
     assert (["a", BOT], [BOT, BOT]) == first_realizing_pair(u, 1, (1,), (0,))
+
+
+# ---------------------------------------------------------------------------
+# Joint tables from (records key, histogram) masses
+# ---------------------------------------------------------------------------
+
+QUANTITIES = (max_mi, mi, max_rel_entropy, inferential_eps)
+
+
+def _weights(rng, m, exact):
+    """m nonnegative weights summing to one, some of them zero. Exact
+    weights are Fractions; otherwise floats, each kept or turned into the
+    Fraction of its binary value, so masses of both types meet."""
+    if exact:
+        raw = [rng.randint(0, 4) for _ in range(m)]
+        if not any(raw):
+            raw[rng.randrange(m)] = 1
+        return [Fraction(w, sum(raw)) for w in raw]
+    raw = [0.0 if rng.random() < 0.2 else rng.random() for _ in range(m)]
+    if not any(raw):
+        raw[rng.randrange(m)] = 1.0
+    s = sum(raw)
+    return [w / s if rng.random() < 0.8 else Fraction(w / s) for w in raw]
+
+
+def block_prior(rng, exact, max_support=200):
+    """1-3 blocks of 1-3 individuals each, the indices shuffled across
+    blocks, over per-individual alphabets drawn from SYMBOLS."""
+    while True:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        n = sum(sizes)
+        u = RecordUniverse(tuple(random_alphabet(rng) for _ in range(n)))
+        if u.sequence_count() <= max_support:
+            break
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks, tables = [], []
+    for size in sizes:
+        block = tuple(sorted(order[:size]))
+        del order[:size]
+        keys = list(itertools.product(*(u.alphabets[i] for i in block)))
+        blocks.append(block)
+        tables.append(dict(zip(keys, _weights(rng, len(keys), exact))))
+    return JointPrior(u, tuple(blocks), tuple(tables))
+
+
+def block_channel(rng, u, exact):
+    if not exact:
+        return random_channel(rng, u, out_range=(1, 4), zero_prob=0.3)
+    n_out = rng.randint(1, 4)
+    rows = {h: tuple(_weights(rng, n_out, True))
+            for h in u.achievable_histograms()}
+    return Channel(u, tuple(range(n_out)), rows)
+
+
+def block_target(rng, n):
+    return tuple(sorted(rng.sample(range(n), min(n, rng.randint(1, 3)))))
+
+
+def close(a, b):
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= TOL * max(1.0, abs(b))
+
+
+def assert_quantities_agree(got, want, exact):
+    if exact:
+        assert got == want
+        return
+    assert close(got.nats, want.nats)
+    assert (got.ratio is None) == (want.ratio is None)
+    if got.ratio is not None:
+        assert ratios_agree(got.ratio, want.ratio)
+
+
+def assert_tables_agree(got, want, exact):
+    assert list(got.p_x) == list(want.p_x)
+    assert set(got.joint) == set(want.joint)
+    if exact:
+        assert got.p_x == want.p_x
+        assert got.p_r == want.p_r
+        assert got.joint == want.joint
+    else:
+        for xv in want.p_x:
+            assert close(float(got.p_x[xv]), float(want.p_x[xv]))
+        for a, b in zip(got.p_r, want.p_r):
+            assert close(float(a), float(b))
+        for cell in want.joint:
+            assert close(float(got.joint[cell]), float(want.joint[cell]))
+    for q in QUANTITIES:
+        assert_quantities_agree(q(None, None, None, tables=got),
+                                q(None, None, None, tables=want), exact)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["Fraction", "float"])
+def test_joint_tables_match_the_sequence_oracle(exact):
+    rng = random.Random(24 if exact else 25)
+    for _ in range(60):
+        prior = block_prior(rng, exact)
+        ch = block_channel(rng, prior.universe, exact)
+        tgt = block_target(rng, prior.universe.n)
+        got = JointTables(prior, ch, tgt)
+        if exact:
+            assert all(isinstance(w, Fraction) for w in got.joint.values())
+        assert_tables_agree(got, oracles.joint_tables(prior, ch, tgt), exact)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["Fraction", "float"])
+def test_dataset_distribution_matches_the_sequence_oracle(exact):
+    rng = random.Random(26 if exact else 27)
+    for _ in range(60):
+        prior = block_prior(rng, exact)
+        got = dataset_distribution(prior)
+        want = oracles.dataset_distribution(prior)
+        assert set(got) == set(want)
+        for h, m in want.items():
+            if exact:
+                assert got[h] == m
+            else:
+                assert close(float(got[h]), float(m))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["Fraction", "float"])
+def test_direct_epoch_max_mi_matches_the_sequence_oracle(exact):
+    rng = random.Random(28 if exact else 29)
+    for _ in range(30):
+        prior = block_prior(rng, exact, max_support=24)
+        u = prior.universe
+        second = JointPrior(u, prior.blocks, tuple(
+            dict(zip(t, _weights(rng, len(t), exact))) for t in prior.tables
+        ))
+        epochs = ((prior, block_channel(rng, u, exact)),
+                  (second, block_channel(rng, u, exact)))
+        tgt = block_target(rng, u.n)
+        assert_quantities_agree(direct_epoch_max_mi(EpochModel(epochs), tgt),
+                                oracles.direct_epoch_max_mi(epochs, tgt),
+                                exact)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["Fraction", "float"])
+def test_equal_epoch_reduction_matches_the_sequence_oracle(exact):
+    rng = random.Random(30 if exact else 31)
+    for _ in range(30):
+        prior = block_prior(rng, exact, max_support=60)
+        u = prior.universe
+        channels = [block_channel(rng, u, exact) for _ in range(2)]
+        tgt = block_target(rng, u.n)
+        got = equal_epoch_reduction(prior, channels, tgt)
+        want = oracles.equal_epoch_direct(prior, channels, tgt)
+        if exact:
+            assert got["direct_ratio"] == want.ratio
+            assert got["direct_nats"] == want.nats
+            assert got["agree"]
+        else:
+            assert ratios_agree(got["direct_ratio"], want.ratio)
+            assert close(got["direct_nats"], want.nats)
+
+
+def test_float_masses_meet_float_rows_bit_for_bit():
+    # The same (records key, histogram) cells, once against the Fraction
+    # rows (float * Fraction) and once through JointTables, which hands
+    # float masses a float copy of each row.
+    rng = random.Random(32)
+    floats = 0
+    for _ in range(40):
+        prior = block_prior(rng, False)
+        ch = block_channel(rng, prior.universe, True)
+        tgt = block_target(rng, prior.universe.n)
+        masses = histogram_masses(prior, tgt)
+        floats += sum(isinstance(m, float) for m in masses.values())
+        want = oracles.tables_from_cells(
+            ((xv, m, ch.rows[h]) for (xv, h), m in masses.items()),
+            ch.outcomes,
+        )
+        got = JointTables(prior, ch, tgt)
+        assert repr(got.p_x) == repr(want.p_x)
+        assert repr(got.p_r) == repr(want.p_r)
+        assert repr(got.joint) == repr(want.joint)
+    assert floats > 0
+
+
+def test_histogram_masses_keep_the_support_mass_types():
+    # iter_support starts each mass at Fraction(1): int cells become
+    # Fractions, float cells make the mass a float.
+    u = uniform_universe(2, (BOT, "a"))
+    for tables in (
+        ({(BOT,): 1}, {("a",): 1}),
+        ({(BOT,): 1}, {(BOT,): 0.25, ("a",): 0.75}),
+        ({(BOT,): 0.5, ("a",): Fraction(1, 2)}, {("a",): 1}),
+    ):
+        prior = JointPrior(u, ((0,), (1,)), tables)
+        for target in ((), (0,), (0, 1)):
+            got = histogram_masses(prior, target)
+            want = {}
+            for seq, p in prior.iter_support():
+                cell = (tuple(seq[i] for i in target), u.to_histogram(seq))
+                want[cell] = want.get(cell, 0) + p
+            assert got == want
+            assert {c: type(m) for c, m in got.items()} == {
+                c: type(m) for c, m in want.items()
+            }
