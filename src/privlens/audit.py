@@ -502,6 +502,8 @@ def bound_pdelta(
     """
     if k < 1:
         raise AuditError("k must be at least 1")
+    # The bound raises the per-step level to the k-th power exactly.
+    check_budget(k, budget, "interpolated_bound")
     exp_delta = parse_probability(exp_delta)
     if exp_eps_step is None and epsilon is None:
         raise AuditError("give exp_eps_step or epsilon")

@@ -110,7 +110,7 @@ def _symbol(raw) -> str:
     return raw
 
 
-def build_universe(raw) -> RecordUniverse:
+def build_universe(raw, budget=None) -> RecordUniverse:
     if not isinstance(raw, dict):
         raise SchemaError("universe must be an object")
     if "alphabets" in raw:
@@ -124,6 +124,7 @@ def build_universe(raw) -> RecordUniverse:
             parse_int(raw["n"], "universe.n"),
             tuple(_symbol(s) for s in _expect(raw["alphabet"], list,
                                               "universe.alphabet")),
+            budget,
         )
     raise SchemaError("universe needs alphabets, or n with a shared alphabet")
 
@@ -246,9 +247,12 @@ def parse_float(raw, what) -> float:
 
 
 class Scenario:
-    """Parsed scenario: shared objects plus raw per-command sections."""
+    """Parsed scenario: shared objects plus raw per-command sections.
 
-    def __init__(self, raw: dict):
+    budget, when given, overrides the scenario's own budget (as --budget
+    does) for the work done while parsing."""
+
+    def __init__(self, raw: dict, budget=None):
         if not isinstance(raw, dict):
             raise SchemaError("scenario must be a JSON object")
         self.raw = raw
@@ -260,7 +264,9 @@ class Scenario:
         )
         if "universe" not in raw:
             raise SchemaError("scenario needs a universe")
-        self.universe = build_universe(raw["universe"])
+        self.universe = build_universe(
+            raw["universe"], self.budget if budget is None else budget
+        )
         self.priors = {}
         priors = _expect(raw.get("priors") or {}, dict, "priors")
         for name, p in priors.items():
@@ -274,12 +280,12 @@ class Scenario:
         self.samples = raw.get("samples", 1000)
 
     def prior(self, name) -> JointPrior:
-        if name not in self.priors:
+        if not isinstance(name, str) or name not in self.priors:
             raise SchemaError(f"unknown prior {name!r}")
         return self.priors[name]
 
     def mechanism(self, name) -> Channel:
-        if name not in self.mechanisms:
+        if not isinstance(name, str) or name not in self.mechanisms:
             raise SchemaError(f"unknown mechanism {name!r}")
         return self.mechanisms[name]
 
@@ -694,12 +700,12 @@ def cmd_sweep(scenario: Scenario, args, rng) -> tuple:
         if command == "bound":
             sub = dict(scenario.raw)
             sub["bound"] = row_task
-            sub_scn = Scenario(sub)
+            sub_scn = Scenario(sub, args.budget)
             _, vs, _ = cmd_bound(sub_scn, args, row_rng)
         elif command == "certify":
             sub = dict(scenario.raw)
             sub["certify"] = row_task
-            sub_scn = Scenario(sub)
+            sub_scn = Scenario(sub, args.budget)
             _, vs, _ = cmd_certify(sub_scn, args, row_rng)
         else:
             raise SchemaError(f"sweep cannot run command {command!r}")
@@ -781,7 +787,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     try:
         if args.budget is not None:
             args.budget = parse_int(args.budget, "--budget", positive=True)
-        scenario = Scenario(raw)
+        scenario = Scenario(raw, args.budget)
         if args.seed is None:
             args.seed = parse_int(scenario.seed, "seed")
         if args.samples is None:

@@ -18,8 +18,14 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .prior import JointPrior, dataset_distribution, histogram_masses
-from .mechanism import Channel
-from .probability import Prob, log_ratio, nats_to_bits, ratio_div
+from .mechanism import Channel, RowViews
+from .probability import (
+    Prob,
+    log_ratio,
+    nats_to_bits,
+    ratio_div,
+    scale_to_integers,
+)
 from .universe import check_budget
 
 
@@ -90,8 +96,8 @@ class JointTables:
         self.target = tgt = normalize_target(prior.universe.n, target)
         check_budget(prior.support_size(), budget, "JointTables")
         self._accumulate(
-            histogram_masses(prior, tgt).items(),
-            channel.rows.__getitem__,
+            list(histogram_masses(prior, tgt).items()),
+            channel._row_views,
             channel.outcomes,
         )
 
@@ -102,38 +108,61 @@ class JointTables:
         target are None."""
         t = cls.__new__(cls)
         t.prior = t.channel = t.target = None
-        t._accumulate(cells, row_of, outcomes)
+        t._accumulate(list(cells), RowViews(row_of), outcomes)
         return t
 
-    def _accumulate(self, cells, row_of, outcomes):
+    def _accumulate(self, cells, views, outcomes):
+        """cells is a list of ((records key, row key), mass); views is the
+        RowViews of the row keys."""
+        self.outcomes = tuple(outcomes)
+        masses = scale_to_integers(p for _, p in cells)
+        rows = None if masses is None else {
+            rk: views.integer(rk) for (_, rk), _ in cells
+        }
+        if rows is None or None in rows.values():
+            self._accumulate_generic(cells, views)
+            return
+        # Exact path: masses are integers over m and row entries integers
+        # over d, the lcm of the rows' own denominators, so every sum is an
+        # int and each result is one Fraction.
+        nums, m = masses
+        d = math.lcm(*{dr for dr, _ in rows.values()})
+        rows = {rk: (d // dr, row) for rk, (dr, row) in rows.items()}
+        p_x: Dict[tuple, int] = {}
+        joint: Dict[Tuple[tuple, int], int] = {}
+        p_r = [0] * len(outcomes)
+        for ((xv, rk), _), a in zip(cells, nums):
+            p_x[xv] = p_x.get(xv, 0) + a
+            scale, row = rows[rk]
+            a *= scale
+            for j, b in row:
+                w = a * b
+                joint[(xv, j)] = joint.get((xv, j), 0) + w
+                p_r[j] += w
+        md = m * d
+        self.p_x = {k: Fraction(p_x[k], m) for k in sorted(p_x)}
+        self.p_r = [Fraction(w, md) for w in p_r]
+        self.joint = {cell: Fraction(w, md) for cell, w in joint.items()}
+
+    def _accumulate_generic(self, cells, views):
         p_x: Dict[tuple, Prob] = {}
         joint: Dict[Tuple[tuple, int], Prob] = {}
         # None until an outcome gets mass; a first mass is stored as is, so
         # no sum starts from an int (an int + Fraction takes the slow
         # operator fallback).
-        p_r = [None] * len(outcomes)
-        # Nonzero (outcome index, entry) pairs per (row key, float mass).
-        # A float mass meets a float copy of the row: float * Fraction is
-        # computed as float * float(Fraction) anyway, so the bits are the
-        # same and the Fraction operator fallback is skipped.
-        entries = {}
+        p_r = [None] * len(self.outcomes)
         for (xv, rk), p in cells:
             old = p_x.get(xv)
             p_x[xv] = p if old is None else old + p
-            is_float = isinstance(p, float)
-            row = entries.get((rk, is_float))
-            if row is None:
-                row = entries[(rk, is_float)] = [
-                    (j, float(q) if is_float else q)
-                    for j, q in enumerate(row_of(rk)) if q != 0
-                ]
-            for j, q in row:
+            # A float mass meets a float copy of the row: float * Fraction
+            # is computed as float * float(Fraction) anyway, so the bits are
+            # the same and the Fraction operator fallback is skipped.
+            for j, q in views.nonzero(rk, isinstance(p, float)):
                 w = p * q
                 old = joint.get((xv, j))
                 joint[(xv, j)] = w if old is None else old + w
                 old = p_r[j]
                 p_r[j] = w if old is None else old + w
-        self.outcomes = tuple(outcomes)
         self.p_x = {k: p_x[k] for k in sorted(p_x)}
         self.p_r = [Fraction(0) if pr is None else pr for pr in p_r]
         self.joint = joint

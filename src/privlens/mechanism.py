@@ -23,6 +23,7 @@ from .probability import (
     log_ratio,
     parse_probability,
     ratio_div,
+    scale_to_integers,
 )
 from .universe import (
     BOT,
@@ -35,6 +36,39 @@ from .universe import (
 
 class ChannelError(ValueError):
     """Malformed channel: bad rows, bad outcomes, bad normalization."""
+
+
+class RowViews:
+    """Rows as the joint-table loop reads them, each view built on first
+    use and kept: a row's nonzero (outcome index, entry) pairs, with the
+    entries as given or as floats, and, for a row of rationals, its nonzero
+    (outcome index, numerator) pairs over the lcm of its denominators.
+    row_of maps a row key to a row."""
+
+    def __init__(self, row_of):
+        self._row_of = row_of
+        self._nonzero = {}
+        self._integer = {}
+
+    def nonzero(self, key, as_float: bool):
+        view = self._nonzero.get((key, as_float))
+        if view is None:
+            view = self._nonzero[(key, as_float)] = [
+                (j, float(q) if as_float else q)
+                for j, q in enumerate(self._row_of(key)) if q != 0
+            ]
+        return view
+
+    def integer(self, key):
+        """(d, [(outcome index, entry * d)]) without zero entries, or None
+        when the row holds a float."""
+        if key not in self._integer:
+            scaled = scale_to_integers(self._row_of(key))
+            if scaled is not None:
+                nums, d = scaled
+                scaled = d, [(j, b) for j, b in enumerate(nums) if b]
+            self._integer[key] = scaled
+        return self._integer[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +115,9 @@ class Channel:
                 raise ChannelError(
                     f"row {h} sums to {float(total)!r}, expected 1"
                 )
+        object.__setattr__(
+            self, "_row_views", RowViews(self.rows.__getitem__)
+        )
 
     def row(self, hist) -> Tuple[Prob, ...]:
         hist = tuple(hist)
@@ -199,14 +236,20 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
     keep = parse_probability(keep_prob)
     m = len(alpha0)
     base = (1 - keep) / m
-    kernel = {}
-    for v in alpha0:
-        kernel[v] = {w: (keep + base if w == v else base) for w in alpha0}
+    # A rational kernel runs on integers over its common denominator, so
+    # each state sums ints and each row entry is one Fraction over scale**n.
+    scaled = scale_to_integers((keep + base, base))
+    if scaled is None:
+        (diag, off), scale = (keep + base, base), None
+    else:
+        (diag, off), scale = scaled
+    kernel = {v: {w: (diag if w == v else off) for w in alpha0} for v in alpha0}
 
     achievable = universe.achievable_histograms()
     outcomes = tuple(universe.histogram_key(h) for h in achievable)
     pooled_index = {s: j for j, s in enumerate(universe.pooled_alphabet)}
     zero = tuple(0 for _ in universe.pooled_alphabet)
+    denom = None if scale is None else scale ** universe.n
 
     rows = {}
     for h in achievable:
@@ -215,7 +258,7 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
         counts = dict(zip(universe.pooled_alphabet, h))
         counts[BOT] = universe.n - sum(h)
         rep = [v for v in alpha0 for _ in range(counts[v])]
-        states: Dict[Tuple[int, ...], Prob] = {zero: Fraction(1)}
+        states: Dict[Tuple[int, ...], Prob] = {zero: 1}
         for v in rep:
             nxt: Dict[Tuple[int, ...], Prob] = {}
             for partial, p in states.items():
@@ -230,7 +273,11 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
                         key = tuple(lst)
                     nxt[key] = nxt.get(key, 0) + p * q
             states = nxt
-        rows[h] = tuple(states.get(out_h, Fraction(0)) for out_h in achievable)
+        if scale is None:
+            rows[h] = tuple(states.get(out_h, Fraction(0)) for out_h in achievable)
+        else:
+            rows[h] = tuple(Fraction(states.get(out_h, 0), denom)
+                            for out_h in achievable)
     return Channel(universe, outcomes, rows)
 
 

@@ -110,6 +110,20 @@ def ratios_agree(a, b) -> bool:
     return abs(fa - fb) <= TOL * max(1.0, abs(fb))
 
 
+def scale_to_integers(values):
+    """(numerators, d) with values[i] == numerators[i] / d, where d is the
+    lcm of the denominators, when every value is an int or a Fraction; None
+    when any value is a float.
+
+    Exact loops sum these integers and build one Fraction per result, so a
+    gcd is taken once per result instead of once per operation."""
+    values = list(values)
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    d = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def log_ratio(value) -> float:
     """Natural log of a ratio-scale value, with inf passed through."""
     if value is None:

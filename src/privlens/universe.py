@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 BOT = "⊥"
 
@@ -267,9 +267,12 @@ def l1_distance(h1, h2) -> int:
     return sum(abs(a - b) for a, b in zip(h1, h2))
 
 
-def uniform_universe(n: int, alphabet: Sequence[str]) -> RecordUniverse:
-    """n individuals sharing one alphabet."""
+def uniform_universe(n: int, alphabet: Sequence[str],
+                     budget: Optional[int] = None) -> RecordUniverse:
+    """n individuals sharing one alphabet; n is charged against the budget
+    before the per-individual alphabets are built."""
     if n < 1:
         raise UniverseError("need at least one individual")
+    check_budget(n, budget, "uniform_universe")
     alpha = tuple(alphabet)
     return RecordUniverse(tuple(alpha for _ in range(n)))

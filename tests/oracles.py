@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import prod
 from types import SimpleNamespace
 
-from privlens import max_mi
+from privlens import BOT, max_mi, parse_probability
 
 
 def iter_sequences(universe):
@@ -137,3 +137,43 @@ def equal_epoch_direct(prior, channels, target):
     )
     outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
     return max_mi(None, None, None, tables=tables_from_cells(cells, outcomes))
+
+
+# ---------------------------------------------------------------------------
+# Randomized response, one Fraction (or float) operation per term
+# ---------------------------------------------------------------------------
+
+
+def randomized_response_rows(universe, keep_prob):
+    """{histogram: row} of randomized_response_channel by its state DP over
+    partial output histograms, on the parsed keep probability as is."""
+    alpha0 = universe.alphabets[0]
+    keep = parse_probability(keep_prob)
+    base = (1 - keep) / len(alpha0)
+    kernel = {v: {w: (keep + base if w == v else base) for w in alpha0}
+              for v in alpha0}
+    achievable = universe.achievable_histograms()
+    pooled_index = {s: j for j, s in enumerate(universe.pooled_alphabet)}
+    zero = tuple(0 for _ in universe.pooled_alphabet)
+    rows = {}
+    for h in achievable:
+        counts = dict(zip(universe.pooled_alphabet, h))
+        counts[BOT] = universe.n - sum(h)
+        rep = [v for v in alpha0 for _ in range(counts[v])]
+        states = {zero: Fraction(1)}
+        for v in rep:
+            nxt = {}
+            for partial, p in states.items():
+                for w, q in kernel[v].items():
+                    if q == 0:
+                        continue
+                    if w == BOT:
+                        key = partial
+                    else:
+                        lst = list(partial)
+                        lst[pooled_index[w]] += 1
+                        key = tuple(lst)
+                    nxt[key] = nxt.get(key, 0) + p * q
+            states = nxt
+        rows[h] = tuple(states.get(out_h, Fraction(0)) for out_h in achievable)
+    return rows

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -716,3 +717,128 @@ def test_malformed_structures_are_input_errors(tmp_path):
         assert out == ""
         assert err.count("\n") == 1, what
         assert err.startswith(f"error: {what} must be "), err
+
+
+@pytest.mark.parametrize("name", [[], ["geo"], {}, {"geo": 1}],
+                         ids=["[]", "[geo]", "{}", "{geo:1}"])
+@pytest.mark.parametrize(
+    "command, section, field",
+    [
+        ("leakage", {"prior": "coupled", "mechanism": "geo"}, "prior"),
+        ("leakage", {"prior": "coupled", "mechanism": "geo"}, "mechanism"),
+        ("certify", K_CHANGE, "mechanism"),
+    ],
+    ids=["leakage.prior", "leakage.mechanism", "certify.mechanism"],
+)
+def test_non_string_names_are_input_errors(tmp_path, command, section, field,
+                                           name):
+    scn = base_scenario(**{command: dict(section, **{field: name})})
+    code, out, err = invoke([command, write_scenario(tmp_path, scn)])
+    assert code == 4
+    assert out == ""
+    assert err == f"error: unknown {field} {name!r}\n"
+
+
+@pytest.mark.parametrize("option", [[], ["--budget", "1000"]],
+                         ids=["scenario", "--budget"])
+def test_huge_universe_is_charged_to_the_budget(tmp_path, option):
+    # 10**20 individuals: stopped before any per-individual work.
+    scn = base_scenario(universe={"n": 10**20, "alphabet": ["BOT", "a"]},
+                        budget=10**9)
+    code, out, err = invoke(["validate", write_scenario(tmp_path, scn)]
+                            + option)
+    budget = 1000 if option else 10**9
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: enumeration budget exceeded in uniform_universe: "
+        f"{10**20} items against budget {budget}\n"
+    )
+
+
+def test_huge_interpolated_k_is_charged_to_the_budget(tmp_path):
+    # An exact step**k with k = 10**20 would never finish.
+    path = write_scenario(tmp_path, interpolated_scenario(k=10**20))
+    code, out, err = invoke(["bound", path])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: enumeration budget exceeded in interpolated_bound: "
+        f"{10**20} items against budget 10000000\n"
+    )
+
+
+# The scenario of the README's command-line section.
+DEMO = {
+    "name": "demo",
+    "universe": {"n": 2, "alphabet": ["BOT", "a"]},
+    "priors": {
+        "uniform": {"independent": [["1/2", "1/2"], ["1/2", "1/2"]]},
+        "coupled": {"blocks": [[0, 1]],
+                    "tables": [["9/20", "1/20", "1/20", "9/20"]]},
+    },
+    "mechanisms": {
+        "geo": {"type": "geometric_counting", "target_symbol": "a",
+                "ratio": "1/3"},
+        "rr": {"type": "randomized_response", "keep_prob": "1/2"},
+    },
+    "family": {"k": 2, "exp_delta": "4/5"},
+    "leakage": {"prior": "coupled", "mechanism": "geo"},
+    "certify": {"kind": "k_change", "mechanism": "geo", "k": 1,
+                "exp_epsilon": "3"},
+    "bound": {"kind": "interpolated", "mechanism": "geo", "k": 2,
+              "exp_eps_step": "3", "exp_delta": "1/2"},
+    "seed": 0,
+    "samples": 1000,
+}
+MUTANT_VALUES = ["x", -1, 0, 2.5, None, True, [], {}, [1], "1/0", "nan"]
+
+
+def _field_paths(node, prefix=()):
+    """Paths to every value inside node, containers included; samples is
+    left out because a large value there is a request for work."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        path = prefix + (key,)
+        if path != ("samples",):
+            yield path
+        yield from _field_paths(value, path)
+
+
+def _mutant(paths_values):
+    scn = json.loads(json.dumps(DEMO))
+    for path, value in paths_values:
+        node = scn
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return scn
+
+
+def test_mutated_demo_scenarios_honour_the_exit_code_contract(tmp_path):
+    # Every field of the demo replaced by every value, one at a time, plus
+    # seeded pairs of replacements: no exception escapes, the exit code is
+    # one of the documented ones, and bad input gets a one-line message.
+    # --samples keeps the sampled searches short.
+    paths = list(_field_paths(DEMO))
+    mutants = [[(p, v)] for p in paths for v in MUTANT_VALUES]
+    rng = random.Random(5)
+    for _ in range(60):
+        first, second = rng.sample(paths, 2)
+        if second[:len(first)] != first and first[:len(second)] != second:
+            mutants.append([(first, rng.choice(MUTANT_VALUES)),
+                            (second, rng.choice(MUTANT_VALUES))])
+    path = str(tmp_path / "mutant.json")
+    for changes in mutants:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_mutant(changes), fh)
+        for command in ("leakage", "certify", "bound"):
+            code, _, err = invoke([command, path, "--samples", "20"])
+            assert code in (0, 1, 2, 3, 4), (changes, command)
+            if code == 4:
+                assert err.count("\n") == 1, (changes, command, err)

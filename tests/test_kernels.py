@@ -28,6 +28,7 @@ from privlens import (
     max_mi,
     max_rel_entropy,
     mi,
+    randomized_response_channel,
     ratios_agree,
     uniform_universe,
 )
@@ -351,3 +352,85 @@ def test_histogram_masses_keep_the_support_mass_types():
             assert {c: type(m) for c, m in got.items()} == {
                 c: type(m) for c, m in want.items()
             }
+
+
+# ---------------------------------------------------------------------------
+# Exact tables and randomized-response rows on integers
+# ---------------------------------------------------------------------------
+
+
+def assert_same_bits(got, want):
+    """Same values, types and order: equal reprs."""
+    assert repr(got.p_x) == repr(want.p_x)
+    assert repr(got.p_r) == repr(want.p_r)
+    assert repr(got.joint) == repr(want.joint)
+
+
+def test_randomized_response_rows_match_the_fraction_oracle():
+    rng = random.Random(33)
+    symbols = (BOT, "a", "b", "c")
+    for m in (2, 3, 4):
+        for n in range(1, 6):
+            alphabet = rng.sample(symbols, m)
+            u = uniform_universe(n, alphabet)
+            for keep in (Fraction(rng.randint(0, 7), 7), "0.35"):
+                got = randomized_response_channel(u, keep).rows
+                assert repr(got) == repr(oracles.randomized_response_rows(u, keep))
+
+
+def test_randomized_response_float_keep_keeps_its_bits():
+    for n, alphabet in ((3, (BOT, "a")), (4, ("a", BOT, "b")),
+                        (2, ("c", "b", BOT, "a"))):
+        u = uniform_universe(n, alphabet)
+        got = randomized_response_channel(u, 0.35).rows
+        want = oracles.randomized_response_rows(u, 0.35)
+        assert any(isinstance(q, float) for row in got.values() for q in row)
+        assert repr(got) == repr(want)
+
+
+def _tables_cases():
+    """(prior, channel, target, index of an outcome with zero mass or None)
+    for cases the integer path could get wrong."""
+    u = uniform_universe(3, (BOT, "a", "b"))
+    prior = JointPrior(u, ((0, 2), (1,)), (
+        dict(zip(itertools.product(*(u.alphabets[i] for i in (0, 2))),
+                 [Fraction(k, 36) for k in range(9)])),
+        {BOT: Fraction(1, 2), "a": Fraction(1, 3), "b": Fraction(1, 6)},
+    ))
+    hists = u.achievable_histograms()
+    # int entries only: a deterministic channel on the count of "a".
+    ints = Channel(u, (0, 1, 2, 3),
+                   {h: tuple(int(j == h[0]) for j in range(4)) for h in hists})
+    # Each row over its own denominator, some entries ints, outcome 3
+    # never reachable (zero mass in every row).
+    mixed = Channel(u, (0, 1, 2, 3), {
+        h: (Fraction(1, 3 + i), 1 - Fraction(1, 3 + i), 0, 0)
+        if i % 3 else (1, 0, 0, 0)
+        for i, h in enumerate(hists)
+    })
+    # A float channel, which the Fraction prior must meet in the generic loop.
+    floats = Channel(u, (0, 1, 2), {
+        h: (0.25, 0.0, 0.75) if i % 2 else (0.1, 0.2, 0.7)
+        for i, h in enumerate(hists)
+    })
+    return [(prior, ch, tgt, zero) for ch, zero in
+            ((ints, None), (mixed, 3), (floats, None))
+            for tgt in ((0,), (1, 2))]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_joint_tables_exact_edge_cases_match_the_oracle(case):
+    prior, ch, tgt, zero = _tables_cases()[case]
+    cells = [((xv, h), m) for (xv, h), m in histogram_masses(prior, tgt).items()]
+    want = oracles.tables_from_cells(
+        [(xv, m, ch.rows[h]) for (xv, h), m in cells], ch.outcomes
+    )
+    for got in (JointTables(prior, ch, tgt),
+                JointTables.from_cells(cells, ch.rows.__getitem__,
+                                       ch.outcomes)):
+        assert_same_bits(got, want)
+        if zero is not None:
+            assert got.p_r[zero] == 0 and type(got.p_r[zero]) is Fraction
+        for q in QUANTITIES:
+            assert q(None, None, None, tables=got) == q(
+                None, None, None, tables=want)
