@@ -473,9 +473,14 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
 def interpolated_bound(exp_eps_step, k: int, exp_delta):
     """exp(eps/k) * (1 - exp_delta) + exp(eps) * exp_delta on the ratio scale,
     exact on rational inputs (exp(eps) is computed as the k-th power of the
-    per-step value)."""
+    per-step value). When a float on either side makes the k-step level too
+    large for a float, the bound is inf, or the per-step level alone at
+    exp_delta = 0."""
     step = exp_eps_step
-    return step * (1 - exp_delta) + step**k * exp_delta
+    try:
+        return step * (1 - exp_delta) + step**k * exp_delta
+    except OverflowError:
+        return step * (1 - exp_delta) if exp_delta == 0 else math.inf
 
 
 def bound_pdelta(

@@ -14,6 +14,7 @@ over budget errors, which win over violations, which win over inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -732,7 +733,10 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state on it, and building it costs more than a small request."""
     parser = argparse.ArgumentParser(
         prog="privlens",
         description="Exact audit of adversarial leakage for discrete mechanisms",
@@ -796,6 +800,17 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             args.budget = scenario.budget
         rng = random.Random(args.seed)
         results, verdicts, exit_hint = COMMANDS[args.command](scenario, args, rng)
+        report = {
+            "schema_version": 1,
+            "tool": {"name": "privlens", "version": __version__},
+            "command": args.command,
+            "scenario": scenario.name,
+            "seed": args.seed,
+            "samples": args.samples,
+            "budget": args.budget,
+            "results": results,
+            "verdicts": [verdict_dict(v) for v in verdicts],
+        }
     except EnumerationBudgetError as exc:
         print(
             f"error: enumeration budget exceeded in {exc.stage}: "
@@ -816,17 +831,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT
 
-    report = {
-        "schema_version": 1,
-        "tool": {"name": "privlens", "version": __version__},
-        "command": args.command,
-        "scenario": scenario.name,
-        "seed": args.seed,
-        "samples": args.samples,
-        "budget": args.budget,
-        "results": results,
-        "verdicts": [verdict_dict(v) for v in verdicts],
-    }
     text = render_json(report) if args.format == "json" else render_table(report)
     stdout.write(text)
 

@@ -43,10 +43,12 @@ class RowViews:
     use and kept: a row's nonzero (outcome index, entry) pairs, with the
     entries as given or as floats, and, for a row of rationals, its nonzero
     (outcome index, numerator) pairs over the lcm of its denominators.
-    row_of maps a row key to a row."""
+    row_of maps a row key to a row; dense_of, when given, maps it to the
+    row's (numerators, d) from scale_to_integers, already computed."""
 
-    def __init__(self, row_of):
+    def __init__(self, row_of, dense_of=None):
         self._row_of = row_of
+        self._dense_of = dense_of or (lambda key: scale_to_integers(row_of(key)))
         self._nonzero = {}
         self._integer = {}
 
@@ -63,7 +65,7 @@ class RowViews:
         """(d, [(outcome index, entry * d)]) without zero entries, or None
         when the row holds a float."""
         if key not in self._integer:
-            scaled = scale_to_integers(self._row_of(key))
+            scaled = self._dense_of(key)
             if scaled is not None:
                 nums, d = scaled
                 scaled = d, [(j, b) for j, b in enumerate(nums) if b]
@@ -77,7 +79,9 @@ class Channel:
 
     rows maps every achievable histogram to a probability tuple aligned with
     ``outcomes``. Construction validates coverage, alignment, nonnegativity,
-    and row normalization within 1e-9.
+    and row normalization within 1e-9, and keeps each row of ints and
+    Fractions as its integer numerators over the lcm of its denominators,
+    which the ratio scans and joint tables read.
     """
 
     universe: RecordUniverse
@@ -101,22 +105,30 @@ class Channel:
             raise ChannelError(
                 f"row for unachievable histogram {sorted(extra)[0]}"
             )
+        # (numerators, d) per histogram; None for a row that holds a float.
+        dense = {}
         for h, row in self.rows.items():
             if len(row) != len(self.outcomes):
                 raise ChannelError(
                     f"row {h} has {len(row)} entries for {len(self.outcomes)} outcomes"
                 )
-            total = 0
-            for p in row:
-                if p < 0:
-                    raise ChannelError(f"negative probability in row {h}")
-                total += p
+            scaled = dense[h] = scale_to_integers(row)
+            if scaled is None:
+                entries, total = row, sum(row)
+            else:
+                entries, d = scaled
+                # int / int is the correctly rounded float of the exact sum,
+                # the same float as float(Fraction(sum, d)).
+                total = sum(entries) / d
+            if any(p < 0 for p in entries):
+                raise ChannelError(f"negative probability in row {h}")
             if abs(float(total) - 1.0) > TOL:
                 raise ChannelError(
                     f"row {h} sums to {float(total)!r}, expected 1"
                 )
+        object.__setattr__(self, "_dense", dense)
         object.__setattr__(
-            self, "_row_views", RowViews(self.rows.__getitem__)
+            self, "_row_views", RowViews(self.rows.__getitem__, dense.__getitem__)
         )
 
     def row(self, hist) -> Tuple[Prob, ...]:
@@ -211,9 +223,10 @@ def geometric_counting_channel(
                 out.append((1 - alpha) / (1 + alpha) * alpha ** abs(j - c))
         return tuple(out)
 
-    rows = {
-        h: row_for(h[t_idx]) for h in universe.achievable_histograms()
-    }
+    # A row depends on the count alone: one tuple per count, shared.
+    hists = universe.achievable_histograms()
+    by_count = {c: row_for(c) for c in {h[t_idx] for h in hists}}
+    rows = {h: by_count[h[t_idx]] for h in hists}
     return Channel(universe, tuple(range(m + 1)), rows)
 
 
@@ -390,6 +403,67 @@ class RatioScan:
 
 
 def _scan_pairs(channel: Channel, pairs) -> RatioScan:
+    """Largest row ratio over the pairs, both directions. Cells are read by
+    pair, then outcome index, h1/h2 before h2/h1, and the first maximum is
+    kept; positive over zero is inf and zero over zero is skipped."""
+    if None not in channel._dense.values():
+        wit = _scan_integer(channel, pairs)
+        if wit is None:
+            best = None
+        else:
+            num_h, den_h, j = wit
+            best = ratio_div(channel.rows[num_h][j], channel.rows[den_h][j])
+            wit = num_h, den_h, channel.outcomes[j]
+    else:
+        best, wit = _scan_generic(channel, pairs)
+    if best is None:
+        return RatioScan(
+            ratio=Fraction(1),
+            nats=0.0,
+            note="no comparable pairs; condition is vacuous",
+        )
+    return RatioScan(
+        ratio=best,
+        nats=log_ratio(best),
+        num_hist=wit[0],
+        den_hist=wit[1],
+        outcome=wit[2],
+    )
+
+
+def _scan_integer(channel: Channel, pairs):
+    """(numerator histogram, denominator histogram, outcome index) of the
+    first maximal cell on a channel of rational rows, None when no cell is
+    comparable. Rows are integer numerators over their own d, so
+    (a/d1)/(b/d2) is a*d2 over b*d1 and each comparison against the best
+    so far, bn/bd, cross-multiplies; no Fraction is built."""
+    dense = channel._dense
+    # -1/1 sits below every ratio, so the first comparable cell wins.
+    bn, bd = -1, 1
+    wit = None
+    for h1, h2 in pairs:
+        nums1, d1 = dense[h1]
+        nums2, d2 = dense[h2]
+        for j, (a, b) in enumerate(zip(nums1, nums2)):
+            x = a * d2
+            y = b * d1
+            if y:
+                if x * bd > bn * y:
+                    bn, bd, wit = x, y, (h1, h2, j)
+            elif x:
+                # Nothing exceeds inf, so the first one is the maximum.
+                return h1, h2, j
+            if x:
+                if y * bd > bn * x:
+                    bn, bd, wit = y, x, (h2, h1, j)
+            elif y:
+                return h2, h1, j
+    return wit
+
+
+def _scan_generic(channel: Channel, pairs):
+    """(best ratio, witness) by ratio_div on the rows as given, for channels
+    with a float entry."""
     best = None
     wit = None
     for h1, h2 in pairs:
@@ -406,19 +480,7 @@ def _scan_pairs(channel: Channel, pairs) -> RatioScan:
                 if best is None or r > best:
                     best = r
                     wit = (num_h, den_h, label)
-    if best is None:
-        return RatioScan(
-            ratio=Fraction(1),
-            nats=0.0,
-            note="no comparable pairs; condition is vacuous",
-        )
-    return RatioScan(
-        ratio=best,
-        nats=log_ratio(best),
-        num_hist=wit[0],
-        den_hist=wit[1],
-        outcome=wit[2],
-    )
+    return best, wit
 
 
 def lipschitz_ratio(

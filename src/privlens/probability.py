@@ -10,6 +10,7 @@ only at report time.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -65,10 +66,19 @@ def format_number(value):
 
     Fractions become strings ("3/4", "3") so exactness survives JSON. Floats
     stay JSON numbers. Infinities become the strings "inf" / "-inf" because
-    JSON has no infinity literal.
+    JSON has no infinity literal. A Fraction whose numerator or denominator
+    has more decimal digits than the interpreter converts to a string
+    (sys.get_int_max_str_digits, 4300 by default where it exists) raises
+    ProbabilityError.
     """
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:
+            raise ProbabilityError(
+                "exact value is too long to print: more than "
+                f"{sys.get_int_max_str_digits()} decimal digits"
+            ) from None
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import prod
 from types import SimpleNamespace
 
-from privlens import BOT, max_mi, parse_probability
+from privlens import BOT, RatioScan, log_ratio, max_mi, parse_probability, ratio_div
 
 
 def iter_sequences(universe):
@@ -177,3 +177,47 @@ def randomized_response_rows(universe, keep_prob):
             states = nxt
         rows[h] = tuple(states.get(out_h, Fraction(0)) for out_h in achievable)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Ratio scans, one ratio_div per cell
+# ---------------------------------------------------------------------------
+
+
+def ratio_scan(channel, pairs):
+    """RatioScan of the largest row ratio over the pairs by ratio_div on the
+    rows as given: pair order, then outcome index, h1/h2 before h2/h1, the
+    first maximum kept."""
+    best = None
+    wit = None
+    for h1, h2 in pairs:
+        row1 = channel.rows[h1]
+        row2 = channel.rows[h2]
+        for j, label in enumerate(channel.outcomes):
+            for num_h, den_h, num, den in (
+                (h1, h2, row1[j], row2[j]),
+                (h2, h1, row2[j], row1[j]),
+            ):
+                r = ratio_div(num, den)
+                if r is None:
+                    continue
+                if best is None or r > best:
+                    best = r
+                    wit = (num_h, den_h, label)
+    if best is None:
+        return RatioScan(
+            ratio=Fraction(1),
+            nats=0.0,
+            note="no comparable pairs; condition is vacuous",
+        )
+    return RatioScan(
+        ratio=best,
+        nats=log_ratio(best),
+        num_hist=wit[0],
+        den_hist=wit[1],
+        outcome=wit[2],
+    )
+
+
+def lipschitz_ratio(channel, k):
+    return ratio_scan(channel, change_histogram_pairs(channel.universe, k))

@@ -768,6 +768,58 @@ def test_huge_interpolated_k_is_charged_to_the_budget(tmp_path):
     )
 
 
+
+def test_unprintable_exact_bound_is_an_input_error(tmp_path):
+    # 3**10000 has 4772 digits, more than the interpreter converts to a
+    # string by default; an interpreter without that limit prints it.
+    path = write_scenario(tmp_path, interpolated_scenario(k=10000))
+    code, out, err = invoke(["bound", path, "--format", "json"])
+    if not hasattr(sys, "get_int_max_str_digits"):
+        assert code == 0
+        return
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "error: exact value is too long to print: more than "
+        f"{sys.get_int_max_str_digits()} decimal digits\n"
+    )
+
+
+@pytest.mark.parametrize("overrides", [
+    {"exp_eps_step": 3.0, "k": 1000},
+    {"exp_eps_step": "3", "k": 1000, "exp_delta": 0.5},
+])
+def test_overflowing_float_bound_is_infinite(tmp_path, overrides):
+    path = write_scenario(tmp_path, interpolated_scenario(**overrides))
+    code, out, err = invoke(["bound", path, "--format", "json"])
+    assert code == 0, err
+    v = json.loads(out)["verdicts"][0]
+    assert v["bound"] == {"ratio": "inf", "nats": "inf"}
+    assert v["satisfied"] and v["conclusive"]
+
+
+def test_overflowing_float_bound_at_no_dependence_is_the_step(tmp_path):
+    path = write_scenario(tmp_path, interpolated_scenario(
+        exp_eps_step=3.0, k=1000, exp_delta="0"))
+    code, out, err = invoke(["bound", path, "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["verdicts"][0]["bound"]["ratio"] == 3.0
+
+
+def test_help_and_usage_errors_repeat_across_calls(capsys):
+    seen = []
+    for _ in range(2):
+        for argv, status in ((["--help"], 0), (["bound", "--help"], 0),
+                             (["bound"], 2), (["nope", "x.json"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == status
+            seen.append(capsys.readouterr())
+    assert seen[:4] == seen[4:]
+    assert seen[0].out.startswith("usage: privlens [-h]")
+    assert "--threads THREADS" in seen[1].out
+    assert "required: scenario" in seen[2].err
+
 # The scenario of the README's command-line section.
 DEMO = {
     "name": "demo",

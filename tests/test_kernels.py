@@ -13,11 +13,14 @@ from privlens import (
     TOL,
     Channel,
     EnumerationBudgetError,
+    ChannelError,
     EpochModel,
     JointPrior,
     JointTables,
     RecordUniverse,
     change_histogram_pairs,
+    geometric_counting_channel,
+    lipschitz_ratio,
     change_sequence_pairs,
     dataset_distribution,
     direct_epoch_max_mi,
@@ -434,3 +437,119 @@ def test_joint_tables_exact_edge_cases_match_the_oracle(case):
         for q in QUANTITIES:
             assert q(None, None, None, tables=got) == q(
                 None, None, None, tables=want)
+
+
+# ---------------------------------------------------------------------------
+# k-change ratio scans against the ratio_div oracle
+# ---------------------------------------------------------------------------
+
+
+def random_rational_rows(rng, hists, n_out):
+    """Rows of small integer weights over their own sums, about a third of
+    the entries zero, so ratios tie and rows differ in denominator."""
+    rows = {}
+    for h in hists:
+        weights = [0] * n_out
+        while not any(weights):
+            weights = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n_out)]
+        total = sum(weights)
+        rows[h] = tuple(Fraction(w, total) for w in weights)
+    return rows
+
+
+def seeded_scan_channels(rng):
+    """Geometric and matrix channels on per-individual alphabets and
+    randomized response on a shared one, all rational."""
+    while True:
+        u = per_individual_universe(rng, n_max=4)
+        if u.pooled_alphabet:
+            break
+    ratio = Fraction(rng.randint(1, 6), 7)
+    yield geometric_counting_channel(
+        u, rng.choice(u.pooled_alphabet), ratio=ratio,
+        max_count=None if rng.random() < 0.5 else u.n + 1,
+    )
+    hists = u.achievable_histograms()
+    n_out = rng.randint(1, 5)
+    yield Channel(u, tuple(range(n_out)), random_rational_rows(rng, hists, n_out))
+    shared = uniform_universe(rng.randint(1, 4), random_alphabet(rng))
+    yield randomized_response_channel(shared, Fraction(rng.randint(0, 6), 6))
+
+
+def assert_scans_match(ch):
+    for k in sorted({1, 2, ch.universe.n}):
+        got = lipschitz_ratio(ch, k)
+        assert repr(got) == repr(oracles.lipschitz_ratio(ch, k)), k
+
+
+def test_lipschitz_ratio_matches_the_ratio_div_oracle():
+    rng = random.Random(61)
+    for _ in range(40):
+        for ch in seeded_scan_channels(rng):
+            assert_scans_match(ch)
+
+
+def test_scan_edge_cells_match_the_ratio_div_oracle():
+    u = uniform_universe(1, (BOT, "a"))
+    lo, hi = u.achievable_histograms()
+    f = Fraction
+    cases = {
+        # Outcome 2 is 1/4 over 0 one way: inf, witness (hi, lo, 2).
+        "inf": {lo: (f(1, 2), f(1, 2), 0), hi: (f(1, 2), f(1, 4), f(1, 4))},
+        # Outcome 2 is 0 in both rows and must not count.
+        "zero_over_zero": {lo: (f(1, 2), f(1, 2), 0), hi: (f(1, 4), f(3, 4), 0)},
+        # 2 at outcome 0 (lo/hi) ties 2 at outcome 1 (hi/lo): keep the first.
+        "tie": {lo: (f(1, 2), f(1, 4), f(1, 4)), hi: (f(1, 4), f(1, 2), f(1, 4))},
+        # ints only: ratios 0.0 and inf, as int / int gives.
+        "ints": {lo: (1, 0), hi: (0, 1)},
+        # Identical rows: ratio 1 everywhere, first cell wins.
+        "equal": {lo: (f(1, 3), f(2, 3)), hi: (f(1, 3), f(2, 3))},
+    }
+    for name, rows in cases.items():
+        ch = Channel(u, tuple(range(len(rows[lo]))), rows)
+        assert_scans_match(ch)
+    tie = lipschitz_ratio(Channel(u, (0, 1, 2), cases["tie"]), 1)
+    assert (tie.ratio, tie.num_hist, tie.outcome) == (2, lo, 0)
+    inf = lipschitz_ratio(Channel(u, (0, 1, 2), cases["inf"]), 1)
+    assert (inf.ratio, inf.num_hist, inf.outcome) == (math.inf, hi, 2)
+
+
+def test_float_and_mixed_scans_keep_their_bits():
+    rng = random.Random(62)
+    for _ in range(20):
+        u = per_individual_universe(rng, n_max=3)
+        floats = random_channel(rng, u, zero_prob=0.3)
+        hists = u.achievable_histograms()
+        n_out = len(floats.outcomes)
+        exact = random_rational_rows(rng, hists, n_out)
+        # Some rows float, some rational, and one row of both kinds.
+        rows = {h: floats.rows[h] if i % 2 else exact[h]
+                for i, h in enumerate(hists)}
+        first = hists[0]
+        a, b, *rest = exact[first]
+        rows[first] = (a / 2, float(a) / 2 + b, *rest)
+        mixed = Channel(u, floats.outcomes, rows)
+        for ch in (floats, mixed):
+            assert_scans_match(ch)
+
+
+def test_channel_validation_messages_are_pinned():
+    u = uniform_universe(1, (BOT, "a"))
+    lo, hi = u.achievable_histograms()
+    good = (Fraction(1, 2), Fraction(1, 2))
+
+    def rejects(row, message):
+        with pytest.raises(ChannelError) as exc:
+            Channel(u, (0, 1), {lo: good, hi: row})
+        assert str(exc.value) == message
+
+    rejects((Fraction(3, 2), Fraction(-1, 2)), "negative probability in row (1,)")
+    rejects((1.5, -0.5), "negative probability in row (1,)")
+    rejects((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**8)),
+            "row (1,) sums to 1.00000001, expected 1")
+    rejects((0.5, 0.5 + 1e-8), "row (1,) sums to 1.00000001, expected 1")
+    rejects((Fraction(1, 3), Fraction(1, 3)),
+            "row (1,) sums to 0.6666666666666666, expected 1")
+    for row in ((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**10)),
+                (0.5, 0.5 + 1e-10)):
+        assert Channel(u, (0, 1), {lo: good, hi: row}).rows[hi] == row
