@@ -9,6 +9,7 @@ evidence is never conclusive.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -168,16 +169,24 @@ class SupResult:
 
 
 def _extremal_pair_candidates(channel, family, tgt, eta, budget):
-    """Near-point-mass pair priors compatible with the family's block budget.
+    """Near-point-mass pair priors compatible with the family's block budget,
+    as (class key, build) where build() returns (prior, description).
 
     Differing coordinates outside the target group must share one dependent
     block with a group coordinate (otherwise they average out of the ratio),
     which caps the usable radius at |target| + k - 1 record changes.
+
+    Permuting the non-target individuals of one alphabet changes neither
+    the (target records, histogram) joint nor the block sizes, sigma or the
+    band, so candidates with the same key (the target's records in both
+    sequences and the multiset of (alphabet, numerator, denominator) over
+    the others) measure and pass membership alike.
     """
     u = channel.universe
     n = u.n
     k_eff = n if family.k is None else min(family.k, n)
     radius = min(n, len(tgt) + k_eff - 1)
+    others = [(j, u.alphabets[j]) for j in range(n) if j not in tgt]
     for s_num, s_den in change_sequence_pairs(u, radius, budget):
         diff = [i for i in range(n) if s_num[i] != s_den[i]]
         inside = [i for i in diff if i in tgt]
@@ -190,18 +199,32 @@ def _extremal_pair_candidates(channel, family, tgt, eta, budget):
             block = tuple(sorted(outside + [inside[0]]))
         else:
             block = ()
-        prior = extremal_pair_prior(u, s_num, s_den, block=block, eta=eta)
-        desc = {
-            "kind": "near_point_pair",
-            "numerator_sequence": list(s_num),
-            "denominator_sequence": list(s_den),
-            "dependent_block": list(block),
-        }
-        yield prior, desc
+        key = (
+            "pair",
+            tuple(s_num[i] for i in tgt),
+            tuple(s_den[i] for i in tgt),
+            tuple(sorted((a, s_num[j], s_den[j]) for j, a in others)),
+        )
+        yield key, functools.partial(_pair_candidate, u, s_num, s_den,
+                                     block, eta)
+
+
+def _pair_candidate(u, s_num, s_den, block, eta):
+    prior = extremal_pair_prior(u, s_num, s_den, block=block, eta=eta)
+    desc = {
+        "kind": "near_point_pair",
+        "numerator_sequence": list(s_num),
+        "denominator_sequence": list(s_den),
+        "dependent_block": list(block),
+    }
+    return prior, desc
 
 
 def _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
-    """Shared/private-complement constructions for bounded dependence.
+    """Shared/private-complement constructions for bounded dependence, as
+    (class key, build) like the pair candidates; the key is the target's
+    two records and the multiset of (alphabet, shared, numerator,
+    denominator) complement symbols over the other individuals.
 
     Only defined for singleton targets, and they occupy one full-size block,
     so they are generated only when the family's block budget allows it."""
@@ -213,7 +236,8 @@ def _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
         return
     i = tgt[0]
     others = [j for j in range(n) if j != i]
-    comps = list(itertools.product(*(u.alphabets[j] for j in others)))
+    alphas = [u.alphabets[j] for j in others]
+    comps = list(itertools.product(*alphas))
     alpha_i = u.alphabets[i]
     count = len(alpha_i) * (len(alpha_i) - 1) * len(comps) ** 3
     check_budget(count, budget, "worstcase_sup")
@@ -224,18 +248,29 @@ def _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
             for comp_shared in comps:
                 for comp_num in comps:
                     for comp_den in comps:
-                        prior = extremal_pdelta_prior(
-                            u, i, x_num, x_den,
+                        key = ("pdelta", x_num, x_den, tuple(sorted(
+                            zip(alphas, comp_shared, comp_num, comp_den)
+                        )))
+                        yield key, functools.partial(
+                            _pdelta_candidate, u, i, x_num, x_den,
                             comp_shared, comp_num, comp_den,
-                            family.exp_delta, eta=eta,
+                            family.exp_delta, eta,
                         )
-                        desc = {
-                            "kind": "shared_private_complement",
-                            "target_records": [x_num, x_den],
-                            "shared_complement": list(comp_shared),
-                            "private_complements": [list(comp_num), list(comp_den)],
-                        }
-                        yield prior, desc
+
+
+def _pdelta_candidate(u, i, x_num, x_den, comp_shared, comp_num, comp_den,
+                      exp_delta, eta):
+    prior = extremal_pdelta_prior(
+        u, i, x_num, x_den, comp_shared, comp_num, comp_den,
+        exp_delta, eta=eta,
+    )
+    desc = {
+        "kind": "shared_private_complement",
+        "target_records": [x_num, x_den],
+        "shared_complement": list(comp_shared),
+        "private_complements": [list(comp_num), list(comp_den)],
+    }
+    return prior, desc
 
 
 def worstcase_sup(
@@ -282,15 +317,27 @@ def worstcase_sup(
 
     extremal_best = None
     if "extremal" in strategies:
+        # Only the first candidate of each symmetry class is built, filtered
+        # and measured; the others would repeat its verdict and its ratio,
+        # which cannot beat the first maximum, so they are only counted.
+        verdicts = {}
         candidates = itertools.chain(
             _extremal_pair_candidates(channel, family, tgt, eta, budget),
             _extremal_pdelta_candidates(channel, family, tgt, eta, budget),
         )
-        for prior, desc in candidates:
-            if not check_membership(prior, family).ok:
-                evaluated["filtered_candidates"] += 1
-                continue
-            consider(prior, desc, "extremal")
+        for key, build in candidates:
+            verdict = verdicts.get(key)
+            if verdict is None:
+                prior, desc = build()
+                if check_membership(prior, family).ok:
+                    consider(prior, desc, "extremal")
+                    verdict = "extremal"
+                else:
+                    evaluated["filtered_candidates"] += 1
+                    verdict = "filtered_candidates"
+                verdicts[key] = verdict
+            else:
+                evaluated[verdict] += 1
         extremal_best = best
         if evaluated["extremal"] == 0:
             notes.append(

@@ -7,7 +7,8 @@ separators, rationals as strings) so identical runs produce identical bytes;
 wall-clock timing goes to stderr only.
 
 Exit codes: 0 all checks pass, 1 a check is violated, 2 only inconclusive
-evidence, 3 enumeration budget exceeded, 4 malformed input. Input errors win
+evidence, 3 enumeration budget exceeded, 4 malformed input, including a
+malformed command line (``--help`` exits 0). Input errors win
 over budget errors, which win over violations, which win over inconclusive.
 """
 
@@ -733,11 +734,24 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(ValueError):
+    """A malformed command line: bad input, so exit 4, not argparse's 2,
+    which the exit-code contract reserves for inconclusive evidence."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError instead of printing the usage and exiting 2;
+    subparsers inherit the class. --help still exits 0."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
     state on it, and building it costs more than a small request."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="privlens",
         description="Exact audit of adversarial leakage for discrete mechanisms",
     )
@@ -763,8 +777,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=stderr)
+        return EXIT_INPUT
 
     started = time.perf_counter()
     try:

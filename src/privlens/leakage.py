@@ -86,6 +86,10 @@ class JointTables:
     its support sequences. from_cells builds the same tables for the
     composition cross-checks. Keys appear in deterministic sorted order so
     every scan below is reproducible bit for bit.
+
+    When every mass and row entry is rational, integers holds the same
+    tables as integer numerators, (p_x, p_r, joint, m): p_x over m, p_r and
+    joint over one common multiple of m. Otherwise it is None.
     """
 
     def __init__(self, prior: JointPrior, channel: Channel, target,
@@ -115,6 +119,7 @@ class JointTables:
         """cells is a list of ((records key, row key), mass); views is the
         RowViews of the row keys."""
         self.outcomes = tuple(outcomes)
+        self.integers = None
         masses = scale_to_integers(p for _, p in cells)
         rows = None if masses is None else {
             rk: views.integer(rk) for (_, rk), _ in cells
@@ -140,7 +145,9 @@ class JointTables:
                 joint[(xv, j)] = joint.get((xv, j), 0) + w
                 p_r[j] += w
         md = m * d
-        self.p_x = {k: Fraction(p_x[k], m) for k in sorted(p_x)}
+        p_x = {k: p_x[k] for k in sorted(p_x)}
+        self.integers = (p_x, p_r, joint, m)
+        self.p_x = {k: Fraction(a, m) for k, a in p_x.items()}
         self.p_r = [Fraction(w, md) for w in p_r]
         self.joint = {cell: Fraction(w, md) for cell, w in joint.items()}
 
@@ -181,6 +188,52 @@ def max_mi(prior, channel, target, budget=None, tables=None) -> Quantity:
     Cells are scanned by sorted records key, then outcome index, and the
     first maximum is kept, so witnesses are reproducible."""
     t = tables or JointTables(prior, channel, target, budget)
+    if t.integers is not None:
+        best, wit = _max_mi_integers(t)
+    else:
+        best, wit = _max_mi_generic(t)
+    if best is None:
+        # Degenerate: the channel has no positive-probability outcome, which
+        # row validation rules out; kept for completeness.
+        return Quantity(nats=0.0, bits=0.0, ratio=Fraction(1),
+                        notes=("no positive joint cells",))
+    nats = log_ratio(best)
+    return Quantity(
+        nats=nats,
+        bits=nats_to_bits(nats),
+        ratio=best,
+        witness={"records": list(wit[0]), "outcome": wit[1]},
+    )
+
+
+def _max_mi_integers(t):
+    """The max_mi scan on the integer tables. With p_x = a/m and p_r, joint
+    = c/D, w/D over one D, the ratio (w/D) / (a/m) / (c/D) is w*m / (a*c),
+    so two cells compare by cross-multiplying and one Fraction is built
+    for the winner."""
+    p_x, p_r, joint, m = t.integers
+    best_w = best_den = None
+    wit = None
+    for xv, a in p_x.items():
+        if a == 0:
+            continue
+        for j, c in enumerate(p_r):
+            if c == 0:
+                continue
+            w = joint.get((xv, j), 0)
+            if w == 0:
+                continue
+            den = a * c
+            if best_w is None or w * best_den > best_w * den:
+                best_w, best_den = w, den
+                wit = (xv, t.outcomes[j])
+    if best_w is None:
+        return None, None
+    return Fraction(best_w * m, best_den), wit
+
+
+def _max_mi_generic(t):
+    """The max_mi scan on the stored entries, for float or mixed tables."""
     best = None
     wit = None
     for xv, px in t.p_x.items():
@@ -197,18 +250,7 @@ def max_mi(prior, channel, target, budget=None, tables=None) -> Quantity:
             if best is None or r > best:
                 best = r
                 wit = (xv, label)
-    if best is None:
-        # Degenerate: the channel has no positive-probability outcome, which
-        # row validation rules out; kept for completeness.
-        return Quantity(nats=0.0, bits=0.0, ratio=Fraction(1),
-                        notes=("no positive joint cells",))
-    nats = log_ratio(best)
-    return Quantity(
-        nats=nats,
-        bits=nats_to_bits(nats),
-        ratio=best,
-        witness={"records": list(wit[0]), "outcome": wit[1]},
-    )
+    return best, wit
 
 
 def mi(prior, channel, target, budget=None, tables=None) -> Quantity:

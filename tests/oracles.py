@@ -1,14 +1,31 @@
-"""Sequence-domain enumerators kept as oracles for the histogram-domain
-kernels. Each walks dataset sequences, all |A|^n of them or a prior's whole
-support, so keep universes small."""
+"""Reference loops kept as oracles for the fast kernels: sequence-domain
+enumerators that walk dataset sequences (all |A|^n of them or a prior's
+whole support), and the per-cell and per-candidate loops that the integer
+scans and the symmetry classes replace. Keep universes small."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import prod
 from types import SimpleNamespace
 
-from privlens import BOT, RatioScan, log_ratio, max_mi, parse_probability, ratio_div
+from privlens import (
+    BOT,
+    DEFAULT_ETA,
+    Quantity,
+    RatioScan,
+    SupResult,
+    check_membership,
+    log_ratio,
+    max_mi,
+    nats_to_bits,
+    normalize_target,
+    parse_probability,
+    ratio_div,
+    sample_prior,
+)
+from privlens.audit import _extremal_pair_candidates, _extremal_pdelta_candidates
 
 
 def iter_sequences(universe):
@@ -76,6 +93,7 @@ def tables_from_cells(cells, outcomes):
         p_x={k: p_x[k] for k in sorted(p_x)},
         p_r=p_r,
         joint=joint,
+        integers=None,
     )
 
 
@@ -221,3 +239,121 @@ def ratio_scan(channel, pairs):
 
 def lipschitz_ratio(channel, k):
     return ratio_scan(channel, change_histogram_pairs(channel.universe, k))
+
+
+# ---------------------------------------------------------------------------
+# max_mi, one Fraction (or float) ratio per cell
+# ---------------------------------------------------------------------------
+
+
+def max_mi_scan(t):
+    """max_mi of tables t by (w / p_x) / p_r on the entries as stored:
+    sorted records key, then outcome index, the first maximum kept, zero
+    cells skipped."""
+    best = None
+    wit = None
+    for xv, px in t.p_x.items():
+        if px == 0:
+            continue
+        for j, label in enumerate(t.outcomes):
+            pr = t.p_r[j]
+            if pr == 0:
+                continue
+            w = t.joint.get((xv, j), 0)
+            if w == 0:
+                continue
+            r = (w / px) / pr
+            if best is None or r > best:
+                best = r
+                wit = (xv, label)
+    if best is None:
+        return Quantity(nats=0.0, bits=0.0, ratio=Fraction(1),
+                        notes=("no positive joint cells",))
+    nats = log_ratio(best)
+    return Quantity(nats=nats, bits=nats_to_bits(nats), ratio=best,
+                    witness={"records": list(wit[0]), "outcome": wit[1]})
+
+
+# ---------------------------------------------------------------------------
+# Worst-case search, every extremal candidate built, filtered and measured
+# ---------------------------------------------------------------------------
+
+
+def worstcase_sup(channel, family, target, *,
+                  strategies=("extremal", "sampled"), rng=None,
+                  samples=1000, eta=DEFAULT_ETA, budget=None):
+    """worstcase_sup without symmetry classes: the candidate keys are
+    ignored and each candidate is a prior of its own."""
+    tgt = normalize_target(channel.universe.n, target)
+    best = None
+    best_wit = None
+    notes = []
+    evaluated = {"extremal": 0, "sampled": 0, "rejected_samples": 0,
+                 "filtered_candidates": 0}
+
+    def consider(prior, desc, origin):
+        nonlocal best, best_wit
+        q = max_mi(prior, channel, tgt, budget)
+        evaluated[origin] += 1
+        r = q.ratio
+        if best is None or r > best:
+            best = r
+            best_wit = dict(desc)
+            best_wit["leak"] = q.witness
+            best_wit["origin"] = origin
+
+    extremal_best = None
+    if "extremal" in strategies:
+        candidates = itertools.chain(
+            _extremal_pair_candidates(channel, family, tgt, eta, budget),
+            _extremal_pdelta_candidates(channel, family, tgt, eta, budget),
+        )
+        for _, build in candidates:
+            prior, desc = build()
+            if not check_membership(prior, family).ok:
+                evaluated["filtered_candidates"] += 1
+                continue
+            consider(prior, desc, "extremal")
+        extremal_best = best
+        if evaluated["extremal"] == 0:
+            notes.append(
+                "no admissible extremal construction for this family"
+            )
+
+    if "sampled" in strategies and samples > 0:
+        if rng is None:
+            rng = random.Random(0)
+            notes.append("no rng given; sampled strategy seeded with 0")
+        for _ in range(samples):
+            p = sample_prior(channel.universe, family, rng)
+            if p is None:
+                evaluated["rejected_samples"] += 1
+                continue
+            desc = {"kind": "sampled_member",
+                    "blocks": [list(b) for b in p.blocks]}
+            consider(p, desc, "sampled")
+
+    if best is None:
+        return SupResult(
+            ratio=Fraction(1), nats=0.0, target=tgt, witness=None,
+            evaluated=evaluated,
+            notes=tuple(notes + ["no prior evaluated; sup is vacuous"]),
+            conclusive=False,
+        )
+    conclusive = "extremal" in strategies and evaluated["extremal"] > 0
+    if (
+        conclusive
+        and best_wit is not None
+        and best_wit.get("origin") == "sampled"
+        and extremal_best is not None
+        and float(best) > float(extremal_best) * (1 + 1e-12)
+    ):
+        conclusive = False
+        notes.append(
+            "a sampled member exceeded every extremal construction; "
+            "treating the sup as inconclusive"
+        )
+    return SupResult(
+        ratio=best, nats=log_ratio(best), target=tgt, witness=best_wit,
+        evaluated=evaluated, notes=tuple(notes), conclusive=conclusive,
+    )

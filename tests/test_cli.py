@@ -155,6 +155,35 @@ def test_budget_error_names_the_stage_that_ran_out(tmp_path):
     )
 
 
+@pytest.mark.parametrize("alphabet, family, count, stage", [
+    # Two individuals over {BOT, a}, one change: 4 sequences times 2 + 2
+    # single-position edits.
+    (["BOT", "a"], {"k": 1}, 16, "change_sequence_pairs"),
+    # Over {BOT, a, b} with no block limit the pair stage takes 9 * (3 + 3
+    # + 9) = 135 steps; the complement construction then charges its
+    # 3 * 2 * 3**3 candidates at once.
+    (["BOT", "a", "b"], {"exp_delta": "4/5"}, 162, "worstcase_sup"),
+], ids=["pair", "complement"])
+def test_extremal_budgets_bite_at_the_candidate_count(
+        tmp_path, alphabet, family, count, stage):
+    uniform = [[f"1/{len(alphabet)}"] * len(alphabet)] * 2
+    scn = base_scenario(
+        universe={"n": 2, "alphabet": alphabet},
+        priors={"uniform": {"independent": uniform}},
+        bound={"kind": "worstcase", "mechanism": "geo", "target": 0,
+               "family": family},
+        samples=5,
+    )
+    path = write_scenario(tmp_path, scn)
+    code, _, err = invoke(["bound", path, "--budget", str(count - 1)])
+    assert code == 3
+    assert err == (f"error: enumeration budget exceeded in {stage}: "
+                   f"{count} items against budget {count - 1}\n")
+    code, _, err = invoke(["bound", path, "--budget", str(count)])
+    assert code in (0, 2)
+    assert "budget" not in err
+
+
 @pytest.mark.parametrize("budget", ["x", 2.5, -1, 0, True, None])
 def test_bad_scenario_budget_is_an_input_error(tmp_path, budget):
     scn = base_scenario(
@@ -807,18 +836,45 @@ def test_overflowing_float_bound_at_no_dependence_is_the_step(tmp_path):
 
 
 def test_help_and_usage_errors_repeat_across_calls(capsys):
+    # Help exits 0 through SystemExit; a usage error is bad input, returned
+    # as exit 4 with one stderr line (2 would read as inconclusive).
     seen = []
     for _ in range(2):
-        for argv, status in ((["--help"], 0), (["bound", "--help"], 0),
-                             (["bound"], 2), (["nope", "x.json"], 2)):
+        for argv in (["--help"], ["bound", "--help"]):
             with pytest.raises(SystemExit) as exc:
                 run(argv)
-            assert exc.value.code == status
+            assert exc.value.code == 0
+            seen.append(capsys.readouterr())
+        for argv in (["bound"], ["nope", "x.json"]):
+            assert run(argv) == 4
             seen.append(capsys.readouterr())
     assert seen[:4] == seen[4:]
     assert seen[0].out.startswith("usage: privlens [-h]")
     assert "--threads THREADS" in seen[1].out
     assert "required: scenario" in seen[2].err
+    for s in seen[2:4]:
+        assert s.out == ""
+        assert s.err.startswith("error: privlens") and s.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bound", "{path}", "--seed", "x"],
+    ["bound", "{path}", "--samples", "1.5"],
+    ["bound", "{path}", "--threads", "two"],
+    ["bound", "{path}", "--format", "xml"],
+    ["bound", "{path}", "--bogus"],
+    ["bound", "{path}", "extra"],
+])
+def test_usage_errors_exit_4_with_one_line(argv, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(DEMO))
+    out, err = io.StringIO(), io.StringIO()
+    code = run([a.format(path=path) for a in argv], stdout=out, stderr=err)
+    assert code == 4
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: privlens")
+    assert err.getvalue().count("\n") == 1
 
 # The scenario of the README's command-line section.
 DEMO = {

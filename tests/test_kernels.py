@@ -10,14 +10,17 @@ import pytest
 import oracles
 from privlens import (
     BOT,
+    DEFAULT_ETA,
     TOL,
     Channel,
     EnumerationBudgetError,
     ChannelError,
     EpochModel,
+    FamilyParams,
     JointPrior,
     JointTables,
     RecordUniverse,
+    check_membership,
     change_histogram_pairs,
     geometric_counting_channel,
     lipschitz_ratio,
@@ -31,11 +34,17 @@ from privlens import (
     max_mi,
     max_rel_entropy,
     mi,
+    normalize_target,
     randomized_response_channel,
     ratios_agree,
     uniform_universe,
+    worstcase_sup,
 )
-from privlens.audit import tightness_pk
+from privlens.audit import (
+    _extremal_pair_candidates,
+    _extremal_pdelta_candidates,
+    tightness_pk,
+)
 from gen import random_channel
 
 SYMBOLS = (BOT, "a", "b", "c")
@@ -553,3 +562,188 @@ def test_channel_validation_messages_are_pinned():
     for row in ((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**10)),
                 (0.5, 0.5 + 1e-10)):
         assert Channel(u, (0, 1), {lo: good, hi: row}).rows[hi] == row
+
+
+# ---------------------------------------------------------------------------
+# max_mi on integers against the per-cell Fraction scan
+# ---------------------------------------------------------------------------
+
+
+def assert_max_mi_matches(t):
+    assert repr(max_mi(None, None, None, tables=t)) == repr(
+        oracles.max_mi_scan(t))
+
+
+def test_max_mi_integer_scan_matches_the_fraction_oracle():
+    rng = random.Random(63)
+    for _ in range(60):
+        prior = block_prior(rng, True)
+        ch = block_channel(rng, prior.universe, True)
+        t = JointTables(prior, ch, block_target(rng, prior.universe.n))
+        assert t.integers is not None
+        assert_max_mi_matches(t)
+
+
+def test_max_mi_float_and_mixed_tables_keep_their_bits():
+    rng = random.Random(64)
+    generic = 0
+    for _ in range(40):
+        prior = block_prior(rng, False)
+        ch = block_channel(rng, prior.universe, rng.random() < 0.5)
+        t = JointTables(prior, ch, block_target(rng, prior.universe.n))
+        generic += t.integers is None
+        assert_max_mi_matches(t)
+    assert generic > 0
+    for prior, ch, tgt, _ in _tables_cases():
+        assert_max_mi_matches(JointTables(prior, ch, tgt))
+
+
+def test_max_mi_edge_cells_match_the_fraction_oracle():
+    f = Fraction
+    rows = {
+        # Symmetric rows: records "a" at outcome 0 and "b" at outcome 1
+        # both reach 4/3, and the first (sorted records key) is kept.
+        "x": (f(2, 3), f(1, 3), 0),
+        "y": (f(1, 3), f(2, 3), 0),
+        # Outcome 2 is never reachable: p_r is zero there.
+        "z": (f(1, 2), f(1, 2), 0),
+    }
+    cases = {
+        "tie": [((("a",), "x"), f(1, 2)), ((("b",), "y"), f(1, 2))],
+        # A zero-mass records key (p_x zero) and zero joint cells.
+        "zeros": [((("a",), "x"), f(1, 2)), ((("b",), "y"), f(1, 2)),
+                  ((("c",), "z"), f(0))],
+        # Int masses and entries, as from_cells may receive.
+        "ints": [((("a",), "x"), 1)],
+    }
+    for name, cells in cases.items():
+        t = JointTables.from_cells(cells, rows.__getitem__, (0, 1, 2))
+        assert t.integers is not None, name
+        assert t.p_r[2] == 0
+        assert_max_mi_matches(t)
+    tie = max_mi(None, None, None, tables=JointTables.from_cells(
+        cases["tie"], rows.__getitem__, (0, 1, 2)))
+    assert (tie.ratio, tie.witness) == (f(4, 3), {"records": ["a"],
+                                                 "outcome": 0})
+
+
+def test_max_mi_on_composed_tables_matches_the_fraction_oracle():
+    # Cells and folded rows as the composition cross-checks build them.
+    rng = random.Random(65)
+    for exact in (True, False):
+        for _ in range(20):
+            prior = block_prior(rng, exact, max_support=24)
+            u = prior.universe
+            channels = [block_channel(rng, u, exact) for _ in range(2)]
+            tgt = block_target(rng, u.n)
+
+            def row_of(h):
+                a, b = (c.rows[h] for c in channels)
+                return [x * y for x in a for y in b]
+
+            outcomes = tuple(itertools.product(
+                *(c.outcomes for c in channels)))
+            t = JointTables.from_cells(histogram_masses(prior, tgt).items(),
+                                       row_of, outcomes)
+            if exact:
+                assert t.integers is not None
+            assert_max_mi_matches(t)
+
+
+# ---------------------------------------------------------------------------
+# Worst-case search: one candidate per symmetry class against every candidate
+# ---------------------------------------------------------------------------
+
+
+def sup_channel(rng, u, exact):
+    """A channel with no zero entries, so no candidate leaks 1/eta and the
+    ratios tell candidates apart."""
+    if not exact:
+        return random_channel(rng, u)
+    if rng.random() < 0.5:
+        return geometric_counting_channel(
+            u, "a", ratio=Fraction(rng.randint(1, 6), 7))
+    n_out = rng.randint(2, 4)
+    rows = {}
+    for h in u.achievable_histograms():
+        weights = [rng.randint(1, 5) for _ in range(n_out)]
+        rows[h] = tuple(Fraction(w, sum(weights)) for w in weights)
+    return Channel(u, tuple(range(n_out)), rows)
+
+
+def sup_plan():
+    """(universe, families, targets): block budgets k in {1, 2, n},
+    dependence caps (with no block limit they bring in the
+    shared/private-complement construction) and bands, on {BOT, a, b}
+    universes, some with the last individual restricted to {BOT, a}. The
+    last universe has non-targets of two alphabets. Complement candidates
+    grow as the cube of the complements, so they stay on small universes."""
+    f = FamilyParams
+    band = f(k=2, ell=1, tau=0.5)
+    complement = (f(exp_delta=Fraction(4, 5)), f(exp_delta=1),
+                  f(exp_delta=Fraction(4, 5), ell=1, tau=1.0))
+    small = (f(k=1), f(k=2), f(k=2, exp_delta=Fraction(1, 2)), band)
+    both = (0, (0, 1))
+    yield uniform_universe(2, (BOT, "a", "b")), small + complement, both
+    yield RecordUniverse(((BOT, "a", "b"), (BOT, "a"))), small + complement, both
+    yield uniform_universe(3, (BOT, "a", "b")), (f(k=1), f(k=3)), both
+    yield (RecordUniverse(((BOT, "a", "b"), (BOT, "a", "b"), (BOT, "a"))),
+           (f(k=2), band, f(k=3, ell=2, tau=1.0)), both)
+    yield (RecordUniverse(((BOT, "a"), (BOT, "a", "b"), (BOT, "a"))),
+           complement[::2], (0,))
+
+
+def sup_cases(rng, exact=True):
+    """(channel, family, target, eta) over sup_plan, rational and float
+    channels in turn, the first one rational when exact is true. The
+    default eta keeps near-point masses out of every band; at 1/3 the
+    two-point marginals of {BOT, a} individuals are in it."""
+    for u, families, targets in sup_plan():
+        for family in families:
+            ch = sup_channel(rng, u, exact)
+            exact = not exact
+            etas = (DEFAULT_ETA,)
+            if family.ell is not None:
+                etas += (Fraction(1, 3),)
+            for eta in etas:
+                for target in targets:
+                    yield ch, family, target, eta
+
+
+@pytest.mark.parametrize("exact", [True, False],
+                         ids=["Fraction_first", "float_first"])
+def test_worstcase_sup_classes_match_the_per_candidate_oracle(exact):
+    rng = random.Random(66 if exact else 67)
+    for ch, family, target, eta in sup_cases(rng, exact):
+        sampler_seed = rng.randrange(1000)
+        got, want = (
+            sup(ch, family, target, rng=random.Random(sampler_seed),
+                samples=3, eta=eta)
+            for sup in (worstcase_sup, oracles.worstcase_sup)
+        )
+        assert repr(got) == repr(want), (ch.universe, family, target, eta)
+
+
+def test_extremal_classes_measure_and_filter_alike():
+    # What the search relies on: every member of a class has the first
+    # member's max_mi and membership, whether or not it would change the
+    # sup.
+    rng = random.Random(68)
+    merged = 0
+    for ch, family, target, eta in sup_cases(rng):
+        tgt = normalize_target(ch.universe.n, target)
+        first = {}
+        for key, build in itertools.chain(
+            _extremal_pair_candidates(ch, family, tgt, eta, None),
+            _extremal_pdelta_candidates(ch, family, tgt, eta, None),
+        ):
+            prior, _ = build()
+            m = check_membership(prior, family)
+            seen = (m.ok, m.max_block_size, m.sigma_value, m.band_count,
+                    repr(max_mi(prior, ch, tgt)))
+            if key in first:
+                merged += 1
+                assert first[key] == seen, (ch.universe, family, key)
+            else:
+                first[key] = seen
+    assert merged > 0
