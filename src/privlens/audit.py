@@ -35,7 +35,14 @@ from .prior import (
     extremal_pdelta_prior,
     sample_prior,
 )
-from .probability import TOL, Prob, is_inf, log_ratio, parse_probability
+from .probability import (
+    TOL,
+    Prob,
+    is_inf,
+    log_ratio,
+    parse_probability,
+    ratio_div,
+)
 from .universe import check_budget
 
 
@@ -634,50 +641,42 @@ def necessary_pdelta(
     best = None
     wit = None
     n_out = len(channel.outcomes)
+    weight = u.code_weights
     for i in range(n):
-        others = [j for j in range(n) if j != i]
-        comps = list(itertools.product(*(u.alphabets[j] for j in others)))
         alpha = u.alphabets[i]
+        others = u.alphabets[:i] + u.alphabets[i + 1:]
         check_budget(
-            len(alpha) * len(comps) * n_out, budget, "necessary_pdelta"
+            len(alpha) * math.prod(map(len, others)) * n_out, budget,
+            "necessary_pdelta",
         )
-
-        def seq_of(x_i, comp):
-            s = [None] * n
-            s[i] = x_i
-            for j, sym in zip(others, comp):
-                s[j] = sym
-            return tuple(s)
-
-        cell = {}
-        for x in alpha:
-            for c in comps:
-                row = channel.rows[u.to_histogram(seq_of(x, c), validate=False)]
-                cell[(x, c)] = row
+        # Complements with one code give one row per record, so the first
+        # complement of each code stands for the rest.
+        comps = {}
+        for c in itertools.product(*others):
+            comps.setdefault(sum(weight[s] for s in c), c)
+        cell = {
+            (x, code): channel.rows[u.decode_histogram(weight[x] + code)]
+            for x in alpha for code in comps
+        }
         hi = {}
         lo = {}
         for x in alpha:
             for j in range(n_out):
-                vals = [cell[(x, c)][j] for c in comps]
+                vals = [cell[(x, code)][j] for code in comps]
                 hi[(x, j)] = max(vals)
                 lo[(x, j)] = min(vals)
         for x_num in alpha:
             for x_den in alpha:
                 if x_num == x_den:
                     continue
-                for c in comps:
-                    row_n = cell[(x_num, c)]
-                    row_d = cell[(x_den, c)]
+                for code, c in comps.items():
+                    row_n = cell[(x_num, code)]
+                    row_d = cell[(x_den, code)]
                     for j in range(n_out):
                         num = row_n[j] * exp_delta + hi[(x_num, j)] * (1 - exp_delta)
                         den = row_d[j] * exp_delta + lo[(x_den, j)] * (1 - exp_delta)
-                        if den == 0:
-                            if num == 0:
-                                continue
-                            r = math.inf
-                        else:
-                            r = num / den
-                        if best is None or r > best:
+                        r = ratio_div(num, den)
+                        if r is not None and (best is None or r > best):
                             best = r
                             wit = {
                                 "individual": i,
@@ -802,81 +801,65 @@ def sufficient_nk(
     best = None
     wit = None
     n_out = len(channel.outcomes)
+    weight = u.code_weights
+    fallback = "corner stress set too large; fell back to uniform only"
 
     for i in range(n):
+        alpha = u.alphabets[i]
         others = [j for j in range(n) if j != i]
         for avg_set in itertools.combinations(others, n - k - 1):
-            free = [j for j in others if j not in avg_set]
+            free = [u.alphabets[j] for j in others if j not in avg_set]
+            avg_alphas = [u.alphabets[j] for j in avg_set]
+            work = (len(alpha) * math.prod(map(len, avg_alphas))
+                    * math.prod(map(len, free)) * n_out)
+            check_budget(work, budget, "sufficient_nk")
+            avg_cells = [(x_avg, sum(weight[s] for s in x_avg))
+                         for x_avg in itertools.product(*avg_alphas)]
+            # Free assignments with one code average to one row, so one code
+            # stands for them all; the codes keep first-occurrence order.
+            free_codes = list(dict.fromkeys(
+                sum(weight[s] for s in x_free)
+                for x_free in itertools.product(*free)
+            ))
 
             # Weight assignments for the averaging set.
-            if supplied is not None:
-                options = [[supplied.get(j) or _uniform_marginal(u, j)]
-                           for j in avg_set]
-            elif tau == 0:
-                options = [[_uniform_marginal(u, j)] for j in avg_set]
-            else:
-                options = []
-                for j in avg_set:
-                    opts = [_uniform_marginal(u, j)]
-                    opts.extend(_band_corners(u.alphabets[j], tau))
-                    options.append(opts)
-                combos = 1
-                for o in options:
-                    combos *= len(o)
-                if combos > 4096:
-                    options = [[_uniform_marginal(u, j)] for j in avg_set]
-                    notes.append(
-                        "corner stress set too large; fell back to uniform only"
-                    )
+            options = [[(supplied or {}).get(j) or _uniform_marginal(u, j)]
+                       for j in avg_set]
+            if supplied is None and tau > 0:
+                corners = [opts + _band_corners(u.alphabets[j], tau)
+                           for opts, j in zip(options, avg_set)]
+                if math.prod(map(len, corners)) <= 4096:
+                    options = corners
+                elif fallback not in notes:
+                    notes.append(fallback)
 
             for weight_choice in itertools.product(*options):
-                weights = dict(zip(avg_set, weight_choice))
-                avg_cells = list(
-                    itertools.product(*(u.alphabets[j] for j in avg_set))
-                )
-                free_cells = list(
-                    itertools.product(*(u.alphabets[j] for j in free))
-                )
-                work = len(u.alphabets[i]) * len(avg_cells) * len(free_cells) * n_out
-                check_budget(work, budget, "sufficient_nk")
-
-                def avg_row(x_i, x_free):
-                    acc = [Fraction(0)] * n_out
-                    for x_avg in avg_cells:
-                        s = [None] * n
-                        s[i] = x_i
-                        for j, sym in zip(avg_set, x_avg):
-                            s[j] = sym
-                        for j, sym in zip(free, x_free):
-                            s[j] = sym
-                        w = Fraction(1)
-                        for j, sym in zip(avg_set, x_avg):
-                            w = w * weights[j][sym]
-                        if w == 0:
-                            continue
-                        row = channel.rows[u.to_histogram(tuple(s), validate=False)]
-                        for jj in range(n_out):
-                            acc[jj] = acc[jj] + w * row[jj]
-                    return acc
-
-                table = {}
-                for x_i in u.alphabets[i]:
-                    for x_free in free_cells:
-                        table[(x_i, x_free)] = avg_row(x_i, x_free)
+                cells = []
+                for x_avg, code in avg_cells:
+                    w = Fraction(1)
+                    for table, sym in zip(weight_choice, x_avg):
+                        w = w * table[sym]
+                    if w != 0:
+                        cells.append((w, code))
+                avg = {}
+                for x_i in alpha:
+                    for free_code in free_codes:
+                        acc = [Fraction(0)] * n_out
+                        base = weight[x_i] + free_code
+                        for w, code in cells:
+                            row = channel.rows[u.decode_histogram(base + code)]
+                            for jj in range(n_out):
+                                acc[jj] = acc[jj] + w * row[jj]
+                        avg[(x_i, free_code)] = acc
                 for jj in range(n_out):
-                    for x_num in u.alphabets[i]:
-                        num = max(table[(x_num, xf)][jj] for xf in free_cells)
-                        for x_den in u.alphabets[i]:
+                    for x_num in alpha:
+                        num = max(avg[(x_num, fc)][jj] for fc in free_codes)
+                        for x_den in alpha:
                             if x_num == x_den:
                                 continue
-                            den = min(table[(x_den, xf)][jj] for xf in free_cells)
-                            if den == 0:
-                                if num == 0:
-                                    continue
-                                r = math.inf
-                            else:
-                                r = num / den
-                            if best is None or r > best:
+                            den = min(avg[(x_den, fc)][jj] for fc in free_codes)
+                            r = ratio_div(num, den)
+                            if r is not None and (best is None or r > best):
                                 best = r
                                 wit = {
                                     "individual": i,

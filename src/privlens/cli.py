@@ -15,6 +15,7 @@ over budget errors, which win over violations, which win over inconclusive.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import json
 import math
@@ -696,21 +697,13 @@ def cmd_sweep(scenario: Scenario, args, rng) -> tuple:
     rows = []
     verdicts = []
     for value in values:
-        row_task = dict(task)
-        row_task[over] = value
-        row_rng = random.Random(args.seed)
-        if command == "bound":
-            sub = dict(scenario.raw)
-            sub["bound"] = row_task
-            sub_scn = Scenario(sub, args.budget)
-            _, vs, _ = cmd_bound(sub_scn, args, row_rng)
-        elif command == "certify":
-            sub = dict(scenario.raw)
-            sub["certify"] = row_task
-            sub_scn = Scenario(sub, args.budget)
-            _, vs, _ = cmd_certify(sub_scn, args, row_rng)
-        else:
+        if command not in ("bound", "certify"):
             raise SchemaError(f"sweep cannot run command {command!r}")
+        # Only the task section changes between rows: share everything the
+        # scenario has already built.
+        sub = copy.copy(scenario)
+        sub.raw = {**scenario.raw, command: {**task, over: value}}
+        _, vs, _ = COMMANDS[command](sub, args, random.Random(args.seed))
         verdicts.extend(vs)
         rows.append({
             "value": to_jsonable(value),

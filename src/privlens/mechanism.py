@@ -260,8 +260,8 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
 
     achievable = universe.achievable_histograms()
     outcomes = tuple(universe.histogram_key(h) for h in achievable)
-    pooled_index = {s: j for j, s in enumerate(universe.pooled_alphabet)}
-    zero = tuple(0 for _ in universe.pooled_alphabet)
+    out_codes = [universe.encode_histogram(h) for h in achievable]
+    weight = universe.code_weights
     denom = None if scale is None else scale ** universe.n
 
     rows = {}
@@ -271,26 +271,21 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
         counts = dict(zip(universe.pooled_alphabet, h))
         counts[BOT] = universe.n - sum(h)
         rep = [v for v in alpha0 for _ in range(counts[v])]
-        states: Dict[Tuple[int, ...], Prob] = {zero: 1}
+        # States are partial output histograms, keyed by their code.
+        states: Dict[int, Prob] = {0: 1}
         for v in rep:
-            nxt: Dict[Tuple[int, ...], Prob] = {}
+            nxt: Dict[int, Prob] = {}
             for partial, p in states.items():
                 for w, q in kernel[v].items():
                     if q == 0:
                         continue
-                    if w == BOT:
-                        key = partial
-                    else:
-                        lst = list(partial)
-                        lst[pooled_index[w]] += 1
-                        key = tuple(lst)
+                    key = partial + weight[w]
                     nxt[key] = nxt.get(key, 0) + p * q
             states = nxt
         if scale is None:
-            rows[h] = tuple(states.get(out_h, Fraction(0)) for out_h in achievable)
+            rows[h] = tuple(states.get(c, Fraction(0)) for c in out_codes)
         else:
-            rows[h] = tuple(Fraction(states.get(out_h, 0), denom)
-                            for out_h in achievable)
+            rows[h] = tuple(Fraction(states.get(c, 0), denom) for c in out_codes)
     return Channel(universe, outcomes, rows)
 
 

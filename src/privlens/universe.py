@@ -126,18 +126,7 @@ class RecordUniverse:
         """Histogram of a sequence over the pooled alphabet (BOT drops out)."""
         if validate:
             seq = self.validate_sequence(seq)
-        idx = self._pooled_index()
-        counts = [0] * len(self.pooled_alphabet)
-        for sym in seq:
-            if sym != BOT:
-                counts[idx[sym]] += 1
-        return tuple(counts)
-
-    def _pooled_index(self):
-        cache = self._histogram_cache
-        if "index" not in cache:
-            cache["index"] = {s: j for j, s in enumerate(self.pooled_alphabet)}
-        return cache["index"]
+        return self.decode_histogram(sum(self.code_weights[s] for s in seq))
 
     def encode_histogram(self, hist) -> int:
         return sum(c * p for c, p in zip(hist, self._places))

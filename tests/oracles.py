@@ -1,9 +1,11 @@
 """Reference loops kept as oracles for the fast kernels: sequence-domain
 enumerators that walk dataset sequences (all |A|^n of them or a prior's
-whole support), and the per-cell and per-candidate loops that the integer
-scans and the symmetry classes replace. Keep universes small."""
+whole support), the per-sequence dependence and averaging scans, and the
+per-cell and per-candidate loops that the integer scans and the symmetry
+classes replace. Keep universes small."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +16,7 @@ from privlens import (
     BOT,
     DEFAULT_ETA,
     Quantity,
+    Verdict,
     RatioScan,
     SupResult,
     check_membership,
@@ -25,11 +28,23 @@ from privlens import (
     ratio_div,
     sample_prior,
 )
-from privlens.audit import _extremal_pair_candidates, _extremal_pdelta_candidates
+from privlens.audit import (
+    _band_corners,
+    _extremal_pair_candidates,
+    _extremal_pdelta_candidates,
+    _parse_bound,
+    _uniform_marginal,
+    leq_with_tol,
+)
 
 
 def iter_sequences(universe):
     return itertools.product(*universe.alphabets)
+
+
+def histogram(universe, seq):
+    """Count of each pooled symbol in seq (BOT is not pooled)."""
+    return tuple(seq.count(s) for s in universe.pooled_alphabet)
 
 
 def achievable_histograms(universe):
@@ -356,4 +371,184 @@ def worstcase_sup(channel, family, target, *,
     return SupResult(
         ratio=best, nats=log_ratio(best), target=tgt, witness=best_wit,
         evaluated=evaluated, notes=tuple(notes), conclusive=conclusive,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Dependence and averaging scans, one row lookup per dataset sequence
+# ---------------------------------------------------------------------------
+
+
+def _dataset(n, i, x_i, others, comp):
+    s = [None] * n
+    s[i] = x_i
+    for j, sym in zip(others, comp):
+        s[j] = sym
+    return tuple(s)
+
+
+def necessary_pdelta(channel, *, exp_delta, epsilon=None, exp_epsilon=None):
+    """necessary_pdelta by every complement sequence of each individual: the
+    row of each (record, complement) dataset, then the mediant ratio for
+    each record pair, complement and outcome, the first maximum kept."""
+    exp_delta = parse_probability(exp_delta)
+    bound = _parse_bound(epsilon, exp_epsilon)
+    u = channel.universe
+    n = u.n
+    n_out = len(channel.outcomes)
+    best = None
+    wit = None
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        comps = list(itertools.product(*(u.alphabets[j] for j in others)))
+        alpha = u.alphabets[i]
+        cell = {
+            (x, c): channel.rows[histogram(u, _dataset(n, i, x, others, c))]
+            for x in alpha for c in comps
+        }
+        hi = {}
+        lo = {}
+        for x in alpha:
+            for j in range(n_out):
+                vals = [cell[(x, c)][j] for c in comps]
+                hi[(x, j)] = max(vals)
+                lo[(x, j)] = min(vals)
+        for x_num in alpha:
+            for x_den in alpha:
+                if x_num == x_den:
+                    continue
+                for c in comps:
+                    for j in range(n_out):
+                        num = (cell[(x_num, c)][j] * exp_delta
+                               + hi[(x_num, j)] * (1 - exp_delta))
+                        den = (cell[(x_den, c)][j] * exp_delta
+                               + lo[(x_den, j)] * (1 - exp_delta))
+                        r = ratio_div(num, den)
+                        if r is not None and (best is None or r > best):
+                            best = r
+                            wit = {
+                                "individual": i,
+                                "numerator_record": x_num,
+                                "denominator_record": x_den,
+                                "shared_complement": list(c),
+                                "outcome": channel.outcomes[j],
+                            }
+    if best is None:
+        best = Fraction(1)
+    notes = []
+    if float(exp_delta) < 0.5:
+        notes.append(
+            "exp_delta below 1/2: the scan is exact but its reading as a "
+            "necessary condition is only established for exp_delta >= 1/2"
+        )
+    return Verdict(
+        claim="mediant necessary condition under bounded dependence",
+        params={"exp_delta": exp_delta},
+        measured_ratio=best,
+        measured_nats=log_ratio(best),
+        bound_ratio=bound,
+        bound_nats=log_ratio(bound),
+        satisfied=leq_with_tol(best, bound),
+        conclusive=True,
+        witness=wit,
+        notes=tuple(notes),
+    )
+
+
+def sufficient_nk(channel, k, *, epsilon=None, exp_epsilon=None, tau=0.0,
+                  marginals=None):
+    """sufficient_nk by every dataset sequence: each averaged row sums
+    weight times row over the averaging set's cells in product order, one
+    row per (record, free assignment). Marginals are taken as valid."""
+    u = channel.universe
+    n = u.n
+    bound = _parse_bound(epsilon, exp_epsilon)
+    n_out = len(channel.outcomes)
+    notes = []
+    conclusive = True
+    supplied = None
+    if marginals is not None:
+        supplied = {
+            j: {s: parse_probability(table.get(s, 0)) for s in u.alphabets[j]}
+            for j, table in marginals.items()
+        }
+        notes.append("evaluated at the supplied in-band marginals")
+    elif tau > 0:
+        conclusive = False
+        notes.append(
+            "tau > 0 without supplied marginals: uniform plus band-edge "
+            "corner stress set, a heuristic rather than a certificate"
+        )
+    best = None
+    wit = None
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        for avg_set in itertools.combinations(others, n - k - 1):
+            free = [j for j in others if j not in avg_set]
+            if supplied is not None:
+                options = [[supplied.get(j) or _uniform_marginal(u, j)]
+                           for j in avg_set]
+            elif tau == 0:
+                options = [[_uniform_marginal(u, j)] for j in avg_set]
+            else:
+                options = [
+                    [_uniform_marginal(u, j),
+                     *_band_corners(u.alphabets[j], tau)]
+                    for j in avg_set
+                ]
+                if math.prod(map(len, options)) > 4096:
+                    options = [[_uniform_marginal(u, j)] for j in avg_set]
+                    note = "corner stress set too large; fell back to uniform only"
+                    if note not in notes:
+                        notes.append(note)
+            avg_cells = list(itertools.product(*(u.alphabets[j] for j in avg_set)))
+            free_cells = list(itertools.product(*(u.alphabets[j] for j in free)))
+            for weight_choice in itertools.product(*options):
+                weights = dict(zip(avg_set, weight_choice))
+                table = {}
+                for x_i in u.alphabets[i]:
+                    for x_free in free_cells:
+                        acc = [Fraction(0)] * n_out
+                        for x_avg in avg_cells:
+                            w = Fraction(1)
+                            for j, sym in zip(avg_set, x_avg):
+                                w = w * weights[j][sym]
+                            if w == 0:
+                                continue
+                            seq = _dataset(n, i, x_i, avg_set + tuple(free),
+                                           x_avg + x_free)
+                            row = channel.rows[histogram(u, seq)]
+                            for jj in range(n_out):
+                                acc[jj] = acc[jj] + w * row[jj]
+                        table[(x_i, x_free)] = acc
+                for jj in range(n_out):
+                    for x_num in u.alphabets[i]:
+                        num = max(table[(x_num, xf)][jj] for xf in free_cells)
+                        for x_den in u.alphabets[i]:
+                            if x_num == x_den:
+                                continue
+                            den = min(table[(x_den, xf)][jj] for xf in free_cells)
+                            r = ratio_div(num, den)
+                            if r is not None and (best is None or r > best):
+                                best = r
+                                wit = {
+                                    "individual": i,
+                                    "averaging_set": list(avg_set),
+                                    "numerator_record": x_num,
+                                    "denominator_record": x_den,
+                                    "outcome": channel.outcomes[jj],
+                                }
+    if best is None:
+        best = Fraction(1)
+    return Verdict(
+        claim="averaged sufficiency under near-uniform marginals",
+        params={"k": k, "tau": tau},
+        measured_ratio=best,
+        measured_nats=log_ratio(best),
+        bound_ratio=bound,
+        bound_nats=log_ratio(bound),
+        satisfied=leq_with_tol(best, bound),
+        conclusive=conclusive,
+        witness=wit,
+        notes=tuple(notes),
     )

@@ -184,6 +184,29 @@ def test_extremal_budgets_bite_at_the_candidate_count(
     assert "budget" not in err
 
 
+@pytest.mark.parametrize("certify, stage", [
+    ({"kind": "necessary_dependence", "exp_delta": "1/2"}, "necessary_pdelta"),
+    ({"kind": "sufficient_averaged", "k": 1}, "sufficient_nk"),
+], ids=["necessary", "sufficient"])
+def test_dependence_scan_budgets_bite_at_the_row_count(tmp_path, certify, stage):
+    # Three individuals over {BOT, a, b} and counts 0..3 of a: each scan
+    # charges its 27 datasets times 4 outcomes per individual (records times
+    # complements, or records times averaged and free cells).
+    scn = base_scenario(
+        universe={"n": 3, "alphabet": ["BOT", "a", "b"]},
+        priors={},
+        certify={**certify, "mechanism": "geo", "exp_epsilon": "1000"},
+    )
+    path = write_scenario(tmp_path, scn)
+    code, _, err = invoke(["certify", path, "--budget", "107"])
+    assert code == 3
+    assert err == (f"error: enumeration budget exceeded in {stage}: "
+                   "108 items against budget 107\n")
+    code, _, err = invoke(["certify", path, "--budget", "108"])
+    assert code == 0
+    assert "budget" not in err
+
+
 @pytest.mark.parametrize("budget", ["x", 2.5, -1, 0, True, None])
 def test_bad_scenario_budget_is_an_input_error(tmp_path, budget):
     scn = base_scenario(
@@ -551,6 +574,48 @@ def test_sweep_over_exp_delta(tmp_path):
         "9",
     ]
     assert all(r["verdicts"][0]["satisfied"] for r in rows)
+
+
+def test_sweep_builds_its_channel_once(tmp_path, monkeypatch):
+    import privlens.cli as cli
+
+    built = []
+    real = cli.build_mechanism
+    monkeypatch.setattr(cli, "build_mechanism",
+                        lambda u, raw: built.append(raw) or real(u, raw))
+    task = {"command": "certify", "kind": "necessary_dependence",
+            "mechanism": "geo", "exp_epsilon": "9"}
+    values = ["0", "1/2", "1"]
+    mechanisms = {"geo": base_scenario()["mechanisms"]["geo"]}
+    scn = base_scenario(mechanisms=mechanisms, sweep={
+        "over": "exp_delta", "values": values, "task": task})
+    code, out, _ = invoke(["sweep", write_scenario(tmp_path, scn), "--format",
+                           "json"])
+    assert code == 0
+    assert len(built) == 1
+    # Each row reports what certify reports for its value alone.
+    rows = json.loads(out)["results"]["rows"]
+    assert [r["value"] for r in rows] == values
+    for i, (value, row) in enumerate(zip(values, rows)):
+        alone = base_scenario(mechanisms=mechanisms,
+                              certify={**task, "exp_delta": value})
+        code, out, _ = invoke(["certify", write_scenario(
+            tmp_path, alone, name=f"alone{i}.json"), "--format", "json"])
+        assert code == 0
+        assert row["verdicts"] == json.loads(out)["verdicts"]
+
+
+@pytest.mark.parametrize("values, code, err", [
+    (["1"], 4, "error: sweep cannot run command 'leakage'\n"),
+    ([], 0, ""),
+], ids=["values", "no-values"])
+def test_sweep_rejects_a_command_only_when_it_runs_a_row(
+        tmp_path, values, code, err):
+    scn = base_scenario(sweep={"over": "k", "values": values,
+                               "task": {"command": "leakage"}})
+    got, _, stderr = invoke(["sweep", write_scenario(tmp_path, scn)])
+    assert got == code
+    assert stderr.split("elapsed")[0] == err
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,11 @@ from privlens import (
     max_mi,
     max_rel_entropy,
     mi,
+    necessary_pdelta,
     normalize_target,
     randomized_response_channel,
     ratios_agree,
+    sufficient_nk,
     uniform_universe,
     worstcase_sup,
 )
@@ -72,6 +74,16 @@ def test_achievable_histograms_match_the_sequence_oracle():
     for _ in range(80):
         u = per_individual_universe(rng)
         assert u.achievable_histograms() == oracles.achievable_histograms(u)
+
+
+def test_to_histogram_is_a_plain_symbol_count():
+    rng = random.Random(19)
+    for _ in range(40):
+        u = per_individual_universe(rng)
+        for seq in oracles.iter_sequences(u):
+            want = oracles.histogram(u, seq)
+            assert u.to_histogram(seq) == want
+            assert u.to_histogram(seq, validate=False) == want
 
 
 def test_sequences_with_histogram_match_the_sequence_oracle():
@@ -747,3 +759,113 @@ def test_extremal_classes_measure_and_filter_alike():
             else:
                 first[key] = seen
     assert merged > 0
+
+
+# ---------------------------------------------------------------------------
+# Dependence and averaging scans: rows by code against every sequence
+# ---------------------------------------------------------------------------
+
+
+def dependence_universe(rng, n_min):
+    """Up to four individuals, each with its own ordering of a non-empty
+    subset of {BOT, a, b}."""
+    n = rng.randint(n_min, 4)
+    return RecordUniverse(tuple(
+        tuple(rng.sample((BOT, "a", "b"), rng.randint(1, 3)))
+        for _ in range(n)
+    ))
+
+
+def dependence_channels(rng, u):
+    """Rational rows with zero cells, float rows, a mix of both, and point
+    masses that alternate between int, Fraction and float entries, so
+    equal values of different types tie."""
+    hists = u.achievable_histograms()
+    n_out = rng.randint(1, 4)
+    exact = random_rational_rows(rng, hists, n_out)
+    floats = random_channel(rng, u, out_range=(n_out, n_out), zero_prob=0.3)
+    outcomes = floats.outcomes
+    mixed = {h: floats.rows[h] if i % 2 else exact[h]
+             for i, h in enumerate(hists)}
+    kinds = (int, Fraction, float)
+    point = {}
+    for i, h in enumerate(hists):
+        c = rng.randrange(n_out)
+        point[h] = tuple(kinds[i % 3](j == c) for j in range(n_out))
+    for rows in (exact, floats.rows, mixed, point):
+        yield Channel(u, outcomes, rows)
+
+
+def in_band_marginal(alphabet, exact):
+    """A marginal within the tau = 0.2 band: the first symbol a tenth above
+    uniform, the rest sharing what is left."""
+    m = len(alphabet)
+    if m == 1:
+        return {alphabet[0]: 1}
+    top = Fraction(11, 10 * m)
+    rest = (1 - top) / (m - 1)
+    if not exact:
+        top, rest = float(top), float(rest)
+    return {s: top if s == alphabet[0] else rest for s in alphabet}
+
+
+def test_necessary_pdelta_matches_the_sequence_oracle():
+    rng = random.Random(81)
+    grid = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), 0.7)
+    for _ in range(30):
+        u = dependence_universe(rng, 1)
+        for ch in dependence_channels(rng, u):
+            for exp_delta in grid:
+                got, want = (
+                    scan(ch, exp_delta=exp_delta, exp_epsilon=3)
+                    for scan in (necessary_pdelta, oracles.necessary_pdelta)
+                )
+                assert repr(got) == repr(want), (u, ch.rows, exp_delta)
+
+
+def test_sufficient_nk_matches_the_sequence_oracle():
+    rng = random.Random(82)
+    for _ in range(8):
+        u = dependence_universe(rng, 2)
+        for ch in dependence_channels(rng, u):
+            for k in range(1, u.n):
+                options = [{"tau": tau} for tau in (0.0, 0.1, 1e-12)]
+                for exact in (False, True):
+                    chosen = rng.sample(range(u.n), rng.randint(1, u.n))
+                    options.append({"tau": 0.2, "marginals": {
+                        j: in_band_marginal(u.alphabets[j], exact)
+                        for j in chosen}})
+                options.append({"tau": 0.2, "marginals": {}})
+                for opts in options:
+                    got, want = (
+                        scan(ch, k, exp_epsilon=3, **opts)
+                        for scan in (sufficient_nk, oracles.sufficient_nk)
+                    )
+                    assert repr(got) == repr(want), (u, ch.rows, k, opts)
+
+
+def test_sufficient_nk_keeps_the_first_of_tied_free_rows():
+    # Individual 1 lists a before BOT, so for individual 0 the free row at
+    # one a (0.5) comes before the one at none (1/2): the numerator is the
+    # float, and the ratio over 1/4 is 2.0, not Fraction(2).
+    u = RecordUniverse(((BOT, "a"), ("a", BOT)))
+    f = Fraction
+    ch = Channel(u, (0, 1), {(0,): (f(1, 2), f(1, 2)), (1,): (0.5, 0.5),
+                             (2,): (f(1, 4), f(3, 4))})
+    v = sufficient_nk(ch, 1, exp_epsilon=3)
+    assert repr(v) == repr(oracles.sufficient_nk(ch, 1, exp_epsilon=3))
+    assert repr(v.measured_ratio) == "2.0"
+    assert v.witness["individual"] == 0
+
+
+def test_sufficient_nk_notes_a_corner_fallback_once():
+    # Eight averaged individuals of {BOT, a}, each with two band corners
+    # besides uniform, make 3**8 > 4096 weight choices for every one of the
+    # 10 * 9 (individual, averaging set) pairs.
+    u = uniform_universe(10, (BOT, "a"))
+    ch = matrix_channel(u, ["y"], {h: [1] for h in u.achievable_histograms()})
+    v = sufficient_nk(ch, 1, exp_epsilon=3, tau=1e-12)
+    fallback = "corner stress set too large; fell back to uniform only"
+    assert v.notes.count(fallback) == 1
+    assert len(v.notes) == 2
+    assert v.measured_ratio == 1 and not v.conclusive
