@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .leakage import max_mi, normalize_target
+from .leakage import MaxMiPlan, max_mi, normalize_target
 from .mechanism import (
     Channel,
     RatioScan,
@@ -311,9 +311,8 @@ def worstcase_sup(
     evaluated = {"extremal": 0, "sampled": 0, "rejected_samples": 0,
                  "filtered_candidates": 0}
 
-    def consider(prior, desc, origin):
+    def consider(q, desc, origin):
         nonlocal best, best_wit
-        q = max_mi(prior, channel, tgt, budget)
         evaluated[origin] += 1
         r = q.ratio
         if best is None or r > best:
@@ -337,7 +336,8 @@ def worstcase_sup(
             if verdict is None:
                 prior, desc = build()
                 if check_membership(prior, family).ok:
-                    consider(prior, desc, "extremal")
+                    consider(max_mi(prior, channel, tgt, budget), desc,
+                             "extremal")
                     verdict = "extremal"
                 else:
                     evaluated["filtered_candidates"] += 1
@@ -355,14 +355,21 @@ def worstcase_sup(
         if rng is None:
             rng = random.Random(0)
             notes.append("no rng given; sampled strategy seeded with 0")
+        # Samples draw few block layouts, so each layout's table bookkeeping
+        # is compiled once and every member of it is measured by index.
+        plans = {}
         for _ in range(samples):
             p = sample_prior(channel.universe, family, rng)
             if p is None:
                 evaluated["rejected_samples"] += 1
                 continue
+            check_budget(p.support_size(), budget, "JointTables")
+            plan = plans.get(p.blocks)
+            if plan is None:
+                plan = plans[p.blocks] = MaxMiPlan(p.blocks, channel, tgt)
             desc = {"kind": "sampled_member",
                     "blocks": [list(b) for b in p.blocks]}
-            consider(p, desc, "sampled")
+            consider(plan.max_mi(p), desc, "sampled")
 
     if best is None:
         return SupResult(

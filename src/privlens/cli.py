@@ -692,6 +692,8 @@ def cmd_sweep(scenario: Scenario, args, rng) -> tuple:
     task = sec.get("task")
     if not over or values is None or not isinstance(task, dict):
         raise SchemaError("sweep needs over, values, and a task object")
+    if not isinstance(over, str):
+        raise SchemaError(f"sweep.over must be a non-empty string, got {over!r}")
     _expect(values, list, "sweep.values")
     command = task.get("command", "bound")
     rows = []

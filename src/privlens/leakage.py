@@ -11,6 +11,8 @@ both inputs are rational.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -89,7 +91,8 @@ class JointTables:
 
     When every mass and row entry is rational, integers holds the same
     tables as integer numerators, (p_x, p_r, joint, m): p_x over m, p_r and
-    joint over one common multiple of m. Otherwise it is None.
+    joint over one common multiple of m, and the Fraction p_x, p_r and joint
+    are built from them on first use. Otherwise integers is None.
     """
 
     def __init__(self, prior: JointPrior, channel: Channel, target,
@@ -144,12 +147,26 @@ class JointTables:
                 w = a * b
                 joint[(xv, j)] = joint.get((xv, j), 0) + w
                 p_r[j] += w
-        md = m * d
         p_x = {k: p_x[k] for k in sorted(p_x)}
         self.integers = (p_x, p_r, joint, m)
-        self.p_x = {k: Fraction(a, m) for k, a in p_x.items()}
-        self.p_r = [Fraction(w, md) for w in p_r]
-        self.joint = {cell: Fraction(w, md) for cell, w in joint.items()}
+        self._md = m * d
+
+    # max_mi reads the integers alone. The generic path assigns these three
+    # names on the instance, which shadows the cached properties.
+
+    @functools.cached_property
+    def p_x(self) -> Dict[tuple, Prob]:
+        p_x, _, _, m = self.integers
+        return {k: Fraction(a, m) for k, a in p_x.items()}
+
+    @functools.cached_property
+    def p_r(self):
+        return [Fraction(w, self._md) for w in self.integers[1]]
+
+    @functools.cached_property
+    def joint(self) -> Dict[Tuple[tuple, int], Prob]:
+        return {cell: Fraction(w, self._md)
+                for cell, w in self.integers[2].items()}
 
     def _accumulate_generic(self, cells, views):
         p_x: Dict[tuple, Prob] = {}
@@ -189,9 +206,13 @@ def max_mi(prior, channel, target, budget=None, tables=None) -> Quantity:
     first maximum is kept, so witnesses are reproducible."""
     t = tables or JointTables(prior, channel, target, budget)
     if t.integers is not None:
-        best, wit = _max_mi_integers(t)
-    else:
-        best, wit = _max_mi_generic(t)
+        return _max_mi_quantity(*_max_mi_integers(t))
+    return _max_mi_quantity(*_max_mi_generic(t))
+
+
+def _max_mi_quantity(best, wit) -> Quantity:
+    """The max_mi Quantity of a scan's first maximum and its (records key,
+    outcome label) witness."""
     if best is None:
         # Degenerate: the channel has no positive-probability outcome, which
         # row validation rules out; kept for completeness.
@@ -251,6 +272,130 @@ def _max_mi_generic(t):
                 best = r
                 wit = (xv, label)
     return best, wit
+
+
+class MaxMiPlan:
+    """max_mi for every prior with one block layout whose tables list each
+    cell of their block, in itertools.product order over the block's
+    alphabets, with positive mass: the priors sample_prior draws over the
+    channel's universe.
+
+    JointTables redoes histogram_masses' bookkeeping on dicts of tuples for
+    every prior. The plan does it once per layout and keeps indices: per
+    block, each cell's local (records part, histogram code) index; per later
+    block, the convolution as (dst, state, local) triples in histogram_masses'
+    states x local order; per final state, its rank among the sorted records
+    keys and its histogram's nonzero row views. max_mi then repeats the
+    multiplications and additions of histogram_masses, JointTables' generic
+    accumulation and _max_mi_generic in their order, so it returns max_mi's
+    Quantity bit for bit. An all-rational member takes the integer scan in
+    max_mi; it compares the same exact values in the same order, so it
+    keeps the same first maximum.
+    """
+
+    def __init__(self, blocks, channel: Channel, target):
+        universe = channel.universe
+        weight = universe.code_weights.__getitem__
+        tgt = set(target)
+        self.blocks = tuple(blocks)
+        # Target indices in the order the blocks contribute them to a state key.
+        contributed = []
+        self._blocks = []
+        states = None
+        for b in blocks:
+            pos = [j for j, i in enumerate(b) if i in tgt]
+            contributed.extend(b[j] for j in pos)
+            keys = list(itertools.product(*(universe.alphabets[i] for i in b)))
+            local: Dict[Tuple[Tuple[str, ...], int], int] = {}
+            index = [
+                local.setdefault(
+                    (tuple(map(key.__getitem__, pos)), sum(map(weight, key))),
+                    len(local),
+                )
+                for key in keys
+            ]
+            if states is None:
+                steps, states = None, list(local)
+            else:
+                nxt: Dict[Tuple[Tuple[str, ...], int], int] = {}
+                steps = [
+                    (nxt.setdefault((key0 + key1, code0 + code1), len(nxt)),
+                     s, loc)
+                    for s, (key0, code0) in enumerate(states)
+                    for loc, (key1, code1) in enumerate(local)
+                ]
+                states = list(nxt)
+            self._blocks.append((keys, index, len(local), steps, len(states)))
+        order = sorted(range(len(contributed)), key=contributed.__getitem__)
+        records = [tuple(map(key.__getitem__, order)) for key, _ in states]
+        self.records = sorted(set(records))
+        rank = {xv: r for r, xv in enumerate(self.records)}
+        views = channel._row_views
+        self.outcomes = channel.outcomes
+        self._finals = []
+        for xv, (_, code) in zip(records, states):
+            h = universe.decode_histogram(code)
+            self._finals.append(
+                (rank[xv], views.nonzero(h, True), views.nonzero(h, False)))
+
+    def max_mi(self, prior: JointPrior) -> Quantity:
+        """max_mi(prior, channel, target) for a prior of this layout."""
+        if prior.blocks != self.blocks:
+            raise LeakageError(
+                f"prior blocks {prior.blocks} are not the plan's {self.blocks}")
+        states = None
+        for table, (keys, index, size, steps, n_states) in zip(
+                prior.tables, self._blocks):
+            if list(table) != keys or not all(p > 0 for p in table.values()):
+                raise LeakageError(
+                    "prior tables do not list every cell of their block in "
+                    "product order with positive mass")
+            local = [None] * size
+            for loc, p in zip(index, table.values()):
+                old = local[loc]
+                local[loc] = p if old is None else old + p
+            if steps is None:
+                # As in histogram_masses: 1 * p is p itself for a float or
+                # a Fraction; only an int changes type.
+                states = [Fraction(m) if isinstance(m, int) else m
+                          for m in local]
+                continue
+            nxt = [None] * n_states
+            for dst, s, loc in steps:
+                m = states[s] * local[loc]
+                old = nxt[dst]
+                nxt[dst] = m if old is None else old + m
+            states = nxt
+        n_out = len(self.outcomes)
+        p_x = [None] * len(self.records)
+        joint = [[None] * n_out for _ in self.records]
+        p_r = [None] * n_out
+        for p, (x, as_float, as_given) in zip(states, self._finals):
+            old = p_x[x]
+            p_x[x] = p if old is None else old + p
+            row = joint[x]
+            for j, q in as_float if isinstance(p, float) else as_given:
+                w = p * q
+                old = row[j]
+                row[j] = w if old is None else old + w
+                old = p_r[j]
+                p_r[j] = w if old is None else old + w
+        best = wit = None
+        for x, px in enumerate(p_x):
+            if px == 0:
+                continue
+            row = joint[x]
+            for j, pr in enumerate(p_r):
+                if pr is None or pr == 0:
+                    continue
+                w = row[j]
+                if w is None or w == 0:
+                    continue
+                r = (w / px) / pr
+                if best is None or r > best:
+                    best = r
+                    wit = (self.records[x], self.outcomes[j])
+        return _max_mi_quantity(best, wit)
 
 
 def mi(prior, channel, target, budget=None, tables=None) -> Quantity:

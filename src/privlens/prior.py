@@ -339,11 +339,14 @@ def sigma(prior: JointPrior):
     witness = None
     for j, (b, table) in enumerate(zip(prior.blocks, prior.tables)):
         for pos, i in enumerate(b):
+            # Every sum starts from its first term: an int 0 + Fraction takes
+            # the slow operator fallback.
             marg: Dict[str, Prob] = {}
             for key, p in table.items():
                 if p == 0:
                     continue
-                marg[key[pos]] = marg.get(key[pos], 0) + p
+                old = marg.get(key[pos])
+                marg[key[pos]] = p if old is None else old + p
             values = [v for v in prior.universe.alphabets[i] if marg.get(v, 0) > 0]
             if len(values) < 2:
                 continue
@@ -353,18 +356,24 @@ def sigma(prior: JointPrior):
                     continue
                 comp = key[:pos] + key[pos + 1 :]
                 d = cond[key[pos]]
-                d[comp] = d.get(comp, 0) + p
+                old = d.get(comp)
+                d[comp] = p if old is None else old + p
             for a_idx in range(len(values)):
                 for b_idx in range(a_idx + 1, len(values)):
                     va, vb = values[a_idx], values[b_idx]
                     da, db = cond[va], cond[vb]
                     ma, mb = marg[va], marg[vb]
-                    overlap = 0
+                    overlap = None
                     for comp, pa in da.items():
                         pb = db.get(comp)
                         if pb is None:
                             continue
-                        overlap = overlap + min(pa / ma, pb / mb)
+                        m = min(pa / ma, pb / mb)
+                        overlap = m if overlap is None else overlap + m
+                    if overlap is None:
+                        # No shared complement: the overlap is an int 0, so
+                        # sigma is an int 1.
+                        overlap = 0
                     if best is None or overlap < best:
                         best = overlap
                         witness = (i, va, vb)

@@ -2,7 +2,8 @@
 enumerators that walk dataset sequences (all |A|^n of them or a prior's
 whole support), the per-sequence dependence and averaging scans, and the
 per-cell and per-candidate loops that the integer scans and the symmetry
-classes replace. Keep universes small."""
+classes replace, and sums started from an int 0 where the library starts
+them from their first term. Keep universes small."""
 
 import itertools
 import math
@@ -372,6 +373,53 @@ def worstcase_sup(channel, family, target, *,
         ratio=best, nats=log_ratio(best), target=tgt, witness=best_wit,
         evaluated=evaluated, notes=tuple(notes), conclusive=conclusive,
     )
+
+
+# ---------------------------------------------------------------------------
+# Dependence coefficient, every sum started from int 0
+# ---------------------------------------------------------------------------
+
+
+def sigma(prior):
+    """sigma with its marginal, conditional and overlap sums started from an
+    int 0 instead of their first term."""
+    best = None
+    witness = None
+    for b, table in zip(prior.blocks, prior.tables):
+        for pos, i in enumerate(b):
+            marg = {}
+            for key, p in table.items():
+                if p == 0:
+                    continue
+                marg[key[pos]] = marg.get(key[pos], 0) + p
+            values = [v for v in prior.universe.alphabets[i]
+                      if marg.get(v, 0) > 0]
+            if len(values) < 2:
+                continue
+            cond = {v: {} for v in values}
+            for key, p in table.items():
+                if p == 0 or key[pos] not in cond:
+                    continue
+                comp = key[:pos] + key[pos + 1:]
+                d = cond[key[pos]]
+                d[comp] = d.get(comp, 0) + p
+            for a_idx in range(len(values)):
+                for b_idx in range(a_idx + 1, len(values)):
+                    va, vb = values[a_idx], values[b_idx]
+                    da, db = cond[va], cond[vb]
+                    ma, mb = marg[va], marg[vb]
+                    overlap = 0
+                    for comp, pa in da.items():
+                        pb = db.get(comp)
+                        if pb is None:
+                            continue
+                        overlap = overlap + min(pa / ma, pb / mb)
+                    if best is None or overlap < best:
+                        best = overlap
+                        witness = (i, va, vb)
+    if best is None:
+        return Fraction(0), None
+    return 1 - best, witness
 
 
 # ---------------------------------------------------------------------------

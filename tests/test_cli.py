@@ -618,6 +618,20 @@ def test_sweep_rejects_a_command_only_when_it_runs_a_row(
     assert stderr.split("elapsed")[0] == err
 
 
+@pytest.mark.parametrize("over", [["k"], 2], ids=["list", "int"])
+def test_sweep_over_must_be_a_string(tmp_path, over):
+    scn = base_scenario(sweep={"over": over, "values": ["1"],
+                               "task": {"command": "bound",
+                                        "kind": "interpolated",
+                                        "mechanism": "geo", "k": 2,
+                                        "exp_eps_step": "3"}})
+    code, out, err = invoke(["sweep", write_scenario(tmp_path, scn)])
+    assert code == 4
+    assert out == ""
+    assert err.split("elapsed")[0] == (
+        f"error: sweep.over must be a non-empty string, got {over!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # input handling
 # ---------------------------------------------------------------------------

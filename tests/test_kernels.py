@@ -1,5 +1,6 @@
 """Histogram-domain kernels against the sequence-domain oracles."""
 
+import functools
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from privlens import (
     FamilyParams,
     JointPrior,
     JointTables,
+    LeakageError,
     RecordUniverse,
     check_membership,
     change_histogram_pairs,
@@ -38,6 +40,8 @@ from privlens import (
     normalize_target,
     randomized_response_channel,
     ratios_agree,
+    sample_prior,
+    sigma,
     sufficient_nk,
     uniform_universe,
     worstcase_sup,
@@ -47,6 +51,7 @@ from privlens.audit import (
     _extremal_pdelta_candidates,
     tightness_pk,
 )
+from privlens.leakage import MaxMiPlan
 from gen import random_channel
 
 SYMBOLS = (BOT, "a", "b", "c")
@@ -460,6 +465,44 @@ def test_joint_tables_exact_edge_cases_match_the_oracle(case):
                 None, None, None, tables=want)
 
 
+def test_exact_tables_build_their_fraction_views_on_first_use():
+    rng = random.Random(33)
+    views = ("p_x", "p_r", "joint")
+    for _ in range(20):
+        prior = block_prior(rng, True)
+        ch = block_channel(rng, prior.universe, True)
+        tgt = block_target(rng, prior.universe.n)
+        t = JointTables(prior, ch, tgt)
+        max_mi(None, None, None, tables=t)
+        assert not set(views) & set(vars(t))
+        p_x, _, _, m = t.integers
+        assert t.p_x == {k: Fraction(a, m) for k, a in p_x.items()}
+        want = oracles.joint_tables(prior, ch, tgt)
+        assert (t.p_r, t.joint) == (want.p_r, want.joint)
+        assert set(views) <= set(vars(t))
+
+
+# ---------------------------------------------------------------------------
+# Dependence coefficient: first-term sums against the int-start oracle
+# ---------------------------------------------------------------------------
+
+
+def test_sigma_matches_the_int_start_oracle():
+    rng = random.Random(34)
+    for exact in (True, False):
+        for _ in range(60):
+            prior = block_prior(rng, exact)
+            assert repr(sigma(prior)) == repr(oracles.sigma(prior))
+    # A perfect copy: the two records share no complement, so the overlap
+    # is an int 0 and sigma an int 1.
+    half = Fraction(1, 2)
+    for cells in (((BOT, BOT), ("a", "a")), ((BOT, "a", BOT), ("a", BOT, "a"))):
+        u = uniform_universe(len(cells[0]), (BOT, "a"))
+        copy = JointPrior(u, (tuple(range(u.n)),), ({c: half for c in cells},))
+        assert repr(sigma(copy)) == repr(oracles.sigma(copy))
+        assert type(sigma(copy)[0]) is int
+
+
 # ---------------------------------------------------------------------------
 # k-change ratio scans against the ratio_div oracle
 # ---------------------------------------------------------------------------
@@ -759,6 +802,117 @@ def test_extremal_classes_measure_and_filter_alike():
             else:
                 first[key] = seen
     assert merged > 0
+
+
+# ---------------------------------------------------------------------------
+# Sampled members: one plan per block layout against max_mi
+# ---------------------------------------------------------------------------
+
+
+def plan_universe(rng):
+    """One to four individuals over orderings of subsets of {BOT, a, b},
+    the first one holding a; sometimes one alphabet shared by all, which
+    randomized response needs."""
+    n = rng.randint(1, 4)
+    alphas = [tuple(rng.sample((BOT, "a", "b"), rng.randint(1, 3)))
+              for _ in range(n)]
+    if "a" not in alphas[0]:
+        alphas[0] += ("a",)
+    if rng.random() < 0.4:
+        alphas = [alphas[0]] * n
+    return RecordUniverse(tuple(alphas))
+
+
+def plan_channels(rng, u):
+    """Geometric, randomized-response (on a shared alphabet) and matrix
+    channels, each with rational and with float rows."""
+    yield geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    yield geometric_counting_channel(u, "a", ratio=0.37)
+    if len(set(u.alphabets)) == 1:
+        yield randomized_response_channel(u, keep_prob=Fraction(2, 3))
+        yield randomized_response_channel(u, keep_prob=0.6)
+    hists = u.achievable_histograms()
+    n_out = rng.randint(1, 3)
+    yield Channel(u, tuple(range(n_out)),
+                  random_rational_rows(rng, hists, n_out))
+    yield random_channel(rng, u, out_range=(2, 3), zero_prob=0.3)
+
+
+def plan_families(n):
+    """k only, k with a dependence cap, bands at tau = 0 (every individual,
+    so all masses are Fractions, and one) and at 0.3, and no constraint."""
+    f = FamilyParams
+    return (f(k=1), f(k=n), f(k=n, exp_delta=0.9),
+            f(k=2, exp_delta=Fraction(1, 2)), f(ell=n, tau=0.0),
+            f(k=2, ell=1, tau=0.0), f(k=2, ell=1, tau=0.3), f())
+
+
+def test_plan_matches_max_mi_on_sampled_members():
+    rng = random.Random(91)
+    exact = 0
+    for _ in range(12):
+        u = plan_universe(rng)
+        for ch in plan_channels(rng, u):
+            for family in plan_families(u.n):
+                for target in (0, tuple(range(u.n))):
+                    tgt = normalize_target(u.n, target)
+                    plans = {}
+                    for _ in range(4):
+                        p = sample_prior(u, family, rng)
+                        if p is None:
+                            continue
+                        plan = plans.get(p.blocks)
+                        if plan is None:
+                            plan = plans[p.blocks] = MaxMiPlan(
+                                p.blocks, ch, tgt)
+                        want = max_mi(p, ch, tgt)
+                        assert repr(plan.max_mi(p)) == repr(want), (
+                            u, ch.rows, family, tgt, p.tables)
+                        exact += isinstance(want.ratio, Fraction)
+    assert exact > 0
+
+
+def test_worstcase_sup_with_many_samples_matches_the_oracle():
+    rng = random.Random(92)
+    for ch, family, target, eta in itertools.islice(sup_cases(rng), 0, None,
+                                                    3):
+        sampler_seed = rng.randrange(1000)
+        got, want = (
+            sup(ch, family, target, rng=random.Random(sampler_seed),
+                samples=200, eta=eta)
+            for sup in (worstcase_sup, oracles.worstcase_sup)
+        )
+        assert repr(got) == repr(want), (ch.universe, family, target, eta)
+
+
+def test_sampled_members_charge_their_support_to_the_budget():
+    # With k = 1 every member has singleton blocks over {BOT, a, b}.
+    u = uniform_universe(3, (BOT, "a", "b"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    run = functools.partial(worstcase_sup, ch, FamilyParams(k=1), 0,
+                            strategies=("sampled",), samples=5)
+    with pytest.raises(EnumerationBudgetError, match="JointTables"):
+        run(rng=random.Random(0), budget=26)
+    assert run(rng=random.Random(0), budget=27).evaluated["sampled"] == 5
+
+
+def test_plan_rejects_priors_of_another_layout():
+    u = uniform_universe(2, (BOT, "a"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    plan = MaxMiPlan(((0, 1),), ch, (0,))
+    cells = list(itertools.product((BOT, "a"), repeat=2))
+    quarter = Fraction(1, 4)
+    full = JointPrior(u, ((0, 1),), ({c: quarter for c in cells},))
+    assert repr(plan.max_mi(full)) == repr(max_mi(full, ch, 0))
+    others = (
+        JointPrior(u, ((0,), (1,)), ({(BOT,): 1}, {(BOT,): 1})),
+        JointPrior(u, ((0, 1),), ({c: quarter for c in cells[::-1]},)),
+        JointPrior(u, ((0, 1),), ({**{c: quarter for c in cells[:2]},
+                                   cells[2]: 0, cells[3]: 2 * quarter},)),
+    )
+    for prior in others:
+        with pytest.raises(LeakageError):
+            plan.max_mi(prior)
 
 
 # ---------------------------------------------------------------------------
