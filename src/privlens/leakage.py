@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .prior import JointPrior, dataset_distribution, histogram_masses
+from .prior import (
+    HistogramPlan,
+    JointPrior,
+    dataset_distribution,
+    histogram_masses,
+)
 from .mechanism import Channel, RowViews
 from .probability import (
     Prob,
@@ -169,33 +174,59 @@ class JointTables:
                 for cell, w in self.integers[2].items()}
 
     def _accumulate_generic(self, cells, views):
-        p_x: Dict[tuple, Prob] = {}
-        joint: Dict[Tuple[tuple, int], Prob] = {}
-        # None until an outcome gets mass; a first mass is stored as is, so
-        # no sum starts from an int (an int + Fraction takes the slow
-        # operator fallback).
-        p_r = [None] * len(self.outcomes)
-        for (xv, rk), p in cells:
-            old = p_x.get(xv)
-            p_x[xv] = p if old is None else old + p
-            # A float mass meets a float copy of the row: float * Fraction
-            # is computed as float * float(Fraction) anyway, so the bits are
-            # the same and the Fraction operator fallback is skipped.
-            for j, q in views.nonzero(rk, isinstance(p, float)):
-                w = p * q
-                old = joint.get((xv, j))
-                joint[(xv, j)] = w if old is None else old + w
-                old = p_r[j]
-                p_r[j] = w if old is None else old + w
+        p_x, rows, p_r, order = _accumulate_first_terms(
+            cells, views.nonzero, len(self.outcomes))
         self.p_x = {k: p_x[k] for k in sorted(p_x)}
         self.p_r = [Fraction(0) if pr is None else pr for pr in p_r]
-        self.joint = joint
+        self.joint = {(xv, j): rows[xv][j] for xv, j in order}
 
     def posterior(self, xv, j) -> Prob:
         w = self.joint.get((xv, j), 0)
         if self.p_r[j] == 0:
             raise LeakageError(f"outcome index {j} has probability zero")
         return w / self.p_r[j]
+
+
+def _accumulate_first_terms(cells, nonzero, n_out):
+    """Sum ((x, row key), mass) cells into the mass of x, the joint of (x,
+    outcome index j) and the mass of j, each sum starting from its first
+    term, in cell order. nonzero[row key] is the row's nonzero (j, entry)
+    pairs as given and as floats (RowViews.nonzero); n_out is the number
+    of outcomes.
+
+    Returns (p_x, rows, p_r, order): p_x maps x to its mass and rows maps x
+    to its joint masses, both in order of first appearance; rows and p_r
+    are aligned with the outcomes, with None where no mass arrives; order
+    lists the (x, j) in the order they first get mass."""
+    p_x = {}
+    rows = {}
+    # None until an outcome gets mass; a first mass is stored as is, so no
+    # sum starts from an int (an int + Fraction takes the slow operator
+    # fallback).
+    p_r = [None] * n_out
+    order = []
+    for (x, rk), p in cells:
+        old = p_x.get(x)
+        if old is None:
+            p_x[x] = p
+            row = rows[x] = [None] * n_out
+        else:
+            p_x[x] = old + p
+            row = rows[x]
+        # A float mass meets a float copy of the row: float * Fraction is
+        # computed as float * float(Fraction) anyway, so the bits are the
+        # same and the Fraction operator fallback is skipped.
+        for j, q in nonzero[rk][isinstance(p, float)]:
+            w = p * q
+            old = row[j]
+            if old is None:
+                row[j] = w
+                order.append((x, j))
+            else:
+                row[j] = old + w
+            old = p_r[j]
+            p_r[j] = w if old is None else old + w
+    return p_x, rows, p_r, order
 
 
 def max_mi(prior, channel, target, budget=None, tables=None) -> Quantity:
@@ -255,22 +286,36 @@ def _max_mi_integers(t):
 
 def _max_mi_generic(t):
     """The max_mi scan on the stored entries, for float or mixed tables."""
+    rows = {xv: [None] * len(t.outcomes) for xv in t.p_x}
+    for (xv, j), w in t.joint.items():
+        row = rows.get(xv)
+        if row is not None:
+            row[j] = w
+    return _max_mi_scan(((xv, px, rows[xv]) for xv, px in t.p_x.items()),
+                        t.p_r, t.outcomes)
+
+
+def _max_mi_scan(cells, p_r, outcomes):
+    """The first maximum of joint / (p_x * p_r) and its (x, outcome label),
+    over (x, p_x, joint row) cells in the given order, then outcome index;
+    rows and p_r are aligned with the outcomes and hold None or zero where
+    there is no mass."""
     best = None
     wit = None
-    for xv, px in t.p_x.items():
+    for x, px, row in cells:
         if px == 0:
             continue
-        for j, label in enumerate(t.outcomes):
-            pr = t.p_r[j]
-            if pr == 0:
+        for j, label in enumerate(outcomes):
+            pr = p_r[j]
+            if pr is None or pr == 0:
                 continue
-            w = t.joint.get((xv, j), 0)
-            if w == 0:
+            w = row[j]
+            if w is None or w == 0:
                 continue
             r = (w / px) / pr
             if best is None or r > best:
                 best = r
-                wit = (xv, label)
+                wit = (x, label)
     return best, wit
 
 
@@ -280,121 +325,50 @@ class MaxMiPlan:
     alphabets, with positive mass: the priors sample_prior draws over the
     channel's universe.
 
-    JointTables redoes histogram_masses' bookkeeping on dicts of tuples for
-    every prior. The plan does it once per layout and keeps indices: per
-    block, each cell's local (records part, histogram code) index; per later
-    block, the convolution as (dst, state, local) triples in histogram_masses'
-    states x local order; per final state, its rank among the sorted records
-    keys and its histogram's nonzero row views. max_mi then repeats the
-    multiplications and additions of histogram_masses, JointTables' generic
-    accumulation and _max_mi_generic in their order, so it returns max_mi's
-    Quantity bit for bit. An all-rational member takes the integer scan in
-    max_mi; it compares the same exact values in the same order, so it
-    keeps the same first maximum.
+    The layout's HistogramPlan is built once, so each prior skips
+    histogram_masses' bookkeeping. Its masses, in histogram_masses order,
+    are summed by the records key's rank among the sorted records keys, as
+    JointTables sums them by the key itself, and scanned in rank order, so
+    max_mi returns the same Quantity bit for bit. An all-rational member
+    takes the integer scan in max_mi; that scan compares the same exact
+    values in the same order, so it keeps the same first maximum.
     """
 
     def __init__(self, blocks, channel: Channel, target):
-        universe = channel.universe
-        weight = universe.code_weights.__getitem__
-        tgt = set(target)
+        alphabets = channel.universe.alphabets
         self.blocks = tuple(blocks)
-        # Target indices in the order the blocks contribute them to a state key.
-        contributed = []
-        self._blocks = []
-        states = None
-        for b in blocks:
-            pos = [j for j, i in enumerate(b) if i in tgt]
-            contributed.extend(b[j] for j in pos)
-            keys = list(itertools.product(*(universe.alphabets[i] for i in b)))
-            local: Dict[Tuple[Tuple[str, ...], int], int] = {}
-            index = [
-                local.setdefault(
-                    (tuple(map(key.__getitem__, pos)), sum(map(weight, key))),
-                    len(local),
-                )
-                for key in keys
-            ]
-            if states is None:
-                steps, states = None, list(local)
-            else:
-                nxt: Dict[Tuple[Tuple[str, ...], int], int] = {}
-                steps = [
-                    (nxt.setdefault((key0 + key1, code0 + code1), len(nxt)),
-                     s, loc)
-                    for s, (key0, code0) in enumerate(states)
-                    for loc, (key1, code1) in enumerate(local)
-                ]
-                states = list(nxt)
-            self._blocks.append((keys, index, len(local), steps, len(states)))
-        order = sorted(range(len(contributed)), key=contributed.__getitem__)
-        records = [tuple(map(key.__getitem__, order)) for key, _ in states]
-        self.records = sorted(set(records))
-        rank = {xv: r for r, xv in enumerate(self.records)}
-        views = channel._row_views
-        self.outcomes = channel.outcomes
-        self._finals = []
-        for xv, (_, code) in zip(records, states):
-            h = universe.decode_histogram(code)
-            self._finals.append(
-                (rank[xv], views.nonzero(h, True), views.nonzero(h, False)))
+        self.channel = channel
+        self._cells = [list(itertools.product(*(alphabets[i] for i in b)))
+                       for b in self.blocks]
+        self._plan = HistogramPlan(channel.universe, self.blocks, target,
+                                   self._cells)
+        self.records = sorted({xv for xv, _ in self._plan.keys})
+        rank = {xv: x for x, xv in enumerate(self.records)}
+        # Final state i sums into rank x with the row of its histogram.
+        self._row_keys = [(rank[xv], i)
+                          for i, (xv, _) in enumerate(self._plan.keys)]
+        views = channel._row_views.nonzero
+        self._nonzero = [views[h] for _, h in self._plan.keys]
 
     def max_mi(self, prior: JointPrior) -> Quantity:
         """max_mi(prior, channel, target) for a prior of this layout."""
         if prior.blocks != self.blocks:
             raise LeakageError(
                 f"prior blocks {prior.blocks} are not the plan's {self.blocks}")
-        states = None
-        for table, (keys, index, size, steps, n_states) in zip(
-                prior.tables, self._blocks):
-            if list(table) != keys or not all(p > 0 for p in table.values()):
+        for table, cells in zip(prior.tables, self._cells):
+            if list(table) != cells or not all(p > 0 for p in table.values()):
                 raise LeakageError(
                     "prior tables do not list every cell of their block in "
                     "product order with positive mass")
-            local = [None] * size
-            for loc, p in zip(index, table.values()):
-                old = local[loc]
-                local[loc] = p if old is None else old + p
-            if steps is None:
-                # As in histogram_masses: 1 * p is p itself for a float or
-                # a Fraction; only an int changes type.
-                states = [Fraction(m) if isinstance(m, int) else m
-                          for m in local]
-                continue
-            nxt = [None] * n_states
-            for dst, s, loc in steps:
-                m = states[s] * local[loc]
-                old = nxt[dst]
-                nxt[dst] = m if old is None else old + m
-            states = nxt
-        n_out = len(self.outcomes)
-        p_x = [None] * len(self.records)
-        joint = [[None] * n_out for _ in self.records]
-        p_r = [None] * n_out
-        for p, (x, as_float, as_given) in zip(states, self._finals):
-            old = p_x[x]
-            p_x[x] = p if old is None else old + p
-            row = joint[x]
-            for j, q in as_float if isinstance(p, float) else as_given:
-                w = p * q
-                old = row[j]
-                row[j] = w if old is None else old + w
-                old = p_r[j]
-                p_r[j] = w if old is None else old + w
-        best = wit = None
-        for x, px in enumerate(p_x):
-            if px == 0:
-                continue
-            row = joint[x]
-            for j, pr in enumerate(p_r):
-                if pr is None or pr == 0:
-                    continue
-                w = row[j]
-                if w is None or w == 0:
-                    continue
-                r = (w / px) / pr
-                if best is None or r > best:
-                    best = r
-                    wit = (self.records[x], self.outcomes[j])
+        masses = self._plan.masses(t.values() for t in prior.tables)
+        p_x, rows, p_r, _ = _accumulate_first_terms(
+            zip(self._row_keys, masses), self._nonzero,
+            len(self.channel.outcomes))
+        best, wit = _max_mi_scan(
+            ((x, p_x[x], rows[x]) for x in range(len(self.records))),
+            p_r, self.channel.outcomes)
+        if wit is not None:
+            wit = (self.records[wit[0]], wit[1])
         return _max_mi_quantity(best, wit)
 
 

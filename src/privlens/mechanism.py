@@ -38,28 +38,39 @@ class ChannelError(ValueError):
     """Malformed channel: bad rows, bad outcomes, bad normalization."""
 
 
+class _Built(dict):
+    """A dict that builds a missing key's value with build(key) and keeps
+    it; a present key is a plain dict lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+def _nonzero_views(row):
+    given = [(j, q) for j, q in enumerate(row) if q != 0]
+    return given, [(j, float(q)) for j, q in given]
+
+
 class RowViews:
     """Rows as the joint-table loop reads them, each view built on first
-    use and kept: a row's nonzero (outcome index, entry) pairs, with the
-    entries as given or as floats, and, for a row of rationals, its nonzero
-    (outcome index, numerator) pairs over the lcm of its denominators.
-    row_of maps a row key to a row; dense_of, when given, maps it to the
-    row's (numerators, d) from scale_to_integers, already computed."""
+    use and kept: nonzero[key] is a row's nonzero (outcome index, entry)
+    pairs with the entries as given and as floats, indexed by as_float;
+    integer(key), for a row of rationals, its nonzero (outcome index,
+    numerator) pairs over the lcm of its denominators. row_of maps a row
+    key to a row; dense_of, when given, maps it to the row's (numerators,
+    d) from scale_to_integers, already computed."""
 
     def __init__(self, row_of, dense_of=None):
-        self._row_of = row_of
         self._dense_of = dense_of or (lambda key: scale_to_integers(row_of(key)))
-        self._nonzero = {}
+        # The builder closes over row_of, not self, so a channel and its
+        # views form no reference cycle and are freed without the collector.
+        self.nonzero = _Built(lambda key: _nonzero_views(row_of(key)))
         self._integer = {}
-
-    def nonzero(self, key, as_float: bool):
-        view = self._nonzero.get((key, as_float))
-        if view is None:
-            view = self._nonzero[(key, as_float)] = [
-                (j, float(q) if as_float else q)
-                for j, q in enumerate(self._row_of(key)) if q != 0
-            ]
-        return view
 
     def integer(self, key):
         """(d, [(outcome index, entry * d)]) without zero entries, or None

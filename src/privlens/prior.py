@@ -246,50 +246,91 @@ def histogram_masses(
     Keys are (records key, histogram): the records of the sorted distinct
     target indices, in index order, and the histogram of the whole sequence.
     Masses are the sums of ``iter_support`` masses over the sequences with
-    that key and histogram, without visiting the sequences: each block's
-    positive cells are aggregated by (their target records, their histogram
-    code), then convolved into (partial records key, partial histogram code)
-    states one block at a time. The states number at most the target's
-    record combinations times the achievable histograms, so the work grows
-    polynomially in n for a fixed alphabet. Sums of Fractions stay exact.
+    that key and histogram, without visiting the sequences (see
+    HistogramPlan). Sums of Fractions stay exact.
     """
-    u = prior.universe
-    weight = u.code_weights.__getitem__
-    tgt = set(target)
-    # Target indices in the order the blocks contribute them to a state key.
-    contributed = []
-    states = None
-    for b, table in zip(prior.blocks, prior.tables):
-        pos = [j for j, i in enumerate(b) if i in tgt]
-        contributed.extend(b[j] for j in pos)
-        local: Dict[Tuple[Tuple[str, ...], int], Prob] = {}
-        for key, p in table.items():
-            if p > 0:
-                cell = (tuple(map(key.__getitem__, pos)), sum(map(weight, key)))
-                old = local.get(cell)
-                local[cell] = p if old is None else old + p
-        if states is None:
-            # iter_support starts each mass at Fraction(1), and 1 * p is p
-            # itself for a float or a Fraction; only an int changes type.
-            states = {
-                cell: Fraction(m) if isinstance(m, int) else m
-                for cell, m in local.items()
-            }
-            continue
-        nxt: Dict[Tuple[Tuple[str, ...], int], Prob] = {}
-        for (key0, code0), m0 in states.items():
-            for (key1, code1), m1 in local.items():
-                cell = (key0 + key1, code0 + code1)
-                m = m0 * m1
-                old = nxt.get(cell)
-                nxt[cell] = m if old is None else old + m
-        states = nxt
-    order = sorted(range(len(contributed)), key=contributed.__getitem__)
-    decode = u.decode_histogram
-    return {
-        (tuple(map(key.__getitem__, order)), decode(code)): m
-        for (key, code), m in states.items()
-    }
+    cells = [[key for key, p in t.items() if p > 0] for t in prior.tables]
+    plan = HistogramPlan(prior.universe, prior.blocks, target, cells)
+    masses = plan.masses([p for p in t.values() if p > 0]
+                         for t in prior.tables)
+    return dict(zip(plan.keys, masses))
+
+
+class HistogramPlan:
+    """histogram_masses for every prior with one block layout and, per
+    block, one list of positive cells in table order.
+
+    Each block's cells are aggregated by (their target records, their
+    histogram code), then convolved into (partial records key, partial
+    histogram code) states one block at a time, each new state in order of
+    first appearance over the states x local pairs. The states number at
+    most the target's record combinations times the achievable histograms,
+    so the work grows polynomially in n for a fixed alphabet.
+
+    The plan does that bookkeeping once and keeps indices: per block, each
+    cell's local index, and per later block the convolution as (dst,
+    state, local) triples. keys lists each final state's (records key,
+    histogram); masses computes the states' masses for one prior.
+    """
+
+    def __init__(self, universe: RecordUniverse, blocks, target, cells):
+        weight = universe.code_weights.__getitem__
+        tgt = set(target)
+        # Target indices in the order the blocks contribute them to a state key.
+        contributed = []
+        self._blocks = []
+        states = None
+        for b, keys in zip(blocks, cells):
+            pos = [j for j, i in enumerate(b) if i in tgt]
+            contributed.extend(b[j] for j in pos)
+            local: Dict[Tuple[Tuple[str, ...], int], int] = {}
+            index = [
+                local.setdefault(
+                    (tuple(map(key.__getitem__, pos)), sum(map(weight, key))),
+                    len(local),
+                )
+                for key in keys
+            ]
+            if states is None:
+                steps, states = None, list(local)
+            else:
+                nxt: Dict[Tuple[Tuple[str, ...], int], int] = {}
+                steps = [
+                    (nxt.setdefault((key0 + key1, code0 + code1), len(nxt)),
+                     s, loc)
+                    for s, (key0, code0) in enumerate(states)
+                    for loc, (key1, code1) in enumerate(local)
+                ]
+                states = list(nxt)
+            self._blocks.append((index, len(local), steps, len(states)))
+        order = sorted(range(len(contributed)), key=contributed.__getitem__)
+        decode = universe.decode_histogram
+        self.keys = [(tuple(map(key.__getitem__, order)), decode(code))
+                     for key, code in states]
+
+    def masses(self, masses) -> list:
+        """The final states' masses, aligned with keys; masses holds, per
+        block, its cells' masses aligned with the plan's cells."""
+        states = None
+        for ms, (index, size, steps, n_states) in zip(masses, self._blocks):
+            local = [None] * size
+            for loc, p in zip(index, ms):
+                old = local[loc]
+                local[loc] = p if old is None else old + p
+            if steps is None:
+                # iter_support starts each mass at Fraction(1), and 1 * p is
+                # p itself for a float or a Fraction; only an int changes
+                # type.
+                states = [Fraction(m) if isinstance(m, int) else m
+                          for m in local]
+                continue
+            nxt = [None] * n_states
+            for dst, s, loc in steps:
+                m = states[s] * local[loc]
+                old = nxt[dst]
+                nxt[dst] = m if old is None else old + m
+            states = nxt
+        return states
 
 
 def dataset_distribution(prior: JointPrior) -> Dict[Tuple[int, ...], Prob]:

@@ -2,7 +2,8 @@
 enumerators that walk dataset sequences (all |A|^n of them or a prior's
 whole support), the per-sequence dependence and averaging scans, and the
 per-cell and per-candidate loops that the integer scans and the symmetry
-classes replace, and sums started from an int 0 where the library starts
+classes replace, the dict-update convolution that the compiled histogram
+plan replaces, and sums started from an int 0 where the library starts
 them from their first term. Keep universes small."""
 
 import itertools
@@ -111,6 +112,43 @@ def tables_from_cells(cells, outcomes):
         joint=joint,
         integers=None,
     )
+
+
+def histogram_masses(prior, target=()):
+    """histogram_masses as one pass of dict updates per block: each block's
+    positive cells summed by (target records part, histogram code), then
+    convolved into the states one (state, cell) pair at a time."""
+    u = prior.universe
+    weight = u.code_weights.__getitem__
+    tgt = set(target)
+    contributed = []
+    states = None
+    for b, table in zip(prior.blocks, prior.tables):
+        pos = [j for j, i in enumerate(b) if i in tgt]
+        contributed.extend(b[j] for j in pos)
+        local = {}
+        for key, p in table.items():
+            if p > 0:
+                cell = (tuple(map(key.__getitem__, pos)), sum(map(weight, key)))
+                old = local.get(cell)
+                local[cell] = p if old is None else old + p
+        if states is None:
+            states = {cell: Fraction(m) if isinstance(m, int) else m
+                      for cell, m in local.items()}
+            continue
+        nxt = {}
+        for (key0, code0), m0 in states.items():
+            for (key1, code1), m1 in local.items():
+                cell = (key0 + key1, code0 + code1)
+                m = m0 * m1
+                old = nxt.get(cell)
+                nxt[cell] = m if old is None else old + m
+        states = nxt
+    order = sorted(range(len(contributed)), key=contributed.__getitem__)
+    return {
+        (tuple(map(key.__getitem__, order)), u.decode_histogram(code)): m
+        for (key, code), m in states.items()
+    }
 
 
 def _sequence_cells(prior, target, row_of):

@@ -1,9 +1,11 @@
 """Histogram-domain kernels against the sequence-domain oracles."""
 
 import functools
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -52,6 +54,7 @@ from privlens.audit import (
     tightness_pk,
 )
 from privlens.leakage import MaxMiPlan
+from privlens.prior import HistogramPlan
 from gen import random_channel
 
 SYMBOLS = (BOT, "a", "b", "c")
@@ -361,6 +364,35 @@ def test_float_masses_meet_float_rows_bit_for_bit():
     assert floats > 0
 
 
+def test_histogram_plan_matches_the_dict_convolution():
+    # Same keys in the same order and masses with the same bits, also when
+    # one plan serves several priors with its layout and cells.
+    rng = random.Random(35)
+    for exact in (True, False):
+        for _ in range(80):
+            prior = block_prior(rng, exact)
+            tgt = block_target(rng, prior.universe.n)
+            want = oracles.histogram_masses(prior, tgt)
+            assert repr(histogram_masses(prior, tgt)) == repr(want)
+            cells = [list(t) for t in prior.tables]
+            plan = HistogramPlan(prior.universe, prior.blocks, tgt, cells)
+            for _ in range(2):
+                other = JointPrior(prior.universe, prior.blocks, tuple(
+                    dict(zip(keys, _positive_weights(rng, len(keys), exact)))
+                    for keys in cells))
+                got = dict(zip(plan.keys, plan.masses(
+                    t.values() for t in other.tables)))
+                assert repr(got) == repr(oracles.histogram_masses(other, tgt))
+
+
+def _positive_weights(rng, m, exact):
+    if exact:
+        raw = [rng.randint(1, 4) for _ in range(m)]
+        return [Fraction(w, sum(raw)) for w in raw]
+    raw = [rng.random() + 0.01 for _ in range(m)]
+    return [w / sum(raw) for w in raw]
+
+
 def test_histogram_masses_keep_the_support_mass_types():
     # iter_support starts each mass at Fraction(1): int cells become
     # Fractions, float cells make the mass a float.
@@ -463,6 +495,24 @@ def test_joint_tables_exact_edge_cases_match_the_oracle(case):
         for q in QUANTITIES:
             assert q(None, None, None, tables=got) == q(
                 None, None, None, tables=want)
+
+
+def test_row_views_are_freed_without_the_cycle_collector():
+    # A reference cycle through a channel's row views would keep every
+    # channel of a run, with its rows and views, alive until the cycle
+    # collector runs.
+    u = uniform_universe(2, (BOT, "a"))
+    half = {(BOT,): 0.5, ("a",): 0.5}
+    prior = JointPrior(u, ((0,), (1,)), (half, half))
+    ch = geometric_counting_channel(u, "a", ratio=0.3)
+    max_mi(prior, ch, 0)
+    views = weakref.ref(ch._row_views)
+    gc.disable()
+    try:
+        del ch
+        assert views() is None
+    finally:
+        gc.enable()
 
 
 def test_exact_tables_build_their_fraction_views_on_first_use():
