@@ -72,7 +72,8 @@ class Verdict:
 
 def leq_with_tol(measured, bound, tol: float = TOL) -> bool:
     """measured <= bound with an absolute-plus-relative float tolerance;
-    exact comparison when both sides are rational."""
+    exact comparison when both sides are rational. When a side is too large
+    for a float, the same test is decided on the exact values."""
     if is_inf(measured):
         return is_inf(bound)
     if is_inf(bound):
@@ -80,8 +81,20 @@ def leq_with_tol(measured, bound, tol: float = TOL) -> bool:
     if isinstance(measured, Fraction) and isinstance(bound, Fraction):
         if measured <= bound:
             return True
-    mf, bf = float(measured), float(bound)
+    try:
+        mf, bf = float(measured), float(bound)
+    except OverflowError:
+        m, b = Fraction(measured), Fraction(bound)
+        return m <= b + Fraction(tol) * max(1, abs(b))
     return mf <= bf + tol * max(1.0, abs(bf))
+
+
+def _float(value) -> float:
+    """float(value), or inf for an exact ratio too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _number(value, what) -> float:
@@ -580,8 +593,8 @@ def bound_pdelta(
     dp = dp_epsilon(channel, budget)
     if not leq_with_tol(dp.ratio, step):
         raise AuditError(
-            f"premise fails: one-change ratio {float(dp.ratio)!r} exceeds "
-            f"per-step bound {float(step)!r}"
+            f"premise fails: one-change ratio {_float(dp.ratio)!r} exceeds "
+            f"per-step bound {_float(step)!r}"
         )
     family = FamilyParams(k=k, exp_delta=exp_delta)
     sup = worstcase_sup(
@@ -931,8 +944,8 @@ def group_certify(
     scan = lipschitz_ratio(channel, k, budget)
     if not leq_with_tol(scan.ratio, bound_unit):
         raise AuditError(
-            f"premise fails: k-change ratio {float(scan.ratio)!r} exceeds "
-            f"exp(epsilon) {float(bound_unit)!r}"
+            f"premise fails: k-change ratio {_float(scan.ratio)!r} exceeds "
+            f"exp(epsilon) {_float(bound_unit)!r}"
         )
     hops = math.ceil((s - 1) / k) + 1
     # Exact on a rational level; an infinite level stays infinite.
@@ -1018,7 +1031,7 @@ def personalized_check(
             "satisfied": ok,
             "witness": q.witness,
         })
-        if float(q.ratio) / max(float(b), 1e-300) > float(worst_ratio) / max(
+        if _float(q.ratio) / max(float(b), 1e-300) > _float(worst_ratio) / max(
             float(worst_bound), 1e-300
         ):
             worst_ratio = q.ratio

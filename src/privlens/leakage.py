@@ -23,7 +23,7 @@ from .prior import (
     HistogramPlan,
     JointPrior,
     dataset_distribution,
-    histogram_masses,
+    histogram_cells,
 )
 from .mechanism import Channel, RowViews
 from .probability import (
@@ -97,7 +97,9 @@ class JointTables:
     When every mass and row entry is rational, integers holds the same
     tables as integer numerators, (p_x, p_r, joint, m): p_x over m, p_r and
     joint over one common multiple of m, and the Fraction p_x, p_r and joint
-    are built from them on first use. Otherwise integers is None.
+    are built from them on first use. Otherwise integers is None. A
+    rational prior hands over its masses as integer numerators
+    (histogram_cells), so no Fraction is built on the way.
     """
 
     def __init__(self, prior: JointPrior, channel: Channel, target,
@@ -107,11 +109,8 @@ class JointTables:
         self.channel = channel
         self.target = tgt = normalize_target(prior.universe.n, target)
         check_budget(prior.support_size(), budget, "JointTables")
-        self._accumulate(
-            list(histogram_masses(prior, tgt).items()),
-            channel._row_views,
-            channel.outcomes,
-        )
+        cells, d = histogram_cells(prior, tgt)
+        self._accumulate(cells, channel._row_views, channel.outcomes, d)
 
     @classmethod
     def from_cells(cls, cells, row_of, outcomes) -> "JointTables":
@@ -123,16 +122,22 @@ class JointTables:
         t._accumulate(list(cells), RowViews(row_of), outcomes)
         return t
 
-    def _accumulate(self, cells, views, outcomes):
+    def _accumulate(self, cells, views, outcomes, d=None):
         """cells is a list of ((records key, row key), mass); views is the
-        RowViews of the row keys."""
+        RowViews of the row keys. When d is given, the masses are integer
+        numerators over d."""
         self.outcomes = tuple(outcomes)
         self.integers = None
-        masses = scale_to_integers(p for _, p in cells)
+        if d is None:
+            masses = scale_to_integers(p for _, p in cells)
+        else:
+            masses = [a for _, a in cells], d
         rows = None if masses is None else {
             rk: views.integer(rk) for (_, rk), _ in cells
         }
         if rows is None or None in rows.values():
+            if d is not None:
+                cells = [(key, Fraction(a, d)) for key, a in cells]
             self._accumulate_generic(cells, views)
             return
         # Exact path: masses are integers over m and row entries integers
@@ -156,8 +161,8 @@ class JointTables:
         self.integers = (p_x, p_r, joint, m)
         self._md = m * d
 
-    # max_mi reads the integers alone. The generic path assigns these three
-    # names on the instance, which shadows the cached properties.
+    # The quantities read the integers alone. The generic path assigns these
+    # three names on the instance, which shadows the cached properties.
 
     @functools.cached_property
     def p_x(self) -> Dict[tuple, Prob]:
@@ -372,40 +377,77 @@ class MaxMiPlan:
         return _max_mi_quantity(best, wit)
 
 
+def _float_entries(t):
+    """(p_x, p_r, joint, fx, fr): the tables' entries as the scans read them
+    and the functions giving their floats, fx for p_x entries and fr for
+    p_r and joint entries. On the integer tables the entries are the
+    numerators and fx, fr divide by their denominators: int / int is the
+    correctly rounded float of the exact value, the same float as float()
+    of its Fraction, so no Fraction is built."""
+    if t.integers is None:
+        return t.p_x, t.p_r, t.joint, float, float
+    p_x, p_r, joint, m = t.integers
+    return p_x, p_r, joint, m.__rtruediv__, t._md.__rtruediv__
+
+
+def _exact_log_ratio(t, xv, j):
+    """log of joint / (p_x * p_r) at (xv, j) from the exact entries, for a
+    cell whose float denominator underflows to zero."""
+    return log_ratio(Fraction(t.joint[xv, j])
+                     / (Fraction(t.p_x[xv]) * Fraction(t.p_r[j])))
+
+
 def mi(prior, channel, target, budget=None, tables=None) -> Quantity:
     """Mutual information between the target's records and the outcome, in
     nats (averaged, so no ratio scale). Cells are summed by sorted records
     key, then outcome index, so the float sum does not depend on the order
-    in which the joint was built."""
+    in which the joint was built. A cell whose mass is 0.0 as a float adds
+    nothing, like a zero cell."""
     t = tables or JointTables(prior, channel, target, budget)
+    p_x, p_r, joint, fx, fr = _float_entries(t)
+    f_r = [fr(c) for c in p_r]
     total = 0.0
-    for xv, px in t.p_x.items():
-        for j, pr in enumerate(t.p_r):
-            w = t.joint.get((xv, j), 0)
+    for xv, px in p_x.items():
+        fpx = fx(px)
+        for j, fpr in enumerate(f_r):
+            w = joint.get((xv, j), 0)
             if w == 0:
                 continue
-            total += float(w) * math.log(float(w) / (float(px) * float(pr)))
+            fw = fr(w)
+            if fw == 0.0:
+                continue
+            den = fpx * fpr
+            total += fw * (math.log(fw / den) if den
+                           else _exact_log_ratio(t, xv, j))
     total = max(total, 0.0)
     return Quantity(nats=total, bits=nats_to_bits(total))
 
 
 def max_rel_entropy(prior, channel, target, budget=None, tables=None) -> Quantity:
     """Largest KL divergence from the posterior on the target's records back
-    to the prior, over positive-probability outcomes."""
+    to the prior, over positive-probability outcomes. A posterior whose
+    float is 0.0 adds nothing to the divergence."""
     t = tables or JointTables(prior, channel, target, budget)
+    p_x, p_r, joint, fx, fr = _float_entries(t)
+    f_x = [(xv, px, fx(px)) for xv, px in p_x.items()]
     best = None
     wit = None
     for j, label in enumerate(t.outcomes):
-        pr = t.p_r[j]
+        pr = p_r[j]
         if pr == 0:
             continue
+        fpr = fr(pr)
         acc = 0.0
-        for xv, px in t.p_x.items():
-            w = t.joint.get((xv, j), 0)
+        for xv, px, fpx in f_x:
+            w = joint.get((xv, j), 0)
             if w == 0:
                 continue
-            post = float(w) / float(pr)
-            acc += post * math.log(post / float(px))
+            post = (fr(w) / fpr if fpr
+                    else float(Fraction(t.joint[xv, j]) / Fraction(t.p_r[j])))
+            if post == 0.0:
+                continue
+            acc += post * (math.log(post / fpx) if fpx
+                           else _exact_log_ratio(t, xv, j))
         acc = max(acc, 0.0)
         if best is None or acc > best:
             best = acc
@@ -420,10 +462,12 @@ def inferential_eps(prior, channel, target, budget=None, tables=None) -> Quantit
     admissible assignments of the target's records.
 
     Vacuous (and flagged) when fewer than two assignments have positive prior
-    mass; a hard distinguishing event gives math.inf.
+    mass; a hard distinguishing event gives math.inf. Pairs are scanned by
+    sorted records keys, then outcome index, and the first maximum is kept.
     """
     t = tables or JointTables(prior, channel, target, budget)
-    support = [xv for xv, px in t.p_x.items() if px > 0]
+    p_x = t.p_x if t.integers is None else t.integers[0]
+    support = [xv for xv, px in p_x.items() if px > 0]
     if len(support) < 2:
         return Quantity(
             nats=0.0,
@@ -431,23 +475,10 @@ def inferential_eps(prior, channel, target, budget=None, tables=None) -> Quantit
             ratio=Fraction(1),
             notes=("only one admissible assignment; condition is vacuous",),
         )
-    best = None
-    wit = None
-    for a in support:
-        pa = t.p_x[a]
-        for b in support:
-            if a == b:
-                continue
-            pb = t.p_x[b]
-            for j, label in enumerate(t.outcomes):
-                la = t.joint.get((a, j), 0) / pa
-                lb = t.joint.get((b, j), 0) / pb
-                r = ratio_div(la, lb)
-                if r is None:
-                    continue
-                if best is None or r > best:
-                    best = r
-                    wit = (a, b, label)
+    if t.integers is None:
+        best, wit = _inferential_eps_generic(t, support)
+    else:
+        best, wit = _inferential_eps_integers(t, support)
     if best is None:
         return Quantity(
             nats=0.0, bits=0.0, ratio=Fraction(1),
@@ -466,14 +497,75 @@ def inferential_eps(prior, channel, target, budget=None, tables=None) -> Quantit
     )
 
 
-def output_entropy(prior, channel, budget=None) -> Quantity:
-    """Entropy of the outcome distribution under the prior."""
-    t = JointTables(prior, channel, (0,), budget)
+def _inferential_eps_integers(t, support):
+    """The inferential_eps scan on the integer tables. The likelihoods are
+    la = w_a / p_a and lb = w_b / p_b with p_x over m and joint over one D,
+    so la / lb = (w_a * p_b) / (w_b * p_a): two cells compare by
+    cross-multiplying and one Fraction is built for the winner. Positive
+    over zero is inf, which no later ratio exceeds, so the first one ends
+    the scan; zero over zero is skipped."""
+    p_x, _, joint, _ = t.integers
+    n_out = len(t.outcomes)
+    rows = {x: [joint.get((x, j), 0) for j in range(n_out)] for x in support}
+    best_num = best_den = None
+    wit = None
+    for a in support:
+        pa, row_a = p_x[a], rows[a]
+        for b in support:
+            if a == b:
+                continue
+            pb = p_x[b]
+            for j, (wa, wb) in enumerate(zip(row_a, rows[b])):
+                if wb == 0:
+                    if wa == 0:
+                        continue
+                    return math.inf, (a, b, t.outcomes[j])
+                num = wa * pb
+                den = wb * pa
+                if best_num is None or num * best_den > best_num * den:
+                    best_num, best_den = num, den
+                    wit = (a, b, t.outcomes[j])
+    if best_num is None:
+        return None, None
+    return Fraction(best_num, best_den), wit
+
+
+def _inferential_eps_generic(t, support):
+    """The inferential_eps scan on the stored entries, for float or mixed
+    tables: one ratio_div per cell."""
+    best = None
+    wit = None
+    for a in support:
+        pa = t.p_x[a]
+        for b in support:
+            if a == b:
+                continue
+            pb = t.p_x[b]
+            for j, label in enumerate(t.outcomes):
+                la = t.joint.get((a, j), 0) / pa
+                lb = t.joint.get((b, j), 0) / pb
+                r = ratio_div(la, lb)
+                if r is None:
+                    continue
+                if best is None or r > best:
+                    best = r
+                    wit = (a, b, label)
+    return best, wit
+
+
+def output_entropy(prior, channel, budget=None, tables=None) -> Quantity:
+    """Entropy of the outcome distribution under the prior. tables, when
+    given, are any JointTables of the prior and channel whose outcome masses
+    are exact: those do not depend on the target. An outcome mass whose
+    float is 0.0 adds nothing."""
+    t = tables or JointTables(prior, channel, (0,), budget)
+    _, p_r, _, _, fr = _float_entries(t)
     total = 0.0
-    for pr in t.p_r:
-        if pr == 0:
+    for pr in p_r:
+        f = fr(pr)
+        if f == 0.0:
             continue
-        total -= float(pr) * math.log(float(pr))
+        total -= f * math.log(f)
     return Quantity(nats=total, bits=nats_to_bits(total))
 
 
@@ -494,8 +586,14 @@ def leakage_report(prior, channel, targets=None, budget=None) -> LeakageReport:
         targets = list(range(prior.universe.n))
     norm = []
     per: Dict[Tuple[int, ...], Dict[str, Quantity]] = {}
+    # An exact p_r is the same for every target, so the first exact table
+    # serves output_entropy; a float p_r is summed in an order that depends
+    # on the target, so a float table does not.
+    exact = None
     for tgt in targets:
         t = JointTables(prior, channel, tgt, budget)
+        if exact is None and t.integers is not None:
+            exact = t
         key = t.target
         norm.append(key)
         per[key] = {
@@ -507,7 +605,7 @@ def leakage_report(prior, channel, targets=None, budget=None) -> LeakageReport:
     return LeakageReport(
         targets=tuple(norm),
         per_target=per,
-        output_entropy=output_entropy(prior, channel, budget),
+        output_entropy=output_entropy(prior, channel, budget, tables=exact),
         prior_entropy_nats=prior.entropy_nats(),
     )
 

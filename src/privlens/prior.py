@@ -23,6 +23,7 @@ from .probability import (
     ProbabilityError,
     entropy_nats,
     parse_probability,
+    scale_to_integers,
 )
 from .universe import EnumerationBudgetError, RecordUniverse, UniverseError
 
@@ -46,6 +47,11 @@ class JointPrior:
     tables
         One mapping per block from value tuples (aligned with the block's
         sorted indices) to probabilities. Zero-mass cells may be omitted.
+
+    When every table holds only ints and Fractions, the prior keeps each
+    table as integer numerators over its own denominator, which
+    support_size and histogram_cells read; the tables are not to be
+    changed after construction.
     """
 
     universe: RecordUniverse
@@ -75,26 +81,44 @@ class JointPrior:
             missing = sorted(set(range(u.n)) - seen)
             raise PriorError(f"blocks do not cover individuals {missing}")
 
+        alphabets = u.alphabets
+        numerators = []
         for b, table in zip(blocks, tables):
             if not table:
                 raise PriorError(f"block {b} has an empty table")
+            # The sign and sum of a table of ints and Fractions are checked
+            # on its integer numerators over the lcm d of its denominators.
+            scaled = scale_to_integers(table.values())
             total = 0
-            for key, p in table.items():
+            for key, p in zip(table, table.values() if scaled is None
+                              else scaled[0]):
                 key = tuple(key)
                 if len(key) != len(b):
                     raise PriorError(f"table key {key} does not match block {b}")
                 for i, sym in zip(b, key):
-                    if sym not in u.alphabets[i]:
+                    if sym not in alphabets[i]:
                         raise PriorError(
                             f"symbol {sym!r} not in alphabet of individual {i}"
                         )
                 if p < 0:
                     raise PriorError(f"negative probability at {key} in block {b}")
                 total += p
+            if scaled is None:
+                numerators = None
+            else:
+                # int / int is the correctly rounded float of the exact sum,
+                # the same float as float(Fraction(total, d)).
+                total /= scaled[1]
+                if numerators is not None:
+                    numerators.append(scaled)
             if abs(float(total) - 1.0) > TOL:
                 raise PriorError(
                     f"table of block {b} sums to {float(total)!r}, expected 1"
                 )
+        # (numerators, d) per block, aligned with its table, when every
+        # table is rational; None otherwise.
+        object.__setattr__(self, "_numerators",
+                           None if numerators is None else tuple(numerators))
 
     # -- basic queries ------------------------------------------------------
 
@@ -135,6 +159,9 @@ class JointPrior:
             yield tuple(seq), p
 
     def support_size(self) -> int:
+        if self._numerators is not None:
+            return prod(len(nums) - nums.count(0)
+                        for nums, _ in self._numerators)
         return prod(
             sum(1 for p in table.values() if p > 0) for table in self.tables
         )
@@ -249,11 +276,29 @@ def histogram_masses(
     that key and histogram, without visiting the sequences (see
     HistogramPlan). Sums of Fractions stay exact.
     """
-    cells = [[key for key, p in t.items() if p > 0] for t in prior.tables]
+    cells, d = histogram_cells(prior, target)
+    if d is None:
+        return dict(cells)
+    return {key: Fraction(a, d) for key, a in cells}
+
+
+def histogram_cells(prior: JointPrior, target: Sequence[int] = ()):
+    """(cells, d): the ((records key, histogram), mass) cells of
+    histogram_masses in its order. When every table is rational, each mass
+    is an integer numerator over d, the product of the tables' own
+    denominators, and no Fraction is built; otherwise d is None and the
+    masses are those of histogram_masses."""
+    scaled = prior._numerators
+    values = ([t.values() for t in prior.tables] if scaled is None
+              else [nums for nums, _ in scaled])
+    cells = [[key for key, p in zip(t, vs) if p > 0]
+             for t, vs in zip(prior.tables, values)]
     plan = HistogramPlan(prior.universe, prior.blocks, target, cells)
-    masses = plan.masses([p for p in t.values() if p > 0]
-                         for t in prior.tables)
-    return dict(zip(plan.keys, masses))
+    positive = ([p for p in vs if p > 0] for vs in values)
+    if scaled is None:
+        return list(zip(plan.keys, plan.masses(positive))), None
+    return (list(zip(plan.keys, plan.numerators(positive))),
+            prod(d for _, d in scaled))
 
 
 class HistogramPlan:
@@ -311,6 +356,15 @@ class HistogramPlan:
     def masses(self, masses) -> list:
         """The final states' masses, aligned with keys; masses holds, per
         block, its cells' masses aligned with the plan's cells."""
+        return self._convolve(masses, int_to_fraction=True)
+
+    def numerators(self, numerators) -> list:
+        """masses on integer numerators: each block's cells' numerators over
+        the block's own denominator give the final states' numerators over
+        the product of those denominators, all ints."""
+        return self._convolve(numerators, int_to_fraction=False)
+
+    def _convolve(self, masses, int_to_fraction):
         states = None
         for ms, (index, size, steps, n_states) in zip(masses, self._blocks):
             local = [None] * size
@@ -321,8 +375,8 @@ class HistogramPlan:
                 # iter_support starts each mass at Fraction(1), and 1 * p is
                 # p itself for a float or a Fraction; only an int changes
                 # type.
-                states = [Fraction(m) if isinstance(m, int) else m
-                          for m in local]
+                states = [Fraction(m) if int_to_fraction and isinstance(m, int)
+                          else m for m in local]
                 continue
             nxt = [None] * n_states
             for dst, s, loc in steps:

@@ -157,14 +157,14 @@ def nats_to_bits(nats: float) -> float:
 def entropy_nats(weights) -> float:
     """Shannon entropy of a distribution given as an iterable of masses.
 
-    Zero-mass cells contribute zero. Works on mixed Fraction/float input and
-    returns a float in nats.
+    Zero-mass cells, and cells whose mass is 0.0 as a float, contribute
+    zero. Works on mixed Fraction/float input and returns a float in nats.
     """
     total = 0.0
     for w in weights:
-        if w == 0:
-            continue
         wf = float(w)
+        if wf == 0.0:
+            continue
         total -= wf * math.log(wf)
     return total
 

@@ -2,9 +2,11 @@
 enumerators that walk dataset sequences (all |A|^n of them or a prior's
 whole support), the per-sequence dependence and averaging scans, and the
 per-cell and per-candidate loops that the integer scans and the symmetry
-classes replace, the dict-update convolution that the compiled histogram
-plan replaces, and sums started from an int 0 where the library starts
-them from their first term. Keep universes small."""
+classes replace, the leakage quantities and the prior table check on
+Fractions where the library reads integer numerators, the dict-update
+convolution that the compiled histogram plan and the integer prior masses
+replace, and sums started from an int 0 where the library starts them from
+their first term. Keep universes small."""
 
 import itertools
 import math
@@ -21,6 +23,7 @@ from privlens import (
     Verdict,
     RatioScan,
     SupResult,
+    TOL,
     check_membership,
     log_ratio,
     max_mi,
@@ -326,6 +329,124 @@ def max_mi_scan(t):
     nats = log_ratio(best)
     return Quantity(nats=nats, bits=nats_to_bits(nats), ratio=best,
                     witness={"records": list(wit[0]), "outcome": wit[1]})
+
+
+# ---------------------------------------------------------------------------
+# The other leakage quantities on the Fraction (or float) views
+# ---------------------------------------------------------------------------
+
+
+def mi_scan(t):
+    """mi of tables t by float() of the entries as stored, summed by sorted
+    records key, then outcome index."""
+    total = 0.0
+    for xv, px in t.p_x.items():
+        for j, pr in enumerate(t.p_r):
+            w = t.joint.get((xv, j), 0)
+            if w == 0:
+                continue
+            total += float(w) * math.log(float(w) / (float(px) * float(pr)))
+    total = max(total, 0.0)
+    return Quantity(nats=total, bits=nats_to_bits(total))
+
+
+def max_rel_entropy_scan(t):
+    """max_rel_entropy of tables t by float() of the entries as stored, the
+    first maximum kept."""
+    best = None
+    wit = None
+    for j, label in enumerate(t.outcomes):
+        pr = t.p_r[j]
+        if pr == 0:
+            continue
+        acc = 0.0
+        for xv, px in t.p_x.items():
+            w = t.joint.get((xv, j), 0)
+            if w == 0:
+                continue
+            post = float(w) / float(pr)
+            acc += post * math.log(post / float(px))
+        acc = max(acc, 0.0)
+        if best is None or acc > best:
+            best = acc
+            wit = label
+    if best is None:
+        return Quantity(nats=0.0, bits=0.0, notes=("no positive outcomes",))
+    return Quantity(nats=best, bits=nats_to_bits(best), witness={"outcome": wit})
+
+
+def inferential_eps_scan(t):
+    """inferential_eps of tables t by one ratio_div of the two likelihoods
+    per (record pair, outcome) cell, the first maximum kept."""
+    support = [xv for xv, px in t.p_x.items() if px > 0]
+    if len(support) < 2:
+        return Quantity(
+            nats=0.0, bits=0.0, ratio=Fraction(1),
+            notes=("only one admissible assignment; condition is vacuous",),
+        )
+    best = None
+    wit = None
+    for a in support:
+        pa = t.p_x[a]
+        for b in support:
+            if a == b:
+                continue
+            pb = t.p_x[b]
+            for j, label in enumerate(t.outcomes):
+                la = t.joint.get((a, j), 0) / pa
+                lb = t.joint.get((b, j), 0) / pb
+                r = ratio_div(la, lb)
+                if r is None:
+                    continue
+                if best is None or r > best:
+                    best = r
+                    wit = (a, b, label)
+    if best is None:
+        return Quantity(nats=0.0, bits=0.0, ratio=Fraction(1),
+                        notes=("all likelihood pairs are excluded",))
+    nats = log_ratio(best)
+    return Quantity(nats=nats, bits=nats_to_bits(nats), ratio=best, witness={
+        "numerator_records": list(wit[0]),
+        "denominator_records": list(wit[1]),
+        "outcome": wit[2],
+    })
+
+
+def output_entropy_scan(t):
+    """output_entropy of tables t by float() of the outcome masses."""
+    total = 0.0
+    for pr in t.p_r:
+        if pr == 0:
+            continue
+        total -= float(pr) * math.log(float(pr))
+    return Quantity(nats=total, bits=nats_to_bits(total))
+
+
+# ---------------------------------------------------------------------------
+# Prior validation, one Fraction sum per table
+# ---------------------------------------------------------------------------
+
+
+def table_error(universe, blocks, tables):
+    """The message of the first table JointPrior rejects, checking each key
+    (length, symbols, sign) in table order and then the Fraction (or float)
+    sum of the table; None when every table passes. blocks are sorted and
+    ordered, as JointPrior keeps them."""
+    for b, table in zip(blocks, tables):
+        total = 0
+        for key, p in table.items():
+            key = tuple(key)
+            if len(key) != len(b):
+                return f"table key {key} does not match block {b}"
+            for i, sym in zip(b, key):
+                if sym not in universe.alphabets[i]:
+                    return f"symbol {sym!r} not in alphabet of individual {i}"
+            if p < 0:
+                return f"negative probability at {key} in block {b}"
+            total += p
+        if abs(float(total) - 1.0) > TOL:
+            return f"table of block {b} sums to {float(total)!r}, expected 1"
+    return None
 
 
 # ---------------------------------------------------------------------------

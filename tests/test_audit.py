@@ -28,6 +28,8 @@ from privlens import (
     worstcase_sup,
 )
 
+from privlens.audit import leq_with_tol
+
 from gen import random_channel, random_universe
 
 HALF = Fraction(1, 2)
@@ -254,6 +256,31 @@ def test_bound_pdelta_checks_its_premise():
         bound_pdelta(geo_third(), 0, exp_delta=HALF, exp_eps_step=Fraction(3))
     with pytest.raises(AuditError):
         bound_pdelta(geo_third(), 2, exp_delta=HALF)
+
+
+def test_leq_with_tol_decides_exactly_beyond_the_float_range():
+    huge = Fraction(10**400)
+    assert not leq_with_tol(huge, 3)
+    assert not leq_with_tol(huge, 1e308)
+    assert leq_with_tol(2.5, huge)
+    assert leq_with_tol(3, huge + 1)
+    # The tolerance is relative to the bound, as on floats.
+    assert leq_with_tol(huge + huge / 10**10, huge)
+    assert not leq_with_tol(huge + huge / 10**8, huge)
+
+
+def test_levels_beyond_the_float_range_get_a_verdict():
+    # A geometric ratio of 1e-400 puts the one-change level at 10**400.
+    ch = geometric_counting_channel(uniform_universe(2, (BOT, "a")), "a",
+                                    ratio=Fraction(1, 10**400))
+    v = certify_pk(ch, 1, exp_epsilon=Fraction(3))
+    assert not v.satisfied
+    assert v.measured_ratio == 10**400
+    assert math.isclose(v.measured_nats, 400 * math.log(10), rel_tol=1e-12)
+    assert certify_pk(ch, 1, exp_epsilon=Fraction(10**400)).satisfied
+    with pytest.raises(AuditError, match="one-change ratio inf exceeds "
+                       "per-step bound 3.0"):
+        bound_pdelta(ch, 2, exp_delta=HALF, exp_eps_step=Fraction(3))
 
 
 # ---------------------------------------------------------------------------

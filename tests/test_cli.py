@@ -978,7 +978,8 @@ DEMO = {
     "seed": 0,
     "samples": 1000,
 }
-MUTANT_VALUES = ["x", -1, 0, 2.5, None, True, [], {}, [1], "1/0", "nan"]
+MUTANT_VALUES = ["x", -1, 0, 2.5, None, True, [], {}, [1], "1/0", "nan",
+                 10**400, 1e308, "-0", [[1]], "1e-400"]
 
 
 def _field_paths(node, prefix=()):

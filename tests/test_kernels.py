@@ -23,6 +23,7 @@ from privlens import (
     JointPrior,
     JointTables,
     LeakageError,
+    PriorError,
     RecordUniverse,
     check_membership,
     change_histogram_pairs,
@@ -33,13 +34,16 @@ from privlens import (
     direct_epoch_max_mi,
     equal_epoch_reduction,
     histogram_masses,
+    independent_prior,
     inferential_eps,
+    leakage_report,
     matrix_channel,
     max_mi,
     max_rel_entropy,
     mi,
     necessary_pdelta,
     normalize_target,
+    output_entropy,
     randomized_response_channel,
     ratios_agree,
     sample_prior,
@@ -523,13 +527,206 @@ def test_exact_tables_build_their_fraction_views_on_first_use():
         ch = block_channel(rng, prior.universe, True)
         tgt = block_target(rng, prior.universe.n)
         t = JointTables(prior, ch, tgt)
-        max_mi(None, None, None, tables=t)
+        for q in QUANTITIES:
+            q(None, None, None, tables=t)
+        output_entropy(None, None, tables=t)
         assert not set(views) & set(vars(t))
         p_x, _, _, m = t.integers
         assert t.p_x == {k: Fraction(a, m) for k, a in p_x.items()}
         want = oracles.joint_tables(prior, ch, tgt)
         assert (t.p_r, t.joint) == (want.p_r, want.joint)
         assert set(views) <= set(vars(t))
+
+
+# ---------------------------------------------------------------------------
+# Rational priors on integers: validation, masses and every quantity
+# against the Fraction loops
+# ---------------------------------------------------------------------------
+
+SCANS = ((mi, oracles.mi_scan), (max_rel_entropy, oracles.max_rel_entropy_scan),
+         (inferential_eps, oracles.inferential_eps_scan))
+
+
+def assert_quantities_match_the_scans(t):
+    """Every quantity of tables t, with their reprs equal to the Fraction
+    (or float) loops on the tables' views."""
+    got = [q(None, None, None, tables=t) for q, _ in SCANS]
+    got.append(output_entropy(None, None, tables=t))
+    want = [scan(t) for _, scan in SCANS]
+    want.append(oracles.output_entropy_scan(t))
+    assert repr(got) == repr(want)
+
+
+def _edge_tables():
+    """(prior, channel, target) cases for the inferential_eps scan: a
+    positive over zero likelihood twice (the first is kept), zero over
+    zero everywhere at one outcome, a tie between the two directions of a
+    pair, and a single-support prior."""
+    u = uniform_universe(1, (BOT, "a", "b"))
+    f = Fraction
+    third = {BOT: f(1, 3), "a": f(1, 3), "b": f(1, 3)}
+    hists = u.achievable_histograms()
+    infs = Channel(u, (0, 1, 2, 3), dict(zip(hists, (
+        (f(1, 2), f(1, 2), 0, 0), (f(1, 2), 0, f(1, 2), 0),
+        (0, f(1, 2), f(1, 2), 0)))))
+    ties = Channel(u, (0, 1, 2), dict(zip(hists, (
+        (f(1, 2), f(1, 4), f(1, 4)), (f(1, 4), f(1, 2), f(1, 4)),
+        (f(1, 3), f(1, 3), f(1, 3))))))
+    single = independent_prior(u, [{"a": 1}])
+    return [(independent_prior(u, [third]), infs, 0),
+            (independent_prior(u, [third]), ties, 0),
+            (independent_prior(u, [{BOT: f(1, 2), "b": f(1, 2)}]), ties, 0),
+            (single, ties, 0), (single, infs, 0)]
+
+
+def test_quantities_match_the_fraction_loops():
+    # Rational, float and mixed block priors (float weights, some turned
+    # into the Fraction of their value) with zero cells, on rational and
+    # float channels with zero entries, then the hand-made edge cases.
+    rng = random.Random(37)
+    integer = generic = 0
+    for exact in (True, False):
+        for _ in range(60):
+            prior = block_prior(rng, exact)
+            ch = block_channel(rng, prior.universe, rng.random() < 0.7)
+            tgt = block_target(rng, prior.universe.n)
+            t = JointTables(prior, ch, tgt)
+            if t.integers is None:
+                generic += 1
+            else:
+                integer += 1
+            assert_quantities_match_the_scans(t)
+    assert integer > 20 and generic > 20
+    for prior, ch, tgt, _ in _tables_cases():
+        assert_quantities_match_the_scans(JointTables(prior, ch, tgt))
+    for prior, ch, tgt in _edge_tables():
+        t = JointTables(prior, ch, tgt)
+        assert t.integers is not None
+        assert_quantities_match_the_scans(t)
+    # Records keys sort as a, b, BOT. The first positive over zero is
+    # (a, b) at outcome 1, before (a, BOT) at 2; the ratio 2 is reached
+    # at (b, BOT, 1) before (BOT, b, 0).
+    infs, ties, pair = (inferential_eps(*case) for case in _edge_tables()[:3])
+    assert (infs.ratio, infs.witness) == (math.inf, {
+        "numerator_records": ["a"], "denominator_records": ["b"],
+        "outcome": 1})
+    for q in (ties, pair):
+        assert (q.ratio, q.witness) == (2, {
+            "numerator_records": ["b"], "denominator_records": [BOT],
+            "outcome": 1})
+
+
+def test_leakage_report_reuses_only_an_exact_table_for_output_entropy():
+    # An exact p_r is the same for every target; a float p_r is summed in
+    # an order that depends on the target, so the report's output entropy
+    # is always that of the target (0,).
+    rng = random.Random(38)
+    order_matters = 0
+    for exact in (True, False):
+        for _ in range(80):
+            prior = block_prior(rng, exact)
+            n = prior.universe.n
+            ch = block_channel(rng, prior.universe, exact)
+            targets = [block_target(rng, n) for _ in range(2)]
+            rep = leakage_report(prior, ch, targets)
+            own = oracles.output_entropy_scan(JointTables(prior, ch, (0,)))
+            assert repr(rep.output_entropy) == repr(own)
+            first = JointTables(prior, ch, targets[0])
+            order_matters += (
+                repr(oracles.output_entropy_scan(first)) != repr(own))
+    assert order_matters > 0
+
+
+def _table_cases(rng):
+    """(universe, blocks, tables) with rational, float and mixed tables,
+    about half of them broken: an unknown symbol, a short key, a negative
+    entry, or a sum off by 1e-8 (rejected) or 1e-10 (accepted)."""
+    u = RecordUniverse(((BOT, "a"), (BOT, "a", "b"), ("a", "b")))
+    f = Fraction
+    for _ in range(300):
+        blocks = rng.choice((((0,), (1,), (2,)), ((0, 2), (1,)), ((0, 1, 2),)))
+        tables = []
+        for b in blocks:
+            keys = list(itertools.product(*(u.alphabets[i] for i in b)))
+            kind = rng.choice(("exact", "float", "mixed"))
+            weights = _weights(rng, len(keys), kind == "exact")
+            if kind == "float":
+                weights = [float(w) for w in weights]
+            tables.append(dict(zip(keys, weights)))
+        table = rng.choice(tables)
+        key = rng.choice(list(table))
+        fault = rng.randrange(8)
+        if fault == 0:
+            table[key[:-1] + ("c",)] = table.pop(key)
+        elif fault == 1:
+            table[key[:-1]] = table.pop(key)
+        elif fault == 2:
+            table[key] = -table[key]
+        elif fault in (3, 4):
+            off = f(1, 10**8) if fault == 3 else f(1, 10**10)
+            table[key] += off if isinstance(table[key], f) else float(off)
+        yield u, blocks, tables
+
+
+def test_prior_validation_matches_the_fraction_sum():
+    rng = random.Random(39)
+    rejected = accepted = 0
+    for u, blocks, tables in _table_cases(rng):
+        want = oracles.table_error(u, blocks, tables)
+        if want is None:
+            prior = JointPrior(u, blocks, tables)
+            accepted += 1
+            assert prior.support_size() == math.prod(
+                sum(1 for p in t.values() if p > 0) for t in tables)
+        else:
+            rejected += 1
+            with pytest.raises(PriorError) as exc:
+                JointPrior(u, blocks, tables)
+            assert str(exc.value) == want
+    assert rejected > 50 and accepted > 50
+
+
+def test_prior_validation_messages_are_pinned():
+    u = uniform_universe(1, (BOT, "a"))
+    half = Fraction(1, 2)
+
+    def rejects(table, message):
+        with pytest.raises(PriorError) as exc:
+            JointPrior(u, ((0,),), (table,))
+        assert str(exc.value) == message
+
+    negative = "negative probability at ('a',) in block (0,)"
+    rejects({(BOT,): Fraction(3, 2), ("a",): -half}, negative)
+    rejects({(BOT,): 1.5, ("a",): -0.5}, negative)
+    off = "table of block (0,) sums to 1.00000001, expected 1"
+    rejects({(BOT,): half, ("a",): half + Fraction(1, 10**8)}, off)
+    rejects({(BOT,): 0.5, ("a",): 0.5 + 1e-8}, off)
+    rejects({(BOT,): Fraction(1, 3), ("a",): Fraction(1, 3)},
+            "table of block (0,) sums to 0.6666666666666666, expected 1")
+    for table in ({(BOT,): half, ("a",): half + Fraction(1, 10**10)},
+                  {(BOT,): 0.5, ("a",): 0.5 + 1e-10}):
+        assert JointPrior(u, ((0,),), (table,)).tables == (table,)
+
+
+def test_int_division_is_the_float_of_the_fraction():
+    # The premise of the integer paths: int / int is the correctly rounded
+    # float of the exact quotient, as float(Fraction) is, and both raise
+    # OverflowError beyond the float range.
+    rng = random.Random(40)
+    overflows = underflows = 0
+    for _ in range(20000):
+        a = rng.getrandbits(rng.randint(1, 3000))
+        b = rng.getrandbits(rng.randint(1, 3000)) or 1
+        try:
+            want = float(Fraction(a, b))
+        except OverflowError:
+            overflows += 1
+            with pytest.raises(OverflowError):
+                a / b
+            continue
+        assert a / b == want
+        underflows += a and want == 0.0
+    assert overflows > 1000 and underflows > 1000
 
 
 # ---------------------------------------------------------------------------

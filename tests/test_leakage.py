@@ -7,6 +7,7 @@ import pytest
 from privlens import (
     BOT,
     EnumerationBudgetError,
+    JointPrior,
     JointTables,
     LeakageError,
     expected_distortion,
@@ -22,6 +23,8 @@ from privlens import (
     randomized_response_channel,
     uniform_universe,
 )
+
+from privlens.probability import entropy_nats
 
 from gen import random_channel, random_prior, random_universe
 
@@ -184,6 +187,72 @@ def test_zero_probability_outcomes_are_skipped():
     t = JointTables(prior, ch, 0)
     with pytest.raises(LeakageError):
         t.posterior((BOT,), 2)
+
+
+# ---------------------------------------------------------------------------
+# exact values outside the float range
+# ---------------------------------------------------------------------------
+
+TINY = Fraction(1, 10**400)
+
+
+def test_geometric_ratio_below_the_float_range_is_the_counting_limit():
+    # Noise cells of mass about 1e-400 are 0.0 as floats and add nothing,
+    # so every float quantity is that of the noiseless count.
+    u = uniform_universe(2, (BOT, "a"))
+    tables = ({(BOT, BOT): Fraction(9, 20), (BOT, "a"): Fraction(1, 20),
+               ("a", BOT): Fraction(1, 20), ("a", "a"): Fraction(9, 20)},)
+    prior = JointPrior(u, ((0, 1),), tables)
+    tiny = leakage_report(prior, geometric_counting_channel(u, "a", ratio=TINY))
+    count = leakage_report(prior, matrix_channel(
+        u, (0, 1, 2), {(c,): [int(j == c) for j in range(3)]
+                       for c in range(3)}))
+    assert tiny.output_entropy == count.output_entropy
+    for tgt, quantities in tiny.per_target.items():
+        for name in ("mi", "max_rel_entropy"):
+            assert quantities[name] == count.per_target[tgt][name], name
+        assert quantities["inferential_eps"].ratio > 10**399
+
+
+def test_prior_mass_below_the_float_range_adds_nothing():
+    # The record of mass 1e-400 is 0.0 as a float: its entropy and mi
+    # terms are zero, so the quantities are those of the point mass.
+    u = uniform_universe(1, (BOT, "a"))
+    ch = randomized_response_channel(u, HALF)
+    tiny = independent_prior(u, [{BOT: TINY, "a": 1 - TINY}])
+    assert entropy_nats([TINY, 1 - TINY]) == 0.0
+    assert tiny.entropy_nats() == 0.0
+    assert mi(tiny, ch, 0).nats == 0.0
+    rep = leakage_report(tiny, ch)
+    assert rep.prior_entropy_nats == 0.0
+    assert rep.per_target[(0,)]["inferential_eps"].ratio == 3
+
+
+def test_float_denominators_that_underflow_use_the_exact_quotient():
+    u = uniform_universe(1, (BOT, "a"))
+    identity = matrix_channel(u, ("zero", "one"),
+                              {(0,): [1, 0], (1,): [0, 1]})
+    # p_x * p_r = 1e-400 underflows while the joint mass 1e-200 does not:
+    # the term is 1e-200 * log(10**200).
+    d = Fraction(1, 10**200)
+    q = mi(independent_prior(u, [{BOT: 1 - d, "a": d}]), identity, 0)
+    assert math.isclose(q.nats, 1e-200 * 200 * math.log(10), rel_tol=1e-12)
+    # p_r and p_x of 1e-400 are 0.0 as floats: the posterior at "one" is
+    # exactly 1, and its divergence from the prior is log(10**400).
+    prior = independent_prior(u, [{BOT: 1 - TINY, "a": TINY}])
+    q = max_rel_entropy(prior, identity, 0)
+    assert math.isclose(q.nats, 400 * math.log(10), rel_tol=1e-12)
+    assert q.witness == {"outcome": "one"}
+    assert output_entropy(prior, identity).nats == 0.0
+    # An outcome of mass 3e-400 / 2: posterior (1/3, 2/3) against (1/2, 1/2).
+    half = independent_prior(u, [{BOT: HALF, "a": HALF}])
+    rare = matrix_channel(u, ("common", "rare"),
+                          {(0,): [1 - TINY, TINY], (1,): [1 - 2 * TINY, 2 * TINY]})
+    q = max_rel_entropy(half, rare, 0)
+    kl = math.log(2 / 3) / 3 + 2 * math.log(4 / 3) / 3
+    assert math.isclose(q.nats, kl, rel_tol=1e-12)
+    assert q.witness == {"outcome": "rare"}
+    assert output_entropy(half, rare).nats == 0.0
 
 
 # ---------------------------------------------------------------------------
