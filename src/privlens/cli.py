@@ -629,6 +629,7 @@ def cmd_compose(scenario: Scenario, args, rng) -> tuple:
         names = sec.get("mechanisms")
         if not names:
             raise SchemaError("compose.product needs mechanisms")
+        names = _expect(names, list, "compose.mechanisms")
         channels = [scenario.mechanism(n) for n in names]
         v = certify_composition(
             channels,
@@ -672,6 +673,7 @@ def cmd_compose(scenario: Scenario, args, rng) -> tuple:
         names = sec.get("mechanisms")
         if not names:
             raise SchemaError("compose.equal_epochs needs mechanisms")
+        names = _expect(names, list, "compose.mechanisms")
         channels = [scenario.mechanism(n) for n in names]
         prior = scenario.prior(sec.get("prior"))
         out = equal_epoch_reduction(prior, channels, sec.get("target", 0), args.budget)

@@ -7,6 +7,12 @@ leakage adds on the log scale; the additive total is verified against a
 direct pass over the full product space of per-epoch (target records,
 histogram) masses and outcome tuples rather than trusting the
 factorization.
+
+Rational inputs compose on integers: the product channel's rows, the
+product-space masses (from histogram_cells) and the folded rows are int
+products over the product of the components' denominators, so no Fraction
+is built on the way to a result. A float keeps the Fraction-or-float
+products, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 from .leakage import JointTables, Quantity, max_mi, normalize_target
 from .mechanism import Channel, lipschitz_ratio
-from .prior import JointPrior, histogram_masses
+from .prior import JointPrior, histogram_cells
 from .probability import (
     Prob,
     log_ratio,
@@ -53,17 +59,20 @@ def product_channel(channels: Sequence[Channel],
         n_out * len(u.achievable_histograms()), budget, "product_channel"
     )
     outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
-    rows = {}
-    for h in u.achievable_histograms():
-        comp_rows = [c.rows[h] for c in channels]
-        row = []
-        for combo in itertools.product(*(range(len(c.outcomes)) for c in channels)):
-            p: Prob = Fraction(1)
-            for r, j in zip(comp_rows, combo):
-                p = p * r[j]
-            row.append(p)
-        rows[h] = tuple(row)
-    return Channel(u, outcomes, rows)
+    hists = u.achievable_histograms()
+    if _rational(channels):
+        # Rational rows: int products of the numerators over the product
+        # of the row denominators, one Fraction per entry at the end.
+        return Channel.from_numerators(u, outcomes, {
+            h: _fold_dense([c._dense[h] for c in channels]) for h in hists
+        })
+    # A float somewhere: each entry is the product of the component
+    # entries taken from Fraction(1), as Fraction or float operators give.
+    one = (Fraction(1),)
+    return Channel(u, outcomes, {
+        h: tuple(_fold_rows([one, *(c.rows[h] for c in channels)]))
+        for h in hists
+    })
 
 
 def certify_composition(
@@ -83,6 +92,9 @@ def certify_composition(
     if (epsilons is None) == (exp_epsilons is None):
         raise CompositionError("give exactly one of epsilons or exp_epsilons")
     if exp_epsilons is not None:
+        if not isinstance(exp_epsilons, (list, tuple)):
+            raise CompositionError(
+                f"exp_epsilons must be a list, got {exp_epsilons!r}")
         units = [parse_probability(e, allow_unit_excess=True) for e in exp_epsilons]
     else:
         if not isinstance(epsilons, (list, tuple)):
@@ -191,33 +203,56 @@ def _fold_rows(rows):
     return out
 
 
+def _fold_dense(dense):
+    """_fold_rows on integer rows: (numerators, d) per component gives the
+    product row's int numerators over the product of the d."""
+    return _fold_rows([nums for nums, _ in dense]), prod(d for _, d in dense)
+
+
 def direct_epoch_max_mi(model: EpochModel, target,
                         budget: Optional[int] = None) -> Quantity:
     """The same quantity measured from first principles: take the product
     space of the per-epoch (target records, histogram) masses and outcome
     tuples, aggregate the joint of (per-epoch target records, outcome
     tuple), and take the largest pointwise mutual information. Exists to
-    check the additive path, so the product is never factorized."""
+    check the additive path, so the product is never factorized.
+
+    When every prior is rational, each cell's mass is the int product of
+    the epochs' numerators (histogram_cells) over the product of their
+    denominators, and when every channel is rational each folded row is
+    the int product of the channels' integer rows, so no Fraction is built
+    on the way to the tables. Otherwise the masses are products of the
+    epochs' Fraction or float masses from Fraction(1)."""
     tgt = normalize_target(model.n, target)
     support = prod(p.support_size() for p, _ in model.epochs)
     out_card = prod(len(c.outcomes) for _, c in model.epochs)
     check_budget(support * out_card, budget, "direct_epoch_max_mi")
 
-    epoch_cells = [
-        list(histogram_masses(p, tgt).items()) for p, _ in model.epochs
-    ]
-
-    def cells():
-        for combo in itertools.product(*epoch_cells):
-            keys_hists, masses = zip(*combo)
-            yield tuple(zip(*keys_hists)), prod(masses, start=Fraction(1))
+    channels = [c for _, c in model.epochs]
+    epoch_cells = [histogram_cells(p, tgt) for p, _ in model.epochs]
+    if all(d is not None for _, d in epoch_cells):
+        per_epoch = [cs for cs, _ in epoch_cells]
+        start, d = 1, prod(d for _, d in epoch_cells)
+    else:
+        per_epoch = [cs if d is None else [(key, Fraction(a, d)) for key, a in cs]
+                     for cs, d in epoch_cells]
+        start, d = Fraction(1), None
+    cells = []
+    for combo in itertools.product(*per_epoch):
+        keys_hists, masses = zip(*combo)
+        cells.append((tuple(zip(*keys_hists)), prod(masses, start=start)))
 
     def row_of(hists):
-        return _fold_rows([c.rows[h] for (_, c), h in zip(model.epochs, hists)])
+        return _fold_rows([c.rows[h] for c, h in zip(channels, hists)])
 
-    outcomes = tuple(itertools.product(*(c.outcomes for _, c in model.epochs)))
-    q = max_mi(None, None, None,
-               tables=JointTables.from_cells(cells(), row_of, outcomes))
+    def dense_of(hists):
+        return _fold_dense([c._dense[h] for c, h in zip(channels, hists)])
+
+    outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
+    tables = JointTables.from_cells(
+        cells, row_of, outcomes, d=d,
+        dense_of=dense_of if _rational(channels) else None)
+    q = max_mi(None, None, None, tables=tables)
     if q.witness is None:
         return q
     return replace(q, witness={
@@ -226,12 +261,18 @@ def direct_epoch_max_mi(model: EpochModel, target,
     })
 
 
+def _rational(channels) -> bool:
+    """True when every row of every channel is rational."""
+    return all(None not in c._dense.values() for c in channels)
+
+
 def equal_epoch_reduction(prior: JointPrior, channels: Sequence[Channel],
                           target, budget: Optional[int] = None) -> dict:
     """Same records observed through several mechanisms: the trajectory
     leakage equals the product-channel leakage. Returns both measurements
     (product-channel route and a direct tuple-space route that folds the
-    component rows itself) and whether they agree exactly."""
+    component rows itself, on integers when everything is rational) and
+    whether they agree exactly."""
     tgt = normalize_target(prior.universe.n, target)
     combined = product_channel(channels, budget)
     via_product = max_mi(prior, combined, tgt, budget)
@@ -239,10 +280,15 @@ def equal_epoch_reduction(prior: JointPrior, channels: Sequence[Channel],
     def row_of(h):
         return _fold_rows([c.rows[h] for c in channels])
 
-    cells = histogram_masses(prior, tgt).items()
+    def dense_of(h):
+        return _fold_dense([c._dense[h] for c in channels])
+
     outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
-    direct = max_mi(None, None, None,
-                    tables=JointTables.from_cells(cells, row_of, outcomes))
+    cells, d = histogram_cells(prior, tgt)
+    tables = JointTables.from_cells(
+        cells, row_of, outcomes, d=d,
+        dense_of=dense_of if _rational(channels) else None)
+    direct = max_mi(None, None, None, tables=tables)
     return {
         "via_product_channel": via_product,
         "direct_ratio": direct.ratio,

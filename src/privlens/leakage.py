@@ -99,7 +99,8 @@ class JointTables:
     joint over one common multiple of m, and the Fraction p_x, p_r and joint
     are built from them on first use. Otherwise integers is None. A
     rational prior hands over its masses as integer numerators
-    (histogram_cells), so no Fraction is built on the way.
+    (histogram_cells), so no Fraction is built on the way; the rational
+    composition cross-checks hand theirs to from_cells the same way.
     """
 
     def __init__(self, prior: JointPrior, channel: Channel, target,
@@ -113,13 +114,16 @@ class JointTables:
         self._accumulate(cells, channel._row_views, channel.outcomes, d)
 
     @classmethod
-    def from_cells(cls, cells, row_of, outcomes) -> "JointTables":
+    def from_cells(cls, cells, row_of, outcomes, d=None,
+                   dense_of=None) -> "JointTables":
         """Tables over ((records key, row key), mass) cells, where row_of
         maps a row key to a row aligned with outcomes; prior, channel and
-        target are None."""
+        target are None. When d is given the masses are integer numerators
+        over d, and dense_of, when given, maps a row key to the row's
+        (numerators, d), as RowViews takes it."""
         t = cls.__new__(cls)
         t.prior = t.channel = t.target = None
-        t._accumulate(list(cells), RowViews(row_of), outcomes)
+        t._accumulate(list(cells), RowViews(row_of, dense_of), outcomes, d)
         return t
 
     def _accumulate(self, cells, views, outcomes, d=None):
@@ -142,22 +146,46 @@ class JointTables:
             return
         # Exact path: masses are integers over m and row entries integers
         # over d, the lcm of the rows' own denominators, so every sum is an
-        # int and each result is one Fraction.
+        # int and each result is one Fraction. Each records key sums into
+        # its own list aligned with the outcomes, and order lists the
+        # (records key, outcome) cells as their first terms arrive, which
+        # is the joint's insertion order. A bit mask per records key of the
+        # outcomes it has reached finds the cells a later row reaches first.
         nums, m = masses
-        d = math.lcm(*{dr for dr, _ in rows.values()})
-        rows = {rk: (d // dr, row) for rk, (dr, row) in rows.items()}
-        p_x: Dict[tuple, int] = {}
-        joint: Dict[Tuple[tuple, int], int] = {}
-        p_r = [0] * len(outcomes)
+        d = math.lcm(*{dr for dr, _, _ in rows.values()})
+        rows = {rk: (d // dr, row, mask)
+                for rk, (dr, row, mask) in rows.items()}
+        n_out = len(outcomes)
+        acc = {}  # records key -> [mass, outcomes mask, joint row]
+        order = []
         for ((xv, rk), _), a in zip(cells, nums):
-            p_x[xv] = p_x.get(xv, 0) + a
-            scale, row = rows[rk]
+            scale, row, mask = rows[rk]
+            st = acc.get(xv)
+            if st is None:
+                # A new records key: every cell of the row is new.
+                vals = [0] * n_out
+                acc[xv] = [a, mask, vals]
+                a *= scale
+                for j, b in row:
+                    vals[j] = a * b
+                    order.append((xv, j))
+                continue
+            st[0] += a
+            vals = st[2]
+            new = mask & ~st[1]
+            if new:
+                st[1] |= new
+                order += [(xv, j) for j, _ in row if new >> j & 1]
             a *= scale
             for j, b in row:
-                w = a * b
-                joint[(xv, j)] = joint.get((xv, j), 0) + w
-                p_r[j] += w
-        p_x = {k: p_x[k] for k in sorted(p_x)}
+                vals[j] += a * b
+        p_x = {k: acc[k][0] for k in sorted(acc)}
+        joint = {(xv, j): acc[xv][2][j] for xv, j in order}
+        # Each outcome's mass is the sum of its joint cells: int sums, so
+        # the same ints as summing the terms as they come.
+        p_r = [0] * n_out
+        for _, _, vals in acc.values():
+            p_r = list(map(operator.add, p_r, vals))
         self.integers = (p_x, p_r, joint, m)
         self._md = m * d
 

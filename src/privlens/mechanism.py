@@ -61,9 +61,9 @@ class RowViews:
     use and kept: nonzero[key] is a row's nonzero (outcome index, entry)
     pairs with the entries as given and as floats, indexed by as_float;
     integer(key), for a row of rationals, its nonzero (outcome index,
-    numerator) pairs over the lcm of its denominators. row_of maps a row
-    key to a row; dense_of, when given, maps it to the row's (numerators,
-    d) from scale_to_integers, already computed."""
+    numerator) pairs over a common denominator of its entries. row_of maps
+    a row key to a row; dense_of, when given, maps it to the row's
+    (numerators, d), already computed."""
 
     def __init__(self, row_of, dense_of=None):
         self._dense_of = dense_of or (lambda key: scale_to_integers(row_of(key)))
@@ -73,13 +73,15 @@ class RowViews:
         self._integer = {}
 
     def integer(self, key):
-        """(d, [(outcome index, entry * d)]) without zero entries, or None
-        when the row holds a float."""
+        """(d, [(outcome index, entry * d)], mask) without zero entries,
+        where bit j of mask is set when outcome j has a pair, or None when
+        the row holds a float."""
         if key not in self._integer:
             scaled = self._dense_of(key)
             if scaled is not None:
                 nums, d = scaled
-                scaled = d, [(j, b) for j, b in enumerate(nums) if b]
+                pairs = [(j, b) for j, b in enumerate(nums) if b]
+                scaled = d, pairs, sum(1 << j for j, _ in pairs)
             self._integer[key] = scaled
         return self._integer[key]
 
@@ -92,7 +94,8 @@ class Channel:
     ``outcomes``. Construction validates coverage, alignment, nonnegativity,
     and row normalization within 1e-9, and keeps each row of ints and
     Fractions as its integer numerators over the lcm of its denominators,
-    which the ratio scans and joint tables read.
+    which the ratio scans and joint tables read. from_numerators builds a
+    channel from rows that are integer numerators already.
     """
 
     universe: RecordUniverse
@@ -100,12 +103,50 @@ class Channel:
     rows: Dict[Tuple[int, ...], Tuple[Prob, ...]]
 
     def __post_init__(self):
+        # (numerators, d) per histogram; None for a row that holds a float.
+        dense = {h: scale_to_integers(row) for h, row in self.rows.items()}
+        self._check(dense)
+        self._keep(dense)
+
+    @classmethod
+    def from_numerators(cls, universe: RecordUniverse, outcomes,
+                        dense) -> "Channel":
+        """The channel whose row at h is numerators / d for each (h,
+        (numerators, d)) in dense, with int numerators and a positive int
+        d. The checks and messages are the constructor's, made on the
+        integers; each entry then becomes one Fraction, and dense is kept
+        as the channel's integer rows, so no row is scaled again."""
+        ch = cls.__new__(cls)
+        object.__setattr__(ch, "universe", universe)
+        object.__setattr__(ch, "outcomes", tuple(outcomes))
+        ch._check(dense)
+        # Equal numerators over one d (a symmetric kernel repeats its
+        # entries across rows) share one Fraction.
+        memo = {}
+        rows = {}
+        for h, (nums, d) in dense.items():
+            row = []
+            for a in nums:
+                f = memo.get((a, d))
+                if f is None:
+                    f = memo[a, d] = Fraction(a, d)
+                row.append(f)
+            rows[h] = tuple(row)
+        object.__setattr__(ch, "rows", rows)
+        ch._keep(dense)
+        return ch
+
+    def _check(self, dense):
+        """Validate the channel whose rows have the integer form dense:
+        histogram -> (numerators, d), or None for a row with a float, which
+        is read from self.rows. A message names the first offending row in
+        dense's order."""
         if not self.outcomes:
             raise ChannelError("channel needs at least one outcome")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ChannelError("outcome labels repeat")
         achievable = set(self.universe.achievable_histograms())
-        keys = set(self.rows)
+        keys = set(dense)
         missing = achievable - keys
         if missing:
             raise ChannelError(
@@ -116,18 +157,21 @@ class Channel:
             raise ChannelError(
                 f"row for unachievable histogram {sorted(extra)[0]}"
             )
-        # (numerators, d) per histogram; None for a row that holds a float.
-        dense = {}
-        for h, row in self.rows.items():
-            if len(row) != len(self.outcomes):
+        for h, scaled in dense.items():
+            entries = self.rows[h] if scaled is None else scaled[0]
+            if len(entries) != len(self.outcomes):
                 raise ChannelError(
-                    f"row {h} has {len(row)} entries for {len(self.outcomes)} outcomes"
+                    f"row {h} has {len(entries)} entries for {len(self.outcomes)} outcomes"
                 )
-            scaled = dense[h] = scale_to_integers(row)
             if scaled is None:
-                entries, total = row, sum(row)
+                total = sum(entries)
             else:
-                entries, d = scaled
+                d = scaled[1]
+                if type(d) is not int or d <= 0:
+                    raise ChannelError(
+                        f"row {h} has denominator {d!r}, expected a "
+                        "positive integer"
+                    )
                 # int / int is the correctly rounded float of the exact sum,
                 # the same float as float(Fraction(sum, d)).
                 total = sum(entries) / d
@@ -137,6 +181,9 @@ class Channel:
                 raise ChannelError(
                     f"row {h} sums to {float(total)!r}, expected 1"
                 )
+
+    def _keep(self, dense):
+        """Keep dense as the integer rows that the scans and views read."""
         object.__setattr__(self, "_dense", dense)
         object.__setattr__(
             self, "_row_views", RowViews(self.rows.__getitem__, dense.__getitem__)
@@ -261,7 +308,8 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
     m = len(alpha0)
     base = (1 - keep) / m
     # A rational kernel runs on integers over its common denominator, so
-    # each state sums ints and each row entry is one Fraction over scale**n.
+    # each state sums ints and each row is integer numerators over
+    # scale**n, handed to the channel as they are.
     scaled = scale_to_integers((keep + base, base))
     if scaled is None:
         (diag, off), scale = (keep + base, base), None
@@ -296,8 +344,10 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
         if scale is None:
             rows[h] = tuple(states.get(c, Fraction(0)) for c in out_codes)
         else:
-            rows[h] = tuple(Fraction(states.get(c, 0), denom) for c in out_codes)
-    return Channel(universe, outcomes, rows)
+            rows[h] = [states.get(c, 0) for c in out_codes], denom
+    if scale is None:
+        return Channel(universe, outcomes, rows)
+    return Channel.from_numerators(universe, outcomes, rows)
 
 
 # ---------------------------------------------------------------------------

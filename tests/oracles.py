@@ -5,7 +5,8 @@ per-cell and per-candidate loops that the integer scans and the symmetry
 classes replace, the leakage quantities and the prior table check on
 Fractions where the library reads integer numerators, the dict-update
 convolution that the compiled histogram plan and the integer prior masses
-replace, and sums started from an int 0 where the library starts them from
+replace, the product-channel loop on Fractions that integer rows replace,
+and sums started from an int 0 where the library starts them from
 their first term. Keep universes small."""
 
 import itertools
@@ -251,6 +252,24 @@ def randomized_response_rows(universe, keep_prob):
                     nxt[key] = nxt.get(key, 0) + p * q
             states = nxt
         rows[h] = tuple(states.get(out_h, Fraction(0)) for out_h in achievable)
+    return rows
+
+
+def product_channel_rows(channels):
+    """{histogram: row} of product_channel, each entry the product of the
+    component entries from Fraction(1), one Fraction (or float) operation
+    per factor, in itertools.product order over the component outcomes."""
+    rows = {}
+    for h in channels[0].universe.achievable_histograms():
+        comp_rows = [c.rows[h] for c in channels]
+        row = []
+        for combo in itertools.product(
+                *(range(len(c.outcomes)) for c in channels)):
+            p = Fraction(1)
+            for r, j in zip(comp_rows, combo):
+                p = p * r[j]
+            row.append(p)
+        rows[h] = tuple(row)
     return rows
 
 

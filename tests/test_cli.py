@@ -542,6 +542,34 @@ def test_compose_equal_epochs(tmp_path):
     assert rep["results"]["agree"] is True
 
 
+def _compose_error(tmp_path, compose):
+    scn = base_scenario(compose=compose)
+    code, out, err = invoke(["compose", write_scenario(tmp_path, scn)])
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("value", [2.5, -1, True])
+@pytest.mark.parametrize("kind", ["product", "equal_epochs"])
+def test_compose_mechanisms_must_be_a_list(tmp_path, kind, value):
+    section = {"kind": kind, "mechanisms": value, "prior": "uniform",
+               "exp_epsilons": ["3", "3"]}
+    err = _compose_error(tmp_path, section)
+    assert err == f"error: compose.mechanisms must be a list, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", [4, 0, 2.5, True, "4"])
+def test_compose_exp_epsilons_must_be_a_list(tmp_path, value):
+    # A string is not read as a list of its characters, as epsilons is not.
+    section = {"kind": "product", "mechanisms": ["geo"], "exp_epsilons": value}
+    err = _compose_error(tmp_path, section)
+    assert err == f"error: exp_epsilons must be a list, got {value!r}\n"
+    section = {"kind": "product", "mechanisms": ["geo"], "epsilons": value}
+    err = _compose_error(tmp_path, section)
+    assert err == f"error: epsilons must be a list, got {value!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -998,8 +1026,8 @@ def _field_paths(node, prefix=()):
         yield from _field_paths(value, path)
 
 
-def _mutant(paths_values):
-    scn = json.loads(json.dumps(DEMO))
+def _mutant(paths_values, base=DEMO):
+    scn = json.loads(json.dumps(base))
     for path, value in paths_values:
         node = scn
         for key in path[:-1]:
@@ -1030,3 +1058,56 @@ def test_mutated_demo_scenarios_honour_the_exit_code_contract(tmp_path):
             assert code in (0, 1, 2, 3, 4), (changes, command)
             if code == 4:
                 assert err.count("\n") == 1, (changes, command, err)
+
+
+# One small scenario per compose kind over a shared n=2 part.
+COMPOSE_SHARED = {
+    "name": "compose-demo",
+    "universe": {"n": 2, "alphabet": ["BOT", "a"]},
+    "priors": {"mixed": {"independent": [["1/2", "1/2"], ["1/3", "2/3"]]}},
+    "mechanisms": {
+        "geo": {"type": "geometric_counting", "target_symbol": "a",
+                "ratio": "1/3"},
+        "rr": {"type": "randomized_response", "keep_prob": "1/2"},
+    },
+}
+COMPOSE_DEMOS = [
+    {**COMPOSE_SHARED, "compose": section} for section in (
+        {"kind": "product", "mechanisms": ["geo", "rr"], "k": 1,
+         "exp_epsilons": ["3", "3"]},
+        {"kind": "epochs", "epochs": [{"prior": "mixed", "mechanism": "geo"},
+                                      {"prior": "mixed", "mechanism": "rr"}],
+         "target": 0},
+        {"kind": "equal_epochs", "prior": "mixed", "mechanisms": ["geo", "rr"],
+         "target": [0, 1]},
+    )
+]
+
+
+def test_mutated_compose_scenarios_honour_the_exit_code_contract(tmp_path):
+    # The gate above, on the compose command: every field of each kind's
+    # scenario replaced by every value, plus seeded pairs. A field of the
+    # shared part meets each kind with a third of the values, so each
+    # (field, value) runs once.
+    shared = list(_field_paths(COMPOSE_SHARED))
+    rng = random.Random(6)
+    mutants = []
+    for d, demo in enumerate(COMPOSE_DEMOS):
+        paths = list(_field_paths(demo))
+        mutants.extend(
+            (demo, [(p, v)]) for p in paths
+            for i, v in enumerate(MUTANT_VALUES)
+            if p not in shared or i % len(COMPOSE_DEMOS) == d)
+        for _ in range(12):
+            first, second = rng.sample(paths, 2)
+            if second[:len(first)] != first and first[:len(second)] != second:
+                mutants.append((demo, [(first, rng.choice(MUTANT_VALUES)),
+                                       (second, rng.choice(MUTANT_VALUES))]))
+    path = str(tmp_path / "mutant.json")
+    for demo, changes in mutants:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_mutant(changes, demo), fh)
+        code, _, err = invoke(["compose", path])
+        assert code in (0, 1, 2, 3, 4), changes
+        if code == 4:
+            assert err.count("\n") == 1, (changes, err)

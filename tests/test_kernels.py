@@ -44,6 +44,7 @@ from privlens import (
     necessary_pdelta,
     normalize_target,
     output_entropy,
+    product_channel,
     randomized_response_channel,
     ratios_agree,
     sample_prior,
@@ -309,30 +310,44 @@ def test_dataset_distribution_matches_the_sequence_oracle(exact):
                 assert close(float(got[h]), float(m))
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["Fraction", "float"])
-def test_direct_epoch_max_mi_matches_the_sequence_oracle(exact):
-    rng = random.Random(28 if exact else 29)
+# (rational prior, rational channels) per case, and the case's seed offset:
+# the rational and the float path, then the two mixed ones, which keep the
+# Fraction and float loops.
+MIXES = pytest.mark.parametrize("mix", [
+    (True, True, 0), (False, False, 1), (True, False, 12), (False, True, 13),
+], ids=["Fraction", "float", "rational-prior-float-channel",
+        "float-prior-rational-channel"])
+
+
+@MIXES
+def test_direct_epoch_max_mi_matches_the_sequence_oracle(mix):
+    prior_exact, channel_exact, seed = mix
+    exact = prior_exact and channel_exact
+    rng = random.Random(28 + seed)
     for _ in range(30):
-        prior = block_prior(rng, exact, max_support=24)
+        prior = block_prior(rng, prior_exact, max_support=24)
         u = prior.universe
         second = JointPrior(u, prior.blocks, tuple(
-            dict(zip(t, _weights(rng, len(t), exact))) for t in prior.tables
+            dict(zip(t, _weights(rng, len(t), prior_exact)))
+            for t in prior.tables
         ))
-        epochs = ((prior, block_channel(rng, u, exact)),
-                  (second, block_channel(rng, u, exact)))
+        epochs = ((prior, block_channel(rng, u, channel_exact)),
+                  (second, block_channel(rng, u, channel_exact)))
         tgt = block_target(rng, u.n)
         assert_quantities_agree(direct_epoch_max_mi(EpochModel(epochs), tgt),
                                 oracles.direct_epoch_max_mi(epochs, tgt),
                                 exact)
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["Fraction", "float"])
-def test_equal_epoch_reduction_matches_the_sequence_oracle(exact):
-    rng = random.Random(30 if exact else 31)
+@MIXES
+def test_equal_epoch_reduction_matches_the_sequence_oracle(mix):
+    prior_exact, channel_exact, seed = mix
+    exact = prior_exact and channel_exact
+    rng = random.Random(30 + seed)
     for _ in range(30):
-        prior = block_prior(rng, exact, max_support=60)
+        prior = block_prior(rng, prior_exact, max_support=60)
         u = prior.universe
-        channels = [block_channel(rng, u, exact) for _ in range(2)]
+        channels = [block_channel(rng, u, channel_exact) for _ in range(2)]
         tgt = block_target(rng, u.n)
         got = equal_epoch_reduction(prior, channels, tgt)
         want = oracles.equal_epoch_direct(prior, channels, tgt)
@@ -451,6 +466,89 @@ def test_randomized_response_float_keep_keeps_its_bits():
         want = oracles.randomized_response_rows(u, 0.35)
         assert any(isinstance(q, float) for row in got.values() for q in row)
         assert repr(got) == repr(want)
+
+
+def _mixed_channel(rng, u, ints=False):
+    """A rational channel, or with ints a deterministic channel of int
+    entries, with one row turned into floats."""
+    ch = block_channel(rng, u, True)
+    if ints:
+        n_out = len(ch.outcomes)
+        ch = Channel(u, ch.outcomes, {
+            h: tuple(int(j == k) for j in range(n_out))
+            for h, k in zip(ch.rows, (rng.randrange(n_out) for _ in ch.rows))})
+    rows = dict(ch.rows)
+    h = rng.choice(sorted(rows))
+    rows[h] = tuple(float(q) for q in rows[h])
+    return Channel(u, ch.outcomes, rows)
+
+
+def test_product_channel_matches_the_fraction_oracle():
+    # Rational, float and mixed components, one to three of them: the same
+    # rows (values, types, order) as the Fraction loop, and the same
+    # k-change scans as a channel built from those rows.
+    rng = random.Random(66)
+    make = {
+        "rational": lambda u: block_channel(rng, u, True),
+        "float": lambda u: block_channel(rng, u, False),
+        "mixed": lambda u: _mixed_channel(rng, u),
+        "ints": lambda u: _mixed_channel(rng, u, ints=True),
+    }
+    combos = [("rational",), ("rational", "rational"),
+              ("rational", "rational", "rational"), ("float", "float"),
+              ("rational", "float"), ("mixed", "rational"),
+              ("rational", "mixed", "float"), ("ints",), ("ints", "ints")]
+    for _ in range(6):
+        for combo in combos:
+            u = per_individual_universe(rng, n_max=3, max_sequences=40)
+            channels = [make[kind](u) for kind in combo]
+            got = product_channel(channels)
+            rows = oracles.product_channel_rows(channels)
+            assert repr(got.rows) == repr(rows), combo
+            want = Channel(u, got.outcomes, rows)
+            for k in range(1, u.n + 1):
+                assert repr(lipschitz_ratio(got, k)) == repr(
+                    lipschitz_ratio(want, k)), combo
+
+
+def test_integer_rows_share_the_constructor_messages():
+    u = uniform_universe(1, (BOT, "a"))
+    lo, hi = u.achievable_histograms()
+    good = ([1, 1], 2)
+
+    def rejects(dense, message):
+        # The same message from the integer rows and from their Fractions.
+        with pytest.raises(ChannelError) as exc:
+            Channel.from_numerators(u, (0, 1), dense)
+        assert str(exc.value) == message
+        rows = {h: tuple(Fraction(a, d) for a in nums)
+                for h, (nums, d) in dense.items()}
+        with pytest.raises(ChannelError) as exc:
+            Channel(u, (0, 1), rows)
+        assert str(exc.value) == message
+
+    rejects({lo: good, hi: ([3, -1], 2)}, "negative probability in row (1,)")
+    rejects({lo: good, hi: ([5 * 10**7, 5 * 10**7 + 1], 10**8)},
+            "row (1,) sums to 1.00000001, expected 1")
+    rejects({lo: good, hi: ([1, 1, 0], 2)},
+            "row (1,) has 3 entries for 2 outcomes")
+    rejects({lo: good}, "no row for achievable histogram (1,)")
+    rejects({lo: good, hi: good, (2,): good},
+            "row for unachievable histogram (2,)")
+    near = ([5 * 10**9, 5 * 10**9 + 1], 10**10)
+    ch = Channel.from_numerators(u, (0, 1), {lo: good, hi: near})
+    assert ch.rows[hi] == (Fraction(1, 2), Fraction(5 * 10**9 + 1, 10**10))
+    assert ch._dense[hi] == near
+    for d in (0, -2, 2.0, True):
+        with pytest.raises(ChannelError) as exc:
+            Channel.from_numerators(u, (0, 1), {lo: good, hi: ([1, 1], d)})
+        assert str(exc.value) == (
+            f"row (1,) has denominator {d!r}, expected a positive integer")
+    for outcomes, message in (((), "channel needs at least one outcome"),
+                              ((0, 0), "outcome labels repeat")):
+        with pytest.raises(ChannelError) as exc:
+            Channel.from_numerators(u, outcomes, {lo: good, hi: good})
+        assert str(exc.value) == message
 
 
 def _tables_cases():
