@@ -38,6 +38,8 @@ from .prior import (
 from .probability import (
     TOL,
     Prob,
+    exp_or_inf,
+    float_or_inf,
     is_inf,
     log_ratio,
     parse_probability,
@@ -60,14 +62,20 @@ class Verdict:
     claim: str
     params: dict
     measured_ratio: Prob
-    measured_nats: float
     bound_ratio: Prob
-    bound_nats: float
     satisfied: bool
     conclusive: bool
     witness: Optional[dict] = None
     notes: Tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
+
+    @property
+    def measured_nats(self) -> float:
+        return log_ratio(self.measured_ratio)
+
+    @property
+    def bound_nats(self) -> float:
+        return log_ratio(self.bound_ratio)
 
 
 def leq_with_tol(measured, bound, tol: float = TOL) -> bool:
@@ -89,17 +97,9 @@ def leq_with_tol(measured, bound, tol: float = TOL) -> bool:
     return mf <= bf + tol * max(1.0, abs(bf))
 
 
-def _float(value) -> float:
-    """float(value), or inf for an exact ratio too large for a float."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
 def _number(value, what) -> float:
     try:
-        return float(value)
+        return float_or_inf(value)
     except (TypeError, ValueError):
         raise AuditError(f"{what} must be a number, got {value!r}") from None
 
@@ -127,10 +127,7 @@ def _parse_bound(epsilon=None, exp_epsilon=None, *, what="epsilon"):
         if val <= 0:
             raise AuditError(f"exp_{what} must be positive")
         return val
-    try:
-        return math.exp(_number(epsilon, what))
-    except OverflowError:
-        return math.inf
+    return exp_or_inf(_number(epsilon, what))
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +152,7 @@ def certify_pk(channel: Channel, k: int, *, epsilon=None, exp_epsilon=None,
         claim="k-change privacy level",
         params={"k": k, "bound_source": "epsilon" if epsilon is not None else "exp_epsilon"},
         measured_ratio=scan.ratio,
-        measured_nats=scan.nats,
         bound_ratio=bound,
-        bound_nats=log_ratio(bound),
         satisfied=leq_with_tol(scan.ratio, bound),
         conclusive=True,
         witness=scan.witness(),
@@ -180,12 +175,15 @@ class SupResult:
     """
 
     ratio: Prob
-    nats: float
     target: Tuple[int, ...]
     witness: Optional[dict]
     evaluated: Dict[str, int]
     notes: Tuple[str, ...]
     conclusive: bool
+
+    @property
+    def nats(self) -> float:
+        return log_ratio(self.ratio)
 
 
 def _extremal_pair_candidates(channel, family, tgt, eta, budget):
@@ -387,7 +385,6 @@ def worstcase_sup(
     if best is None:
         return SupResult(
             ratio=Fraction(1),
-            nats=0.0,
             target=tgt,
             witness=None,
             evaluated=evaluated,
@@ -401,7 +398,7 @@ def worstcase_sup(
         and best_wit is not None
         and best_wit.get("origin") == "sampled"
         and extremal_best is not None
-        and float(best) > float(extremal_best) * (1 + 1e-12)
+        and float_or_inf(best) > float_or_inf(extremal_best) * (1 + 1e-12)
     ):
         conclusive = False
         notes.append(
@@ -410,7 +407,6 @@ def worstcase_sup(
         )
     return SupResult(
         ratio=best,
-        nats=log_ratio(best),
         target=tgt,
         witness=best_wit,
         evaluated=evaluated,
@@ -522,9 +518,11 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
     elif is_inf(achieved):
         attained = False
     else:
-        attained = abs(float(achieved) - float(scan.ratio)) <= tol * max(
-            1.0, abs(float(scan.ratio))
-        )
+        try:
+            a, r, t = float(achieved), float(scan.ratio), tol
+        except OverflowError:
+            a, r, t = Fraction(achieved), Fraction(scan.ratio), Fraction(tol)
+        attained = abs(a - r) <= t * max(1.0, abs(r))
     return TightnessResult(
         scan=scan,
         achieved_ratio=achieved,
@@ -547,14 +545,23 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
 def interpolated_bound(exp_eps_step, k: int, exp_delta):
     """exp(eps/k) * (1 - exp_delta) + exp(eps) * exp_delta on the ratio scale,
     exact on rational inputs (exp(eps) is computed as the k-th power of the
-    per-step value). When a float on either side makes the k-step level too
-    large for a float, the bound is inf, or the per-step level alone at
-    exp_delta = 0."""
+    per-step value). An infinite step, or a float k-step level too large for
+    a float, gives inf; at exp_delta = 0 the latter gives the per-step level."""
     step = exp_eps_step
+    if is_inf(step):
+        return math.inf
     try:
         return step * (1 - exp_delta) + step**k * exp_delta
     except OverflowError:
-        return step * (1 - exp_delta) if exp_delta == 0 else math.inf
+        return math.inf if exp_delta else float_or_inf(step) * (1 - exp_delta)
+
+
+def _power(base, e):
+    """base**e, or inf when a float power is beyond the float range."""
+    try:
+        return base**e
+    except OverflowError:
+        return math.inf
 
 
 def bound_pdelta(
@@ -589,12 +596,12 @@ def bound_pdelta(
     if exp_eps_step is not None:
         step = parse_probability(exp_eps_step, allow_unit_excess=True)
     else:
-        step = math.exp(_number(epsilon, "epsilon") / k)
+        step = exp_or_inf(_number(epsilon, "epsilon") / k)
     dp = dp_epsilon(channel, budget)
     if not leq_with_tol(dp.ratio, step):
         raise AuditError(
-            f"premise fails: one-change ratio {_float(dp.ratio)!r} exceeds "
-            f"per-step bound {_float(step)!r}"
+            f"premise fails: one-change ratio {float_or_inf(dp.ratio)!r} "
+            f"exceeds per-step bound {float_or_inf(step)!r}"
         )
     family = FamilyParams(k=k, exp_delta=exp_delta)
     sup = worstcase_sup(
@@ -618,9 +625,7 @@ def bound_pdelta(
             "samples": samples,
         },
         measured_ratio=sup.ratio,
-        measured_nats=sup.nats,
         bound_ratio=bound,
-        bound_nats=log_ratio(bound),
         satisfied=leq_with_tol(sup.ratio, bound),
         conclusive=sup.conclusive,
         witness=sup.witness,
@@ -718,9 +723,7 @@ def necessary_pdelta(
         claim="mediant necessary condition under bounded dependence",
         params={"exp_delta": exp_delta},
         measured_ratio=best,
-        measured_nats=log_ratio(best),
         bound_ratio=bound,
-        bound_nats=log_ratio(bound),
         satisfied=leq_with_tol(best, bound),
         conclusive=True,
         witness=wit,
@@ -742,12 +745,12 @@ def _band_corners(alphabet, tau):
     if m < 2:
         return corners
     for sign in (1, -1):
-        top = math.exp(sign * tau) / m
+        top = exp_or_inf(sign * tau) / m
         if top >= 1:
             continue
         rest = (1 - top) / (m - 1)
         lo = math.exp(-tau) / m - TOL
-        hi = math.exp(tau) / m + TOL
+        hi = exp_or_inf(tau) / m + TOL
         if rest < lo or rest > hi:
             continue
         corners.append({alphabet[0]: top, **{s: rest for s in alphabet[1:]}})
@@ -803,7 +806,7 @@ def sufficient_nk(
                 raise AuditError(f"marginal for individual {j} does not normalize")
             m = len(alpha)
             lo = math.exp(-tau) / m - TOL
-            hi = math.exp(tau) / m + TOL
+            hi = exp_or_inf(tau) / m + TOL
             for sym, p in w.items():
                 if float(p) < lo or float(p) > hi:
                     raise AuditError(
@@ -895,9 +898,7 @@ def sufficient_nk(
         claim="averaged sufficiency under near-uniform marginals",
         params={"k": k, "tau": tau},
         measured_ratio=best,
-        measured_nats=log_ratio(best),
         bound_ratio=bound,
-        bound_nats=log_ratio(bound),
         satisfied=leq_with_tol(best, bound),
         conclusive=conclusive,
         witness=wit,
@@ -944,13 +945,13 @@ def group_certify(
     scan = lipschitz_ratio(channel, k, budget)
     if not leq_with_tol(scan.ratio, bound_unit):
         raise AuditError(
-            f"premise fails: k-change ratio {_float(scan.ratio)!r} exceeds "
-            f"exp(epsilon) {_float(bound_unit)!r}"
+            f"premise fails: k-change ratio {float_or_inf(scan.ratio)!r} "
+            f"exceeds exp(epsilon) {float_or_inf(bound_unit)!r}"
         )
     hops = math.ceil((s - 1) / k) + 1
-    # Exact on a rational level; an infinite level stays infinite.
-    bound_mid: Prob = bound_unit**hops
-    bound_full: Prob = bound_unit**s
+    # Exact on a rational level; inf for an infinite level or a float overflow.
+    bound_mid: Prob = _power(bound_unit, hops)
+    bound_full: Prob = _power(bound_unit, s)
     family = FamilyParams(k=k)
     sup = worstcase_sup(
         channel, family, tgt,
@@ -964,9 +965,7 @@ def group_certify(
         claim="group leakage chain under a k-change premise",
         params={"k": k, "group": list(tgt), "hops": hops, "samples": samples},
         measured_ratio=sup.ratio,
-        measured_nats=sup.nats,
         bound_ratio=bound_mid,
-        bound_nats=log_ratio(bound_mid),
         satisfied=chain_ok,
         conclusive=sup.conclusive,
         witness=sup.witness,
@@ -1013,14 +1012,10 @@ def personalized_check(
     rows = []
     all_ok = True
     worst_ratio: Prob = Fraction(1)
-    worst_nats = 0.0
     worst_bound: Prob = math.inf
     for i in range(n):
         q = max_mi(prior, channel, i, budget)
-        try:
-            b = math.exp(eps[i])
-        except OverflowError:
-            b = math.inf
+        b = exp_or_inf(eps[i])
         ok = leq_with_tol(q.ratio, b)
         all_ok = all_ok and ok
         rows.append({
@@ -1031,19 +1026,15 @@ def personalized_check(
             "satisfied": ok,
             "witness": q.witness,
         })
-        if _float(q.ratio) / max(float(b), 1e-300) > _float(worst_ratio) / max(
-            float(worst_bound), 1e-300
-        ):
+        if (float_or_inf(q.ratio) / max(b, 1e-300)
+                > float_or_inf(worst_ratio) / max(worst_bound, 1e-300)):
             worst_ratio = q.ratio
-            worst_nats = q.nats
             worst_bound = b
     return Verdict(
         claim="personalized per-individual levels",
         params={"levels_nats": eps},
         measured_ratio=worst_ratio,
-        measured_nats=worst_nats,
         bound_ratio=worst_bound,
-        bound_nats=log_ratio(worst_bound),
         satisfied=all_ok,
         conclusive=True,
         witness=None,

@@ -19,7 +19,6 @@ import copy
 import functools
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -29,6 +28,7 @@ from . import __version__
 from .audit import (
     AuditError,
     Verdict,
+    _number,
     bound_pdelta,
     certify_pk,
     group_certify,
@@ -68,7 +68,7 @@ from .prior import (
 from .probability import (
     ProbabilityError,
     format_number,
-    log_ratio,
+    parse_probability,
     ratios_agree,
 )
 from .universe import (
@@ -148,8 +148,6 @@ def build_prior(universe: RecordUniverse, raw) -> JointPrior:
                     f"marginal {i} needs {len(alpha)} entries in alphabet order"
                 )
             tables.append({alpha[j]: entries[j] for j in range(len(alpha))})
-        from .probability import parse_probability
-
         return independent_prior(
             universe,
             [{s: parse_probability(p) for s, p in t.items()} for t in tables],
@@ -239,13 +237,10 @@ def parse_int(raw, what, positive=False) -> int:
 
 
 def parse_float(raw, what) -> float:
-    """A real scenario value: a JSON number or a numeric string. Anything
-    else is a SchemaError naming what."""
+    """A real scenario value, read as audit levels are (an int beyond the
+    float range is +-inf); anything else, a bool too, is an input error."""
     if not isinstance(raw, bool):
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            pass
+        return _number(raw, what)
     raise SchemaError(f"{what} must be a number, got {raw!r}")
 
 
@@ -309,9 +304,7 @@ class Scenario:
 def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return format_number(obj)
-    if isinstance(obj, float):
+    if isinstance(obj, (Fraction, float)):
         return format_number(obj)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
@@ -329,6 +322,12 @@ def quantity_dict(q) -> dict:
     if q.notes:
         out["notes"] = list(q.notes)
     return out
+
+
+def membership_dict(prior, family) -> dict:
+    mr = check_membership(prior, family)
+    return {"ok": mr.ok, "violations": list(mr.violations),
+            "notes": list(mr.notes)}
 
 
 def verdict_dict(v: Verdict) -> dict:
@@ -432,15 +431,10 @@ def cmd_validate(scenario: Scenario, args, rng) -> tuple:
     }
     if scenario.family is not None:
         results["family"] = to_jsonable(scenario.family.describe())
-        members = {}
-        for name in sorted(scenario.priors):
-            mr = check_membership(scenario.priors[name], scenario.family)
-            members[name] = {
-                "ok": mr.ok,
-                "violations": list(mr.violations),
-                "notes": list(mr.notes),
-            }
-        results["membership"] = members
+        results["membership"] = {
+            name: membership_dict(scenario.priors[name], scenario.family)
+            for name in sorted(scenario.priors)
+        }
     return results, [], EXIT_PASS
 
 
@@ -461,12 +455,7 @@ def cmd_leakage(scenario: Scenario, args, rng) -> tuple:
         "prior_entropy_nats": to_jsonable(rep.prior_entropy_nats),
     }
     if scenario.family is not None:
-        mr = check_membership(prior, scenario.family)
-        results["membership"] = {
-            "ok": mr.ok,
-            "violations": list(mr.violations),
-            "notes": list(mr.notes),
-        }
+        results["membership"] = membership_dict(prior, scenario.family)
     return results, [], EXIT_PASS
 
 
@@ -593,9 +582,7 @@ def cmd_bound(scenario: Scenario, args, rng) -> tuple:
                     claim="worst-case family leakage against a level",
                     params={"target": list(sup.target)},
                     measured_ratio=sup.ratio,
-                    measured_nats=sup.nats,
                     bound_ratio=bound,
-                    bound_nats=log_ratio(bound),
                     satisfied=leq_with_tol(sup.ratio, bound),
                     conclusive=sup.conclusive,
                     witness=sup.witness,
@@ -764,10 +751,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", default=None,
                        help="override the enumeration budget (a positive "
                             "integer; counts enumerated items or kernel steps)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted and validated (at least 1; default: "
-                            "PRIVLENS_THREADS or 1); sampled evaluation "
-                            "runs serially")
     return parser
 
 
@@ -789,17 +772,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return EXIT_INPUT
     except json.JSONDecodeError as exc:
         print(f"error: scenario is not valid JSON: {exc}", file=stderr)
-        return EXIT_INPUT
-
-    if args.threads is None:
-        env = os.environ.get("PRIVLENS_THREADS", "")
-        try:
-            args.threads = max(1, int(env)) if env else 1
-        except ValueError:
-            print(f"error: bad PRIVLENS_THREADS value {env!r}", file=stderr)
-            return EXIT_INPUT
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=stderr)
         return EXIT_INPUT
 
     try:
@@ -851,9 +823,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     elapsed = time.perf_counter() - started
     print(f"elapsed: {elapsed:.3f}s", file=stderr)
 
-    if any(not v.satisfied for v in verdicts):
-        return EXIT_VIOLATION
-    if exit_hint == EXIT_VIOLATION:
+    if exit_hint == EXIT_VIOLATION or any(not v.satisfied for v in verdicts):
         return EXIT_VIOLATION
     if any(not v.conclusive for v in verdicts):
         return EXIT_INCONCLUSIVE

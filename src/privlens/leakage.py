@@ -45,15 +45,18 @@ class Quantity:
     """One leakage number on every scale that makes sense for it.
 
     ratio is present for max-type quantities (exp of the nats value, exact
-    when inputs are rational) and None for averaged ones. notes flag vacuous
-    cases instead of inventing values.
+    when inputs are rational) and None for averaged ones; bits is derived
+    from nats. notes flag vacuous cases instead of inventing values.
     """
 
     nats: float
-    bits: float
     ratio: Optional[Prob] = None
     witness: Optional[dict] = None
     notes: Tuple[str, ...] = ()
+
+    @property
+    def bits(self) -> float:
+        return nats_to_bits(self.nats)
 
 
 def normalize_target(n: int, target) -> Tuple[int, ...]:
@@ -280,12 +283,10 @@ def _max_mi_quantity(best, wit) -> Quantity:
     if best is None:
         # Degenerate: the channel has no positive-probability outcome, which
         # row validation rules out; kept for completeness.
-        return Quantity(nats=0.0, bits=0.0, ratio=Fraction(1),
+        return Quantity(nats=0.0, ratio=Fraction(1),
                         notes=("no positive joint cells",))
-    nats = log_ratio(best)
     return Quantity(
-        nats=nats,
-        bits=nats_to_bits(nats),
+        nats=log_ratio(best),
         ratio=best,
         witness={"records": list(wit[0]), "outcome": wit[1]},
     )
@@ -448,7 +449,7 @@ def mi(prior, channel, target, budget=None, tables=None) -> Quantity:
             total += fw * (math.log(fw / den) if den
                            else _exact_log_ratio(t, xv, j))
     total = max(total, 0.0)
-    return Quantity(nats=total, bits=nats_to_bits(total))
+    return Quantity(nats=total)
 
 
 def max_rel_entropy(prior, channel, target, budget=None, tables=None) -> Quantity:
@@ -481,8 +482,8 @@ def max_rel_entropy(prior, channel, target, budget=None, tables=None) -> Quantit
             best = acc
             wit = label
     if best is None:
-        return Quantity(nats=0.0, bits=0.0, notes=("no positive outcomes",))
-    return Quantity(nats=best, bits=nats_to_bits(best), witness={"outcome": wit})
+        return Quantity(nats=0.0, notes=("no positive outcomes",))
+    return Quantity(nats=best, witness={"outcome": wit})
 
 
 def inferential_eps(prior, channel, target, budget=None, tables=None) -> Quantity:
@@ -499,7 +500,6 @@ def inferential_eps(prior, channel, target, budget=None, tables=None) -> Quantit
     if len(support) < 2:
         return Quantity(
             nats=0.0,
-            bits=0.0,
             ratio=Fraction(1),
             notes=("only one admissible assignment; condition is vacuous",),
         )
@@ -509,13 +509,11 @@ def inferential_eps(prior, channel, target, budget=None, tables=None) -> Quantit
         best, wit = _inferential_eps_integers(t, support)
     if best is None:
         return Quantity(
-            nats=0.0, bits=0.0, ratio=Fraction(1),
+            nats=0.0, ratio=Fraction(1),
             notes=("all likelihood pairs are excluded",),
         )
-    nats = log_ratio(best)
     return Quantity(
-        nats=nats,
-        bits=nats_to_bits(nats),
+        nats=log_ratio(best),
         ratio=best,
         witness={
             "numerator_records": list(wit[0]),
@@ -594,7 +592,7 @@ def output_entropy(prior, channel, budget=None, tables=None) -> Quantity:
         if f == 0.0:
             continue
         total -= f * math.log(f)
-    return Quantity(nats=total, bits=nats_to_bits(total))
+    return Quantity(nats=total)
 
 
 @dataclass(frozen=True)

@@ -442,11 +442,14 @@ class RatioScan:
     """
 
     ratio: Prob
-    nats: float
     num_hist: Optional[Tuple[int, ...]] = None
     den_hist: Optional[Tuple[int, ...]] = None
     outcome: Optional[object] = None
     note: str = ""
+
+    @property
+    def nats(self) -> float:
+        return log_ratio(self.ratio)
 
     def witness(self) -> Optional[dict]:
         if self.num_hist is None:
@@ -475,12 +478,10 @@ def _scan_pairs(channel: Channel, pairs) -> RatioScan:
     if best is None:
         return RatioScan(
             ratio=Fraction(1),
-            nats=0.0,
             note="no comparable pairs; condition is vacuous",
         )
     return RatioScan(
         ratio=best,
-        nats=log_ratio(best),
         num_hist=wit[0],
         den_hist=wit[1],
         outcome=wit[2],

@@ -22,6 +22,8 @@ from .probability import (
     Prob,
     ProbabilityError,
     entropy_nats,
+    exp_or_inf,
+    float_or_inf,
     parse_probability,
     scale_to_integers,
 )
@@ -121,12 +123,6 @@ class JointPrior:
                            None if numerators is None else tuple(numerators))
 
     # -- basic queries ------------------------------------------------------
-
-    def block_of(self, i: int) -> int:
-        for j, b in enumerate(self.blocks):
-            if i in b:
-                return j
-        raise PriorError(f"individual {i} not covered")
 
     def max_block_size(self) -> int:
         return max(len(b) for b in self.blocks)
@@ -486,17 +482,18 @@ def uniformity_band(prior: JointPrior, tau) -> Tuple[int, Tuple[int, ...]]:
     """Individuals whose marginal is within exp(+-tau) of uniform.
 
     The test is exp(-tau) <= p(x) * |alphabet| <= exp(tau) for every admissible
-    record x (records of probability zero fail for finite tau). Returns
-    (count, sorted tuple of in-band individuals).
+    record x (records of probability zero fail for finite tau); a tau whose
+    exp(tau) is beyond the float range bounds nothing, like tau = inf.
+    Returns (count, sorted tuple of in-band individuals).
     """
     if tau is None:
         raise PriorError("tau is required for a band computation")
-    tau = float(tau)
+    tau = float_or_inf(tau)
     if tau < 0:
         raise PriorError("tau must be nonnegative")
     in_band = []
     for i in range(prior.universe.n):
-        if math.isinf(tau):
+        if math.isinf(exp_or_inf(tau)):
             in_band.append(i)
             continue
         lo = math.exp(-tau) - TOL
@@ -542,7 +539,7 @@ class FamilyParams:
                 raise PriorError("exp_delta must be in [0, 1]")
         if self.ell is not None and self.ell < 0:
             raise PriorError("ell must be nonnegative")
-        if self.tau is not None and float(self.tau) < 0:
+        if self.tau is not None and float_or_inf(self.tau) < 0:
             raise PriorError("tau must be nonnegative")
 
     @classmethod
@@ -552,7 +549,7 @@ class FamilyParams:
         if delta is not None:
             if delta > 0:
                 raise PriorError("delta must be nonpositive")
-            from_delta = 0.0 if math.isinf(delta) else math.exp(delta)
+            from_delta = math.exp(delta)
             if exp_delta is None:
                 exp_delta = from_delta
             elif abs(float(exp_delta) - from_delta) > TOL:
@@ -574,7 +571,7 @@ class FamilyParams:
         band constraint is absent entirely."""
         if self.ell is None and self.tau is None:
             return None
-        tau = math.inf if self.tau is None else float(self.tau)
+        tau = math.inf if self.tau is None else float_or_inf(self.tau)
         ell = 0 if self.ell is None else self.ell
         return tau, ell
 
@@ -711,7 +708,7 @@ def sample_prior(
                 continue
             alpha = universe.alphabets[i]
             m = len(alpha)
-            if i in band_set and not math.isinf(tau):
+            if i in band_set and not math.isinf(exp_or_inf(tau)):
                 if tau == 0:
                     ws = [Fraction(1, m)] * m
                 else:
@@ -804,8 +801,6 @@ def extremal_pdelta_prior(
     1 - exp_delta when the two private complements differ, which is a family
     member exactly when exp_delta >= 1/2.
     """
-    if not (0 <= universe.n) or universe.n < 1:
-        raise PriorError("universe must be nonempty")
     if not (0 <= i < universe.n):
         raise PriorError(f"target {i} out of range")
     exp_delta = parse_probability(exp_delta)

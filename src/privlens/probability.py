@@ -84,9 +84,6 @@ def format_number(value):
             return "inf" if value > 0 else "-inf"
         if math.isnan(value):
             raise ProbabilityError("refusing to serialize NaN")
-        return value
-    if isinstance(value, int):
-        return value
     return value
 
 
@@ -148,6 +145,22 @@ def log_ratio(value) -> float:
     return math.log(value)
 
 
+def float_or_inf(value) -> float:
+    """float(value), or +-inf for an exact value beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def exp_or_inf(x) -> float:
+    """math.exp(x), or inf when the result is beyond the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def nats_to_bits(nats: float) -> float:
     if math.isinf(nats):
         return nats
@@ -167,14 +180,3 @@ def entropy_nats(weights) -> float:
             continue
         total -= wf * math.log(wf)
     return total
-
-
-def check_distribution(weights, *, what="distribution", tol=TOL):
-    """Validate nonnegativity and normalization, return the values unchanged."""
-    s = sum(weights)
-    for w in weights:
-        if w < 0:
-            raise ProbabilityError(f"{what} has a negative entry: {w!r}")
-    if abs(float(s) - 1.0) > tol:
-        raise ProbabilityError(f"{what} sums to {float(s)!r}, expected 1 within {tol}")
-    return weights

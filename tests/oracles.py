@@ -28,7 +28,6 @@ from privlens import (
     check_membership,
     log_ratio,
     max_mi,
-    nats_to_bits,
     normalize_target,
     parse_probability,
     ratio_div,
@@ -301,12 +300,10 @@ def ratio_scan(channel, pairs):
     if best is None:
         return RatioScan(
             ratio=Fraction(1),
-            nats=0.0,
             note="no comparable pairs; condition is vacuous",
         )
     return RatioScan(
         ratio=best,
-        nats=log_ratio(best),
         num_hist=wit[0],
         den_hist=wit[1],
         outcome=wit[2],
@@ -343,10 +340,9 @@ def max_mi_scan(t):
                 best = r
                 wit = (xv, label)
     if best is None:
-        return Quantity(nats=0.0, bits=0.0, ratio=Fraction(1),
+        return Quantity(nats=0.0, ratio=Fraction(1),
                         notes=("no positive joint cells",))
-    nats = log_ratio(best)
-    return Quantity(nats=nats, bits=nats_to_bits(nats), ratio=best,
+    return Quantity(nats=log_ratio(best), ratio=best,
                     witness={"records": list(wit[0]), "outcome": wit[1]})
 
 
@@ -366,7 +362,7 @@ def mi_scan(t):
                 continue
             total += float(w) * math.log(float(w) / (float(px) * float(pr)))
     total = max(total, 0.0)
-    return Quantity(nats=total, bits=nats_to_bits(total))
+    return Quantity(nats=total)
 
 
 def max_rel_entropy_scan(t):
@@ -390,8 +386,8 @@ def max_rel_entropy_scan(t):
             best = acc
             wit = label
     if best is None:
-        return Quantity(nats=0.0, bits=0.0, notes=("no positive outcomes",))
-    return Quantity(nats=best, bits=nats_to_bits(best), witness={"outcome": wit})
+        return Quantity(nats=0.0, notes=("no positive outcomes",))
+    return Quantity(nats=best, witness={"outcome": wit})
 
 
 def inferential_eps_scan(t):
@@ -400,7 +396,7 @@ def inferential_eps_scan(t):
     support = [xv for xv, px in t.p_x.items() if px > 0]
     if len(support) < 2:
         return Quantity(
-            nats=0.0, bits=0.0, ratio=Fraction(1),
+            nats=0.0, ratio=Fraction(1),
             notes=("only one admissible assignment; condition is vacuous",),
         )
     best = None
@@ -421,10 +417,9 @@ def inferential_eps_scan(t):
                     best = r
                     wit = (a, b, label)
     if best is None:
-        return Quantity(nats=0.0, bits=0.0, ratio=Fraction(1),
+        return Quantity(nats=0.0, ratio=Fraction(1),
                         notes=("all likelihood pairs are excluded",))
-    nats = log_ratio(best)
-    return Quantity(nats=nats, bits=nats_to_bits(nats), ratio=best, witness={
+    return Quantity(nats=log_ratio(best), ratio=best, witness={
         "numerator_records": list(wit[0]),
         "denominator_records": list(wit[1]),
         "outcome": wit[2],
@@ -438,7 +433,7 @@ def output_entropy_scan(t):
         if pr == 0:
             continue
         total -= float(pr) * math.log(float(pr))
-    return Quantity(nats=total, bits=nats_to_bits(total))
+    return Quantity(nats=total)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +524,7 @@ def worstcase_sup(channel, family, target, *,
 
     if best is None:
         return SupResult(
-            ratio=Fraction(1), nats=0.0, target=tgt, witness=None,
+            ratio=Fraction(1), target=tgt, witness=None,
             evaluated=evaluated,
             notes=tuple(notes + ["no prior evaluated; sup is vacuous"]),
             conclusive=False,
@@ -548,7 +543,7 @@ def worstcase_sup(channel, family, target, *,
             "treating the sup as inconclusive"
         )
     return SupResult(
-        ratio=best, nats=log_ratio(best), target=tgt, witness=best_wit,
+        ratio=best, target=tgt, witness=best_wit,
         evaluated=evaluated, notes=tuple(notes), conclusive=conclusive,
     )
 
@@ -671,9 +666,7 @@ def necessary_pdelta(channel, *, exp_delta, epsilon=None, exp_epsilon=None):
         claim="mediant necessary condition under bounded dependence",
         params={"exp_delta": exp_delta},
         measured_ratio=best,
-        measured_nats=log_ratio(best),
         bound_ratio=bound,
-        bound_nats=log_ratio(bound),
         satisfied=leq_with_tol(best, bound),
         conclusive=True,
         witness=wit,
@@ -770,9 +763,7 @@ def sufficient_nk(channel, k, *, epsilon=None, exp_epsilon=None, tau=0.0,
         claim="averaged sufficiency under near-uniform marginals",
         params={"k": k, "tau": tau},
         measured_ratio=best,
-        measured_nats=log_ratio(best),
         bound_ratio=bound,
-        bound_nats=log_ratio(bound),
         satisfied=leq_with_tol(best, bound),
         conclusive=conclusive,
         witness=wit,

@@ -6,15 +6,19 @@ privacy level, the correlated-pair closed form reproduces exactly, extremal
 priors attain the scan, the dependence-interpolated bound never breaks, the
 leakage quantities are ordered, composition and epochs add up, group chains
 hold, postprocessing never helps an adversary, and reports are byte-stable
-across thread counts.
+from run to run and from the library entry point to ``python -m privlens``.
 """
 
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from gen import random_channel, random_prior, random_universe
 from privlens.audit import bound_pdelta, group_certify, tightness_pk, worstcase_sup
@@ -308,7 +312,7 @@ def test_criterion_09_postprocessing_never_raises_mi():
     print("criterion 09: 300 merges, mi never increased")
 
 
-def test_criterion_10_reports_are_thread_invariant(tmp_path):
+def test_criterion_10_reports_are_byte_stable(tmp_path):
     scenario = {
         "name": "determinism",
         "universe": {"n": 2, "alphabet": ["BOT", "a"]},
@@ -338,18 +342,23 @@ def test_criterion_10_reports_are_thread_invariant(tmp_path):
     }
     path = tmp_path / "determinism.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
     for command in ("bound", "certify"):
         for fmt in ("json", "table"):
+            argv = [command, str(path), "--format", fmt]
             outputs = []
-            for threads in ("1", "8"):
+            for _ in range(2):
                 out = io.StringIO()
                 err = io.StringIO()
-                code = run(
-                    [command, str(path), "--format", fmt, "--threads", threads],
-                    stdout=out,
-                    stderr=err,
-                )
-                assert code == 0, (command, fmt, threads, err.getvalue())
+                code = run(argv, stdout=out, stderr=err)
+                assert code == 0, (command, fmt, err.getvalue())
                 outputs.append(out.getvalue())
-            assert outputs[0] == outputs[1], (command, fmt)
-    print("criterion 10: byte-identical reports for threads 1 and 8")
+            proc = subprocess.run(
+                [sys.executable, "-m", "privlens", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, (command, fmt, proc.stderr)
+            outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1] == outputs[2], (command, fmt)
+    print("criterion 10: byte-identical reports across runs and processes")

@@ -218,6 +218,12 @@ def test_interpolated_bound_exact_values():
     assert interpolated_bound(Fraction(3), 2, Fraction(1)) == 9
 
 
+@pytest.mark.parametrize("exp_delta", [Fraction(0), HALF, Fraction(1), 0.0])
+def test_interpolated_bound_of_an_infinite_step_is_infinite(exp_delta):
+    # inf * 0 is NaN, so no weight of an infinite step may be multiplied.
+    assert interpolated_bound(math.inf, 2, exp_delta) == math.inf
+
+
 def test_bound_pdelta_on_the_geometric_fixture():
     v = bound_pdelta(
         geo_third(),

@@ -408,27 +408,15 @@ def test_bound_interpolated_fixture(tmp_path):
     assert Fraction(3) < measured <= Fraction(6)
 
 
-def test_bound_reports_are_identical_across_thread_counts(tmp_path):
+def test_threads_env_is_ignored(tmp_path, monkeypatch):
+    # Sampling is serial; the old thread-count variable is no longer read.
     path = write_scenario(tmp_path, interpolated_scenario())
-    one = invoke(["bound", path, "--format", "json", "--threads", "1"])
-    many = invoke(["bound", path, "--format", "json", "--threads", "8"])
-    assert one[0] == many[0] == 0
-    assert one[1] == many[1]
-    assert "threads" not in json.loads(one[1])
-
-
-def test_bound_threads_env_default(tmp_path, monkeypatch):
-    path = write_scenario(tmp_path, interpolated_scenario())
-    monkeypatch.setenv("PRIVLENS_THREADS", "4")
-    env_run = invoke(["bound", path, "--format", "json"])
-    monkeypatch.delenv("PRIVLENS_THREADS")
+    monkeypatch.delenv("PRIVLENS_THREADS", raising=False)
     plain = invoke(["bound", path, "--format", "json"])
+    monkeypatch.setenv("PRIVLENS_THREADS", "soup")
+    env_run = invoke(["bound", path, "--format", "json"])
     assert env_run[0] == plain[0] == 0
     assert env_run[1] == plain[1]
-    monkeypatch.setenv("PRIVLENS_THREADS", "soup")
-    code, _, err = invoke(["bound", path, "--format", "json"])
-    assert code == 4
-    assert "PRIVLENS_THREADS" in err
 
 
 def test_bound_worstcase_with_level(tmp_path):
@@ -942,6 +930,113 @@ def test_overflowing_float_bound_at_no_dependence_is_the_step(tmp_path):
     assert json.loads(out)["verdicts"][0]["bound"]["ratio"] == 3.0
 
 
+def _report_value(tmp_path, command, patch, code, path):
+    """The value at path in the JSON report of command on the base scenario
+    with patch applied; the command must exit with code."""
+    scn = write_scenario(tmp_path, base_scenario(**patch))
+    got, out, err = invoke([command, scn, "--format", "json"])
+    assert got == code, err
+    node = json.loads(out)
+    for key in path:
+        node = node[key]
+    return node
+
+
+BIG = 10**400
+INF_BOUND = {"ratio": "inf", "nats": "inf"}
+N3 = {"universe": {"n": 3, "alphabet": ["BOT", "a"]},
+      "priors": {"uniform": {"independent": [["1/2", "1/2"]] * 3}}}
+LEVEL = ("verdicts", 0, "bound")
+INTERPOLATED = {"kind": "interpolated", "mechanism": "geo", "k": 2,
+                "exp_delta": "1/2"}
+
+
+# An int beyond the float range reads as +-inf wherever a number is read, as
+# the string "1e400" does.
+@pytest.mark.parametrize("command, patch, code, path, value", [
+    ("validate", {"family": {"ell": 2, "tau": BIG}}, 0,
+     ("results", "membership", "uniform", "ok"), True),
+    ("validate", {"family": {"delta": -BIG}}, 0,
+     ("results", "family", "exp_delta"), 0.0),
+    ("validate", {"mechanisms": {"g": {"type": "geometric_counting",
+                                       "target_symbol": "a", "epsilon": BIG}}},
+     0, ("results", "mechanisms", "g", "row_count"), 3),
+    ("certify", {"certify": {**AVERAGED, "tau": BIG}}, 1,
+     ("verdicts", 0, "params", "tau"), "inf"),
+    ("certify", {"certify": {**PERSONALIZED, "epsilons": [BIG, 1]}}, 0,
+     ("verdicts", 0, "params", "levels_nats"), ["inf", 1.0]),
+    ("certify", {"certify": {**PERSONALIZED, "epsilons": {"0": 1, "1": BIG}}},
+     0, ("verdicts", 0, "params", "levels_nats"), [1.0, "inf"]),
+    ("bound", {"bound": {**INTERPOLATED, "epsilon": BIG}}, 0, LEVEL,
+     INF_BOUND),
+], ids=["family.tau", "family.delta", "geometric.epsilon",
+        "sufficient_averaged.tau", "personalized.epsilons=list",
+        "personalized.epsilons=dict", "interpolated.epsilon"])
+def test_ints_beyond_the_float_range_read_as_inf(tmp_path, command, patch,
+                                                 code, path, value):
+    assert _report_value(tmp_path, command, patch, code, path) == value
+
+
+def test_int_delta_beyond_the_float_range_is_positive(tmp_path):
+    path = write_scenario(tmp_path, base_scenario(family={"delta": BIG}))
+    assert invoke(["validate", path]) == (
+        4, "", "error: delta must be nonpositive\n")
+
+
+@pytest.mark.parametrize("exp_delta", ["0", "1/2", "1"])
+def test_infinite_interpolated_step_gives_an_infinite_bound(tmp_path,
+                                                            exp_delta):
+    # At exp_delta 0 and 1 one weight of the step is zero, and inf * 0 is
+    # NaN, which a report cannot hold.
+    bound = {**INTERPOLATED, "epsilon": "1e400", "exp_delta": exp_delta}
+    assert _report_value(tmp_path, "bound", {"bound": bound}, 0,
+                         LEVEL) == INF_BOUND
+
+
+# A float level, power or band edge beyond the float range is inf; a band
+# whose exp(tau) overflows is unbounded.
+GROUP = {"kind": "group", "mechanism": "geo", "k": 1, "group": [0, 1]}
+BAND = {"ell": 2, "tau": 800}
+TINY = f"1/{10**400}"
+
+
+@pytest.mark.parametrize("command, patch, code, path, value", [
+    ("certify", {"certify": {**GROUP, "epsilon": 400}}, 0, LEVEL, INF_BOUND),
+    ("certify", {"certify": {**GROUP, "exp_epsilon": 1e308}}, 0,
+     ("verdicts", 0, "details", "bound_group"), "inf"),
+    ("bound", {"bound": {**INTERPOLATED, "k": 1, "epsilon": 800}}, 0, LEVEL,
+     INF_BOUND),
+    ("bound", {"bound": {**INTERPOLATED, "exp_eps_step": "1e400",
+                         "exp_delta": 0.0}}, 0, LEVEL, INF_BOUND),
+    ("validate", {"family": BAND}, 0,
+     ("results", "membership", "coupled", "ok"), True),
+    ("leakage", {"family": BAND,
+                 "leakage": {"prior": "uniform", "mechanism": "geo"}}, 0,
+     ("results", "membership", "ok"), True),
+    ("bound", {"bound": {"kind": "worstcase", "mechanism": "geo",
+                         "family": {**BAND, "k": 1}}}, 0,
+     ("results", "sup", "conclusive"), True),
+    ("certify", {**N3, "certify": {**AVERAGED, "tau": 800}}, 1,
+     ("verdicts", 0, "params", "tau"), 800.0),
+    ("certify", {**N3, "certify": {**AVERAGED, "tau": 800, "marginals": {
+        "1": {"⊥": "1/2", "a": "1/2"}}}}, 1,
+     ("verdicts", 0, "conclusive"), True),
+    ("bound", {"mechanisms": {"m": {"type": "matrix", "outcomes": ["x", "y"],
+                                    "rows": {"0": [TINY, f"{10**400 - 1}/{10**400}"],
+                                             "1": ["1/2", "1/2"],
+                                             "2": ["1/2", "1/2"]}}},
+               "bound": {"kind": "tightness", "mechanism": "m"}}, 1,
+     ("results", "tightness", "attained"), False),
+], ids=["group.epsilon=400", "group.exp_epsilon=1e308",
+        "interpolated.epsilon=800", "interpolated.exp_eps_step=1e400",
+        "validate.tau=800", "leakage.tau=800",
+        "worstcase.tau=800", "sufficient_averaged.tau=800",
+        "sufficient_averaged.marginals", "tightness.1/10^400"])
+def test_float_overflow_gives_inf(tmp_path, command, patch, code, path,
+                                  value):
+    assert _report_value(tmp_path, command, patch, code, path) == value
+
+
 def test_help_and_usage_errors_repeat_across_calls(capsys):
     # Help exits 0 through SystemExit; a usage error is bad input, returned
     # as exit 4 with one stderr line (2 would read as inconclusive).
@@ -957,7 +1052,8 @@ def test_help_and_usage_errors_repeat_across_calls(capsys):
             seen.append(capsys.readouterr())
     assert seen[:4] == seen[4:]
     assert seen[0].out.startswith("usage: privlens [-h]")
-    assert "--threads THREADS" in seen[1].out
+    assert "--budget BUDGET" in seen[1].out
+    assert "--threads" not in seen[1].out
     assert "required: scenario" in seen[2].err
     for s in seen[2:4]:
         assert s.out == ""
@@ -968,7 +1064,7 @@ def test_help_and_usage_errors_repeat_across_calls(capsys):
     [],
     ["bound", "{path}", "--seed", "x"],
     ["bound", "{path}", "--samples", "1.5"],
-    ["bound", "{path}", "--threads", "two"],
+    ["bound", "{path}", "--threads", "1"],
     ["bound", "{path}", "--format", "xml"],
     ["bound", "{path}", "--bogus"],
     ["bound", "{path}", "extra"],
@@ -1036,28 +1132,50 @@ def _mutant(paths_values, base=DEMO):
     return scn
 
 
-def test_mutated_demo_scenarios_honour_the_exit_code_contract(tmp_path):
-    # Every field of the demo replaced by every value, one at a time, plus
-    # seeded pairs of replacements: no exception escapes, the exit code is
-    # one of the documented ones, and bad input gets a one-line message.
-    # --samples keeps the sampled searches short.
-    paths = list(_field_paths(DEMO))
-    mutants = [[(p, v)] for p in paths for v in MUTANT_VALUES]
-    rng = random.Random(5)
-    for _ in range(60):
-        first, second = rng.sample(paths, 2)
-        if second[:len(first)] != first and first[:len(second)] != second:
-            mutants.append([(first, rng.choice(MUTANT_VALUES)),
-                            (second, rng.choice(MUTANT_VALUES))])
+def _mutants(demos, values, pairs, seed, shared=None):
+    """Mutants of each (scenario, commands) demo: every field replaced by
+    every value, one at a time, plus up to pairs seeded pairs of
+    replacements per demo. A field of the shared part meets each demo with
+    every len(demos)-th value, so each (field, value) runs once."""
+    shared = list(_field_paths(shared)) if shared else []
+    rng = random.Random(seed)
+    mutants = []
+    for d, (demo, commands) in enumerate(demos):
+        paths = list(_field_paths(demo))
+        mutants.extend(
+            (demo, [(p, v)], commands) for p in paths
+            for i, v in enumerate(values)
+            if p not in shared or i % len(demos) == d)
+        for _ in range(pairs):
+            first, second = rng.sample(paths, 2)
+            if second[:len(first)] != first and first[:len(second)] != second:
+                mutants.append((demo, [(first, rng.choice(values)),
+                                       (second, rng.choice(values))],
+                                commands))
+    return mutants
+
+
+def _assert_exit_contract(tmp_path, mutants, *options):
+    """No exception escapes any mutant's commands, the exit code is one of
+    the documented ones, and bad input gets a one-line message."""
     path = str(tmp_path / "mutant.json")
-    for changes in mutants:
+    for demo, changes, commands in mutants:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_mutant(changes), fh)
-        for command in ("leakage", "certify", "bound"):
-            code, _, err = invoke([command, path, "--samples", "20"])
+            json.dump(_mutant(changes, demo), fh)
+        for command in commands:
+            code, _, err = invoke([command, path, *options])
             assert code in (0, 1, 2, 3, 4), (changes, command)
             if code == 4:
                 assert err.count("\n") == 1, (changes, command, err)
+
+
+def test_mutated_demo_scenarios_honour_the_exit_code_contract(tmp_path):
+    # Every field of the demo replaced by every value, one at a time, plus
+    # seeded pairs of replacements. --samples keeps the sampled searches
+    # short.
+    demos = [(DEMO, ("leakage", "certify", "bound"))]
+    _assert_exit_contract(tmp_path, _mutants(demos, MUTANT_VALUES, 60, 5),
+                          "--samples", "20")
 
 
 # One small scenario per compose kind over a shared n=2 part.
@@ -1085,29 +1203,58 @@ COMPOSE_DEMOS = [
 
 
 def test_mutated_compose_scenarios_honour_the_exit_code_contract(tmp_path):
-    # The gate above, on the compose command: every field of each kind's
-    # scenario replaced by every value, plus seeded pairs. A field of the
-    # shared part meets each kind with a third of the values, so each
-    # (field, value) runs once.
-    shared = list(_field_paths(COMPOSE_SHARED))
-    rng = random.Random(6)
-    mutants = []
-    for d, demo in enumerate(COMPOSE_DEMOS):
-        paths = list(_field_paths(demo))
-        mutants.extend(
-            (demo, [(p, v)]) for p in paths
-            for i, v in enumerate(MUTANT_VALUES)
-            if p not in shared or i % len(COMPOSE_DEMOS) == d)
-        for _ in range(12):
-            first, second = rng.sample(paths, 2)
-            if second[:len(first)] != first and first[:len(second)] != second:
-                mutants.append((demo, [(first, rng.choice(MUTANT_VALUES)),
-                                       (second, rng.choice(MUTANT_VALUES))]))
-    path = str(tmp_path / "mutant.json")
-    for demo, changes in mutants:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_mutant(changes, demo), fh)
-        code, _, err = invoke(["compose", path])
-        assert code in (0, 1, 2, 3, 4), changes
-        if code == 4:
-            assert err.count("\n") == 1, (changes, err)
+    # The gate above, on the compose command, with 12 seeded pairs per kind.
+    demos = [(demo, ("compose",)) for demo in COMPOSE_DEMOS]
+    _assert_exit_contract(tmp_path, _mutants(demos, MUTANT_VALUES, 12, 6,
+                                             COMPOSE_SHARED))
+
+
+# One small scenario per certify and bound kind not in the demo, plus
+# leakage with targets and a sweep, over a shared n=3 part whose geometric
+# mechanism is given by epsilon. Levels, tau and ell are fuzzed with values
+# whose exponentials or powers leave the float range as well.
+SECTION_SHARED = {
+    "name": "section-demo",
+    "universe": {"n": 3, "alphabet": ["BOT", "a"]},
+    "priors": {"uniform": {"independent": [["1/2", "1/2"]] * 3}},
+    "mechanisms": {"geo": {"type": "geometric_counting",
+                           "target_symbol": "a", "epsilon": 1}},
+}
+SECTION_FAMILY = {"k": 1, "delta": -1, "ell": 1, "tau": 1}
+SECTION_DEMOS = [
+    ({**SECTION_SHARED, **extra}, (command,)) for command, extra in (
+        ("certify", {"certify": {"kind": "necessary_dependence",
+                                 "mechanism": "geo", "exp_delta": "1/2",
+                                 "epsilon": 2}}),
+        ("certify", {"certify": {"kind": "sufficient_averaged",
+                                 "mechanism": "geo", "k": 1, "epsilon": 2,
+                                 "tau": 1,
+                                 "marginals": {"1": {"⊥": 0.5, "a": 0.5}}}}),
+        ("certify", {"certify": {"kind": "group", "mechanism": "geo", "k": 1,
+                                 "group": [0, 1], "epsilon": 2}}),
+        ("certify", {"certify": {"kind": "personalized", "mechanism": "geo",
+                                 "prior": "uniform", "epsilons": [1, 2, 3]}}),
+        ("bound", {"bound": {"kind": "worstcase", "mechanism": "geo",
+                             "target": 0, "family": SECTION_FAMILY,
+                             "epsilon": 2}}),
+        ("bound", {"bound": {"kind": "tightness", "mechanism": "geo",
+                             "k": 1}}),
+        ("leakage", {"family": SECTION_FAMILY,
+                     "leakage": {"prior": "uniform", "mechanism": "geo",
+                                 "targets": [0, [1, 2]]}}),
+        ("sweep", {"sweep": {"over": "exp_delta", "values": ["1/2", 0],
+                             "task": {"command": "bound",
+                                      "kind": "interpolated",
+                                      "mechanism": "geo", "k": 1,
+                                      "epsilon": 2}}}),
+    )
+]
+
+
+def test_mutated_section_scenarios_honour_the_exit_code_contract(tmp_path):
+    # The gate above, on every section kind the demo leaves out.
+    _assert_exit_contract(
+        tmp_path,
+        _mutants(SECTION_DEMOS, MUTANT_VALUES + [400, 800], 4, 7,
+                 SECTION_SHARED),
+        "--samples", "20")

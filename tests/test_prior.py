@@ -266,6 +266,19 @@ def test_band_rejects_zero_mass_records_for_finite_tau():
     assert members_inf == (0, 1)
 
 
+@pytest.mark.parametrize("tau", [800, 10**400], ids=["800", "10**400"])
+def test_band_beyond_the_float_range_is_unbounded(tau):
+    # exp(800) and float(10**400) overflow: the band bounds nothing, as
+    # tau = inf does, in membership and in the sampler's band draws.
+    u = two_binary()
+    prior = independent_prior(u, [{BOT: 1}, {BOT: HALF, "a": HALF}])
+    assert uniformity_band(prior, tau) == (2, (0, 1))
+    family = FamilyParams(ell=2, tau=tau)
+    assert family.describe() == {"ell": 2, "tau": tau}
+    assert check_membership(prior, family).ok
+    assert sample_prior(u, family, random.Random(0)) is not None
+
+
 # ---------------------------------------------------------------------------
 # families and membership
 # ---------------------------------------------------------------------------

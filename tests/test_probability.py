@@ -11,7 +11,7 @@ from privlens import (
     parse_probability,
     ratio_div,
 )
-from privlens.probability import check_distribution, entropy_nats
+from privlens.probability import entropy_nats
 
 
 def test_parse_keeps_rationals_exact_and_floats_floaty():
@@ -69,10 +69,3 @@ def test_entropy_nats_mixed_tower():
     assert abs(entropy_nats(ws) - 1.5 * math.log(2)) < 1e-12
     assert entropy_nats([Fraction(1), 0]) == 0.0
 
-
-def test_check_distribution():
-    check_distribution([Fraction(1, 2), Fraction(1, 2)])
-    with pytest.raises(ProbabilityError):
-        check_distribution([Fraction(3, 4), Fraction(1, 2)])
-    with pytest.raises(ProbabilityError):
-        check_distribution([Fraction(5, 4), Fraction(-1, 4)])
