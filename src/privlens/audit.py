@@ -9,6 +9,7 @@ evidence is never conclusive.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .leakage import MaxMiPlan, max_mi, normalize_target
+from .leakage import JointTables, MaxMiPlan, max_mi, normalize_target
 from .mechanism import (
     Channel,
     RatioScan,
@@ -31,8 +32,12 @@ from .prior import (
     FamilyParams,
     JointPrior,
     check_membership,
+    draw_member,
+    extremal_pair_cells,
     extremal_pair_prior,
+    extremal_pair_violations,
     extremal_pdelta_prior,
+    layout_prior,
     sample_prior,
 )
 from .probability import (
@@ -186,9 +191,10 @@ class SupResult:
         return log_ratio(self.ratio)
 
 
-def _extremal_pair_candidates(channel, family, tgt, eta, budget):
-    """Near-point-mass pair priors compatible with the family's block budget,
-    as (class key, build) where build() returns (prior, description).
+def _pair_layouts(channel, family, tgt, budget):
+    """The near-point-mass pair candidates compatible with the family's
+    block budget, as (class key, numerator sequence, denominator sequence,
+    dependent block).
 
     Differing coordinates outside the target group must share one dependent
     block with a group coordinate (otherwise they average out of the ratio),
@@ -223,19 +229,41 @@ def _extremal_pair_candidates(channel, family, tgt, eta, budget):
             tuple(s_den[i] for i in tgt),
             tuple(sorted((a, s_num[j], s_den[j]) for j, a in others)),
         )
-        yield key, functools.partial(_pair_candidate, u, s_num, s_den,
-                                     block, eta)
+        yield key, s_num, s_den, block
 
 
-def _pair_candidate(u, s_num, s_den, block, eta):
-    prior = extremal_pair_prior(u, s_num, s_den, block=block, eta=eta)
-    desc = {
+def _pair_description(s_num, s_den, block):
+    return {
         "kind": "near_point_pair",
         "numerator_sequence": list(s_num),
         "denominator_sequence": list(s_den),
         "dependent_block": list(block),
     }
-    return prior, desc
+
+
+def _measure_pair(channel, family, tgt, budget, s_num, s_den, block, eta):
+    """(max_mi of the pair prior, description) for an admitted candidate,
+    (None, description) for a filtered one, without building the prior.
+    The 2^m support sequences are charged to the JointTables budget."""
+    desc = _pair_description(s_num, s_den, block)
+    if extremal_pair_violations(channel.universe, family, s_num, s_den, block,
+                                eta):
+        return None, desc
+    two_point = sum(a != b for a, b in zip(s_num, s_den)) - len(block)
+    check_budget(2 ** (two_point + (1 if block else 0)), budget, "JointTables")
+    cells, d = extremal_pair_cells(channel.universe, s_num, s_den, block,
+                                   eta, tgt)
+    t = JointTables.from_histogram_cells(cells, channel, d)
+    return max_mi(None, None, None, tables=t), desc
+
+
+def _measure_built(build, channel, family, tgt, budget):
+    """(max_mi of build()'s prior, description), or (None, description)
+    when the prior is not a family member."""
+    prior, desc = build()
+    if not check_membership(prior, family).ok:
+        return None, desc
+    return max_mi(prior, channel, tgt, budget), desc
 
 
 def _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
@@ -291,6 +319,35 @@ def _pdelta_candidate(u, i, x_num, x_den, comp_shared, comp_num, comp_den,
     return prior, desc
 
 
+# The sampled search saves a generator state once per this many draws
+# (getstate copies the whole generator); the check of its largest member
+# replays at most this many minus one draws.
+_CHECKPOINT_DRAWS = 8
+
+
+def _check_largest_sample(channel, family, tgt, budget, rng, q, blocks,
+                          checkpoint, skip):
+    """Rebuild the largest sampled member through sample_prior and check
+    that it is the member that was measured: the drawn layout, a family
+    member by check_membership, and max_mi on the prior equal to q. This
+    member decides whether a sample beats the extremal constructions, so it
+    alone gets the prior validation that the other draws leave to their
+    masses. checkpoint is a generator state that skip draws precede the
+    member's draw; rng itself is not moved."""
+    u = channel.universe
+    replay = copy.copy(rng)
+    replay.setstate(checkpoint)
+    for _ in range(skip):
+        draw_member(u, family, replay)
+    prior = sample_prior(u, family, replay)
+    if (prior is None or prior.blocks != blocks
+            or not check_membership(prior, family).ok
+            or max_mi(prior, channel, tgt, budget) != q):
+        raise AuditError(
+            f"the largest sampled member (blocks {list(blocks)}) does not "
+            "rebuild to the member that was measured")
+
+
 def worstcase_sup(
     channel: Channel,
     family: FamilyParams,
@@ -305,12 +362,13 @@ def worstcase_sup(
     """Search the family for the largest exp(max_mi) about the target.
 
     The extremal strategy enumerates the theorem-backed worst-case
-    constructions, filters them through check_membership, and runs the real
+    constructions, filters them by family membership, and runs the real
     measurement on each (no shortcut through the row scan, so agreement
     between the two routes is a genuine cross-check). The sampled strategy
-    draws seeded random members. If a sample ever beats every extremal
-    candidate the result is demoted to inconclusive, because that would mean
-    the extremal list missed the worst case.
+    draws seeded random members and measures them from their masses; the
+    largest is rebuilt as a prior and checked. If a sample ever beats every
+    extremal candidate the result is demoted to inconclusive, because that
+    would mean the extremal list missed the worst case.
     """
     for s in strategies:
         if s not in ("extremal", "sampled"):
@@ -334,25 +392,31 @@ def worstcase_sup(
 
     extremal_best = None
     if "extremal" in strategies:
-        # Only the first candidate of each symmetry class is built, filtered
-        # and measured; the others would repeat its verdict and its ratio,
+        # Only the first candidate of each symmetry class is filtered and
+        # measured; the others would repeat its verdict and its ratio,
         # which cannot beat the first maximum, so they are only counted.
-        verdicts = {}
+        # Pair candidates are measured from their two sequences; the
+        # complement constructions build their priors.
         candidates = itertools.chain(
-            _extremal_pair_candidates(channel, family, tgt, eta, budget),
-            _extremal_pdelta_candidates(channel, family, tgt, eta, budget),
+            ((key, functools.partial(_measure_pair, channel, family, tgt,
+                                     budget, *layout, eta))
+             for key, *layout in _pair_layouts(channel, family, tgt, budget)),
+            ((key, functools.partial(_measure_built, build, channel, family,
+                                     tgt, budget))
+             for key, build in _extremal_pdelta_candidates(
+                 channel, family, tgt, eta, budget)),
         )
-        for key, build in candidates:
+        verdicts = {}
+        for key, measure in candidates:
             verdict = verdicts.get(key)
             if verdict is None:
-                prior, desc = build()
-                if check_membership(prior, family).ok:
-                    consider(max_mi(prior, channel, tgt, budget), desc,
-                             "extremal")
-                    verdict = "extremal"
-                else:
-                    evaluated["filtered_candidates"] += 1
+                q, desc = measure()
+                if q is None:
                     verdict = "filtered_candidates"
+                    evaluated[verdict] += 1
+                else:
+                    consider(q, desc, "extremal")
+                    verdict = "extremal"
                 verdicts[key] = verdict
             else:
                 evaluated[verdict] += 1
@@ -367,20 +431,39 @@ def worstcase_sup(
             rng = random.Random(0)
             notes.append("no rng given; sampled strategy seeded with 0")
         # Samples draw few block layouts, so each layout's table bookkeeping
-        # is compiled once and every member of it is measured by index.
+        # is compiled once and every member of it is measured from its
+        # masses by index. The largest member (the first to reach the
+        # sampled maximum) is kept with the last checkpoint before its draw.
+        u = channel.universe
         plans = {}
-        for _ in range(samples):
-            p = sample_prior(channel.universe, family, rng)
-            if p is None:
+        top = None
+        for j in range(samples):
+            if j % _CHECKPOINT_DRAWS == 0:
+                checkpoint = rng.getstate()
+            drawn = draw_member(u, family, rng)
+            if drawn is None:
                 evaluated["rejected_samples"] += 1
                 continue
-            check_budget(p.support_size(), budget, "JointTables")
-            plan = plans.get(p.blocks)
-            if plan is None:
-                plan = plans[p.blocks] = MaxMiPlan(p.blocks, channel, tgt)
+            blocks, masses = drawn
+            positive = [sum(1 for p in ms if p > 0) for ms in masses]
+            check_budget(math.prod(positive), budget, "JointTables")
             desc = {"kind": "sampled_member",
-                    "blocks": [list(b) for b in p.blocks]}
-            consider(plan.max_mi(p), desc, "sampled")
+                    "blocks": [list(b) for b in blocks]}
+            if positive == list(map(len, masses)):
+                plan = plans.get(blocks)
+                if plan is None:
+                    plan = plans[blocks] = MaxMiPlan(blocks, channel, tgt)
+                q = plan.max_mi_masses(masses)
+            else:
+                # A band mass can underflow to 0.0; the plan takes positive
+                # masses only, and max_mi drops the zero cells.
+                q = max_mi(layout_prior(u, blocks, masses), channel, tgt,
+                           budget)
+            consider(q, desc, "sampled")
+            if top is None or q.ratio > top[0].ratio:
+                top = (q, blocks, checkpoint, j % _CHECKPOINT_DRAWS)
+        if top is not None:
+            _check_largest_sample(channel, family, tgt, budget, rng, *top)
 
     if best is None:
         return SupResult(

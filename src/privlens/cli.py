@@ -45,15 +45,12 @@ from .compose import (
     direct_epoch_max_mi,
     epoch_leakage,
     equal_epoch_reduction,
-    product_channel,
 )
 from .leakage import LeakageError, leakage_report, normalize_target
 from .mechanism import (
     Channel,
     ChannelError,
-    dp_epsilon,
     geometric_counting_channel,
-    lipschitz_ratio,
     matrix_channel,
     randomized_response_channel,
 )

@@ -28,6 +28,7 @@ from .mechanism import Channel, lipschitz_ratio
 from .prior import JointPrior, histogram_cells
 from .probability import (
     Prob,
+    float_or_inf,
     nats_to_bits,
     parse_probability,
     ratios_agree,
@@ -184,7 +185,13 @@ def epoch_leakage(model: EpochModel, target,
     for p, c in model.epochs:
         q = max_mi(p, c, target, budget)
         quantities.append(q)
-        total = total * q.ratio
+        # With a float side the product is a float, as Python computes it,
+        # except that an exact side beyond the float range reads as inf
+        # instead of overflowing.
+        r = q.ratio
+        total = (float_or_inf(total) * float_or_inf(r)
+                 if isinstance(total, float) or isinstance(r, float)
+                 else total * r)
         nats += q.nats
     return EpochReport(
         per_epoch=tuple(quantities),

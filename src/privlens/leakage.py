@@ -12,7 +12,6 @@ both inputs are rational.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -22,11 +21,13 @@ from typing import Dict, Optional, Tuple
 from .prior import (
     HistogramPlan,
     JointPrior,
+    block_cells,
     dataset_distribution,
     histogram_cells,
 )
 from .mechanism import Channel, RowViews
 from .probability import (
+    TOL,
     Prob,
     log_ratio,
     nats_to_bits,
@@ -109,12 +110,11 @@ class JointTables:
     def __init__(self, prior: JointPrior, channel: Channel, target,
                  budget: Optional[int] = None):
         _check_compatible(prior, channel)
-        self.prior = prior
-        self.channel = channel
-        self.target = tgt = normalize_target(prior.universe.n, target)
+        tgt = normalize_target(prior.universe.n, target)
         check_budget(prior.support_size(), budget, "JointTables")
-        cells, d = histogram_cells(prior, tgt)
-        self._accumulate(cells, channel._row_views, channel.outcomes, d)
+        self._read_histogram_cells(*histogram_cells(prior, tgt), channel)
+        self.prior = prior
+        self.target = tgt
 
     @classmethod
     def from_cells(cls, cells, row_of, outcomes, d=None,
@@ -128,6 +128,22 @@ class JointTables:
         t.prior = t.channel = t.target = None
         t._accumulate(list(cells), RowViews(row_of, dense_of), outcomes, d)
         return t
+
+    @classmethod
+    def from_histogram_cells(cls, cells, channel: Channel,
+                             d=None) -> "JointTables":
+        """Tables over a prior's ((records key, histogram), mass) cells, in
+        histogram_cells order and, when d is given, as integer numerators
+        over d, read against the channel's rows; prior and target are
+        None."""
+        t = cls.__new__(cls)
+        t.prior = t.target = None
+        t._read_histogram_cells(cells, d, channel)
+        return t
+
+    def _read_histogram_cells(self, cells, d, channel: Channel):
+        self.channel = channel
+        self._accumulate(cells, channel._row_views, channel.outcomes, d)
 
     def _accumulate(self, cells, views, outcomes, d=None):
         """cells is a list of ((records key, row key), mass); views is the
@@ -354,10 +370,10 @@ def _max_mi_scan(cells, p_r, outcomes):
 
 
 class MaxMiPlan:
-    """max_mi for every prior with one block layout whose tables list each
-    cell of their block, in itertools.product order over the block's
-    alphabets, with positive mass: the priors sample_prior draws over the
-    channel's universe.
+    """max_mi for every prior with one block layout that gives each cell of
+    its blocks, in block_cells order, a positive mass: the priors
+    sample_prior draws over the channel's universe, unless a band mass
+    underflows to zero.
 
     The layout's HistogramPlan is built once, so each prior skips
     histogram_masses' bookkeeping. Its masses, in histogram_masses order,
@@ -369,11 +385,9 @@ class MaxMiPlan:
     """
 
     def __init__(self, blocks, channel: Channel, target):
-        alphabets = channel.universe.alphabets
         self.blocks = tuple(blocks)
         self.channel = channel
-        self._cells = [list(itertools.product(*(alphabets[i] for i in b)))
-                       for b in self.blocks]
+        self._cells = [block_cells(channel.universe, b) for b in self.blocks]
         self._plan = HistogramPlan(channel.universe, self.blocks, target,
                                    self._cells)
         self.records = sorted({xv for xv, _ in self._plan.keys})
@@ -385,18 +399,37 @@ class MaxMiPlan:
         self._nonzero = [views[h] for _, h in self._plan.keys]
 
     def max_mi(self, prior: JointPrior) -> Quantity:
-        """max_mi(prior, channel, target) for a prior of this layout."""
+        """max_mi(prior, channel, target) for a prior of this layout whose
+        tables list every cell of their block in block_cells order."""
         if prior.blocks != self.blocks:
             raise LeakageError(
                 f"prior blocks {prior.blocks} are not the plan's {self.blocks}")
         for table, cells in zip(prior.tables, self._cells):
-            if list(table) != cells or not all(p > 0 for p in table.values()):
+            if list(table) != cells:
                 raise LeakageError(
                     "prior tables do not list every cell of their block in "
-                    "product order with positive mass")
-        masses = self._plan.masses(t.values() for t in prior.tables)
+                    "product order")
+        return self.max_mi_masses([list(t.values()) for t in prior.tables])
+
+    def max_mi_masses(self, masses) -> Quantity:
+        """max_mi of layout_prior(universe, blocks, masses): masses holds,
+        per block of the layout, the mass of each of its cells in
+        block_cells order. Each block's masses must be positive and sum to
+        one within TOL."""
+        if len(masses) != len(self.blocks):
+            raise LeakageError(
+                f"{len(masses)} mass lists for {len(self.blocks)} blocks")
+        for b, ms, cells in zip(self.blocks, masses, self._cells):
+            if len(ms) != len(cells) or not all(p > 0 for p in ms):
+                raise LeakageError(
+                    f"masses of block {b} do not give every cell of the "
+                    "block a positive mass")
+            total = float(sum(ms))
+            if abs(total - 1.0) > TOL:
+                raise LeakageError(
+                    f"masses of block {b} sum to {total!r}, expected 1")
         p_x, rows, p_r, _ = _accumulate_first_terms(
-            zip(self._row_keys, masses), self._nonzero,
+            zip(self._row_keys, self._plan.masses(masses)), self._nonzero,
             len(self.channel.outcomes))
         best, wit = _max_mi_scan(
             ((x, p_x[x], rows[x]) for x in range(len(self.records))),

@@ -5,13 +5,18 @@ A prior factorizes over disjoint blocks of individuals. Each block carries an
 explicit probability table over the product of its members' alphabets; blocks
 are mutually independent. This covers everything from fully independent
 adversaries to a fully dependent joint (one block containing everyone).
+
+The worst-case search measures candidates without building their priors:
+draw_member hands out a sampled member's layout and masses, and
+extremal_pair_cells and extremal_pair_violations a pair construction's
+(records key, histogram) cells and its family membership.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Dict, Iterator, Optional, Sequence, Tuple
@@ -20,14 +25,13 @@ from .probability import (
     DEFAULT_ETA,
     TOL,
     Prob,
-    ProbabilityError,
     entropy_nats,
     exp_or_inf,
     float_or_inf,
     parse_probability,
     scale_to_integers,
 )
-from .universe import EnumerationBudgetError, RecordUniverse, UniverseError
+from .universe import RecordUniverse
 
 
 class PriorError(ValueError):
@@ -175,14 +179,8 @@ class JointPrior:
             keep = tuple(i for i in b if i in idx)
             if not keep:
                 continue
-            pos = [b.index(i) for i in keep]
-            agg: Dict[Tuple[str, ...], Prob] = {}
-            for key, p in table.items():
-                if p == 0:
-                    continue
-                sub = tuple(key[j] for j in pos)
-                agg[sub] = agg.get(sub, 0) + p
-            partial[keep] = agg
+            partial[keep] = _aggregate(table.items(),
+                                       [b.index(i) for i in keep])
         out: Dict[Tuple[str, ...], Prob] = {(): Fraction(1)}
         covered: Tuple[int, ...] = ()
         for keep, agg in partial.items():
@@ -209,6 +207,18 @@ class JointPrior:
             "support_size": self.support_size(),
             "max_block_size": self.max_block_size(),
         }
+
+
+def _aggregate(items, pos) -> Dict[Tuple[str, ...], Prob]:
+    """Masses of a block's (cell, mass) items summed by the cell's symbols
+    at positions pos, zero masses skipped, each sum started from int 0."""
+    agg: Dict[Tuple[str, ...], Prob] = {}
+    for key, p in items:
+        if p == 0:
+            continue
+        sub = tuple(key[j] for j in pos)
+        agg[sub] = agg.get(sub, 0) + p
+    return agg
 
 
 def independent_prior(
@@ -426,23 +436,31 @@ def sigma(prior: JointPrior):
     one. Returns (value, witness) where witness is (i, x, x') or None when no
     individual admits two positive records.
     """
+    return _sigma(prior.universe.alphabets,
+                  zip(prior.blocks, map(dict.items, prior.tables)))
+
+
+def _sigma(alphabets, layout):
+    """sigma over layout, (block, items) pairs in block order, where items
+    are the block's (cell, mass) pairs in table order and can be iterated
+    more than once."""
     best = None
     witness = None
-    for j, (b, table) in enumerate(zip(prior.blocks, prior.tables)):
+    for b, items in layout:
         for pos, i in enumerate(b):
             # Every sum starts from its first term: an int 0 + Fraction takes
             # the slow operator fallback.
             marg: Dict[str, Prob] = {}
-            for key, p in table.items():
+            for key, p in items:
                 if p == 0:
                     continue
                 old = marg.get(key[pos])
                 marg[key[pos]] = p if old is None else old + p
-            values = [v for v in prior.universe.alphabets[i] if marg.get(v, 0) > 0]
+            values = [v for v in alphabets[i] if marg.get(v, 0) > 0]
             if len(values) < 2:
                 continue
             cond: Dict[str, Dict[Tuple[str, ...], Prob]] = {v: {} for v in values}
-            for key, p in table.items():
+            for key, p in items:
                 if p == 0 or key[pos] not in cond:
                     continue
                 comp = key[:pos] + key[pos + 1 :]
@@ -491,24 +509,26 @@ def uniformity_band(prior: JointPrior, tau) -> Tuple[int, Tuple[int, ...]]:
     tau = float_or_inf(tau)
     if tau < 0:
         raise PriorError("tau must be nonnegative")
+    in_band = _band_members(prior.universe.alphabets, tau,
+                            lambda i: prior.marginal((i,)))
+    return len(in_band), in_band
+
+
+def _band_members(alphabets, tau, marginal) -> Tuple[int, ...]:
+    """The individuals in the exp(+-tau) band, for a float tau >= 0, where
+    marginal(i) maps each (symbol,) of individual i with positive mass to
+    that mass; it is not called when the band is unbounded."""
+    if math.isinf(exp_or_inf(tau)):
+        return tuple(range(len(alphabets)))
+    lo = math.exp(-tau) - TOL
+    hi = math.exp(tau) + TOL
     in_band = []
-    for i in range(prior.universe.n):
-        if math.isinf(exp_or_inf(tau)):
+    for i, alphabet in enumerate(alphabets):
+        marg = marginal(i)
+        m = len(alphabet)
+        if all(lo <= float(marg.get((sym,), 0)) * m <= hi for sym in alphabet):
             in_band.append(i)
-            continue
-        lo = math.exp(-tau) - TOL
-        hi = math.exp(tau) + TOL
-        marg = prior.marginal((i,))
-        m = len(prior.universe.alphabets[i])
-        ok = True
-        for sym in prior.universe.alphabets[i]:
-            scaled = float(marg.get((sym,), 0)) * m
-            if scaled < lo or scaled > hi:
-                ok = False
-                break
-        if ok:
-            in_band.append(i)
-    return len(in_band), tuple(in_band)
+    return tuple(in_band)
 
 
 # ---------------------------------------------------------------------------
@@ -602,38 +622,24 @@ class MembershipReport:
 
 def check_membership(prior: JointPrior, family: FamilyParams) -> MembershipReport:
     """Decide family membership, reporting every violated constraint."""
-    violations = []
     notes = []
     max_block = prior.max_block_size()
-    if family.k is not None and max_block > family.k:
-        violations.append(
-            f"largest dependent block has size {max_block}, allowed {family.k}"
-        )
     sig_val = None
     sig_wit = None
     if family.exp_delta is not None:
         sig_val, sig_wit = sigma(prior)
-        if float(sig_val) > float(family.exp_delta) + TOL:
-            violations.append(
-                f"dependence coefficient {float(sig_val)!r} exceeds "
-                f"exp_delta {float(family.exp_delta)!r}"
-            )
     band_count = None
     in_band = None
     band = family.effective_band()
     if band is not None:
-        tau, ell = band
         if family.tau is None:
             notes.append("ell given without tau: band treated as unbounded")
         if family.ell is None:
             notes.append("tau given without ell: constraint is vacuous")
-        band_count, in_band = uniformity_band(prior, tau)
-        if band_count < ell:
-            violations.append(
-                f"only {band_count} individuals in the uniformity band, need {ell}"
-            )
+        band_count, in_band = uniformity_band(prior, band[0])
     if family.is_vacuous():
         notes.append("family has no constraints; every prior is a member")
+    violations = membership_violations(family, max_block, sig_val, band_count)
     return MembershipReport(
         ok=not violations,
         violations=tuple(violations),
@@ -644,6 +650,32 @@ def check_membership(prior: JointPrior, family: FamilyParams) -> MembershipRepor
         band_count=band_count,
         in_band=in_band,
     )
+
+
+def membership_violations(family: FamilyParams, max_block: int, sigma_value,
+                          band_count) -> list:
+    """The violated constraints of a prior with this largest block, sigma
+    and band count, as check_membership words them; sigma_value is read
+    only when the family caps dependence and band_count only when it has a
+    band, so either may be None otherwise."""
+    violations = []
+    if family.k is not None and max_block > family.k:
+        violations.append(
+            f"largest dependent block has size {max_block}, allowed {family.k}"
+        )
+    if (family.exp_delta is not None
+            and float(sigma_value) > float(family.exp_delta) + TOL):
+        violations.append(
+            f"dependence coefficient {float(sigma_value)!r} exceeds "
+            f"exp_delta {float(family.exp_delta)!r}"
+        )
+    band = family.effective_band()
+    if band is not None and band_count < band[1]:
+        violations.append(
+            f"only {band_count} individuals in the uniformity band, "
+            f"need {band[1]}"
+        )
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +704,25 @@ def sample_prior(
     block of size at most k (possibly size one) and singletons elsewhere.
     exp_delta == 0 forces full independence. Band individuals are kept as
     singleton blocks so their marginals can be drawn inside the band
-    directly; tau == 0 marginals are exactly uniform.
+    directly; tau == 0 marginals are exactly uniform. Returns the prior of
+    draw_member's layout and masses.
+    """
+    drawn = draw_member(universe, family, rng, tries=tries)
+    return None if drawn is None else layout_prior(universe, *drawn)
+
+
+def draw_member(universe: RecordUniverse, family: FamilyParams, rng, *,
+                tries: int = 200):
+    """sample_prior's member as (blocks, masses), or None: the same rng
+    stream, tries and rejection, without building a JointPrior.
+
+    blocks are in the prior's order (by first individual) and masses holds,
+    per block, the mass of every cell of the block in block_cells order.
+    Membership is read off the layout and the masses; sigma is computed
+    only when the family caps dependence and the band only when it has one.
     """
     n = universe.n
+    alphabets = universe.alphabets
     k_eff = n if family.k is None else min(family.k, n)
     band = family.effective_band()
     ell_req = 0
@@ -682,6 +730,7 @@ def sample_prior(
     if band is not None:
         tau, ell_req = band
         ell_req = min(ell_req, n)
+    bounded = not math.isinf(exp_or_inf(tau))
     force_independent = family.exp_delta is not None and family.exp_delta == 0
 
     for _ in range(tries):
@@ -691,24 +740,21 @@ def sample_prior(
         b_size = 1 if max_b <= 1 else rng.randint(1, max_b)
         if b_size > 1 and len(free) >= b_size:
             members = tuple(sorted(rng.sample(free, b_size)))
+            # The dependent block's masses are drawn before the singletons'.
+            joint = _dirichlet(rng, prod(len(alphabets[i]) for i in members))
         else:
             members = ()
 
         blocks = []
-        tables = []
-        if members:
-            blocks.append(members)
-            cells = list(
-                itertools.product(*(universe.alphabets[i] for i in members))
-            )
-            weights = _dirichlet(rng, len(cells))
-            tables.append({c: w for c, w in zip(cells, weights)})
+        masses = []
         for i in range(n):
             if i in members:
+                if i == members[0]:
+                    blocks.append(members)
+                    masses.append(joint)
                 continue
-            alpha = universe.alphabets[i]
-            m = len(alpha)
-            if i in band_set and not math.isinf(exp_or_inf(tau)):
+            m = len(alphabets[i])
+            if i in band_set and bounded:
                 if tau == 0:
                     ws = [Fraction(1, m)] * m
                 else:
@@ -718,16 +764,60 @@ def sample_prior(
             else:
                 ws = _dirichlet(rng, m)
             blocks.append((i,))
-            tables.append({(sym,): w for sym, w in zip(alpha, ws)})
-        candidate = JointPrior(universe, tuple(blocks), tuple(tables))
-        if check_membership(candidate, family).ok:
-            return candidate
+            masses.append(ws)
+        blocks = tuple(blocks)
+        if not _layout_violations(universe, family, blocks, masses):
+            return blocks, masses
     return None
+
+
+def _layout_violations(universe, family, blocks, masses) -> list:
+    """membership_violations of layout_prior(universe, blocks, masses)."""
+    alphabets = universe.alphabets
+    band = family.effective_band()
+    sig = count = None
+    if family.exp_delta is not None or band is not None:
+        layout = [(b, list(zip(block_cells(universe, b), ms)))
+                  for b, ms in zip(blocks, masses)]
+    if family.exp_delta is not None:
+        sig, _ = _sigma(alphabets, layout)
+    if band is not None:
+        where = {i: (b.index(i), items) for b, items in layout for i in b}
+
+        def marginal(i):
+            pos, items = where[i]
+            return _aggregate(items, (pos,))
+
+        count = len(_band_members(alphabets, band[0], marginal))
+    return membership_violations(family, max(map(len, blocks)), sig, count)
+
+
+def block_cells(universe: RecordUniverse, block) -> list:
+    """Every cell of a block: its value tuples in itertools.product order
+    over its individuals' alphabets."""
+    return list(itertools.product(*(universe.alphabets[i] for i in block)))
+
+
+def layout_prior(universe: RecordUniverse, blocks, masses) -> JointPrior:
+    """The prior whose block blocks[j] gives masses[j][c] to its c-th cell
+    in block_cells order; zero masses stay in the tables."""
+    return JointPrior(universe, tuple(blocks), tuple(
+        dict(zip(block_cells(universe, b), ms))
+        for b, ms in zip(blocks, masses)
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Worst-case constructions
 # ---------------------------------------------------------------------------
+
+
+def _check_eta(eta):
+    # A Fraction's denominator is positive, so its bounds are read off the
+    # integers without Fraction comparisons.
+    if not (0 < eta.numerator < eta.denominator if isinstance(eta, Fraction)
+            else 0 < eta < 1):
+        raise PriorError("eta must be strictly between 0 and 1")
 
 
 def extremal_pair_prior(
@@ -749,8 +839,7 @@ def extremal_pair_prior(
     """
     seq_num = universe.validate_sequence(seq_num)
     seq_den = universe.validate_sequence(seq_den)
-    if not (0 < eta < 1):
-        raise PriorError("eta must be strictly between 0 and 1")
+    _check_eta(eta)
     diff = [i for i in range(universe.n) if seq_num[i] != seq_den[i]]
     if not diff:
         raise PriorError("sequences are identical; no pair to concentrate on")
@@ -780,6 +869,85 @@ def extremal_pair_prior(
     return JointPrior(universe, tuple(blocks), tuple(tables))
 
 
+def extremal_pair_violations(universe: RecordUniverse, family: FamilyParams,
+                             seq_num, seq_den, block, eta) -> list:
+    """membership_violations of extremal_pair_prior(universe, seq_num,
+    seq_den, block=block, eta=eta), read off the layout without building
+    the prior; raises PriorError for an eta outside (0, 1), as the prior
+    does.
+
+    Every block but the dependent one is a singleton. sigma is exactly 1
+    for a dependent block of two or more (its two cells share no
+    complement) and 0 otherwise. Each individual's marginal is a point mass
+    on its agreeing record, or eta and 1 - eta on its two records.
+    """
+    _check_eta(eta)
+    count = None
+    band = family.effective_band()
+    if band is not None:
+        def marginal(i):
+            if seq_num[i] == seq_den[i]:
+                return {(seq_num[i],): Fraction(1)}
+            return {(seq_num[i],): eta, (seq_den[i],): 1 - eta}
+
+        count = len(_band_members(universe.alphabets, band[0], marginal))
+    size = len(set(block))
+    return membership_violations(family, max(size, 1),
+                                 1 if size > 1 else 0, count)
+
+
+def extremal_pair_cells(universe: RecordUniverse, seq_num, seq_den, block,
+                        eta, target):
+    """histogram_cells(extremal_pair_prior(universe, seq_num, seq_den,
+    block=block, eta=eta), target), read off the two sequences without
+    building the prior.
+
+    The prior's two-point tables are the dependent block's and the other
+    differing coordinates' singletons, each giving eta to its numerator
+    cell and 1 - eta to its denominator cell; the point masses give 1. When
+    every two-point block holds a target coordinate, its two cells differ
+    in their target records, so no two of the 2^m support sequences share a
+    (records key, histogram) cell: the cells are those sequences in product
+    order over the two-point blocks in block order, numerator branch first.
+    A Fraction eta = p/q gives each its integer numerator over d = q^m; a
+    float eta gives the float product of its blocks' masses, in block
+    order, and d = None.
+    """
+    _check_eta(eta)
+    diff = [i for i, (a, b) in enumerate(zip(seq_num, seq_den)) if a != b]
+    block = tuple(sorted(set(block)))
+    groups = sorted(([block] if block else [])
+                    + [(i,) for i in diff if i not in block])
+    idx = sorted(set(target))
+    if (not diff or not set(block) <= set(diff)
+            or any(set(g).isdisjoint(idx) for g in groups)):
+        raise PriorError("the pair's sequences must differ, on every "
+                         "coordinate of the dependent block, and every "
+                         "two-point block must hold a target coordinate")
+    if isinstance(eta, Fraction):
+        branch = (eta.numerator, eta.denominator - eta.numerator)
+        d = eta.denominator ** len(groups)
+    else:
+        branch, d = (eta, 1 - eta), None
+    # Each mass is its branches' product taken in block order.
+    masses = [1]
+    for _ in groups:
+        masses = [m * b for m in masses for b in branch]
+    weight = universe.code_weights
+    cells = []
+    for choice, mass in zip(
+            itertools.product((False, True), repeat=len(groups)), masses):
+        seq = list(seq_num)
+        for g, den in zip(groups, choice):
+            if den:
+                for i in g:
+                    seq[i] = seq_den[i]
+        key = (tuple(seq[i] for i in idx),
+               universe.decode_histogram(sum(weight[s] for s in seq)))
+        cells.append((key, mass))
+    return cells, d
+
+
 def extremal_pdelta_prior(
     universe: RecordUniverse,
     i: int,
@@ -804,8 +972,7 @@ def extremal_pdelta_prior(
     if not (0 <= i < universe.n):
         raise PriorError(f"target {i} out of range")
     exp_delta = parse_probability(exp_delta)
-    if not (0 < eta < 1):
-        raise PriorError("eta must be strictly between 0 and 1")
+    _check_eta(eta)
     if x_num == x_den:
         raise PriorError("target records must differ")
     others = [j for j in range(universe.n) if j != i]

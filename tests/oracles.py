@@ -2,13 +2,15 @@
 enumerators that walk dataset sequences (all |A|^n of them or a prior's
 whole support), the per-sequence dependence and averaging scans, and the
 per-cell and per-candidate loops that the integer scans and the symmetry
-classes replace, the leakage quantities and the prior table check on
+classes replace, the sampler that builds and checks a prior per draw, the
+leakage quantities and the prior table check on
 Fractions where the library reads integer numerators, the dict-update
 convolution that the compiled histogram plan and the integer prior masses
 replace, the product-channel loop on Fractions that integer rows replace,
 and sums started from an int 0 where the library starts them from
 their first term. Keep universes small."""
 
+import functools
 import itertools
 import math
 import random
@@ -20,23 +22,26 @@ from types import SimpleNamespace
 from privlens import (
     BOT,
     DEFAULT_ETA,
+    JointPrior,
     Quantity,
     Verdict,
     RatioScan,
     SupResult,
     TOL,
     check_membership,
+    extremal_pair_prior,
     log_ratio,
     max_mi,
     normalize_target,
     parse_probability,
     ratio_div,
-    sample_prior,
 )
+from privlens.probability import exp_or_inf
 from privlens.audit import (
     _band_corners,
-    _extremal_pair_candidates,
     _extremal_pdelta_candidates,
+    _pair_description,
+    _pair_layouts,
     _parse_bound,
     _uniform_marginal,
     leq_with_tol,
@@ -468,11 +473,88 @@ def table_error(universe, blocks, tables):
 # ---------------------------------------------------------------------------
 
 
+def _dirichlet(rng, m):
+    es = [-math.log(max(rng.random(), 1e-300)) for _ in range(m)]
+    s = sum(es)
+    return [e / s for e in es]
+
+
+def sample_prior(universe, family, rng, *, tries=200):
+    """sample_prior as a build-and-check loop: each try's draw becomes a
+    JointPrior, kept when check_membership accepts it."""
+    n = universe.n
+    k_eff = n if family.k is None else min(family.k, n)
+    band = family.effective_band()
+    ell_req = 0
+    tau = math.inf
+    if band is not None:
+        tau, ell_req = band
+        ell_req = min(ell_req, n)
+    force_independent = family.exp_delta is not None and family.exp_delta == 0
+
+    for _ in range(tries):
+        band_set = sorted(rng.sample(range(n), ell_req)) if ell_req else []
+        free = [i for i in range(n) if i not in band_set]
+        max_b = 1 if force_independent else min(k_eff, max(len(free), 1))
+        b_size = 1 if max_b <= 1 else rng.randint(1, max_b)
+        if b_size > 1 and len(free) >= b_size:
+            members = tuple(sorted(rng.sample(free, b_size)))
+        else:
+            members = ()
+
+        blocks = []
+        tables = []
+        if members:
+            blocks.append(members)
+            cells = list(
+                itertools.product(*(universe.alphabets[i] for i in members))
+            )
+            weights = _dirichlet(rng, len(cells))
+            tables.append({c: w for c, w in zip(cells, weights)})
+        for i in range(n):
+            if i in members:
+                continue
+            alpha = universe.alphabets[i]
+            m = len(alpha)
+            if i in band_set and not math.isinf(exp_or_inf(tau)):
+                if tau == 0:
+                    ws = [Fraction(1, m)] * m
+                else:
+                    raw = [math.exp(rng.uniform(-tau, tau)) for _ in range(m)]
+                    s = sum(raw)
+                    ws = [w / s for w in raw]
+            else:
+                ws = _dirichlet(rng, m)
+            blocks.append((i,))
+            tables.append({(sym,): w for sym, w in zip(alpha, ws)})
+        candidate = JointPrior(universe, tuple(blocks), tuple(tables))
+        if check_membership(candidate, family).ok:
+            return candidate
+    return None
+
+
+def _extremal_pair_candidates(channel, family, tgt, eta, budget):
+    """The search's pair candidates as (class key, build), where build()
+    returns (the built pair prior, description)."""
+    u = channel.universe
+    for key, s_num, s_den, block in _pair_layouts(channel, family, tgt,
+                                                  budget):
+        yield key, functools.partial(_pair_candidate, u, s_num, s_den,
+                                     block, eta)
+
+
+def _pair_candidate(u, s_num, s_den, block, eta):
+    prior = extremal_pair_prior(u, s_num, s_den, block=block, eta=eta)
+    return prior, _pair_description(s_num, s_den, block)
+
+
 def worstcase_sup(channel, family, target, *,
                   strategies=("extremal", "sampled"), rng=None,
                   samples=1000, eta=DEFAULT_ETA, budget=None):
     """worstcase_sup without symmetry classes: the candidate keys are
-    ignored and each candidate is a prior of its own."""
+    ignored and each candidate is a prior of its own, filtered by
+    check_membership and measured by max_mi; sampled members come from the
+    build-and-check sample_prior above."""
     tgt = normalize_target(channel.universe.n, target)
     best = None
     best_wit = None

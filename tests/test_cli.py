@@ -459,6 +459,25 @@ def test_bound_worstcase_without_admissible_extremal_is_inconclusive(tmp_path):
     assert sup["evaluated"]["sampled"] == 50
 
 
+def test_bound_worstcase_measures_members_with_an_underflowed_band_mass(
+        tmp_path):
+    # At tau = 400 a band marginal drawn as normalized exp(uniform(-tau,
+    # tau)) can underflow to a zero mass: still a family member.
+    scn = base_scenario(
+        bound={
+            "kind": "worstcase",
+            "mechanism": "geo",
+            "target": 0,
+            "family": {"k": 1, "ell": 2, "tau": 400},
+        },
+        samples=300,
+    )
+    path = write_scenario(tmp_path, scn)
+    code, out, err = invoke(["bound", path, "--format", "json"])
+    assert code in (0, 2), err
+    assert json.loads(out)["results"]["sup"]["evaluated"]["sampled"] == 300
+
+
 def test_bound_tightness(tmp_path):
     scn = base_scenario(bound={"kind": "tightness", "mechanism": "geo", "k": 2})
     path = write_scenario(tmp_path, scn)
@@ -511,6 +530,33 @@ def test_compose_epochs_additivity(tmp_path):
     assert rep["results"]["total"]["ratio"] == "9/4"
     assert rep["results"]["direct"]["ratio"] == "9/4"
     assert rep["results"]["additivity_agrees"] is True
+
+
+def test_compose_epochs_total_beyond_the_float_range_is_unbounded(
+        tmp_path):
+    # The exact first epoch's ratio is 10^400; times the float ratio of the
+    # second it reads as inf instead of overflowing.
+    big = 10**400
+    scn = single_record_scenario(
+        priors={"skew": {"independent": [[f"{big - 1}/{big}", f"1/{big}"]]}},
+        mechanisms={
+            "rr": {"type": "randomized_response", "keep_prob": "1"},
+            "geo": {"type": "geometric_counting", "target_symbol": "a",
+                    "ratio": 0.5},
+        },
+        compose={
+            "kind": "epochs",
+            "epochs": [
+                {"prior": "skew", "mechanism": "rr"},
+                {"prior": "skew", "mechanism": "geo"},
+            ],
+            "target": 0,
+        },
+    )
+    path = write_scenario(tmp_path, scn)
+    code, out, err = invoke(["compose", path, "--format", "json"])
+    assert code in (0, 1), err
+    assert json.loads(out)["results"]["total"]["ratio"] == "inf"
 
 
 def test_compose_equal_epochs(tmp_path):

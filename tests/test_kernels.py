@@ -13,6 +13,7 @@ import pytest
 import oracles
 from privlens import (
     BOT,
+    AuditError,
     DEFAULT_ETA,
     TOL,
     Channel,
@@ -33,6 +34,7 @@ from privlens import (
     dataset_distribution,
     direct_epoch_max_mi,
     equal_epoch_reduction,
+    extremal_pair_prior,
     histogram_masses,
     independent_prior,
     inferential_eps,
@@ -54,12 +56,22 @@ from privlens import (
     worstcase_sup,
 )
 from privlens.audit import (
-    _extremal_pair_candidates,
+    _check_largest_sample,
     _extremal_pdelta_candidates,
+    _measure_pair,
+    _pair_layouts,
     tightness_pk,
 )
 from privlens.leakage import MaxMiPlan
-from privlens.prior import HistogramPlan
+from privlens.prior import (
+    HistogramPlan,
+    block_cells,
+    draw_member,
+    extremal_pair_cells,
+    extremal_pair_violations,
+    histogram_cells,
+    layout_prior,
+)
 from gen import random_channel
 
 SYMBOLS = (BOT, "a", "b", "c")
@@ -1134,7 +1146,7 @@ def test_extremal_classes_measure_and_filter_alike():
         tgt = normalize_target(ch.universe.n, target)
         first = {}
         for key, build in itertools.chain(
-            _extremal_pair_candidates(ch, family, tgt, eta, None),
+            oracles._extremal_pair_candidates(ch, family, tgt, eta, None),
             _extremal_pdelta_candidates(ch, family, tgt, eta, None),
         ):
             prior, _ = build()
@@ -1147,6 +1159,78 @@ def test_extremal_classes_measure_and_filter_alike():
             else:
                 first[key] = seen
     assert merged > 0
+
+
+def test_pair_cells_and_membership_are_read_off_the_layout():
+    # Over every pair candidate, for a Fraction and a float eta: the cells
+    # read off the two sequences are histogram_cells of the built prior
+    # (keys, masses, d and order); the layout's membership, band included,
+    # is check_membership's; and an admitted candidate charges its 2^m
+    # support sequences to the JointTables budget and measures as max_mi of
+    # the built prior.
+    rng = random.Random(69)
+    admitted = filtered = banded = 0
+    for ch, family, target, exact_eta in sup_cases(rng):
+        u = ch.universe
+        tgt = normalize_target(u.n, target)
+        for eta in (exact_eta, float(exact_eta)):
+            for _, s_num, s_den, block in _pair_layouts(ch, family, tgt,
+                                                        None):
+                prior = extremal_pair_prior(u, s_num, s_den, block=block,
+                                            eta=eta)
+                assert repr(extremal_pair_cells(u, s_num, s_den, block, eta,
+                                                tgt)) == repr(
+                    histogram_cells(prior, tgt)), (u, s_num, s_den, block)
+                m = check_membership(prior, family)
+                assert extremal_pair_violations(
+                    u, family, s_num, s_den, block, eta) == list(
+                        m.violations), (family, s_num, s_den, block, eta)
+                banded += m.band_count is not None and 0 < m.band_count
+                measure = functools.partial(_measure_pair, ch, family, tgt)
+                if not m.ok:
+                    filtered += 1
+                    assert measure(None, s_num, s_den, block, eta)[0] is None
+                    continue
+                admitted += 1
+                support = prior.support_size()
+                with pytest.raises(EnumerationBudgetError,
+                                   match="JointTables"):
+                    measure(support - 1, s_num, s_den, block, eta)
+                q, _ = measure(support, s_num, s_den, block, eta)
+                assert repr(q) == repr(max_mi(prior, ch, tgt))
+    assert admitted > 0 and filtered > 0 and banded > 0
+
+
+def test_pair_read_off_rejects_an_eta_outside_the_unit_interval():
+    u = uniform_universe(2, (BOT, "a"))
+    s_num, s_den = ("a", BOT), (BOT, BOT)
+    for eta in (0, 1, Fraction(3, 2), -0.5):
+        for read in (extremal_pair_cells, extremal_pair_violations):
+            args = ((u, s_num, s_den, (), eta, (0,)) if read is
+                    extremal_pair_cells else
+                    (u, FamilyParams(k=1), s_num, s_den, (), eta))
+            with pytest.raises(PriorError, match="eta"):
+                read(*args)
+
+
+@pytest.mark.parametrize("exact, eta", [(False, DEFAULT_ETA), (True, 0.25)],
+                         ids=["float_channel", "float_eta"])
+def test_worstcase_sup_float_inputs_match_the_per_candidate_oracle(exact,
+                                                                   eta):
+    # A float channel or a float eta takes the read-off pair cells into
+    # float tables.
+    u = RecordUniverse(((BOT, "a", "b"), (BOT, "a", "b"), (BOT, "a")))
+    ch = sup_channel(random.Random(70), u, exact)
+    for family in (FamilyParams(k=2),
+                   FamilyParams(k=3, exp_delta=Fraction(1, 2)),
+                   FamilyParams(k=2, ell=1, tau=1.0)):
+        for target in (0, (0, 1)):
+            got, want = (
+                sup(ch, family, target, rng=random.Random(5), samples=20,
+                    eta=eta)
+                for sup in (worstcase_sup, oracles.worstcase_sup)
+            )
+            assert repr(got) == repr(want), (family, target)
 
 
 # ---------------------------------------------------------------------------
@@ -1239,6 +1323,111 @@ def test_sampled_members_charge_their_support_to_the_budget():
     with pytest.raises(EnumerationBudgetError, match="JointTables"):
         run(rng=random.Random(0), budget=26)
     assert run(rng=random.Random(0), budget=27).evaluated["sampled"] == 5
+
+
+def test_draws_match_the_build_and_check_sampler():
+    # The draw takes sample_prior's rng stream, tries and rejection: the
+    # member that building and checking a prior per try keeps, or None,
+    # with the generator left in the same state. tau = 700 underflows band
+    # masses to 0.0; ell above n admits nothing.
+    rng = random.Random(93)
+    zero_masses = 0
+    for _ in range(12):
+        u = plan_universe(rng)
+        f = FamilyParams
+        families = plan_families(u.n) + (
+            f(k=1, ell=u.n, tau=700.0), f(ell=1, tau=0.3, exp_delta=0.8),
+            f(ell=u.n + 1, tau=1.0))
+        for family in families:
+            seed = rng.randrange(1 << 30)
+            drawn, public, built = (random.Random(seed) for _ in range(3))
+            for _ in range(4):
+                got = draw_member(u, family, drawn, tries=20)
+                prior = sample_prior(u, family, public, tries=20)
+                want = oracles.sample_prior(u, family, built, tries=20)
+                assert drawn.getstate() == built.getstate() == public.getstate()
+                if want is None:
+                    assert got is None and prior is None
+                    continue
+                blocks, masses = got
+                assert blocks == prior.blocks == want.blocks
+                assert repr(prior.tables) == repr(want.tables), family
+                assert repr(masses) == repr(
+                    [list(t.values()) for t in want.tables])
+                assert [block_cells(u, b) for b in blocks] == [
+                    list(t) for t in want.tables]
+                zero_masses += any(0 in ms for ms in masses)
+    assert zero_masses > 0
+
+
+def test_plan_checks_each_members_masses():
+    u = uniform_universe(2, (BOT, "a"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    blocks = ((0,), (1,))
+    plan = MaxMiPlan(blocks, ch, (0,))
+    half = Fraction(1, 2)
+    good = [[half, half], [0.25, 0.75]]
+    assert repr(plan.max_mi_masses(good)) == repr(
+        max_mi(layout_prior(u, blocks, good), ch, 0))
+    for bad in ([[half, half]], [[half, half], [1.0]],
+                [[half, half], [0.0, 1.0]], [[half, half], [-0.25, 1.25]],
+                [[half, half], [0.5, 0.6]]):
+        with pytest.raises(LeakageError):
+            plan.max_mi_masses(bad)
+
+
+def test_worstcase_sup_measures_members_with_a_zero_mass():
+    # At tau = 400 a band mass can underflow to 0.0; such a member is
+    # measured on its prior, which drops the zero cells.
+    u = uniform_universe(2, (BOT, "a"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    family = FamilyParams(k=1, ell=2, tau=400)
+    got, want = (sup(ch, family, 0, rng=random.Random(3), samples=300)
+                 for sup in (worstcase_sup, oracles.worstcase_sup))
+    assert repr(got) == repr(want)
+    rng = random.Random(3)
+    assert any(0 in ms for _ in range(300)
+               for ms in draw_member(u, family, rng)[1])
+
+
+def test_search_checks_its_largest_sample_without_moving_the_rng():
+    # The largest sampled member is rebuilt through sample_prior from a
+    # copy of the generator; the caller's generator ends where the
+    # build-and-check oracle leaves it.
+    u = uniform_universe(3, (BOT, "a", "b"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    family = FamilyParams(k=2)
+    got_rng, want_rng = random.Random(8), random.Random(8)
+    got = worstcase_sup(ch, family, 0, rng=got_rng, samples=30)
+    want = oracles.worstcase_sup(ch, family, 0, rng=want_rng, samples=30)
+    assert repr(got) == repr(want)
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_largest_sample_check_replays_from_a_checkpoint():
+    u = uniform_universe(3, (BOT, "a", "b"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    family = FamilyParams(k=2)
+    rng = random.Random(9)
+    checkpoint = rng.getstate()
+    draws = random.Random(9)
+    members = [draw_member(u, family, draws) for _ in range(3)]
+    measured = [max_mi(layout_prior(u, *m), ch, 0) for m in members]
+    check = functools.partial(_check_largest_sample, ch, family, (0,), None,
+                              rng)
+    for skip, (q, (blocks, _)) in enumerate(zip(measured, members)):
+        check(q, blocks, checkpoint, skip)
+    assert rng.getstate() == checkpoint
+    singletons = ((0,), (1,), (2,))
+    other = max_mi(layout_prior(u, singletons, [[Fraction(1, 3)] * 3] * 3),
+                   ch, 0)
+    q, blocks = measured[1], members[1][0]
+    for args in ((other, blocks, checkpoint, 1),
+                 (q, ((0, 1, 2),), checkpoint, 1),
+                 (q, blocks, checkpoint, 2),
+                 (q, blocks, random.Random(10).getstate(), 1)):
+        with pytest.raises(AuditError, match="largest sampled member"):
+            check(*args)
 
 
 def test_plan_rejects_priors_of_another_layout():
