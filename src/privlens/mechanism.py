@@ -295,8 +295,9 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
     uniformly from the shared alphabet (the kept value included, so the
     diagonal is keep + (1 - keep)/m). The outcome is the histogram of the
     perturbed sequence; by symmetry the row depends only on the input
-    histogram, which is checked structurally by computing from a canonical
-    representative.
+    histogram. A rational ``keep_prob`` runs one integer state DP per class
+    of input count vectors sorted in descending order and reads each row
+    through its sorting permutation; a float one runs the DP per histogram.
     """
     alpha0 = universe.alphabets[0]
     for a in universe.alphabets:
@@ -307,47 +308,88 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
     keep = parse_probability(keep_prob)
     m = len(alpha0)
     base = (1 - keep) / m
-    # A rational kernel runs on integers over its common denominator, so
-    # each state sums ints and each row is integer numerators over
-    # scale**n, handed to the channel as they are.
-    scaled = scale_to_integers((keep + base, base))
-    if scaled is None:
-        (diag, off), scale = (keep + base, base), None
-    else:
-        (diag, off), scale = scaled
-    kernel = {v: {w: (diag if w == v else off) for w in alpha0} for v in alpha0}
-
+    n = universe.n
     achievable = universe.achievable_histograms()
     outcomes = tuple(universe.histogram_key(h) for h in achievable)
-    out_codes = [universe.encode_histogram(h) for h in achievable]
-    weight = universe.code_weights
-    denom = None if scale is None else scale ** universe.n
-
-    rows = {}
-    for h in achievable:
-        # Canonical representative: the first realization in alphabet order,
-        # i.e. the non-decreasing sequence by alphabet position.
-        counts = dict(zip(universe.pooled_alphabet, h))
-        counts[BOT] = universe.n - sum(h)
-        rep = [v for v in alpha0 for _ in range(counts[v])]
-        # States are partial output histograms, keyed by their code.
-        states: Dict[int, Prob] = {0: 1}
-        for v in rep:
-            nxt: Dict[int, Prob] = {}
-            for partial, p in states.items():
-                for w, q in kernel[v].items():
-                    if q == 0:
-                        continue
-                    key = partial + weight[w]
-                    nxt[key] = nxt.get(key, 0) + p * q
-            states = nxt
-        if scale is None:
+    # Full count vectors over alpha0, BOT included, in alpha0 order.
+    where = [universe.pooled_alphabet.index(v) if v != BOT else None
+             for v in alpha0]
+    full = [
+        [n - sum(h) if j is None else h[j] for j in where] for h in achievable
+    ]
+    scaled = scale_to_integers((keep + base, base))
+    if scaled is None:
+        # Float kernel: one DP per histogram on its non-decreasing
+        # realization, keyed by output histogram code, in this summation
+        # order, so float rows keep their bits.
+        diag, off = keep + base, base
+        weights = [universe.code_weights[v] for v in alpha0]
+        kernel = _rr_kernel(weights, diag, off)
+        out_codes = [universe.encode_histogram(h) for h in achievable]
+        rows = {}
+        for h, f in zip(achievable, full):
+            states = _rr_states(f, kernel)
             rows[h] = tuple(states.get(c, Fraction(0)) for c in out_codes)
-        else:
-            rows[h] = [states.get(c, 0) for c in out_codes], denom
-    if scale is None:
         return Channel(universe, outcomes, rows)
+
+    # Rational kernel: it runs on integers over its common denominator, so
+    # each state sums ints and each row is integer numerators over
+    # scale**n, handed to the channel as they are. It is diag on the kept
+    # symbol and off elsewhere, so relabelling the symbols permutes the
+    # output columns alike and a row depends on its input's count vector
+    # up to order. One DP per class of count vectors sorted in descending
+    # order, keyed by the class positions' output counts in base n + 1; a
+    # histogram reads its row through the permutation that sorts it.
+    (diag, off), scale = scaled
+    places = [(n + 1) ** (m - 1 - i) for i in range(m)]
+    kernel = _rr_kernel(places, diag, off)
+    denom = scale**n
+    by_class = {}
+    by_order = {}
+    rows = {}
+    for h, f in zip(achievable, full):
+        order = tuple(sorted(range(m), key=f.__getitem__, reverse=True))
+        cls = tuple(f[j] for j in order)
+        states = by_class.get(cls)
+        if states is None:
+            states = by_class[cls] = _rr_states(cls, kernel)
+        cols = by_order.get(order)
+        if cols is None:
+            cols = by_order[order] = [
+                sum(g[j] * p for j, p in zip(order, places)) for g in full
+            ]
+        rows[h] = [states.get(c, 0) for c in cols], denom
     return Channel.from_numerators(universe, outcomes, rows)
+
+
+def _rr_kernel(weights, diag, off):
+    """Randomized-response kernel rows for _rr_states: row v lists (weight
+    of w, probability of v -> w) over the outputs w, diag at w == v and off
+    elsewhere; zero entries are left out, so a cell that no path reaches
+    stays missing."""
+    kernel = []
+    for v in range(len(weights)):
+        row = [(w, diag if u == v else off) for u, w in enumerate(weights)]
+        kernel.append([(w, q) for w, q in row if q != 0])
+    return kernel
+
+
+def _rr_states(counts, kernel):
+    """Output distribution under the kernel of the input with counts[v]
+    records v: {sum of the output weights: probability}, built one record
+    at a time over partial outputs, the records in non-decreasing v."""
+    states: Dict[int, Prob] = {0: 1}
+    for v, c in enumerate(counts):
+        row = kernel[v]
+        for _ in range(c):
+            nxt: Dict[int, Prob] = {}
+            get = nxt.get
+            for partial, p in states.items():
+                for w, q in row:
+                    key = partial + w
+                    nxt[key] = get(key, 0) + p * q
+            states = nxt
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +405,10 @@ def change_histogram_pairs(
 
     For k >= n this is every pair. Otherwise one pass over the individuals
     carries every pair of partial histograms (h1, h2) with the fewest record
-    changes that reach it, dropping pairs that need more than k; the budget
-    counts its steps, one per (state, record pair). Returned sorted for
-    deterministic scans.
+    changes that reach it, dropping pairs that need more than k; a pair
+    that has used all k changes only copies the next record. The budget
+    counts one step per (state, record pair), an upper bound on the moves
+    taken. Returned sorted for deterministic scans.
     """
     if k < 1:
         raise ChannelError("k must be at least 1")
@@ -375,19 +418,24 @@ def change_histogram_pairs(
         return list(itertools.combinations(hists, 2))
     states = {(0, 0): 0}
     steps = 0
+    far = k + 1
     for alpha in universe.alphabets:
         weights = [universe.code_weights[s] for s in alpha]
         steps += len(states) * len(weights) ** 2
         check_budget(steps, budget, "change_histogram_pairs")
+        changes = [(x, y) for x in weights for y in weights if x != y]
         nxt = {}
+        get = nxt.get
         for (c1, c2), d in states.items():
             for x in weights:
-                for y in weights:
-                    e = d if x == y else d + 1
-                    if e > k:
-                        continue
+                key = (c1 + x, c2 + x)
+                if d < get(key, far):
+                    nxt[key] = d
+            if d < k:
+                e = d + 1
+                for x, y in changes:
                     key = (c1 + x, c2 + y)
-                    if e < nxt.get(key, k + 1):
+                    if e < get(key, far):
                         nxt[key] = e
         states = nxt
     decode = universe.decode_histogram

@@ -150,6 +150,16 @@ def test_kernel_budgets_name_their_stage():
     assert exc.value.cardinality == 12
 
 
+def test_change_histogram_pairs_charge_every_record_pair_past_the_first_layer():
+    # Layers of 1, 9 and 36 states, each charged 3 x 3 record pairs; the
+    # third holds the first states that have used both changes.
+    u = uniform_universe(4, (BOT, "a", "b"))
+    with pytest.raises(EnumerationBudgetError) as exc:
+        change_histogram_pairs(u, 2, budget=400)
+    assert exc.value.stage == "change_histogram_pairs"
+    assert exc.value.cardinality == 9 + 81 + 324
+
+
 def test_cached_histograms_still_charge_the_budget():
     u = uniform_universe(3, (BOT, "a", "b"))
     u.achievable_histograms()
@@ -468,6 +478,49 @@ def test_randomized_response_rows_match_the_fraction_oracle():
             for keep in (Fraction(rng.randint(0, 7), 7), "0.35"):
                 got = randomized_response_channel(u, keep).rows
                 assert repr(got) == repr(oracles.randomized_response_rows(u, keep))
+
+
+@pytest.mark.parametrize("alphabet", [(BOT, "a", "b"), ("a", "b", "c"),
+                                      ("a", BOT, "b", "c")])
+def test_randomized_response_rows_match_the_oracle_at_scan_sizes(alphabet):
+    for n in (6, 7, 8):
+        u = uniform_universe(n, alphabet)
+        for keep in (Fraction(0), Fraction(1), Fraction(3, 7)):
+            got = randomized_response_channel(u, keep).rows
+            assert repr(got) == repr(oracles.randomized_response_rows(u, keep))
+
+
+def test_randomized_response_rows_match_the_oracle_on_one_symbol():
+    for alphabet in ((BOT,), ("a",)):
+        for n in (1, 4, 8):
+            u = uniform_universe(n, alphabet)
+            for keep in (Fraction(0), Fraction(1), Fraction(3, 7), 0.35):
+                got = randomized_response_channel(u, keep).rows
+                assert repr(got) == repr(oracles.randomized_response_rows(u, keep))
+
+
+def test_randomized_response_rows_commute_with_relabelling():
+    # row(pi h)[pi o] == row(h)[o] for every permutation pi of the alphabet,
+    # BOT moved as any other symbol.
+    for n, alphabet in ((5, (BOT, "a", "b")), (4, ("a", BOT, "b", "c")),
+                        (4, ("a", "b", "c"))):
+        u = uniform_universe(n, alphabet)
+
+        def relabel(hist, pi):
+            counts = dict(zip(u.pooled_alphabet, hist))
+            counts[BOT] = n - sum(hist)
+            moved = {pi[s]: counts.get(s, 0) for s in alphabet}
+            return tuple(moved[s] for s in u.pooled_alphabet)
+
+        for keep in (Fraction(0), Fraction(1), Fraction(3, 7)):
+            ch = randomized_response_channel(u, keep)
+            for image in itertools.permutations(alphabet):
+                pi = dict(zip(alphabet, image))
+                for h, row in ch.rows.items():
+                    moved = ch.row(relabel(h, pi))
+                    for o, q in zip(u.achievable_histograms(), row):
+                        j = ch.outcome_index(u.histogram_key(relabel(o, pi)))
+                        assert moved[j] == q
 
 
 def test_randomized_response_float_keep_keeps_its_bits():

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "privlens"
@@ -28,3 +29,38 @@ def test_modules_import_no_unused_names():
     assert modules
     unused = {p.name: unused_imports(p) for p in modules}
     assert not {name: u for name, u in unused.items() if u}
+
+
+def foreign_imports(source):
+    """(line, top-level name) of each absolute import outside the standard
+    library; relative imports are the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names:
+                found.append((node.lineno, top))
+    return found
+
+
+def test_foreign_imports_are_found():
+    source = ("import math, numpy.linalg\nfrom scipy import stats\n"
+              "from . import universe\nfrom .probability import TOL\n"
+              "from __future__ import annotations\n")
+    assert foreign_imports(source) == [(1, "numpy"), (2, "scipy")]
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies, so the package may import
+    # nothing else, whatever this interpreter happens to have installed.
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: foreign_imports(p.read_text(encoding="utf-8"))
+             for p in modules}
+    assert not {name: f for name, f in found.items() if f}
