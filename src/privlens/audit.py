@@ -253,7 +253,7 @@ def _measure_pair(channel, family, tgt, budget, s_num, s_den, block, eta):
     check_budget(2 ** (two_point + (1 if block else 0)), budget, "JointTables")
     cells, d = extremal_pair_cells(channel.universe, s_num, s_den, block,
                                    eta, tgt)
-    t = JointTables.from_histogram_cells(cells, channel, d)
+    t = JointTables.from_cells(cells, channel._row_views, channel.outcomes, d)
     return max_mi(None, None, None, tables=t), desc
 
 
@@ -671,15 +671,18 @@ def bound_pdelta(
     """
     if k < 1:
         raise AuditError("k must be at least 1")
-    # The bound raises the per-step level to the k-th power exactly.
-    check_budget(k, budget, "interpolated_bound")
     exp_delta = parse_probability(exp_delta)
     if exp_eps_step is None and epsilon is None:
         raise AuditError("give exp_eps_step or epsilon")
     if exp_eps_step is not None:
         step = parse_probability(exp_eps_step, allow_unit_excess=True)
     else:
-        step = exp_or_inf(_number(epsilon, "epsilon") / k)
+        eps = _number(epsilon, "epsilon")
+    # The bound raises the per-step level to the k-th power exactly. Input
+    # errors win over budget errors, and eps / k waits for the charge.
+    check_budget(k, budget, "interpolated_bound")
+    if exp_eps_step is None:
+        step = exp_or_inf(eps / k)
     dp = dp_epsilon(channel, budget)
     if not leq_with_tol(dp.ratio, step):
         raise AuditError(

@@ -29,9 +29,11 @@ from .audit import (
     AuditError,
     Verdict,
     _number,
+    _parse_bound,
     bound_pdelta,
     certify_pk,
     group_certify,
+    leq_with_tol,
     necessary_pdelta,
     personalized_check,
     sufficient_nk,
@@ -550,6 +552,9 @@ def cmd_bound(scenario: Scenario, args, rng) -> tuple:
             fam = build_family(sec["family"])
         if fam is None:
             raise SchemaError("worstcase needs a family")
+        # Read before the search: input errors win over budget errors.
+        level = (sec.get("epsilon"), sec.get("exp_epsilon"))
+        bound = None if level == (None, None) else _parse_bound(*level)
         sup = worstcase_sup(
             channel,
             fam,
@@ -570,10 +575,7 @@ def cmd_bound(scenario: Scenario, args, rng) -> tuple:
             }
         }
         verdicts = []
-        if sec.get("epsilon") is not None or sec.get("exp_epsilon") is not None:
-            from .audit import _parse_bound, leq_with_tol
-
-            bound = _parse_bound(sec.get("epsilon"), sec.get("exp_epsilon"))
+        if bound is not None:
             verdicts.append(
                 Verdict(
                     claim="worst-case family leakage against a level",
@@ -635,6 +637,10 @@ def cmd_compose(scenario: Scenario, args, rng) -> tuple:
             )
         model = EpochModel(tuple(pairs))
         target = sec.get("target", 0)
+        verify = sec.get("verify", True)
+        if not isinstance(verify, bool):
+            raise SchemaError(
+                f"compose.verify must be true or false, got {verify!r}")
         rep = epoch_leakage(model, target, args.budget)
         results = {
             "per_epoch": [quantity_dict(q) for q in rep.per_epoch],
@@ -644,7 +650,7 @@ def cmd_compose(scenario: Scenario, args, rng) -> tuple:
                 "bits": to_jsonable(rep.total_bits),
             },
         }
-        if sec.get("verify", True):
+        if verify:
             direct = direct_epoch_max_mi(model, target, args.budget)
             agree = ratios_agree(rep.total_ratio, direct.ratio)
             results["direct"] = quantity_dict(direct)

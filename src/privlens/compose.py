@@ -24,7 +24,7 @@ from math import prod
 from typing import Optional, Sequence, Tuple
 
 from .leakage import JointTables, Quantity, max_mi, normalize_target
-from .mechanism import Channel, lipschitz_ratio
+from .mechanism import Channel, RowViews, lipschitz_ratio
 from .prior import JointPrior, histogram_cells
 from .probability import (
     Prob,
@@ -225,10 +225,8 @@ def direct_epoch_max_mi(model: EpochModel, target,
 
     When every prior is rational, each cell's mass is the int product of
     the epochs' numerators (histogram_cells) over the product of their
-    denominators, and when every channel is rational each folded row is
-    the int product of the channels' integer rows, so no Fraction is built
-    on the way to the tables. Otherwise the masses are products of the
-    epochs' Fraction or float masses from Fraction(1)."""
+    denominators; otherwise it is the product of the epochs' Fraction or
+    float masses from Fraction(1). _folded_max_mi folds the rows."""
     tgt = normalize_target(model.n, target)
     support = prod(p.support_size() for p, _ in model.epochs)
     out_card = prod(len(c.outcomes) for _, c in model.epochs)
@@ -247,24 +245,33 @@ def direct_epoch_max_mi(model: EpochModel, target,
     for combo in itertools.product(*per_epoch):
         keys_hists, masses = zip(*combo)
         cells.append((tuple(zip(*keys_hists)), prod(masses, start=start)))
-
-    def row_of(hists):
-        return _fold_rows([c.rows[h] for c, h in zip(channels, hists)])
-
-    def dense_of(hists):
-        return _fold_dense([c._dense[h] for c, h in zip(channels, hists)])
-
-    outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
-    tables = JointTables.from_cells(
-        cells, row_of, outcomes, d=d,
-        dense_of=dense_of if _rational(channels) else None)
-    q = max_mi(None, None, None, tables=tables)
+    q = _folded_max_mi(cells, d, channels, lambda hists: hists)
     if q.witness is None:
         return q
     return replace(q, witness={
         "records_by_epoch": [list(x) for x in q.witness["records"]],
         "outcomes_by_epoch": list(q.witness["outcome"]),
     })
+
+
+def _folded_max_mi(cells, d, channels, hists_of) -> Quantity:
+    """max_mi over ((records key, row key), mass) cells, whose masses are
+    integer numerators over d when d is given, where the row of a row key
+    is the product of the channels' rows at hists_of(row key), one
+    histogram per channel, over outcome tuples. When every channel is
+    rational the rows are folded on their integer rows."""
+
+    def row_of(key):
+        return _fold_rows([c.rows[h] for c, h in zip(channels, hists_of(key))])
+
+    def dense_of(key):
+        return _fold_dense([c._dense[h]
+                            for c, h in zip(channels, hists_of(key))])
+
+    outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
+    views = RowViews(row_of, dense_of if _rational(channels) else None)
+    tables = JointTables.from_cells(cells, views, outcomes, d)
+    return max_mi(None, None, None, tables=tables)
 
 
 def _rational(channels) -> bool:
@@ -283,18 +290,9 @@ def equal_epoch_reduction(prior: JointPrior, channels: Sequence[Channel],
     combined = product_channel(channels, budget)
     via_product = max_mi(prior, combined, tgt, budget)
 
-    def row_of(h):
-        return _fold_rows([c.rows[h] for c in channels])
-
-    def dense_of(h):
-        return _fold_dense([c._dense[h] for c in channels])
-
-    outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
     cells, d = histogram_cells(prior, tgt)
-    tables = JointTables.from_cells(
-        cells, row_of, outcomes, d=d,
-        dense_of=dense_of if _rational(channels) else None)
-    direct = max_mi(None, None, None, tables=tables)
+    direct = _folded_max_mi(cells, d, channels,
+                            lambda h: [h] * len(channels))
     return {
         "via_product_channel": via_product,
         "direct_ratio": direct.ratio,

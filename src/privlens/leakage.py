@@ -94,8 +94,9 @@ class JointTables:
     aligned with outcomes, joint maps (records key, outcome index) to mass.
     A channel sees only the histogram, so the joint is built from the
     prior's (records key, histogram) masses, one cell per pair, never from
-    its support sequences. from_cells builds the same tables for the
-    composition cross-checks. Keys appear in deterministic sorted order so
+    its support sequences. from_cells builds the same tables from cells
+    read off without a prior (the worst-case pair candidates and the
+    composition cross-checks). Keys appear in deterministic sorted order so
     every scan below is reproducible bit for bit.
 
     When every mass and row entry is rational, integers holds the same
@@ -103,8 +104,8 @@ class JointTables:
     joint over one common multiple of m, and the Fraction p_x, p_r and joint
     are built from them on first use. Otherwise integers is None. A
     rational prior hands over its masses as integer numerators
-    (histogram_cells), so no Fraction is built on the way; the rational
-    composition cross-checks hand theirs to from_cells the same way.
+    (histogram_cells), so no Fraction is built on the way; the callers of
+    from_cells hand theirs over the same way.
     """
 
     def __init__(self, prior: JointPrior, channel: Channel, target,
@@ -112,38 +113,22 @@ class JointTables:
         _check_compatible(prior, channel)
         tgt = normalize_target(prior.universe.n, target)
         check_budget(prior.support_size(), budget, "JointTables")
-        self._read_histogram_cells(*histogram_cells(prior, tgt), channel)
+        cells, d = histogram_cells(prior, tgt)
+        self._accumulate(cells, channel._row_views, channel.outcomes, d)
         self.prior = prior
         self.target = tgt
 
     @classmethod
-    def from_cells(cls, cells, row_of, outcomes, d=None,
-                   dense_of=None) -> "JointTables":
-        """Tables over ((records key, row key), mass) cells, where row_of
-        maps a row key to a row aligned with outcomes; prior, channel and
-        target are None. When d is given the masses are integer numerators
-        over d, and dense_of, when given, maps a row key to the row's
-        (numerators, d), as RowViews takes it."""
-        t = cls.__new__(cls)
-        t.prior = t.channel = t.target = None
-        t._accumulate(list(cells), RowViews(row_of, dense_of), outcomes, d)
-        return t
-
-    @classmethod
-    def from_histogram_cells(cls, cells, channel: Channel,
-                             d=None) -> "JointTables":
-        """Tables over a prior's ((records key, histogram), mass) cells, in
-        histogram_cells order and, when d is given, as integer numerators
-        over d, read against the channel's rows; prior and target are
-        None."""
+    def from_cells(cls, cells, views: RowViews, outcomes,
+                   d=None) -> "JointTables":
+        """Tables over ((records key, row key), mass) cells, where views is
+        the RowViews of the row keys, whose rows are aligned with outcomes;
+        prior and target are None. When d is given the masses are integer
+        numerators over d."""
         t = cls.__new__(cls)
         t.prior = t.target = None
-        t._read_histogram_cells(cells, d, channel)
+        t._accumulate(list(cells), views, outcomes, d)
         return t
-
-    def _read_histogram_cells(self, cells, d, channel: Channel):
-        self.channel = channel
-        self._accumulate(cells, channel._row_views, channel.outcomes, d)
 
     def _accumulate(self, cells, views, outcomes, d=None):
         """cells is a list of ((records key, row key), mass); views is the
@@ -379,9 +364,10 @@ class MaxMiPlan:
     histogram_masses' bookkeeping. Its masses, in histogram_masses order,
     are summed by the records key's rank among the sorted records keys, as
     JointTables sums them by the key itself, and scanned in rank order, so
-    max_mi returns the same Quantity bit for bit. An all-rational member
-    takes the integer scan in max_mi; that scan compares the same exact
-    values in the same order, so it keeps the same first maximum.
+    max_mi_masses returns the Quantity of max_mi on the member's prior bit
+    for bit. An all-rational member takes the integer scan in max_mi; that
+    scan compares the same exact values in the same order, so it keeps the
+    same first maximum.
     """
 
     def __init__(self, blocks, channel: Channel, target):
@@ -397,19 +383,6 @@ class MaxMiPlan:
                           for i, (xv, _) in enumerate(self._plan.keys)]
         views = channel._row_views.nonzero
         self._nonzero = [views[h] for _, h in self._plan.keys]
-
-    def max_mi(self, prior: JointPrior) -> Quantity:
-        """max_mi(prior, channel, target) for a prior of this layout whose
-        tables list every cell of their block in block_cells order."""
-        if prior.blocks != self.blocks:
-            raise LeakageError(
-                f"prior blocks {prior.blocks} are not the plan's {self.blocks}")
-        for table, cells in zip(prior.tables, self._cells):
-            if list(table) != cells:
-                raise LeakageError(
-                    "prior tables do not list every cell of their block in "
-                    "product order")
-        return self.max_mi_masses([list(t.values()) for t in prior.tables])
 
     def max_mi_masses(self, masses) -> Quantity:
         """max_mi of layout_prior(universe, blocks, masses): masses holds,

@@ -939,6 +939,78 @@ def test_huge_interpolated_k_is_charged_to_the_budget(tmp_path):
 
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"exp_delta": "nope"}, "nope"),
+    ({"exp_eps_step": "nope"}, "nope"),
+    ({"exp_eps_step": None, "epsilon": "x"}, "epsilon must be a number"),
+], ids=["exp_delta", "exp_eps_step", "epsilon"])
+def test_interpolated_inputs_are_read_before_k_is_charged(
+        tmp_path, bad, message):
+    # Input errors win over budget errors: k = 50 exceeds the budget of 10.
+    path = write_scenario(tmp_path, interpolated_scenario(k=50, **bad))
+    code, out, err = invoke(["bound", path, "--budget", "10"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "budget" not in err
+
+
+def worstcase_level_scenario(**level):
+    # Three individuals over {BOT, a, b} with k = 3: the pair stage alone
+    # takes 201 steps.
+    return base_scenario(
+        universe={"n": 3, "alphabet": ["BOT", "a", "b"]},
+        priors={"uniform": {"independent": [["1/3"] * 3] * 3}},
+        bound={"kind": "worstcase", "mechanism": "geo", "target": 0,
+               "family": {"k": 3}, **level},
+        samples=5,
+    )
+
+
+def test_worstcase_level_is_read_before_the_search(tmp_path):
+    path = write_scenario(tmp_path, worstcase_level_scenario(epsilon="x"))
+    code, out, err = invoke(["bound", path, "--budget", "200"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: epsilon must be a number, got 'x'\n"
+    path = write_scenario(tmp_path, worstcase_level_scenario(epsilon="1"))
+    code, _, err = invoke(["bound", path, "--budget", "200"])
+    assert code == 3
+    assert "change_sequence_pairs: 201 items" in err
+
+
+@pytest.mark.parametrize("verify", ["false", 0, 1, None, [True]])
+def test_compose_epochs_verify_must_be_a_boolean(tmp_path, verify):
+    scn = single_record_scenario(
+        compose={
+            "kind": "epochs",
+            "epochs": [{"prior": "uniform", "mechanism": "rr"}],
+            "verify": verify,
+        }
+    )
+    path = write_scenario(tmp_path, scn)
+    code, out, err = invoke(["compose", path])
+    assert code == 4
+    assert out == ""
+    assert err == ("error: compose.verify must be true or false, got "
+                   f"{verify!r}\n")
+
+
+def test_compose_epochs_verify_false_skips_the_direct_pass(tmp_path):
+    scn = single_record_scenario(
+        compose={
+            "kind": "epochs",
+            "epochs": [{"prior": "uniform", "mechanism": "rr"}],
+            "verify": False,
+        }
+    )
+    path = write_scenario(tmp_path, scn)
+    code, out, _ = invoke(["compose", path, "--format", "json"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert "direct" not in results and "additivity_agrees" not in results
+
+
 def test_unprintable_exact_bound_is_an_input_error(tmp_path):
     # 3**10000 has 4772 digits, more than the interpreter converts to a
     # string by default; an interpreter without that limit prints it.

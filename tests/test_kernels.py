@@ -63,6 +63,7 @@ from privlens.audit import (
     tightness_pk,
 )
 from privlens.leakage import MaxMiPlan
+from privlens.mechanism import RowViews
 from privlens.prior import (
     HistogramPlan,
     block_cells,
@@ -654,7 +655,7 @@ def test_joint_tables_exact_edge_cases_match_the_oracle(case):
         [(xv, m, ch.rows[h]) for (xv, h), m in cells], ch.outcomes
     )
     for got in (JointTables(prior, ch, tgt),
-                JointTables.from_cells(cells, ch.rows.__getitem__,
+                JointTables.from_cells(cells, RowViews(ch.rows.__getitem__),
                                        ch.outcomes)):
         assert_same_bits(got, want)
         if zero is not None:
@@ -1082,12 +1083,13 @@ def test_max_mi_edge_cells_match_the_fraction_oracle():
         "ints": [((("a",), "x"), 1)],
     }
     for name, cells in cases.items():
-        t = JointTables.from_cells(cells, rows.__getitem__, (0, 1, 2))
+        t = JointTables.from_cells(cells, RowViews(rows.__getitem__),
+                                   (0, 1, 2))
         assert t.integers is not None, name
         assert t.p_r[2] == 0
         assert_max_mi_matches(t)
     tie = max_mi(None, None, None, tables=JointTables.from_cells(
-        cases["tie"], rows.__getitem__, (0, 1, 2)))
+        cases["tie"], RowViews(rows.__getitem__), (0, 1, 2)))
     assert (tie.ratio, tie.witness) == (f(4, 3), {"records": ["a"],
                                                  "outcome": 0})
 
@@ -1109,7 +1111,7 @@ def test_max_mi_on_composed_tables_matches_the_fraction_oracle():
             outcomes = tuple(itertools.product(
                 *(c.outcomes for c in channels)))
             t = JointTables.from_cells(histogram_masses(prior, tgt).items(),
-                                       row_of, outcomes)
+                                       RowViews(row_of), outcomes)
             if exact:
                 assert t.integers is not None
             assert_max_mi_matches(t)
@@ -1348,7 +1350,9 @@ def test_plan_matches_max_mi_on_sampled_members():
                             plan = plans[p.blocks] = MaxMiPlan(
                                 p.blocks, ch, tgt)
                         want = max_mi(p, ch, tgt)
-                        assert repr(plan.max_mi(p)) == repr(want), (
+                        got = plan.max_mi_masses(
+                            [list(t.values()) for t in p.tables])
+                        assert repr(got) == repr(want), (
                             u, ch.rows, family, tgt, p.tables)
                         exact += isinstance(want.ratio, Fraction)
     assert exact > 0
@@ -1481,25 +1485,6 @@ def test_largest_sample_check_replays_from_a_checkpoint():
                  (q, blocks, random.Random(10).getstate(), 1)):
         with pytest.raises(AuditError, match="largest sampled member"):
             check(*args)
-
-
-def test_plan_rejects_priors_of_another_layout():
-    u = uniform_universe(2, (BOT, "a"))
-    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
-    plan = MaxMiPlan(((0, 1),), ch, (0,))
-    cells = list(itertools.product((BOT, "a"), repeat=2))
-    quarter = Fraction(1, 4)
-    full = JointPrior(u, ((0, 1),), ({c: quarter for c in cells},))
-    assert repr(plan.max_mi(full)) == repr(max_mi(full, ch, 0))
-    others = (
-        JointPrior(u, ((0,), (1,)), ({(BOT,): 1}, {(BOT,): 1})),
-        JointPrior(u, ((0, 1),), ({c: quarter for c in cells[::-1]},)),
-        JointPrior(u, ((0, 1),), ({**{c: quarter for c in cells[:2]},
-                                   cells[2]: 0, cells[3]: 2 * quarter},)),
-    )
-    for prior in others:
-        with pytest.raises(LeakageError):
-            plan.max_mi(prior)
 
 
 # ---------------------------------------------------------------------------

@@ -64,3 +64,49 @@ def test_package_imports_only_the_standard_library():
     found = {p.name: foreign_imports(p.read_text(encoding="utf-8"))
              for p in modules}
     assert not {name: f for name, f in found.items() if f}
+
+
+def unreferenced_definitions(modules, exported):
+    """(module, name) of each top-level function or class in modules, a
+    dict of module name -> source, whose name exported does not hold and
+    no top-level statement but its own definition references, as a name
+    or as an attribute."""
+    defined = []
+    used = set()
+    for module, source in modules.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own = stmt.name
+                defined.append((module, own))
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    return sorted((module, name) for module, name in defined
+                  if name not in used and name not in exported)
+
+
+def test_unreferenced_definitions_are_found():
+    modules = {
+        "a.py": ("def used():\n    return 1\n\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n\n"
+                 "class Public:\n    pass\n\n"
+                 "def via_attribute():\n    pass\n"),
+        "b.py": ("from .a import used\nimport a\n\n"
+                 "def orphan():\n    return used() + a.via_attribute()\n"),
+    }
+    assert unreferenced_definitions(modules, {"Public"}) == [
+        ("a.py", "recursive"), ("b.py", "orphan")]
+
+
+def test_every_definition_is_exported_or_referenced():
+    # A function only the tests call is a second way into what the package
+    # already computes; the tests reach the package through what it uses.
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    modules = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    assert modules
+    assert not unreferenced_definitions(modules, exported)
