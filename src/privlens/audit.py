@@ -36,8 +36,10 @@ from .prior import (
     extremal_pair_cells,
     extremal_pair_prior,
     extremal_pair_violations,
+    extremal_pdelta_cells,
     extremal_pdelta_prior,
     layout_prior,
+    pdelta_branches,
     sample_prior,
 )
 from .probability import (
@@ -257,20 +259,12 @@ def _measure_pair(channel, family, tgt, budget, s_num, s_den, block, eta):
     return max_mi(None, None, None, tables=t), desc
 
 
-def _measure_built(build, channel, family, tgt, budget):
-    """(max_mi of build()'s prior, description), or (None, description)
-    when the prior is not a family member."""
-    prior, desc = build()
-    if not check_membership(prior, family).ok:
-        return None, desc
-    return max_mi(prior, channel, tgt, budget), desc
-
-
-def _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
+def _pdelta_layouts(channel, family, tgt, budget):
     """Shared/private-complement constructions for bounded dependence, as
-    (class key, build) like the pair candidates; the key is the target's
-    two records and the multiset of (alphabet, shared, numerator,
-    denominator) complement symbols over the other individuals.
+    (class key, x_num, x_den, comp_shared, comp_num, comp_den) like the
+    pair candidates; the key is the target's two records and the multiset
+    of (alphabet, shared, numerator, denominator) complement symbols over
+    the other individuals.
 
     Only defined for singleton targets, and they occupy one full-size block,
     so they are generated only when the family's block budget allows it."""
@@ -297,26 +291,79 @@ def _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
                         key = ("pdelta", x_num, x_den, tuple(sorted(
                             zip(alphas, comp_shared, comp_num, comp_den)
                         )))
-                        yield key, functools.partial(
-                            _pdelta_candidate, u, i, x_num, x_den,
-                            comp_shared, comp_num, comp_den,
-                            family.exp_delta, eta,
-                        )
+                        yield (key, x_num, x_den, comp_shared, comp_num,
+                               comp_den)
 
 
-def _pdelta_candidate(u, i, x_num, x_den, comp_shared, comp_num, comp_den,
-                      exp_delta, eta):
-    prior = extremal_pdelta_prior(
-        u, i, x_num, x_den, comp_shared, comp_num, comp_den,
-        exp_delta, eta=eta,
-    )
-    desc = {
+def _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den):
+    return {
         "kind": "shared_private_complement",
         "target_records": [x_num, x_den],
         "shared_complement": list(comp_shared),
         "private_complements": [list(comp_num), list(comp_den)],
     }
-    return prior, desc
+
+
+def _measure_pdelta(channel, family, tgt, budget, eta, branches, supports,
+                    x_num, x_den, comp_shared, comp_num, comp_den):
+    """(max_mi of the shared/private-complement prior, description) for an
+    admitted candidate, (None, description) for a filtered one. branches is
+    pdelta_branches(family.exp_delta, eta); the prior's support is charged
+    to the JointTables budget and its cells are read off its at most four
+    weighted sequences.
+
+    supports memoizes, per equality pattern of the complements, None for
+    a filtered candidate and the support size of an admitted one; only the
+    first candidate of a pattern builds its prior, for check_membership.
+    The pattern is, per other individual, which of its shared, numerator
+    and denominator symbols are equal. Two candidates of one search with
+    the same pattern differ by a relabelling of each individual's alphabet
+    (any two pairs of distinct target records, and any two symbol triples
+    with the same equalities, are related by a permutation of the
+    alphabet). Such a relabelling keeps the table's branch order, which
+    branches merge and so every mass, and only renames the records whose
+    marginal and conditional masses sigma and the band read: sigma is a
+    minimum over unordered record pairs of an overlap symmetric in the
+    pair, the band tests every record of the alphabet alike, and the block
+    is always all n individuals. On floats the bits stay the same too: a
+    record pair's two conditionals split at most four items, so an overlap
+    sums at most two terms, and every marginal sums in branch order. So
+    the verdict and the support depend on the pattern alone.
+    """
+    desc = _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den)
+    pattern = tuple(zip(map(operator.eq, comp_shared, comp_num),
+                        map(operator.eq, comp_shared, comp_den),
+                        map(operator.eq, comp_num, comp_den)))
+    comps = (comp_shared, comp_num, comp_den)
+    u = channel.universe
+    i = tgt[0]
+    if pattern not in supports:
+        prior = extremal_pdelta_prior(u, i, x_num, x_den, *comps,
+                                      family.exp_delta, eta=eta)
+        supports[pattern] = (prior.support_size()
+                             if check_membership(prior, family).ok else None)
+    support = supports[pattern]
+    if support is None:
+        return None, desc
+    check_budget(support, budget, "JointTables")
+    cells, d = extremal_pdelta_cells(u, i, x_num, x_den, *comps, branches,
+                                     tgt)
+    t = JointTables.from_cells(cells, channel._row_views, channel.outcomes, d)
+    return max_mi(None, None, None, tables=t), desc
+
+
+def _pdelta_candidates(channel, family, tgt, eta, budget):
+    """(class key, measure) for the complement constructions, measure being
+    _measure_pdelta bound to the candidate. The branch weights and the
+    pattern memo are made at the first candidate, so a family without one
+    never reads its exp_delta or eta."""
+    measure = None
+    for key, *layout in _pdelta_layouts(channel, family, tgt, budget):
+        if measure is None:
+            measure = functools.partial(
+                _measure_pdelta, channel, family, tgt, budget, eta,
+                pdelta_branches(family.exp_delta, eta), {})
+        yield key, functools.partial(measure, *layout)
 
 
 # The sampled search saves a generator state once per this many draws
@@ -395,16 +442,14 @@ def worstcase_sup(
         # Only the first candidate of each symmetry class is filtered and
         # measured; the others would repeat its verdict and its ratio,
         # which cannot beat the first maximum, so they are only counted.
-        # Pair candidates are measured from their two sequences; the
-        # complement constructions build their priors.
+        # Pair candidates are measured from their two sequences and the
+        # complement constructions from their at most four, with their
+        # membership kept per equality pattern (_measure_pdelta).
         candidates = itertools.chain(
             ((key, functools.partial(_measure_pair, channel, family, tgt,
                                      budget, *layout, eta))
              for key, *layout in _pair_layouts(channel, family, tgt, budget)),
-            ((key, functools.partial(_measure_built, build, channel, family,
-                                     tgt, budget))
-             for key, build in _extremal_pdelta_candidates(
-                 channel, family, tgt, eta, budget)),
+            _pdelta_candidates(channel, family, tgt, eta, budget),
         )
         verdicts = {}
         for key, measure in candidates:

@@ -530,10 +530,12 @@ def cmd_bound(scenario: Scenario, args, rng) -> tuple:
             exp_delta = scenario.family.exp_delta
         if exp_delta is None:
             raise SchemaError("interpolated bound needs exp_delta")
-        k = parse_int(
-            sec.get("k", scenario.family.k if scenario.family else 1) or 1,
-            "bound.k",
-        )
+        # An absent k falls back to the family's block limit, then to 1; a
+        # given k is read as it stands, so 0 or null is an input error.
+        if "k" in sec:
+            k = parse_int(sec["k"], "bound.k")
+        else:
+            k = (scenario.family.k if scenario.family else None) or 1
         v = bound_pdelta(
             channel,
             k,

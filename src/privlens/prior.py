@@ -7,9 +7,10 @@ are mutually independent. This covers everything from fully independent
 adversaries to a fully dependent joint (one block containing everyone).
 
 The worst-case search measures candidates without building their priors:
-draw_member hands out a sampled member's layout and masses, and
+draw_member hands out a sampled member's layout and masses,
 extremal_pair_cells and extremal_pair_violations a pair construction's
-(records key, histogram) cells and its family membership.
+(records key, histogram) cells and its family membership, and
+extremal_pdelta_cells a shared/private-complement construction's cells.
 """
 
 from __future__ import annotations
@@ -780,7 +781,10 @@ def _layout_violations(universe, family, blocks, masses) -> list:
         layout = [(b, list(zip(block_cells(universe, b), ms)))
                   for b, ms in zip(blocks, masses)]
     if family.exp_delta is not None:
-        sig, _ = _sigma(alphabets, layout)
+        # A singleton block's two records share the empty complement, so its
+        # overlap is exactly 1 and never decides the verdict.
+        sig, _ = _sigma(alphabets, [(b, items) for b, items in layout
+                                    if len(b) > 1])
     if band is not None:
         where = {i: (b.index(i), items) for b, items in layout for i in b}
 
@@ -1001,3 +1005,74 @@ def extremal_pdelta_prior(
 
     block = tuple(range(universe.n))
     return JointPrior(universe, (block,), (cells,))
+
+
+def pdelta_branches(exp_delta, eta: Prob = DEFAULT_ETA):
+    """The four branch weights of extremal_pdelta_prior in its order (x_num
+    with the shared, then with its private complement; x_den likewise), as
+    (weights, d), for extremal_pdelta_cells.
+
+    When exp_delta = r/s and eta = p/q are both rational, the weights are
+    the integer numerators p*r, p*(s-r), (q-p)*r and (q-p)*(s-r) over
+    d = q*s; otherwise they are the prior's own float products and d is
+    None. Raises as the prior does for a bad exp_delta or eta.
+    """
+    exp_delta = parse_probability(exp_delta)
+    _check_eta(eta)
+    if isinstance(exp_delta, Fraction) and isinstance(eta, Fraction):
+        p, q = eta.numerator, eta.denominator
+        r, s = exp_delta.numerator, exp_delta.denominator
+        return (p * r, p * (s - r), (q - p) * r, (q - p) * (s - r)), q * s
+    return (eta * exp_delta, eta * (1 - exp_delta), (1 - eta) * exp_delta,
+            (1 - eta) * (1 - exp_delta)), None
+
+
+def extremal_pdelta_cells(universe: RecordUniverse, i, x_num, x_den,
+                          comp_shared, comp_num, comp_den, branches, target):
+    """histogram_cells(extremal_pdelta_prior(universe, i, x_num, x_den,
+    comp_shared, comp_num, comp_den, exp_delta, eta=eta), target), read off
+    its at most four weighted sequences without building the prior, where
+    branches is pdelta_branches(exp_delta, eta).
+
+    The prior's one table holds the branches' sequences in branch order,
+    and its cells are those sequences merged by (the target's records,
+    histogram) in order of first appearance. With integer weights over d
+    the prior keeps its table over the lcm of its reduced masses, which is
+    d over the gcd of d and the table's numerators; with float weights the
+    masses are the float sums and d is None. Raises the prior's
+    PriorErrors; the symbols are not checked.
+    """
+    n = universe.n
+    if not (0 <= i < n):
+        raise PriorError(f"target {i} out of range")
+    if x_num == x_den:
+        raise PriorError("target records must differ")
+    weights, d = branches
+    # The table: the four branches in order, zero weights skipped, and a
+    # branch whose sequence an earlier one already holds added to it.
+    table = {}
+    for x, comp, w in zip((x_num, x_num, x_den, x_den),
+                          (comp_shared, comp_num, comp_shared, comp_den),
+                          weights):
+        comp = tuple(comp)
+        if len(comp) != n - 1:
+            raise PriorError("complement length does not match n-1")
+        if w == 0:
+            continue
+        seq = comp[:i] + (x,) + comp[i:]
+        old = table.get(seq)
+        table[seq] = w if old is None else old + w
+    items = table.items()
+    if d is not None:
+        g = math.gcd(d, *table.values())
+        items = [(seq, a // g) for seq, a in items]
+        d //= g
+    idx = sorted(set(target))
+    weight = universe.code_weights
+    cells = {}
+    for seq, a in items:
+        key = (tuple(seq[j] for j in idx), sum(weight[s] for s in seq))
+        old = cells.get(key)
+        cells[key] = a if old is None else old + a
+    decode = universe.decode_histogram
+    return [((rec, decode(code)), a) for (rec, code), a in cells.items()], d

@@ -30,6 +30,7 @@ from privlens import (
     TOL,
     check_membership,
     extremal_pair_prior,
+    extremal_pdelta_prior,
     log_ratio,
     max_mi,
     normalize_target,
@@ -39,9 +40,10 @@ from privlens import (
 from privlens.probability import exp_or_inf
 from privlens.audit import (
     _band_corners,
-    _extremal_pdelta_candidates,
     _pair_description,
     _pair_layouts,
+    _pdelta_description,
+    _pdelta_layouts,
     _parse_bound,
     _uniform_marginal,
     leq_with_tol,
@@ -548,13 +550,39 @@ def _pair_candidate(u, s_num, s_den, block, eta):
     return prior, _pair_description(s_num, s_den, block)
 
 
+def _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
+    """The search's shared/private-complement candidates as (class key,
+    build), where build() returns (the built prior, description)."""
+    u = channel.universe
+    for key, *layout in _pdelta_layouts(channel, family, tgt, budget):
+        yield key, functools.partial(_pdelta_candidate, u, tgt[0],
+                                     family.exp_delta, eta, *layout)
+
+
+def _pdelta_candidate(u, i, exp_delta, eta, x_num, x_den, comp_shared,
+                      comp_num, comp_den):
+    prior = extremal_pdelta_prior(u, i, x_num, x_den, comp_shared, comp_num,
+                                  comp_den, exp_delta, eta=eta)
+    return prior, _pdelta_description(x_num, x_den, comp_shared, comp_num,
+                                      comp_den)
+
+
+def _measure_built(build, channel, family, tgt, budget):
+    """(max_mi of build()'s prior, description), or (None, description)
+    when the prior is not a family member."""
+    prior, desc = build()
+    if not check_membership(prior, family).ok:
+        return None, desc
+    return max_mi(prior, channel, tgt, budget), desc
+
+
 def worstcase_sup(channel, family, target, *,
                   strategies=("extremal", "sampled"), rng=None,
                   samples=1000, eta=DEFAULT_ETA, budget=None):
     """worstcase_sup without symmetry classes: the candidate keys are
     ignored and each candidate is a prior of its own, filtered by
-    check_membership and measured by max_mi; sampled members come from the
-    build-and-check sample_prior above."""
+    check_membership and measured by max_mi (_measure_built); sampled
+    members come from the build-and-check sample_prior above."""
     tgt = normalize_target(channel.universe.n, target)
     best = None
     best_wit = None
@@ -562,9 +590,8 @@ def worstcase_sup(channel, family, target, *,
     evaluated = {"extremal": 0, "sampled": 0, "rejected_samples": 0,
                  "filtered_candidates": 0}
 
-    def consider(prior, desc, origin):
+    def consider(q, desc, origin):
         nonlocal best, best_wit
-        q = max_mi(prior, channel, tgt, budget)
         evaluated[origin] += 1
         r = q.ratio
         if best is None or r > best:
@@ -580,11 +607,11 @@ def worstcase_sup(channel, family, target, *,
             _extremal_pdelta_candidates(channel, family, tgt, eta, budget),
         )
         for _, build in candidates:
-            prior, desc = build()
-            if not check_membership(prior, family).ok:
+            q, desc = _measure_built(build, channel, family, tgt, budget)
+            if q is None:
                 evaluated["filtered_candidates"] += 1
                 continue
-            consider(prior, desc, "extremal")
+            consider(q, desc, "extremal")
         extremal_best = best
         if evaluated["extremal"] == 0:
             notes.append(
@@ -602,7 +629,7 @@ def worstcase_sup(channel, family, target, *,
                 continue
             desc = {"kind": "sampled_member",
                     "blocks": [list(b) for b in p.blocks]}
-            consider(p, desc, "sampled")
+            consider(max_mi(p, channel, tgt, budget), desc, "sampled")
 
     if best is None:
         return SupResult(

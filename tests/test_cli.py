@@ -955,6 +955,34 @@ def test_interpolated_inputs_are_read_before_k_is_charged(
     assert err.count("\n") == 1 and "budget" not in err
 
 
+@pytest.mark.parametrize("k, message", [
+    (0, "k must be at least 1"),
+    (None, "bound.k must be an integer, got None"),
+], ids=["zero", "null"])
+def test_interpolated_k_of_zero_or_null_is_an_input_error(tmp_path, k,
+                                                          message):
+    # A given k is read as it stands, not replaced by the default of 1.
+    path = write_scenario(tmp_path, interpolated_scenario(k=k))
+    code, out, err = invoke(["bound", path, "--format", "json"])
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family, k", [(None, 1), ({"k": 2}, 2)],
+                         ids=["no_family", "family_k"])
+def test_interpolated_k_defaults_to_the_family_block_limit(tmp_path, family,
+                                                           k):
+    scn = interpolated_scenario()
+    del scn["bound"]["k"]
+    if family is not None:
+        scn["family"] = family
+    path = write_scenario(tmp_path, scn)
+    code, out, err = invoke(["bound", path, "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["verdicts"][0]["params"]["k"] == k
+
+
 def worstcase_level_scenario(**level):
     # Three individuals over {BOT, a, b} with k = 3: the pair stage alone
     # takes 201 steps.

@@ -1,16 +1,19 @@
 """Histogram-domain kernels against the sequence-domain oracles."""
 
+import collections
 import functools
 import gc
 import itertools
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from privlens import prior as prior_module
 from privlens import (
     BOT,
     AuditError,
@@ -35,6 +38,7 @@ from privlens import (
     direct_epoch_max_mi,
     equal_epoch_reduction,
     extremal_pair_prior,
+    extremal_pdelta_prior,
     histogram_masses,
     independent_prior,
     inferential_eps,
@@ -57,9 +61,10 @@ from privlens import (
 )
 from privlens.audit import (
     _check_largest_sample,
-    _extremal_pdelta_candidates,
     _measure_pair,
+    _measure_pdelta,
     _pair_layouts,
+    _pdelta_layouts,
     tightness_pk,
 )
 from privlens.leakage import MaxMiPlan
@@ -70,8 +75,10 @@ from privlens.prior import (
     draw_member,
     extremal_pair_cells,
     extremal_pair_violations,
+    extremal_pdelta_cells,
     histogram_cells,
     layout_prior,
+    pdelta_branches,
 )
 from gen import random_channel
 
@@ -1202,7 +1209,7 @@ def test_extremal_classes_measure_and_filter_alike():
         first = {}
         for key, build in itertools.chain(
             oracles._extremal_pair_candidates(ch, family, tgt, eta, None),
-            _extremal_pdelta_candidates(ch, family, tgt, eta, None),
+            oracles._extremal_pdelta_candidates(ch, family, tgt, eta, None),
         ):
             prior, _ = build()
             m = check_membership(prior, family)
@@ -1286,6 +1293,160 @@ def test_worstcase_sup_float_inputs_match_the_per_candidate_oracle(exact,
                 for sup in (worstcase_sup, oracles.worstcase_sup)
             )
             assert repr(got) == repr(want), (family, target)
+
+
+# ---------------------------------------------------------------------------
+# Shared/private-complement candidates read off their weighted sequences
+# ---------------------------------------------------------------------------
+
+# Both endpoints, two rational caps and a float one.
+PDELTA_EXP_DELTAS = (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1),
+                     0.7)
+
+
+def pdelta_universes(rng):
+    """n <= 3 with per-individual alphabets, one-symbol ones included, and
+    at most 12 sequences: every candidate of each is checked."""
+    yield RecordUniverse(((BOT, "a"),))
+    yield RecordUniverse(((BOT, "a", "b"), (BOT, "a")))
+    yield RecordUniverse((("a", "b"), (BOT,), ("b", BOT)))
+    yield RecordUniverse(((BOT, "a"), ("a", "b", "c"), (BOT, "a")))
+    for _ in range(2):
+        yield per_individual_universe(rng, n_max=3, max_sequences=12)
+
+
+def test_pdelta_cells_are_read_off_the_construction():
+    # Over every complement candidate, for each exp_delta, with and without
+    # a band, at a Fraction or a float eta: the cells read off the four
+    # weighted sequences are histogram_cells of the built prior (keys,
+    # masses, d and order) for the target and for a pair target; and the
+    # search's measure, its pattern memo shared over the candidates, admits
+    # exactly the members, charges their support to the JointTables budget
+    # and measures max_mi of the built prior.
+    rng = random.Random(71)
+    f = FamilyParams
+    seen = collections.Counter()
+    for u in pdelta_universes(rng):
+        ch = sup_channel(rng, u, True)
+        for i in range(u.n):
+            for exp_delta in PDELTA_EXP_DELTAS:
+                eta = rng.choice((DEFAULT_ETA, Fraction(1, 3), 0.25))
+                branches = pdelta_branches(exp_delta, eta)
+                families = (f(exp_delta=exp_delta),
+                            f(exp_delta=exp_delta, ell=1, tau=0.7))
+                supports = [{} for _ in families]
+                for _, *layout in _pdelta_layouts(ch, families[0], (i,),
+                                                  None):
+                    prior = extremal_pdelta_prior(u, i, *layout, exp_delta,
+                                                  eta=eta)
+                    for tgt in {(i,), (0, u.n - 1)}:
+                        cells = extremal_pdelta_cells(u, i, *layout,
+                                                      branches, tgt)
+                        assert repr(cells) == repr(histogram_cells(
+                            prior, tgt)), (u, i, layout, exp_delta, eta)
+                    seen["merged"] += prior.support_size() < sum(
+                        map(bool, branches[0]))
+                    seen["reduced"] += cells[1] not in (None, branches[1])
+                    for family, memo in zip(families, supports):
+                        m = check_membership(prior, family)
+                        seen["banded"] += bool(m.band_count)
+
+                        def measure(budget):
+                            return _measure_pdelta(ch, family, (i,), budget,
+                                                   eta, branches, memo,
+                                                   *layout)
+                        q, _ = measure(None)
+                        if not m.ok:
+                            seen["filtered"] += 1
+                            assert q is None
+                            continue
+                        seen["admitted"] += 1
+                        assert repr(q) == repr(max_mi(prior, ch, i))
+                        support = prior.support_size()
+                        with pytest.raises(EnumerationBudgetError,
+                                           match="JointTables"):
+                            measure(support - 1)
+                        assert measure(support)[0] is not None
+    assert min(seen[k] for k in ("merged", "reduced", "banded", "filtered",
+                                 "admitted")) > 0, seen
+
+
+def test_pdelta_read_off_raises_as_the_construction():
+    u = RecordUniverse(((BOT, "a"), (BOT, "a", "b")))
+    half = Fraction(1, 2)
+    branches = pdelta_branches(half)
+    for layout in ((2, "a", BOT, ("b",), ("a",), (BOT,)),
+                   (-1, "a", BOT, ("b",), ("a",), (BOT,)),
+                   (0, "a", "a", ("b",), ("a",), (BOT,)),
+                   (0, "a", BOT, ("b", "a"), ("a",), (BOT,)),
+                   (0, "a", BOT, ("b",), (), (BOT,)),
+                   (0, "a", BOT, ("b",), ("a",), (BOT, "a"))):
+        with pytest.raises(PriorError) as want:
+            extremal_pdelta_prior(u, *layout, half)
+        message = re.escape(str(want.value))
+        with pytest.raises(PriorError, match=message):
+            extremal_pdelta_cells(u, *layout, branches, (0,))
+    layout = (0, "a", BOT, ("b",), ("a",), (BOT,))
+    for exp_delta, eta in ((Fraction(3, 2), DEFAULT_ETA), (-0.5, DEFAULT_ETA),
+                           (math.nan, DEFAULT_ETA), (True, DEFAULT_ETA),
+                           (half, 0), (half, Fraction(1)), (half, 1.5)):
+        with pytest.raises(ValueError) as want:
+            extremal_pdelta_prior(u, *layout, exp_delta, eta=eta)
+        with pytest.raises(type(want.value),
+                           match=re.escape(str(want.value))):
+            pdelta_branches(exp_delta, eta)
+
+
+def test_worstcase_sup_complement_families_match_the_oracle():
+    # No block limit, so the complement candidates join the search: each
+    # exp_delta, with and without a band, on rational and float channels.
+    rng = random.Random(72)
+    f = FamilyParams
+    for u in (uniform_universe(2, (BOT, "a", "b")),
+              RecordUniverse(((BOT, "a"), (BOT, "a", "b"), (BOT, "a"))),
+              RecordUniverse(((BOT, "a", "b"), (BOT, "a"), (BOT, "a")))):
+        for exact in (True, False):
+            ch = sup_channel(rng, u, exact)
+            for exp_delta in PDELTA_EXP_DELTAS:
+                family = rng.choice((f(exp_delta=exp_delta),
+                                     f(exp_delta=exp_delta, ell=1, tau=0.7)))
+                eta = rng.choice((DEFAULT_ETA, Fraction(1, 3)))
+                seed = rng.randrange(1000)
+                got, want = (
+                    sup(ch, family, 0, rng=random.Random(seed), samples=3,
+                        eta=eta)
+                    for sup in (worstcase_sup, oracles.worstcase_sup)
+                )
+                assert repr(got) == repr(want), (u, family, eta, exact)
+
+
+def test_search_builds_one_prior_per_complement_pattern(monkeypatch):
+    # The complement candidates of a Fraction exp_delta are measured from
+    # their cells, and membership is kept per equality pattern: at n = 3
+    # the 2268 complement classes share 25 patterns (five per other
+    # individual), so the extremal search builds one JointPrior and runs
+    # one sigma loop for each.
+    u = uniform_universe(3, (BOT, "a", "b"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    family = FamilyParams(exp_delta=Fraction(3, 4))
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    classes = {key for key, *_ in _pdelta_layouts(ch, family, (0,), None)}
+    monkeypatch.setattr(JointPrior, "__post_init__",
+                        counted("prior", JointPrior.__post_init__))
+    monkeypatch.setattr(prior_module, "_sigma",
+                        counted("sigma", prior_module._sigma))
+    sup = worstcase_sup(ch, family, 0, strategies=("extremal",))
+    assert sup.evaluated["extremal"] > 0
+    assert sup.evaluated["filtered_candidates"] > 0
+    assert len(classes) == 2268
+    assert calls == {"prior": 25, "sigma": 25}
 
 
 # ---------------------------------------------------------------------------
@@ -1415,6 +1576,29 @@ def test_draws_match_the_build_and_check_sampler():
                     list(t) for t in want.tables]
                 zero_masses += any(0 in ms for ms in masses)
     assert zero_masses > 0
+
+
+def test_draws_leave_singleton_blocks_out_of_sigma(monkeypatch):
+    # A singleton's records share the empty complement, so its overlap is
+    # exactly 1 and the draw's membership reads sigma on the other blocks.
+    u = uniform_universe(3, (BOT, "a", "b"))
+    layouts = []
+    real = prior_module._sigma
+
+    def recorded(alphabets, layout):
+        layout = list(layout)
+        layouts.append(layout)
+        return real(alphabets, layout)
+
+    monkeypatch.setattr(prior_module, "_sigma", recorded)
+    rng = random.Random(94)
+    for family in (FamilyParams(k=2, exp_delta=0.9),
+                   FamilyParams(k=1, exp_delta=Fraction(1, 2))):
+        for _ in range(20):
+            draw_member(u, family, rng)
+    blocks = [b for layout in layouts for b, _ in layout]
+    assert layouts and blocks
+    assert all(len(b) > 1 for b in blocks)
 
 
 def test_plan_checks_each_members_masses():
