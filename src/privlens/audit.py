@@ -9,6 +9,7 @@ evidence is never conclusive.
 
 from __future__ import annotations
 
+import collections
 import copy
 import functools
 import itertools
@@ -23,7 +24,6 @@ from .leakage import JointTables, MaxMiPlan, max_mi, normalize_target
 from .mechanism import (
     Channel,
     RatioScan,
-    change_sequence_pairs,
     dp_epsilon,
     lipschitz_ratio,
 )
@@ -31,6 +31,7 @@ from .prior import (
     DEFAULT_ETA,
     FamilyParams,
     JointPrior,
+    block_cells,
     check_membership,
     draw_member,
     extremal_pair_cells,
@@ -38,7 +39,6 @@ from .prior import (
     extremal_pair_violations,
     extremal_pdelta_cells,
     extremal_pdelta_prior,
-    layout_prior,
     pdelta_branches,
     sample_prior,
 )
@@ -193,45 +193,77 @@ class SupResult:
         return log_ratio(self.ratio)
 
 
-def _pair_layouts(channel, family, tgt, budget):
-    """The near-point-mass pair candidates compatible with the family's
-    block budget, as (class key, numerator sequence, denominator sequence,
-    dependent block).
+def _symmetry_classes(u, others, tuples, limit=None):
+    """(member count, first member) of each class of giving every individual
+    in others a tuple from tuples(its alphabet), up to permuting individuals
+    that share an alphabet. A class is one multiset per alphabet group, its
+    count the product of the groups' multinomials; its first member lists
+    the others' tuples in index order, each group's in tuples(alphabet)
+    order. With a limit, only classes with at most limit tuples whose
+    entries differ are made, and no multiset beyond that is listed."""
+    groups = {}
+    for j in others:
+        groups.setdefault(u.alphabets[j], []).append(j)
+    classes = [(1, 0, {})]
+    for alphabet, members in groups.items():
+        order = tuples(alphabet)
+        moved = [t for t in order if len(set(t)) > 1]
+        fixed = [t for t in order if len(set(t)) == 1]
+        g = len(members)
+        # options[m]: (count, first member) of each multiset with m moved.
+        options = [[
+            (math.factorial(g) // math.prod(map(math.factorial, (
+                collections.Counter(a + b).values()))),
+             dict(zip(members, sorted(a + b, key=order.index))))
+            for a in itertools.combinations_with_replacement(moved, m)
+            for b in itertools.combinations_with_replacement(fixed, g - m)]
+            for m in range(min(g, g if limit is None else limit) + 1)]
+        classes = [(count * c, moves + m, {**first, **part})
+                   for count, moves, first in classes
+                   for m, opts in enumerate(options[:None if limit is None
+                                                    else limit - moves + 1])
+                   for c, part in opts]
+    return [(count, [first[j] for j in others]) for count, _, first in classes]
 
-    Differing coordinates outside the target group must share one dependent
-    block with a group coordinate (otherwise they average out of the ratio),
-    which caps the usable radius at |target| + k - 1 record changes.
 
-    Permuting the non-target individuals of one alphabet changes neither
-    the (target records, histogram) joint nor the block sizes, sigma or the
-    band, so candidates with the same key (the target's records in both
-    sequences and the multiset of (alphabet, numerator, denominator) over
-    the others) measure and pass membership alike.
-    """
+def _pair_classes(channel, family, tgt, budget):
+    """(member count, numerator sequence, denominator sequence, dependent
+    block) of each class's first member, in order of first member, for the
+    near-point-mass pair candidates that the family's block budget allows.
+
+    A candidate's sequences differ on the target group; differing
+    coordinates outside it share one dependent block with the first
+    differing group coordinate (otherwise they average out of the ratio),
+    so at most k - 1 of them differ. Permuting individuals of one alphabet
+    changes neither the (target records, histogram) joint nor the block
+    sizes, sigma or the band. A class's first member is its smallest pair
+    in string order. The member count is charged before any class."""
     u = channel.universe
     n = u.n
-    k_eff = n if family.k is None else min(family.k, n)
-    radius = min(n, len(tgt) + k_eff - 1)
-    others = [(j, u.alphabets[j]) for j in range(n) if j not in tgt]
-    for s_num, s_den in change_sequence_pairs(u, radius, budget):
-        diff = [i for i in range(n) if s_num[i] != s_den[i]]
-        inside = [i for i in diff if i in tgt]
-        if not inside:
-            continue
-        outside = [i for i in diff if i not in tgt]
-        if outside:
-            if len(outside) > k_eff - 1:
-                continue
-            block = tuple(sorted(outside + [inside[0]]))
-        else:
-            block = ()
-        key = (
-            "pair",
-            tuple(s_num[i] for i in tgt),
-            tuple(s_den[i] for i in tgt),
-            tuple(sorted((a, s_num[j], s_den[j]) for j, a in others)),
-        )
-        yield key, s_num, s_den, block
+    limit = (n if family.k is None else min(family.k, n)) - 1
+    others = [j for j in range(n) if j not in tgt]
+    records = math.prod(len(u.alphabets[i]) for i in tgt)
+    # ways[c]: the others' assignments with c differing coordinates.
+    ways = [1] + [0] * limit
+    for j in others:
+        m = len(u.alphabets[j])
+        ways = [m * w + m * (m - 1) * v for w, v in zip(ways, [0] + ways)]
+    check_budget(records * (records - 1) * sum(ways), budget, "worstcase_sup")
+    targets = list(itertools.permutations(
+        itertools.product(*(u.alphabets[i] for i in tgt)), 2))
+    classes = []
+    for count, first in _symmetry_classes(
+            u, others, lambda a: sorted(itertools.product(a, repeat=2)),
+            limit):
+        rest = dict(zip(others, first))
+        outside = [j for j, (a, b) in rest.items() if a != b]
+        for x_num, x_den in targets:
+            pair_at = {**dict(zip(tgt, zip(x_num, x_den))), **rest}
+            inside = next(i for i in tgt if pair_at[i][0] != pair_at[i][1])
+            block = tuple(sorted(outside + [inside])) if outside else ()
+            s_num, s_den = zip(*(pair_at[i] for i in range(n)))
+            classes.append((count, s_num, s_den, block))
+    return sorted(classes, key=operator.itemgetter(1, 2))
 
 
 def _pair_description(s_num, s_den, block):
@@ -259,40 +291,34 @@ def _measure_pair(channel, family, tgt, budget, s_num, s_den, block, eta):
     return max_mi(None, None, None, tables=t), desc
 
 
-def _pdelta_layouts(channel, family, tgt, budget):
-    """Shared/private-complement constructions for bounded dependence, as
-    (class key, x_num, x_den, comp_shared, comp_num, comp_den) like the
-    pair candidates; the key is the target's two records and the multiset
-    of (alphabet, shared, numerator, denominator) complement symbols over
-    the other individuals.
+def _pdelta_classes(channel, family, tgt, budget):
+    """(member count, x_num, x_den, comp_shared, comp_num, comp_den) of each
+    class's first member, like the pair classes, for the shared/private-
+    complement constructions. First members and their order are those of
+    the product over target records, then shared, numerator and
+    denominator complements, in alphabet order.
 
     Only defined for singleton targets, and they occupy one full-size block,
-    so they are generated only when the family's block budget allows it."""
+    so they are made only when the family's block budget allows it."""
     u = channel.universe
     n = u.n
-    if len(tgt) != 1 or family.exp_delta is None:
-        return
-    if family.k is not None and family.k < n:
+    if (len(tgt) != 1 or family.exp_delta is None
+            or family.k is not None and family.k < n):
         return
     i = tgt[0]
     others = [j for j in range(n) if j != i]
-    alphas = [u.alphabets[j] for j in others]
-    comps = list(itertools.product(*alphas))
     alpha_i = u.alphabets[i]
-    count = len(alpha_i) * (len(alpha_i) - 1) * len(comps) ** 3
-    check_budget(count, budget, "worstcase_sup")
-    for x_num in alpha_i:
-        for x_den in alpha_i:
-            if x_num == x_den:
-                continue
-            for comp_shared in comps:
-                for comp_num in comps:
-                    for comp_den in comps:
-                        key = ("pdelta", x_num, x_den, tuple(sorted(
-                            zip(alphas, comp_shared, comp_num, comp_den)
-                        )))
-                        yield (key, x_num, x_den, comp_shared, comp_num,
-                               comp_den)
+    check_budget(len(alpha_i) * (len(alpha_i) - 1) * math.prod(
+        len(u.alphabets[j]) for j in others) ** 3, budget, "worstcase_sup")
+    classes = sorted(
+        ([[u.alphabets[j].index(t[c]) for j, t in zip(others, first)]
+          for c in range(3)],
+         count, [tuple(t[c] for t in first) for c in range(3)])
+        for count, first in _symmetry_classes(
+            u, others, lambda a: list(itertools.product(a, repeat=3))))
+    for x_num, x_den in itertools.permutations(alpha_i, 2):
+        for _, count, comps in classes:
+            yield (count, x_num, x_den, *comps)
 
 
 def _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den):
@@ -352,18 +378,20 @@ def _measure_pdelta(channel, family, tgt, budget, eta, branches, supports,
     return max_mi(None, None, None, tables=t), desc
 
 
-def _pdelta_candidates(channel, family, tgt, eta, budget):
-    """(class key, measure) for the complement constructions, measure being
-    _measure_pdelta bound to the candidate. The branch weights and the
-    pattern memo are made at the first candidate, so a family without one
-    never reads its exp_delta or eta."""
+def _extremal_classes(channel, family, tgt, eta, budget):
+    """(member count, max_mi or None, description) of each symmetry class,
+    pair classes first, measured on its first member, whose verdict and
+    ratio the others share; only complement classes read exp_delta."""
+    for count, *layout in _pair_classes(channel, family, tgt, budget):
+        yield (count, *_measure_pair(channel, family, tgt, budget, *layout,
+                                     eta))
     measure = None
-    for key, *layout in _pdelta_layouts(channel, family, tgt, budget):
+    for count, *layout in _pdelta_classes(channel, family, tgt, budget):
         if measure is None:
             measure = functools.partial(
                 _measure_pdelta, channel, family, tgt, budget, eta,
                 pdelta_branches(family.exp_delta, eta), {})
-        yield key, functools.partial(measure, *layout)
+        yield (count, *measure(*layout))
 
 
 # The sampled search saves a generator state once per this many draws
@@ -427,9 +455,9 @@ def worstcase_sup(
     evaluated = {"extremal": 0, "sampled": 0, "rejected_samples": 0,
                  "filtered_candidates": 0}
 
-    def consider(q, desc, origin):
+    def consider(q, desc, origin, count=1):
         nonlocal best, best_wit
-        evaluated[origin] += 1
+        evaluated[origin] += count
         r = q.ratio
         if best is None or r > best:
             best = r
@@ -439,32 +467,13 @@ def worstcase_sup(
 
     extremal_best = None
     if "extremal" in strategies:
-        # Only the first candidate of each symmetry class is filtered and
-        # measured; the others would repeat its verdict and its ratio,
-        # which cannot beat the first maximum, so they are only counted.
-        # Pair candidates are measured from their two sequences and the
-        # complement constructions from their at most four, with their
-        # membership kept per equality pattern (_measure_pdelta).
-        candidates = itertools.chain(
-            ((key, functools.partial(_measure_pair, channel, family, tgt,
-                                     budget, *layout, eta))
-             for key, *layout in _pair_layouts(channel, family, tgt, budget)),
-            _pdelta_candidates(channel, family, tgt, eta, budget),
-        )
-        verdicts = {}
-        for key, measure in candidates:
-            verdict = verdicts.get(key)
-            if verdict is None:
-                q, desc = measure()
-                if q is None:
-                    verdict = "filtered_candidates"
-                    evaluated[verdict] += 1
-                else:
-                    consider(q, desc, "extremal")
-                    verdict = "extremal"
-                verdicts[key] = verdict
+        # Each symmetry class is measured once and counts all its members.
+        for count, q, desc in _extremal_classes(channel, family, tgt, eta,
+                                                budget):
+            if q is None:
+                evaluated["filtered_candidates"] += count
             else:
-                evaluated[verdict] += 1
+                consider(q, desc, "extremal", count)
         extremal_best = best
         if evaluated["extremal"] == 0:
             notes.append(
@@ -475,10 +484,10 @@ def worstcase_sup(
         if rng is None:
             rng = random.Random(0)
             notes.append("no rng given; sampled strategy seeded with 0")
-        # Samples draw few block layouts, so each layout's table bookkeeping
-        # is compiled once and every member of it is measured from its
-        # masses by index. The largest member (the first to reach the
-        # sampled maximum) is kept with the last checkpoint before its draw.
+        # One plan per block layout and set of positive cells (a band mass
+        # can underflow to 0.0) measures its members from their positive
+        # masses. The largest member (the first to reach the sampled
+        # maximum) is kept with the last checkpoint before its draw.
         u = channel.universe
         plans = {}
         top = None
@@ -490,20 +499,16 @@ def worstcase_sup(
                 evaluated["rejected_samples"] += 1
                 continue
             blocks, masses = drawn
-            positive = [sum(1 for p in ms if p > 0) for ms in masses]
-            check_budget(math.prod(positive), budget, "JointTables")
+            keep = tuple(tuple(p > 0 for p in ms) for ms in masses)
+            check_budget(math.prod(map(sum, keep)), budget, "JointTables")
             desc = {"kind": "sampled_member",
                     "blocks": [list(b) for b in blocks]}
-            if positive == list(map(len, masses)):
-                plan = plans.get(blocks)
-                if plan is None:
-                    plan = plans[blocks] = MaxMiPlan(blocks, channel, tgt)
-                q = plan.max_mi_masses(masses)
-            else:
-                # A band mass can underflow to 0.0; the plan takes positive
-                # masses only, and max_mi drops the zero cells.
-                q = max_mi(layout_prior(u, blocks, masses), channel, tgt,
-                           budget)
+            plan = plans.get((blocks, keep))
+            if plan is None:
+                plan = plans[blocks, keep] = MaxMiPlan(blocks, channel, tgt, [
+                    list(itertools.compress(block_cells(u, b), ks))
+                    for b, ks in zip(blocks, keep)])
+            q = plan.max_mi_masses([[p for p in ms if p > 0] for ms in masses])
             consider(q, desc, "sampled")
             if top is None or q.ratio > top[0].ratio:
                 top = (q, blocks, checkpoint, j % _CHECKPOINT_DRAWS)

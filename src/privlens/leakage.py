@@ -21,7 +21,6 @@ from typing import Dict, Optional, Tuple
 from .prior import (
     HistogramPlan,
     JointPrior,
-    block_cells,
     dataset_distribution,
     histogram_cells,
 )
@@ -217,12 +216,6 @@ class JointTables:
         self.p_r = [Fraction(0) if pr is None else pr for pr in p_r]
         self.joint = {(xv, j): rows[xv][j] for xv, j in order}
 
-    def posterior(self, xv, j) -> Prob:
-        w = self.joint.get((xv, j), 0)
-        if self.p_r[j] == 0:
-            raise LeakageError(f"outcome index {j} has probability zero")
-        return w / self.p_r[j]
-
 
 def _accumulate_first_terms(cells, nonzero, n_out):
     """Sum ((x, row key), mass) cells into the mass of x, the joint of (x,
@@ -355,10 +348,10 @@ def _max_mi_scan(cells, p_r, outcomes):
 
 
 class MaxMiPlan:
-    """max_mi for every prior with one block layout that gives each cell of
-    its blocks, in block_cells order, a positive mass: the priors
-    sample_prior draws over the channel's universe, unless a band mass
-    underflows to zero.
+    """max_mi for every prior with one block layout and, per block, one
+    list of positive cells in table order, as HistogramPlan takes them: the
+    priors sample_prior draws over the channel's universe give every cell a
+    positive mass unless a band mass underflows to zero.
 
     The layout's HistogramPlan is built once, so each prior skips
     histogram_masses' bookkeeping. Its masses, in histogram_masses order,
@@ -370,12 +363,11 @@ class MaxMiPlan:
     same first maximum.
     """
 
-    def __init__(self, blocks, channel: Channel, target):
+    def __init__(self, blocks, channel: Channel, target, cells):
         self.blocks = tuple(blocks)
         self.channel = channel
-        self._cells = [block_cells(channel.universe, b) for b in self.blocks]
-        self._plan = HistogramPlan(channel.universe, self.blocks, target,
-                                   self._cells)
+        self._cells = cells
+        self._plan = HistogramPlan(channel.universe, self.blocks, target, cells)
         self.records = sorted({xv for xv, _ in self._plan.keys})
         rank = {xv: x for x, xv in enumerate(self.records)}
         # Final state i sums into rank x with the row of its histogram.
@@ -385,18 +377,18 @@ class MaxMiPlan:
         self._nonzero = [views[h] for _, h in self._plan.keys]
 
     def max_mi_masses(self, masses) -> Quantity:
-        """max_mi of layout_prior(universe, blocks, masses): masses holds,
-        per block of the layout, the mass of each of its cells in
-        block_cells order. Each block's masses must be positive and sum to
-        one within TOL."""
+        """max_mi of the prior whose blocks give the plan's cells these
+        masses and every other cell zero: masses holds, per block of the
+        layout, the mass of each of the plan's cells of the block. Each
+        block's masses must be positive and sum to one within TOL."""
         if len(masses) != len(self.blocks):
             raise LeakageError(
                 f"{len(masses)} mass lists for {len(self.blocks)} blocks")
         for b, ms, cells in zip(self.blocks, masses, self._cells):
             if len(ms) != len(cells) or not all(p > 0 for p in ms):
                 raise LeakageError(
-                    f"masses of block {b} do not give every cell of the "
-                    "block a positive mass")
+                    f"masses of block {b} do not give every planned cell "
+                    "a positive mass")
             total = float(sum(ms))
             if abs(total - 1.0) > TOL:
                 raise LeakageError(

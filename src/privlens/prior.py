@@ -937,19 +937,15 @@ def extremal_pair_cells(universe: RecordUniverse, seq_num, seq_den, block,
     masses = [1]
     for _ in groups:
         masses = [m * b for m in masses for b in branch]
-    weight = universe.code_weights
-    cells = []
-    for choice, mass in zip(
-            itertools.product((False, True), repeat=len(groups)), masses):
+    sequences = []
+    for choice in itertools.product((False, True), repeat=len(groups)):
         seq = list(seq_num)
         for g, den in zip(groups, choice):
             if den:
                 for i in g:
                     seq[i] = seq_den[i]
-        key = (tuple(seq[i] for i in idx),
-               universe.decode_histogram(sum(weight[s] for s in seq)))
-        cells.append((key, mass))
-    return cells, d
+        sequences.append(seq)
+    return _weighted_cells(universe, zip(sequences, masses), idx), d
 
 
 def extremal_pdelta_prior(
@@ -1067,12 +1063,18 @@ def extremal_pdelta_cells(universe: RecordUniverse, i, x_num, x_den,
         g = math.gcd(d, *table.values())
         items = [(seq, a // g) for seq, a in items]
         d //= g
-    idx = sorted(set(target))
+    return _weighted_cells(universe, items, sorted(set(target))), d
+
+
+def _weighted_cells(universe: RecordUniverse, weighted, idx):
+    """The ((records key, histogram), mass) cells of (sequence, mass) items,
+    summed from their first term by (records at the sorted indices idx,
+    histogram code) in order of first appearance."""
     weight = universe.code_weights
     cells = {}
-    for seq, a in items:
+    for seq, a in weighted:
         key = (tuple(seq[j] for j in idx), sum(weight[s] for s in seq))
         old = cells.get(key)
         cells[key] = a if old is None else old + a
     decode = universe.decode_histogram
-    return [((rec, decode(code)), a) for (rec, code), a in cells.items()], d
+    return [((rec, decode(code)), a) for (rec, code), a in cells.items()]

@@ -2,7 +2,8 @@
 enumerators that walk dataset sequences (all |A|^n of them or a prior's
 whole support), the per-sequence dependence and averaging scans, and the
 per-cell and per-candidate loops that the integer scans and the symmetry
-classes replace, the sampler that builds and checks a prior per draw, the
+classes replace, the worst-case search's member walks that the class
+generator replaces, the sampler that builds and checks a prior per draw, the
 leakage quantities and the prior table check on
 Fractions where the library reads integer numerators, the dict-update
 convolution that the compiled histogram plan and the integer prior masses
@@ -28,6 +29,7 @@ from privlens import (
     RatioScan,
     SupResult,
     TOL,
+    change_sequence_pairs,
     check_membership,
     extremal_pair_prior,
     extremal_pdelta_prior,
@@ -38,12 +40,11 @@ from privlens import (
     ratio_div,
 )
 from privlens.probability import exp_or_inf
+from privlens.universe import check_budget
 from privlens.audit import (
     _band_corners,
     _pair_description,
-    _pair_layouts,
     _pdelta_description,
-    _pdelta_layouts,
     _parse_bound,
     _uniform_marginal,
     leq_with_tol,
@@ -533,6 +534,97 @@ def sample_prior(universe, family, rng, *, tries=200):
         if check_membership(candidate, family).ok:
             return candidate
     return None
+
+
+def _pair_layouts(channel, family, tgt, budget):
+    """Every near-point-mass pair candidate compatible with the family's
+    block budget, walked over change_sequence_pairs, as (class key,
+    numerator sequence, denominator sequence, dependent block): the member
+    walk that audit._pair_classes replaces.
+
+    Differing coordinates outside the target group must share one dependent
+    block with a group coordinate (otherwise they average out of the ratio),
+    which caps the usable radius at |target| + k - 1 record changes.
+
+    Permuting the non-target individuals of one alphabet changes neither
+    the (target records, histogram) joint nor the block sizes, sigma or the
+    band, so candidates with the same key (the target's records in both
+    sequences and the multiset of (alphabet, numerator, denominator) over
+    the others) measure and pass membership alike.
+    """
+    u = channel.universe
+    n = u.n
+    k_eff = n if family.k is None else min(family.k, n)
+    radius = min(n, len(tgt) + k_eff - 1)
+    others = [(j, u.alphabets[j]) for j in range(n) if j not in tgt]
+    for s_num, s_den in change_sequence_pairs(u, radius, budget):
+        diff = [i for i in range(n) if s_num[i] != s_den[i]]
+        inside = [i for i in diff if i in tgt]
+        if not inside:
+            continue
+        outside = [i for i in diff if i not in tgt]
+        if outside:
+            if len(outside) > k_eff - 1:
+                continue
+            block = tuple(sorted(outside + [inside[0]]))
+        else:
+            block = ()
+        key = (
+            "pair",
+            tuple(s_num[i] for i in tgt),
+            tuple(s_den[i] for i in tgt),
+            tuple(sorted((a, s_num[j], s_den[j]) for j, a in others)),
+        )
+        yield key, s_num, s_den, block
+
+
+def _pdelta_layouts(channel, family, tgt, budget):
+    """Every shared/private-complement construction for bounded dependence,
+    as (class key, x_num, x_den, comp_shared, comp_num, comp_den) like the
+    pair candidates (the member walk that audit._pdelta_classes replaces);
+    the key is the target's two records and the multiset
+    of (alphabet, shared, numerator, denominator) complement symbols over
+    the other individuals.
+
+    Only defined for singleton targets, and they occupy one full-size block,
+    so they are generated only when the family's block budget allows it."""
+    u = channel.universe
+    n = u.n
+    if len(tgt) != 1 or family.exp_delta is None:
+        return
+    if family.k is not None and family.k < n:
+        return
+    i = tgt[0]
+    others = [j for j in range(n) if j != i]
+    alphas = [u.alphabets[j] for j in others]
+    comps = list(itertools.product(*alphas))
+    alpha_i = u.alphabets[i]
+    count = len(alpha_i) * (len(alpha_i) - 1) * len(comps) ** 3
+    check_budget(count, budget, "worstcase_sup")
+    for x_num in alpha_i:
+        for x_den in alpha_i:
+            if x_num == x_den:
+                continue
+            for comp_shared in comps:
+                for comp_num in comps:
+                    for comp_den in comps:
+                        key = ("pdelta", x_num, x_den, tuple(sorted(
+                            zip(alphas, comp_shared, comp_num, comp_den)
+                        )))
+                        yield (key, x_num, x_den, comp_shared, comp_num,
+                               comp_den)
+
+
+def walk_classes(layouts):
+    """(member count, *first member's layout) per class key of a member
+    walk, in order of first appearance."""
+    classes = {}
+    for key, *layout in layouts:
+        if key in classes:
+            classes[key][0] += 1
+        else:
+            classes[key] = [1, *layout]
+    return [tuple(c) for c in classes.values()]
 
 
 def _extremal_pair_candidates(channel, family, tgt, eta, budget):

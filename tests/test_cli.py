@@ -156,11 +156,11 @@ def test_budget_error_names_the_stage_that_ran_out(tmp_path):
 
 
 @pytest.mark.parametrize("alphabet, family, count, stage", [
-    # Two individuals over {BOT, a}, one change: 4 sequences times 2 + 2
-    # single-position edits.
-    (["BOT", "a"], {"k": 1}, 16, "change_sequence_pairs"),
-    # Over {BOT, a, b} with no block limit the pair stage takes 9 * (3 + 3
-    # + 9) = 135 steps; the complement construction then charges its
+    # Two individuals over {BOT, a}, one change: the pair classes charge
+    # their 2 * 1 differing target records times 2 unchanged others.
+    (["BOT", "a"], {"k": 1}, 4, "worstcase_sup"),
+    # Over {BOT, a, b} with no block limit the pair classes charge 3 * 2 *
+    # 3**2 = 54 members; the complement construction then charges its
     # 3 * 2 * 3**3 candidates at once.
     (["BOT", "a", "b"], {"exp_delta": "4/5"}, 162, "worstcase_sup"),
 ], ids=["pair", "complement"])
@@ -984,8 +984,8 @@ def test_interpolated_k_defaults_to_the_family_block_limit(tmp_path, family,
 
 
 def worstcase_level_scenario(**level):
-    # Three individuals over {BOT, a, b} with k = 3: the pair stage alone
-    # takes 201 steps.
+    # Three individuals over {BOT, a, b} with k = 3: the pair classes alone
+    # charge 3 * 2 * 9**2 = 486 members.
     return base_scenario(
         universe={"n": 3, "alphabet": ["BOT", "a", "b"]},
         priors={"uniform": {"independent": [["1/3"] * 3] * 3}},
@@ -1004,7 +1004,7 @@ def test_worstcase_level_is_read_before_the_search(tmp_path):
     path = write_scenario(tmp_path, worstcase_level_scenario(epsilon="1"))
     code, _, err = invoke(["bound", path, "--budget", "200"])
     assert code == 3
-    assert "change_sequence_pairs: 201 items" in err
+    assert "worstcase_sup: 486 items" in err
 
 
 @pytest.mark.parametrize("verify", ["false", 0, 1, None, [True]])

@@ -13,6 +13,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import privlens
+from privlens import audit as audit_module
+from privlens import mechanism as mechanism_module
 from privlens import prior as prior_module
 from privlens import (
     BOT,
@@ -63,8 +66,8 @@ from privlens.audit import (
     _check_largest_sample,
     _measure_pair,
     _measure_pdelta,
-    _pair_layouts,
-    _pdelta_layouts,
+    _pair_classes,
+    _pdelta_classes,
     tightness_pk,
 )
 from privlens.leakage import MaxMiPlan
@@ -1223,6 +1226,83 @@ def test_extremal_classes_measure_and_filter_alike():
     assert merged > 0
 
 
+def test_symmetry_classes_match_the_member_walks():
+    # Per class, the generator gives the old walks' first member (and so
+    # its block), member count and visit order, and each construction
+    # charges its member count before it makes a class: per-individual
+    # alphabets, one-symbol ones included, single and group targets, every
+    # k and no block limit.
+    rng = random.Random(73)
+    seen = collections.Counter()
+    shared = [uniform_universe(3, (BOT, "a", "b")),
+              RecordUniverse(((BOT, "a"), ("a",), (BOT, "a"), ("a",))),
+              RecordUniverse((("a", "b"), (BOT, "a"), ("a", "b"),
+                              (BOT, "a")))]
+    for u in shared + [per_individual_universe(rng, n_max=4,
+                                               max_sequences=40)
+                       for _ in range(40)]:
+        ch = random_channel(rng, u)
+        group = tuple(sorted(rng.sample(range(u.n), rng.randint(1, u.n))))
+        for k in (*range(1, u.n + 1), None):
+            family = FamilyParams(k=k, exp_delta=Fraction(1, 2))
+            for tgt in {(0,), group}:
+                for classes, walk in (
+                        (_pair_classes, oracles._pair_layouts),
+                        (_pdelta_classes, oracles._pdelta_layouts)):
+                    members = list(walk(ch, family, tgt, None))
+                    want = oracles.walk_classes(members)
+                    assert list(classes(ch, family, tgt, None)) == want, (
+                        u, family, tgt, classes)
+                    seen["merged"] += len(want) < len(members)
+                    seen["group"] += len(tgt) > 1 and bool(want)
+                    seen["one_symbol"] += 1 in map(len, u.alphabets)
+                    if not members:
+                        continue
+                    with pytest.raises(EnumerationBudgetError) as exc:
+                        list(classes(ch, family, tgt, len(members) - 1))
+                    assert exc.value.stage == "worstcase_sup"
+                    assert exc.value.cardinality == len(members)
+                    assert list(classes(ch, family, tgt, len(members))) == want
+                    seen[classes.__name__] += 1
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
+
+
+def test_search_charges_its_members_before_it_lists_them():
+    # A twelve-individual group target has 3**12 * (3**12 - 1) ordered
+    # pairs of differing records: the charge comes before any is listed.
+    u = uniform_universe(12, (BOT, "a", "b"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    with pytest.raises(EnumerationBudgetError) as exc:
+        worstcase_sup(ch, FamilyParams(k=1), tuple(range(12)),
+                      strategies=("extremal",))
+    assert exc.value.stage == "worstcase_sup"
+    assert exc.value.cardinality == 3**12 * (3**12 - 1)
+
+
+def test_search_never_walks_the_sequence_pairs(monkeypatch):
+    # The extremal half enumerates symmetry classes, not dataset sequences:
+    # with the sequence walks raising, the search still gives the oracle's
+    # result, pair and complement classes included.
+    u = RecordUniverse(((BOT, "a", "b"), (BOT, "a"), (BOT, "a", "b")))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    cases = [(FamilyParams(k=k, exp_delta=Fraction(3, 4)), target)
+             for k in (1, 2, None) for target in (0, (0, 2))]
+    want = [oracles.worstcase_sup(ch, family, target, rng=random.Random(4),
+                                  samples=10) for family, target in cases]
+
+    def walked(*args, **kwargs):
+        raise AssertionError("the search walked the dataset sequences")
+
+    for module in (privlens, audit_module, mechanism_module):
+        monkeypatch.setattr(module, "change_sequence_pairs", walked,
+                            raising=False)
+    monkeypatch.setattr(RecordUniverse, "iter_sequences", walked)
+    got = [worstcase_sup(ch, family, target, rng=random.Random(4),
+                         samples=10) for family, target in cases]
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert all(g.evaluated["extremal"] for g in got)
+
+
 def test_pair_cells_and_membership_are_read_off_the_layout():
     # Over every pair candidate, for a Fraction and a float eta: the cells
     # read off the two sequences are histogram_cells of the built prior
@@ -1236,8 +1316,8 @@ def test_pair_cells_and_membership_are_read_off_the_layout():
         u = ch.universe
         tgt = normalize_target(u.n, target)
         for eta in (exact_eta, float(exact_eta)):
-            for _, s_num, s_den, block in _pair_layouts(ch, family, tgt,
-                                                        None):
+            for _, s_num, s_den, block in oracles._pair_layouts(
+                    ch, family, tgt, None):
                 prior = extremal_pair_prior(u, s_num, s_den, block=block,
                                             eta=eta)
                 assert repr(extremal_pair_cells(u, s_num, s_den, block, eta,
@@ -1335,8 +1415,8 @@ def test_pdelta_cells_are_read_off_the_construction():
                 families = (f(exp_delta=exp_delta),
                             f(exp_delta=exp_delta, ell=1, tau=0.7))
                 supports = [{} for _ in families]
-                for _, *layout in _pdelta_layouts(ch, families[0], (i,),
-                                                  None):
+                for _, *layout in oracles._pdelta_layouts(
+                        ch, families[0], (i,), None):
                     prior = extremal_pdelta_prior(u, i, *layout, exp_delta,
                                                   eta=eta)
                     for tgt in {(i,), (0, u.n - 1)}:
@@ -1437,7 +1517,8 @@ def test_search_builds_one_prior_per_complement_pattern(monkeypatch):
             return fn(*args)
         return wrapper
 
-    classes = {key for key, *_ in _pdelta_layouts(ch, family, (0,), None)}
+    classes = {key for key, *_ in oracles._pdelta_layouts(ch, family, (0,),
+                                                          None)}
     monkeypatch.setattr(JointPrior, "__post_init__",
                         counted("prior", JointPrior.__post_init__))
     monkeypatch.setattr(prior_module, "_sigma",
@@ -1509,7 +1590,8 @@ def test_plan_matches_max_mi_on_sampled_members():
                         plan = plans.get(p.blocks)
                         if plan is None:
                             plan = plans[p.blocks] = MaxMiPlan(
-                                p.blocks, ch, tgt)
+                                p.blocks, ch, tgt,
+                                [block_cells(u, b) for b in p.blocks])
                         want = max_mi(p, ch, tgt)
                         got = plan.max_mi_masses(
                             [list(t.values()) for t in p.tables])
@@ -1605,7 +1687,7 @@ def test_plan_checks_each_members_masses():
     u = uniform_universe(2, (BOT, "a"))
     ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
     blocks = ((0,), (1,))
-    plan = MaxMiPlan(blocks, ch, (0,))
+    plan = MaxMiPlan(blocks, ch, (0,), [block_cells(u, b) for b in blocks])
     half = Fraction(1, 2)
     good = [[half, half], [0.25, 0.75]]
     assert repr(plan.max_mi_masses(good)) == repr(
@@ -1629,6 +1711,34 @@ def test_worstcase_sup_measures_members_with_a_zero_mass():
     rng = random.Random(3)
     assert any(0 in ms for _ in range(300)
                for ms in draw_member(u, family, rng)[1])
+
+
+def test_largest_member_with_a_zero_mass_is_replayed(monkeypatch):
+    # The largest of these 20 members has a band mass that underflows to
+    # 0.0, so its plan takes the positive cells alone, and the replay
+    # checks that plan's measurement against max_mi on the member's prior.
+    u = uniform_universe(3, (BOT, "a", "b"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    family = FamilyParams(k=1, ell=3, tau=400)
+    replayed = []
+
+    def recorded(channel, family, tgt, budget, rng, q, blocks, checkpoint,
+                 skip):
+        draws = random.Random()
+        draws.setstate(checkpoint)
+        for _ in range(skip):
+            draw_member(u, family, draws)
+        replayed.append(draw_member(u, family, draws))
+        _check_largest_sample(channel, family, tgt, budget, rng, q, blocks,
+                              checkpoint, skip)
+
+    monkeypatch.setattr(audit_module, "_check_largest_sample", recorded)
+    got, want = (sup(ch, family, 0, strategies=("sampled",),
+                     rng=random.Random(2), samples=20)
+                 for sup in (worstcase_sup, oracles.worstcase_sup))
+    assert repr(got) == repr(want)
+    [(_, masses)] = replayed
+    assert any(0.0 in ms for ms in masses)
 
 
 def test_search_checks_its_largest_sample_without_moving_the_rng():

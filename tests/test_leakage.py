@@ -8,7 +8,6 @@ from privlens import (
     BOT,
     EnumerationBudgetError,
     JointPrior,
-    JointTables,
     LeakageError,
     expected_distortion,
     geometric_counting_channel,
@@ -184,9 +183,6 @@ def test_zero_probability_outcomes_are_skipped():
     )
     q = max_mi(prior, ch, 0)
     assert q.ratio == Fraction(4, 3)
-    t = JointTables(prior, ch, 0)
-    with pytest.raises(LeakageError):
-        t.posterior((BOT,), 2)
 
 
 # ---------------------------------------------------------------------------
