@@ -31,14 +31,14 @@ from .prior import (
     DEFAULT_ETA,
     FamilyParams,
     JointPrior,
+    _layout_violations,
     block_cells,
     check_membership,
     draw_member,
     extremal_pair_cells,
-    extremal_pair_prior,
     extremal_pair_violations,
     extremal_pdelta_cells,
-    extremal_pdelta_prior,
+    extremal_pdelta_table,
     pdelta_branches,
     sample_prior,
 )
@@ -85,8 +85,8 @@ class Verdict:
         return log_ratio(self.bound_ratio)
 
 
-def leq_with_tol(measured, bound, tol: float = TOL) -> bool:
-    """measured <= bound with an absolute-plus-relative float tolerance;
+def leq_with_tol(measured, bound) -> bool:
+    """measured <= bound with an absolute-plus-relative float tolerance TOL;
     exact comparison when both sides are rational. When a side is too large
     for a float, the same test is decided on the exact values."""
     if is_inf(measured):
@@ -100,15 +100,18 @@ def leq_with_tol(measured, bound, tol: float = TOL) -> bool:
         mf, bf = float(measured), float(bound)
     except OverflowError:
         m, b = Fraction(measured), Fraction(bound)
-        return m <= b + Fraction(tol) * max(1, abs(b))
-    return mf <= bf + tol * max(1.0, abs(bf))
+        return m <= b + Fraction(TOL) * max(1, abs(b))
+    return mf <= bf + TOL * max(1.0, abs(bf))
 
 
 def _number(value, what) -> float:
-    try:
-        return float_or_inf(value)
-    except (TypeError, ValueError):
-        raise AuditError(f"{what} must be a number, got {value!r}") from None
+    """A real value (an int beyond the float range is +-inf), not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return float_or_inf(value)
+        except (TypeError, ValueError):
+            pass
+    raise AuditError(f"{what} must be a number, got {value!r}")
 
 
 def _index(value, what, n) -> int:
@@ -125,16 +128,16 @@ def _index(value, what, n) -> int:
     return i
 
 
-def _parse_bound(epsilon=None, exp_epsilon=None, *, what="epsilon"):
+def _parse_bound(epsilon=None, exp_epsilon=None):
     """Return the ratio-scale bound; rational exp values stay exact."""
     if (epsilon is None) == (exp_epsilon is None):
-        raise AuditError(f"give exactly one of {what} or exp_{what}")
+        raise AuditError("give exactly one of epsilon or exp_epsilon")
     if exp_epsilon is not None:
         val = parse_probability(exp_epsilon, allow_unit_excess=True)
         if val <= 0:
-            raise AuditError(f"exp_{what} must be positive")
+            raise AuditError("exp_epsilon must be positive")
         return val
-    return exp_or_inf(_number(epsilon, what))
+    return exp_or_inf(_number(epsilon, "epsilon"))
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +278,26 @@ def _pair_description(s_num, s_den, block):
     }
 
 
-def _measure_pair(channel, family, tgt, budget, s_num, s_den, block, eta):
-    """(max_mi of the pair prior, description) for an admitted candidate,
-    (None, description) for a filtered one, without building the prior.
-    The 2^m support sequences are charged to the JointTables budget."""
-    desc = _pair_description(s_num, s_den, block)
-    if extremal_pair_violations(channel.universe, family, s_num, s_den, block,
-                                eta):
-        return None, desc
+def _pair_max_mi(channel, tgt, budget, s_num, s_den, block, eta):
+    """max_mi about tgt of extremal_pair_prior(channel.universe, s_num,
+    s_den, block=block, eta=eta), read off its cells after its 2^m support
+    sequences are charged to the JointTables budget, as max_mi charges."""
     two_point = sum(a != b for a, b in zip(s_num, s_den)) - len(block)
     check_budget(2 ** (two_point + (1 if block else 0)), budget, "JointTables")
     cells, d = extremal_pair_cells(channel.universe, s_num, s_den, block,
                                    eta, tgt)
     t = JointTables.from_cells(cells, channel._row_views, channel.outcomes, d)
-    return max_mi(None, None, None, tables=t), desc
+    return max_mi(None, None, None, tables=t)
+
+
+def _measure_pair(channel, family, tgt, budget, s_num, s_den, block, eta):
+    """(max_mi of the pair prior, description) for an admitted candidate,
+    (None, description) for a filtered one, without building the prior."""
+    desc = _pair_description(s_num, s_den, block)
+    if extremal_pair_violations(channel.universe, family, s_num, s_den, block,
+                                eta):
+        return None, desc
+    return _pair_max_mi(channel, tgt, budget, s_num, s_den, block, eta), desc
 
 
 def _pdelta_classes(channel, family, tgt, budget):
@@ -333,47 +342,51 @@ def _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den):
 def _measure_pdelta(channel, family, tgt, budget, eta, branches, supports,
                     x_num, x_den, comp_shared, comp_num, comp_den):
     """(max_mi of the shared/private-complement prior, description) for an
-    admitted candidate, (None, description) for a filtered one. branches is
-    pdelta_branches(family.exp_delta, eta); the prior's support is charged
-    to the JointTables budget and its cells are read off its at most four
-    weighted sequences.
+    admitted candidate, (None, description) for a filtered one, read off its
+    extremal_pdelta_table (branches is pdelta_branches(family.exp_delta,
+    eta)) without building the prior; its support, the table's size, is
+    charged to the JointTables budget.
 
     supports memoizes, per equality pattern of the complements, None for
-    a filtered candidate and the support size of an admitted one; only the
-    first candidate of a pattern builds its prior, for check_membership.
-    The pattern is, per other individual, which of its shared, numerator
-    and denominator symbols are equal. Two candidates of one search with
-    the same pattern differ by a relabelling of each individual's alphabet
-    (any two pairs of distinct target records, and any two symbol triples
-    with the same equalities, are related by a permutation of the
-    alphabet). Such a relabelling keeps the table's branch order, which
-    branches merge and so every mass, and only renames the records whose
+    a filtered candidate and the support size of an admitted one; the
+    first candidate of a pattern hands its table's items, at the prior's
+    masses, to _layout_violations. The pattern is, per other individual,
+    which of its shared, numerator and denominator symbols are equal. Two
+    candidates of one search with the same pattern differ by a relabelling
+    of each individual's alphabet (any two pairs of distinct target
+    records, and any two symbol triples with the same equalities, are
+    related by a permutation of the alphabet). Such a relabelling keeps the
+    table's items in branch order, which branches merge and so every mass,
+    and only renames the symbols of their sequences, the records whose
     marginal and conditional masses sigma and the band read: sigma is a
     minimum over unordered record pairs of an overlap symmetric in the
     pair, the band tests every record of the alphabet alike, and the block
     is always all n individuals. On floats the bits stay the same too: a
     record pair's two conditionals split at most four items, so an overlap
-    sums at most two terms, and every marginal sums in branch order. So
-    the verdict and the support depend on the pattern alone.
+    sums at most two terms, and every marginal sums the items in table
+    order. So the verdict and the support depend on the pattern alone.
     """
     desc = _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den)
     pattern = tuple(zip(map(operator.eq, comp_shared, comp_num),
                         map(operator.eq, comp_shared, comp_den),
                         map(operator.eq, comp_num, comp_den)))
-    comps = (comp_shared, comp_num, comp_den)
+    if pattern in supports and supports[pattern] is None:
+        # A filtered pattern: no table is built.
+        return None, desc
     u = channel.universe
-    i = tgt[0]
+    table, d = extremal_pdelta_table(u, tgt[0], x_num, x_den, comp_shared,
+                                     comp_num, comp_den, branches)
     if pattern not in supports:
-        prior = extremal_pdelta_prior(u, i, x_num, x_den, *comps,
-                                      family.exp_delta, eta=eta)
-        supports[pattern] = (prior.support_size()
-                             if check_membership(prior, family).ok else None)
+        masses = (table if d is None
+                  else {seq: Fraction(a, d) for seq, a in table.items()})
+        violations = _layout_violations(u, family, [tuple(range(u.n))],
+                                        [masses.items()])
+        supports[pattern] = None if violations else len(table)
     support = supports[pattern]
     if support is None:
         return None, desc
     check_budget(support, budget, "JointTables")
-    cells, d = extremal_pdelta_cells(u, i, x_num, x_den, *comps, branches,
-                                     tgt)
+    cells, d = extremal_pdelta_cells(u, table, d, tgt)
     t = JointTables.from_cells(cells, channel._row_views, channel.outcomes, d)
     return max_mi(None, None, None, tables=t), desc
 
@@ -612,9 +625,10 @@ def _smallest_edit(u, seq, hist, k):
 
 
 def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
-                 budget: Optional[int] = None, tol: float = TOL) -> TightnessResult:
-    """Rebuild the scan's worst pair as a near-point-mass member and check the
-    measured leak reproduces the row ratio."""
+                 budget: Optional[int] = None) -> TightnessResult:
+    """Measure the scan's worst pair as a near-point-mass member, its block
+    every differing coordinate and its target the first, from its cells as
+    the search measures a pair; check the leak is the row ratio within TOL."""
     scan = lipschitz_ratio(channel, k, budget)
     if scan.num_hist is None:
         return TightnessResult(
@@ -631,10 +645,10 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
         # Cannot happen: the scan's pairs come from the same edit moves.
         raise AuditError("no sequence pair realizes the scan witness")
     s_num, s_den = found
-    diff = [i for i in range(u.n) if s_num[i] != s_den[i]]
+    diff = tuple(i for i in range(u.n) if s_num[i] != s_den[i])
     target = diff[0]
-    prior = extremal_pair_prior(u, s_num, s_den, eta=eta)
-    achieved = max_mi(prior, channel, target, budget).ratio
+    achieved = _pair_max_mi(channel, (target,), budget, s_num, s_den, diff,
+                            eta).ratio
     notes = ()
     if is_inf(scan.ratio):
         if is_inf(achieved):
@@ -643,7 +657,7 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
             # No single prior with numerator mass eta can jump past 1/eta,
             # so an infinite level is attained exactly when the witness
             # prior realizes that per-eta ceiling.
-            attained = float(achieved) * float(eta) >= 1.0 - tol
+            attained = float(achieved) * float(eta) >= 1.0 - TOL
             notes = (
                 "hard distinguishing event: the level is infinite and the "
                 "witness prior attains the 1/eta ceiling",
@@ -652,9 +666,9 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
         attained = False
     else:
         try:
-            a, r, t = float(achieved), float(scan.ratio), tol
+            a, r, t = float(achieved), float(scan.ratio), TOL
         except OverflowError:
-            a, r, t = Fraction(achieved), Fraction(scan.ratio), Fraction(tol)
+            a, r, t = Fraction(achieved), Fraction(scan.ratio), Fraction(TOL)
         attained = abs(a - r) <= t * max(1.0, abs(r))
     return TightnessResult(
         scan=scan,

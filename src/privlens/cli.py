@@ -183,7 +183,7 @@ def build_mechanism(universe: RecordUniverse, raw) -> Channel:
             universe,
             _symbol(raw.get("target_symbol")),
             ratio=raw.get("ratio"),
-            epsilon=None if epsilon is None else parse_float(epsilon, "epsilon"),
+            epsilon=None if epsilon is None else _number(epsilon, "epsilon"),
             max_count=(None if max_count is None
                        else parse_int(max_count, "max_count")),
         )
@@ -204,11 +204,11 @@ def build_family(raw) -> FamilyParams:
         else:
             raise SchemaError(f"bad delta {delta!r}; use a number or \"-inf\"")
     elif delta is not None:
-        delta = parse_float(delta, "family.delta")
+        delta = _number(delta, "family.delta")
     k, ell, tau = raw.get("k"), raw.get("ell"), raw.get("tau")
     if tau is not None:
         # Checked only: the family reports tau as given.
-        parse_float(tau, "family.tau")
+        _number(tau, "family.tau")
     return FamilyParams.of(
         k=None if k is None else parse_int(k, "family.k"),
         delta=delta,
@@ -233,14 +233,6 @@ def parse_int(raw, what, positive=False) -> int:
         kind = "a positive integer" if positive else "an integer"
         raise SchemaError(f"{what} must be {kind}, got {raw!r}")
     return raw
-
-
-def parse_float(raw, what) -> float:
-    """A real scenario value, read as audit levels are (an int beyond the
-    float range is +-inf); anything else, a bool too, is an input error."""
-    if not isinstance(raw, bool):
-        return _number(raw, what)
-    raise SchemaError(f"{what} must be a number, got {raw!r}")
 
 
 class Scenario:
@@ -489,7 +481,7 @@ def _run_certify_task(scenario: Scenario, sec: dict, args, rng) -> Verdict:
             parse_int(sec.get("k", 1), "certify.k"),
             epsilon=sec.get("epsilon"),
             exp_epsilon=sec.get("exp_epsilon"),
-            tau=parse_float(sec.get("tau", 0.0), "certify.tau"),
+            tau=_number(sec.get("tau", 0.0), "certify.tau"),
             marginals=sec.get("marginals"),
             budget=args.budget,
         )

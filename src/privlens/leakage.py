@@ -61,11 +61,12 @@ class Quantity:
 
 def normalize_target(n: int, target) -> Tuple[int, ...]:
     """Sorted distinct indices of the targeted individuals; a bare integer
-    names one individual."""
-    if isinstance(target, int):
-        target = (target,)
+    names one individual. A bool is no index, as a target or as an entry."""
     try:
-        tgt = tuple(sorted({operator.index(i) for i in target}))
+        entries = list((target,) if isinstance(target, int) else target)
+        if any(isinstance(i, bool) for i in entries):
+            raise TypeError
+        tgt = tuple(sorted(set(map(operator.index, entries))))
     except TypeError:
         raise LeakageError(
             "target must be an individual index or a list of them, "

@@ -10,7 +10,10 @@ The worst-case search measures candidates without building their priors:
 draw_member hands out a sampled member's layout and masses,
 extremal_pair_cells and extremal_pair_violations a pair construction's
 (records key, histogram) cells and its family membership, and
-extremal_pdelta_cells a shared/private-complement construction's cells.
+extremal_pdelta_table a shared/private-complement construction's one table,
+which extremal_pdelta_cells groups into cells and _layout_violations reads
+for membership, as it reads a draw's layout. tightness_pk measures its
+witness pair through extremal_pair_cells too.
 """
 
 from __future__ import annotations
@@ -399,11 +402,12 @@ def dataset_distribution(prior: JointPrior) -> Dict[Tuple[int, ...], Prob]:
     return {h: m for (_, h), m in histogram_masses(prior).items()}
 
 
-def verify_factorization(prior: JointPrior, full_table, tol: float = TOL):
+def verify_factorization(prior: JointPrior, full_table):
     """Check a claimed full joint table against the block factorization.
 
     full_table maps full sequences to probabilities; missing sequences count
-    as zero. Returns (ok, max_abs_error, witness_sequence).
+    as zero. Returns (ok, max_abs_error, witness_sequence), ok when the
+    error is at most TOL.
     """
     table = {}
     for key, raw in full_table.items():
@@ -418,7 +422,7 @@ def verify_factorization(prior: JointPrior, full_table, tol: float = TOL):
         if err > worst:
             worst = err
             witness = seq
-    return worst <= tol, worst, witness
+    return worst <= TOL, worst, witness
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +557,9 @@ class FamilyParams:
     tau: Optional[float] = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool):
+                raise PriorError(f"{name} must be a number, got {value!r}")
         if self.k is not None and self.k < 1:
             raise PriorError("k must be at least 1")
         if self.exp_delta is not None:
@@ -566,8 +573,10 @@ class FamilyParams:
     @classmethod
     def of(cls, k=None, delta=None, exp_delta=None, ell=None, tau=None):
         """Normalize the two delta spellings; exp_delta wins when both given
-        and consistent, conflicts raise."""
+        and consistent, conflicts raise. A bool is no number."""
         if delta is not None:
+            if isinstance(delta, bool):
+                raise PriorError(f"delta must be a number, got {delta!r}")
             if delta > 0:
                 raise PriorError("delta must be nonpositive")
             from_delta = math.exp(delta)
@@ -767,19 +776,24 @@ def draw_member(universe: RecordUniverse, family: FamilyParams, rng, *,
             blocks.append((i,))
             masses.append(ws)
         blocks = tuple(blocks)
-        if not _layout_violations(universe, family, blocks, masses):
+        items = (list(zip(block_cells(universe, b), ms))
+                 for b, ms in zip(blocks, masses))
+        if not _layout_violations(universe, family, blocks, items):
             return blocks, masses
     return None
 
 
-def _layout_violations(universe, family, blocks, masses) -> list:
-    """membership_violations of layout_prior(universe, blocks, masses)."""
+def _layout_violations(universe, family, blocks, block_items) -> list:
+    """membership_violations of the prior whose (block, items) pairs are
+    zip(blocks, block_items): each block holds its (cell, mass) items in
+    table order, which can be iterated more than once. block_items is read
+    only when the family caps dependence or has a band, so a generator that
+    builds the items builds nothing otherwise."""
     alphabets = universe.alphabets
     band = family.effective_band()
     sig = count = None
     if family.exp_delta is not None or band is not None:
-        layout = [(b, list(zip(block_cells(universe, b), ms)))
-                  for b, ms in zip(blocks, masses)]
+        layout = list(zip(blocks, block_items))
     if family.exp_delta is not None:
         # A singleton block's two records share the empty complement, so its
         # overlap is exactly 1 and never decides the verdict.
@@ -962,7 +976,7 @@ def extremal_pdelta_prior(
 ) -> JointPrior:
     """Worst case for bounded dependence: target record steers the complement
     onto a private branch with weight 1 - exp_delta and a shared branch with
-    weight exp_delta.
+    weight exp_delta; one block of everyone holds extremal_pdelta_table.
 
     Complements are tuples over the other n-1 coordinates in ascending
     coordinate order. The dependence coefficient of the result is
@@ -971,47 +985,23 @@ def extremal_pdelta_prior(
     """
     if not (0 <= i < universe.n):
         raise PriorError(f"target {i} out of range")
-    exp_delta = parse_probability(exp_delta)
-    _check_eta(eta)
-    if x_num == x_den:
-        raise PriorError("target records must differ")
-    others = [j for j in range(universe.n) if j != i]
-
-    def full(x_i, comp):
-        comp = tuple(comp)
-        if len(comp) != len(others):
-            raise PriorError("complement length does not match n-1")
-        seq = [None] * universe.n
-        seq[i] = x_i
-        for j, sym in zip(others, comp):
-            seq[j] = sym
-        return universe.validate_sequence(seq)
-
-    cells: Dict[Tuple[str, ...], Prob] = {}
-
-    def add(seq, w):
-        if w == 0:
-            return
-        cells[seq] = cells.get(seq, 0) + w
-
-    add(full(x_num, comp_shared), eta * exp_delta)
-    add(full(x_num, comp_num), eta * (1 - exp_delta))
-    add(full(x_den, comp_shared), (1 - eta) * exp_delta)
-    add(full(x_den, comp_den), (1 - eta) * (1 - exp_delta))
-
-    block = tuple(range(universe.n))
-    return JointPrior(universe, (block,), (cells,))
+    table, d = extremal_pdelta_table(universe, i, x_num, x_den, comp_shared,
+                                     comp_num, comp_den,
+                                     pdelta_branches(exp_delta, eta))
+    if d is not None:
+        table = {seq: Fraction(a, d) for seq, a in table.items()}
+    return JointPrior(universe, (tuple(range(universe.n)),), (table,))
 
 
 def pdelta_branches(exp_delta, eta: Prob = DEFAULT_ETA):
-    """The four branch weights of extremal_pdelta_prior in its order (x_num
-    with the shared, then with its private complement; x_den likewise), as
-    (weights, d), for extremal_pdelta_cells.
+    """The four branch weights of the shared/private-complement construction
+    in branch order (x_num with the shared, then with its private
+    complement; x_den likewise), as (weights, d).
 
     When exp_delta = r/s and eta = p/q are both rational, the weights are
     the integer numerators p*r, p*(s-r), (q-p)*r and (q-p)*(s-r) over
-    d = q*s; otherwise they are the prior's own float products and d is
-    None. Raises as the prior does for a bad exp_delta or eta.
+    d = q*s; otherwise they are the float products and d is None. Raises
+    for a bad exp_delta, then for a bad eta.
     """
     exp_delta = parse_probability(exp_delta)
     _check_eta(eta)
@@ -1023,41 +1013,42 @@ def pdelta_branches(exp_delta, eta: Prob = DEFAULT_ETA):
             (1 - eta) * (1 - exp_delta)), None
 
 
-def extremal_pdelta_cells(universe: RecordUniverse, i, x_num, x_den,
-                          comp_shared, comp_num, comp_den, branches, target):
-    """histogram_cells(extremal_pdelta_prior(universe, i, x_num, x_den,
-    comp_shared, comp_num, comp_den, exp_delta, eta=eta), target), read off
-    its at most four weighted sequences without building the prior, where
-    branches is pdelta_branches(exp_delta, eta).
+def extremal_pdelta_table(universe: RecordUniverse, i, x_num, x_den,
+                          comp_shared, comp_num, comp_den, branches):
+    """(table, d): the one table of the shared/private-complement
+    construction, where branches is pdelta_branches(exp_delta, eta).
 
-    The prior's one table holds the branches' sequences in branch order,
-    and its cells are those sequences merged by (the target's records,
-    histogram) in order of first appearance. With integer weights over d
-    the prior keeps its table over the lcm of its reduced masses, which is
-    d over the gcd of d and the table's numerators; with float weights the
-    masses are the float sums and d is None. Raises the prior's
-    PriorErrors; the symbols are not checked.
+    The table maps the four branches' sequences, in branch order, to their
+    weights: a zero weight is skipped, and a branch whose sequence an
+    earlier one already holds is added to it. Integer weights stay integer
+    numerators over d; float weights give float sums and d None. Every
+    branch's complement length and sequence are checked, in branch order.
     """
-    n = universe.n
-    if not (0 <= i < n):
+    if not (0 <= i < universe.n):
         raise PriorError(f"target {i} out of range")
     if x_num == x_den:
         raise PriorError("target records must differ")
     weights, d = branches
-    # The table: the four branches in order, zero weights skipped, and a
-    # branch whose sequence an earlier one already holds added to it.
     table = {}
     for x, comp, w in zip((x_num, x_num, x_den, x_den),
                           (comp_shared, comp_num, comp_shared, comp_den),
                           weights):
         comp = tuple(comp)
-        if len(comp) != n - 1:
+        if len(comp) != universe.n - 1:
             raise PriorError("complement length does not match n-1")
-        if w == 0:
-            continue
-        seq = comp[:i] + (x,) + comp[i:]
-        old = table.get(seq)
-        table[seq] = w if old is None else old + w
+        seq = universe.validate_sequence(comp[:i] + (x,) + comp[i:])
+        if w != 0:
+            old = table.get(seq)
+            table[seq] = w if old is None else old + w
+    return table, d
+
+
+def extremal_pdelta_cells(universe: RecordUniverse, table, d, target):
+    """histogram_cells(extremal_pdelta_prior(...), target) of the prior
+    holding (table, d) = extremal_pdelta_table(...): the table's sequences
+    merged by (the target's records, histogram) in table order, integer
+    numerators over d reduced by their gcd with d, as the prior keeps them.
+    """
     items = table.items()
     if d is not None:
         g = math.gcd(d, *table.values())

@@ -3,8 +3,10 @@ enumerators that walk dataset sequences (all |A|^n of them or a prior's
 whole support), the per-sequence dependence and averaging scans, and the
 per-cell and per-candidate loops that the integer scans and the symmetry
 classes replace, the worst-case search's member walks that the class
-generator replaces, the sampler that builds and checks a prior per draw, the
-leakage quantities and the prior table check on
+generator replaces, the shared/private-complement prior built branch by
+branch, each weight its own product of eta and exp_delta, the sampler that
+builds and checks a prior per draw, the leakage quantities and the prior
+table check on
 Fractions where the library reads integer numerators, the dict-update
 convolution that the compiled histogram plan and the integer prior masses
 replace, the product-channel loop on Fractions that integer rows replace,
@@ -24,6 +26,7 @@ from privlens import (
     BOT,
     DEFAULT_ETA,
     JointPrior,
+    PriorError,
     Quantity,
     Verdict,
     RatioScan,
@@ -32,7 +35,6 @@ from privlens import (
     change_sequence_pairs,
     check_membership,
     extremal_pair_prior,
-    extremal_pdelta_prior,
     log_ratio,
     max_mi,
     normalize_target,
@@ -649,6 +651,38 @@ def _extremal_pdelta_candidates(channel, family, tgt, eta, budget):
     for key, *layout in _pdelta_layouts(channel, family, tgt, budget):
         yield key, functools.partial(_pdelta_candidate, u, tgt[0],
                                      family.exp_delta, eta, *layout)
+
+
+def extremal_pdelta_prior(universe, i, x_num, x_den, comp_shared, comp_num,
+                          comp_den, exp_delta, *, eta=DEFAULT_ETA):
+    """privlens.extremal_pdelta_prior with its checks in the same order,
+    each branch's sequence put together and validated, and its weight the
+    product of eta or 1 - eta with exp_delta or 1 - exp_delta, summed from
+    an int 0 into the one table."""
+    if not (0 <= i < universe.n):
+        raise PriorError(f"target {i} out of range")
+    exp_delta = parse_probability(exp_delta)
+    if not (0 < eta < 1):
+        raise PriorError("eta must be strictly between 0 and 1")
+    if x_num == x_den:
+        raise PriorError("target records must differ")
+    others = [j for j in range(universe.n) if j != i]
+    table = {}
+    for x, comp, w in ((x_num, comp_shared, eta * exp_delta),
+                       (x_num, comp_num, eta * (1 - exp_delta)),
+                       (x_den, comp_shared, (1 - eta) * exp_delta),
+                       (x_den, comp_den, (1 - eta) * (1 - exp_delta))):
+        comp = tuple(comp)
+        if len(comp) != len(others):
+            raise PriorError("complement length does not match n-1")
+        seq = [None] * universe.n
+        seq[i] = x
+        for j, sym in zip(others, comp):
+            seq[j] = sym
+        seq = universe.validate_sequence(seq)
+        if w != 0:
+            table[seq] = table.get(seq, 0) + w
+    return JointPrior(universe, (tuple(range(universe.n)),), (table,))
 
 
 def _pdelta_candidate(u, i, exp_delta, eta, x_num, x_den, comp_shared,

@@ -849,6 +849,65 @@ def test_non_numeric_values_are_input_errors(tmp_path, command, patch):
     assert err.startswith("error: ")
 
 
+GROUP = {"kind": "group", "mechanism": "geo", "k": 1, "exp_epsilon": "3"}
+WORSTCASE = {"kind": "worstcase", "mechanism": "geo", "family": {"k": 1}}
+LEAKAGE = {"prior": "uniform", "mechanism": "geo"}
+EPOCHS = {"kind": "epochs", "epochs": [{"prior": "uniform", "mechanism": "geo"}]}
+
+
+@pytest.mark.parametrize(
+    "command, patch",
+    [
+        ("certify", {"certify": {**K_CHANGE, "exp_epsilon": None,
+                                 "epsilon": True}}),
+        ("certify", {"certify": {**AVERAGED, "epsilon": True}}),
+        ("certify", {"certify": {**PERSONALIZED, "epsilons": [True, 1]}}),
+        ("certify", {"certify": {**PERSONALIZED,
+                                 "epsilons": {"0": 1, "1": True}}}),
+        ("certify", {"certify": {**GROUP, "group": True}}),
+        ("certify", {"certify": {**GROUP, "group": [0, False]}}),
+        ("leakage", {"leakage": {**LEAKAGE, "targets": True}}),
+        ("leakage", {"leakage": {**LEAKAGE, "targets": [True]}}),
+        ("leakage", {"leakage": {**LEAKAGE, "targets": [[0, True]]}}),
+        ("bound", {"bound": {**WORSTCASE, "target": True}}),
+        ("bound", {"bound": {"kind": "interpolated", "mechanism": "geo",
+                             "exp_delta": "1/2", "exp_eps_step": "3",
+                             "target": True}}),
+        ("compose", {"compose": {**EPOCHS, "target": True}}),
+        ("compose", {"compose": {"kind": "equal_epochs", "prior": "uniform",
+                                 "mechanisms": ["geo"], "target": True}}),
+        ("validate", {"family": {"exp_delta": True}}),
+        ("validate", {"family": {"delta": False}}),
+    ],
+    ids=[
+        "k_change.epsilon=true",
+        "sufficient_averaged.epsilon=true",
+        "personalized.epsilons=[true,1]",
+        "personalized.epsilons={1:true}",
+        "group.group=true",
+        "group.group=[0,false]",
+        "leakage.targets=true",
+        "leakage.targets=[true]",
+        "leakage.targets=[[0,true]]",
+        "worstcase.target=true",
+        "interpolated.target=true",
+        "epochs.target=true",
+        "equal_epochs.target=true",
+        "family.exp_delta=true",
+        "family.delta=false",
+    ],
+)
+def test_booleans_are_not_numbers(tmp_path, command, patch):
+    # JSON true and false are Python bools, which are ints; none of these
+    # fields may read them as 1 or 0.
+    path = write_scenario(tmp_path, base_scenario(**patch))
+    code, out, err = invoke([command, path])
+    assert (code, out) == (4, ""), err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ")
+    assert "True" in err or "False" in err
+
+
 def test_huge_composition_level_is_unbounded(tmp_path):
     # exp(1000) overflows a float; the level then bounds nothing.
     scn = base_scenario(compose={"kind": "product", "mechanisms": ["geo", "rr"],

@@ -79,6 +79,7 @@ from privlens.prior import (
     extremal_pair_cells,
     extremal_pair_violations,
     extremal_pdelta_cells,
+    extremal_pdelta_table,
     histogram_cells,
     layout_prior,
     pdelta_branches,
@@ -1397,12 +1398,13 @@ def pdelta_universes(rng):
 
 def test_pdelta_cells_are_read_off_the_construction():
     # Over every complement candidate, for each exp_delta, with and without
-    # a band, at a Fraction or a float eta: the cells read off the four
-    # weighted sequences are histogram_cells of the built prior (keys,
-    # masses, d and order) for the target and for a pair target; and the
-    # search's measure, its pattern memo shared over the candidates, admits
-    # exactly the members, charges their support to the JointTables budget
-    # and measures max_mi of the built prior.
+    # a band, at a Fraction or a float eta: the construction's one table is
+    # the built prior's (as masses over d), and the cells grouped from it
+    # are histogram_cells of the built prior (keys, masses, d and order) for
+    # the target and for a pair target; and the search's measure, its
+    # pattern memo shared over the candidates, admits exactly the members,
+    # charges their support to the JointTables budget and measures max_mi
+    # of the built prior.
     rng = random.Random(71)
     f = FamilyParams
     seen = collections.Counter()
@@ -1419,9 +1421,16 @@ def test_pdelta_cells_are_read_off_the_construction():
                         ch, families[0], (i,), None):
                     prior = extremal_pdelta_prior(u, i, *layout, exp_delta,
                                                   eta=eta)
+                    assert repr(prior.tables) == repr(
+                        oracles.extremal_pdelta_prior(
+                            u, i, *layout, exp_delta, eta=eta).tables)
+                    table, d = extremal_pdelta_table(u, i, *layout, branches)
+                    assert d == branches[1]
+                    assert repr(prior.tables) == repr(({
+                        seq: a if d is None else Fraction(a, d)
+                        for seq, a in table.items()},))
                     for tgt in {(i,), (0, u.n - 1)}:
-                        cells = extremal_pdelta_cells(u, i, *layout,
-                                                      branches, tgt)
+                        cells = extremal_pdelta_cells(u, table, d, tgt)
                         assert repr(cells) == repr(histogram_cells(
                             prior, tgt)), (u, i, layout, exp_delta, eta)
                     seen["merged"] += prior.support_size() < sum(
@@ -1452,28 +1461,39 @@ def test_pdelta_cells_are_read_off_the_construction():
 
 
 def test_pdelta_read_off_raises_as_the_construction():
+    # The prior and its table check the construction's arguments in the
+    # oracle's order: every branch's complement length and symbols, a
+    # zero-weight branch's too.
     u = RecordUniverse(((BOT, "a"), (BOT, "a", "b")))
     half = Fraction(1, 2)
-    branches = pdelta_branches(half)
-    for layout in ((2, "a", BOT, ("b",), ("a",), (BOT,)),
-                   (-1, "a", BOT, ("b",), ("a",), (BOT,)),
-                   (0, "a", "a", ("b",), ("a",), (BOT,)),
-                   (0, "a", BOT, ("b", "a"), ("a",), (BOT,)),
-                   (0, "a", BOT, ("b",), (), (BOT,)),
-                   (0, "a", BOT, ("b",), ("a",), (BOT, "a"))):
-        with pytest.raises(PriorError) as want:
-            extremal_pdelta_prior(u, *layout, half)
-        message = re.escape(str(want.value))
-        with pytest.raises(PriorError, match=message):
-            extremal_pdelta_cells(u, *layout, branches, (0,))
+    for exp_delta in (half, Fraction(1)):
+        branches = pdelta_branches(exp_delta)
+        for layout in ((2, "a", BOT, ("b",), ("a",), (BOT,)),
+                       (-1, "a", BOT, ("b",), ("a",), (BOT,)),
+                       (0, "a", "a", ("b",), ("a",), (BOT,)),
+                       (0, "a", BOT, ("b", "a"), ("a",), (BOT,)),
+                       (0, "a", BOT, ("b",), (), (BOT,)),
+                       (0, "a", BOT, ("b",), ("a",), (BOT, "a")),
+                       (0, "b", BOT, ("b",), ("a",), (BOT,)),
+                       (0, "a", BOT, ("b",), ("c",), ("c", "a")),
+                       (0, "a", BOT, ("b",), ("a",), ("c",))):
+            with pytest.raises(ValueError) as want:
+                oracles.extremal_pdelta_prior(u, *layout, exp_delta)
+            message = re.escape(str(want.value))
+            with pytest.raises(type(want.value), match=message):
+                extremal_pdelta_prior(u, *layout, exp_delta)
+            with pytest.raises(type(want.value), match=message):
+                extremal_pdelta_table(u, *layout, branches)
     layout = (0, "a", BOT, ("b",), ("a",), (BOT,))
     for exp_delta, eta in ((Fraction(3, 2), DEFAULT_ETA), (-0.5, DEFAULT_ETA),
                            (math.nan, DEFAULT_ETA), (True, DEFAULT_ETA),
                            (half, 0), (half, Fraction(1)), (half, 1.5)):
         with pytest.raises(ValueError) as want:
+            oracles.extremal_pdelta_prior(u, *layout, exp_delta, eta=eta)
+        message = re.escape(str(want.value))
+        with pytest.raises(type(want.value), match=message):
             extremal_pdelta_prior(u, *layout, exp_delta, eta=eta)
-        with pytest.raises(type(want.value),
-                           match=re.escape(str(want.value))):
+        with pytest.raises(type(want.value), match=message):
             pdelta_branches(exp_delta, eta)
 
 
@@ -1500,34 +1520,90 @@ def test_worstcase_sup_complement_families_match_the_oracle():
                 assert repr(got) == repr(want), (u, family, eta, exact)
 
 
-def test_search_builds_one_prior_per_complement_pattern(monkeypatch):
-    # The complement candidates of a Fraction exp_delta are measured from
-    # their cells, and membership is kept per equality pattern: at n = 3
-    # the 2268 complement classes share 25 patterns (five per other
-    # individual), so the extremal search builds one JointPrior and runs
-    # one sigma loop for each.
-    u = uniform_universe(3, (BOT, "a", "b"))
-    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
-    family = FamilyParams(exp_delta=Fraction(3, 4))
-    calls = collections.Counter()
-
+def counted_calls(monkeypatch, calls):
+    """Count JointPrior builds under "prior" and _sigma loops under
+    "sigma" in calls while the test runs."""
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
         return wrapper
 
-    classes = {key for key, *_ in oracles._pdelta_layouts(ch, family, (0,),
-                                                          None)}
     monkeypatch.setattr(JointPrior, "__post_init__",
                         counted("prior", JointPrior.__post_init__))
     monkeypatch.setattr(prior_module, "_sigma",
                         counted("sigma", prior_module._sigma))
+
+
+def test_search_decides_complement_membership_once_per_pattern(monkeypatch):
+    # The complement candidates of a Fraction exp_delta are measured from
+    # their one table, and membership is read off that table once per
+    # equality pattern: at n = 3 the 2268 complement classes share 25
+    # patterns (five per other individual), so the extremal search runs one
+    # sigma loop for each and builds no JointPrior.
+    u = uniform_universe(3, (BOT, "a", "b"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    family = FamilyParams(exp_delta=Fraction(3, 4))
+    calls = collections.Counter()
+    classes = {key for key, *_ in oracles._pdelta_layouts(ch, family, (0,),
+                                                          None)}
+    counted_calls(monkeypatch, calls)
     sup = worstcase_sup(ch, family, 0, strategies=("extremal",))
     assert sup.evaluated["extremal"] > 0
     assert sup.evaluated["filtered_candidates"] > 0
     assert len(classes) == 2268
-    assert calls == {"prior": 25, "sigma": 25}
+    assert calls == {"sigma": 25}
+
+
+@pytest.mark.parametrize("audit, builds", [
+    (lambda ch, family: worstcase_sup(ch, family, 0, samples=0), 0),
+    (lambda ch, family: worstcase_sup(ch, family, 0, samples=20,
+                                      rng=random.Random(5)), 1),
+    (lambda ch, family: [tightness_pk(ch, k) for k in (1, 2, 3)], 0),
+], ids=["extremal", "sampled", "tightness"])
+def test_audits_build_no_prior_but_the_largest_sample(monkeypatch, audit,
+                                                      builds):
+    # The extremal constructions are measured from their cells; only the
+    # largest sampled member is rebuilt as a JointPrior, for its check.
+    u = uniform_universe(3, (BOT, "a", "b"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    calls = collections.Counter()
+    counted_calls(monkeypatch, calls)
+    audit(ch, FamilyParams(exp_delta=Fraction(3, 4)))
+    assert calls["prior"] == builds
+
+
+def test_tightness_measures_the_pair_prior():
+    # The witness pair's leak, read off its cells, is max_mi of
+    # extremal_pair_prior about the first differing coordinate, at a
+    # Fraction and at a float eta, on rational and float channels, some
+    # with zero entries (an infinite level).
+    rng = random.Random(24)
+    checked = 0
+    while checked < 30:
+        u = per_individual_universe(rng, n_max=4, max_sequences=60)
+        if len(u.achievable_histograms()) < 2:
+            continue
+        if rng.random() < 0.5:
+            ch = random_channel(rng, u, zero_prob=0.3)
+        else:
+            rows = {}
+            for h in u.achievable_histograms():
+                weights = [rng.randint(0, 3) for _ in range(3)]
+                weights[rng.randrange(3)] += 1
+                rows[h] = tuple(Fraction(w, sum(weights)) for w in weights)
+            ch = Channel(u, (0, 1, 2), rows)
+        for k in range(1, u.n + 1):
+            eta = rng.choice((DEFAULT_ETA, Fraction(1, 3), 0.25))
+            t = tightness_pk(ch, k, eta=eta)
+            s_num = t.prior_summary["numerator_sequence"]
+            s_den = t.prior_summary["denominator_sequence"]
+            assert t.target == next(
+                i for i, (a, b) in enumerate(zip(s_num, s_den)) if a != b)
+            want = max_mi(extremal_pair_prior(u, s_num, s_den, eta=eta), ch,
+                          t.target)
+            assert repr(t.achieved_ratio) == repr(want.ratio), (u, k, eta)
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

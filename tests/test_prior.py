@@ -295,6 +295,18 @@ def test_family_delta_spellings():
         FamilyParams.of(delta=math.log(0.5), exp_delta=0.9)
 
 
+@pytest.mark.parametrize("params", [
+    {"k": True}, {"exp_delta": True}, {"exp_delta": False}, {"ell": False},
+    {"tau": True}, {"delta": False}])
+def test_family_parameters_are_no_bools(params):
+    # A bool is an int: k=True would search k = 1, delta=False exp_delta = 1.
+    with pytest.raises(PriorError, match="must be a number, got"):
+        FamilyParams.of(**params)
+    if "delta" not in params:
+        with pytest.raises(PriorError, match="must be a number, got"):
+            FamilyParams(**params)
+
+
 def test_vacuous_family_admits_everything():
     rng = random.Random(2)
     u = random_universe(rng)
