@@ -15,7 +15,6 @@ over budget errors, which win over violations, which win over inconclusive.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import json
 import math
@@ -23,6 +22,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .audit import (
@@ -218,10 +218,10 @@ def build_family(raw) -> FamilyParams:
     )
 
 
-def parse_int(raw, what, positive=False) -> int:
+def parse_int(raw, what, least=None) -> int:
     """An integer scenario value: a JSON integer, an integral number or a
-    decimal string. Anything else, or a value below 1 when positive is set,
-    is a SchemaError naming what."""
+    decimal string. Anything else, or a value below least (None, 0 or 1)
+    when given, is a SchemaError naming what."""
     if isinstance(raw, str):
         try:
             raw = int(raw)
@@ -229,8 +229,10 @@ def parse_int(raw, what, positive=False) -> int:
             pass
     elif isinstance(raw, float) and raw.is_integer():
         raw = int(raw)
-    if not isinstance(raw, int) or isinstance(raw, bool) or (positive and raw < 1):
-        kind = "a positive integer" if positive else "an integer"
+    if (not isinstance(raw, int) or isinstance(raw, bool)
+            or (least is not None and raw < least)):
+        kind = ("an integer" if least is None
+                else "a positive integer" if least else "a nonnegative integer")
         raise SchemaError(f"{what} must be {kind}, got {raw!r}")
     return raw
 
@@ -238,24 +240,27 @@ def parse_int(raw, what, positive=False) -> int:
 class Scenario:
     """Parsed scenario: shared objects plus raw per-command sections.
 
-    budget, when given, overrides the scenario's own budget (as --budget
-    does) for the work done while parsing."""
+    budget, seed and samples, when given, are the command-line overrides of
+    the scenario's own values; an overridden seed or sample count is not
+    read. The scalars are read before any object is built, so a malformed
+    one is an input error even where a build would exceed the budget."""
 
-    def __init__(self, raw: dict, budget=None):
+    def __init__(self, raw: dict, budget=None, seed=None, samples=None):
         if not isinstance(raw, dict):
             raise SchemaError("scenario must be a JSON object")
         self.raw = raw
         self.name = raw.get("name")
-        self.budget = parse_int(
-            raw.get("budget", DEFAULT_ENUMERATION_BUDGET),
-            "budget",
-            positive=True,
-        )
+        self.budget = parse_int(raw.get("budget", DEFAULT_ENUMERATION_BUDGET),
+                                "budget", least=1)
+        if budget is not None:
+            self.budget = parse_int(budget, "--budget", least=1)
+        self.seed = parse_int(raw.get("seed", 0), "seed") if seed is None else seed
+        self.samples = (parse_int(raw.get("samples", 1000), "samples", least=0)
+                        if samples is None
+                        else parse_int(samples, "--samples", least=0))
         if "universe" not in raw:
             raise SchemaError("scenario needs a universe")
-        self.universe = build_universe(
-            raw["universe"], self.budget if budget is None else budget
-        )
+        self.universe = build_universe(raw["universe"], self.budget)
         self.priors = {}
         priors = _expect(raw.get("priors") or {}, dict, "priors")
         for name, p in priors.items():
@@ -265,8 +270,6 @@ class Scenario:
         for name, m in mechanisms.items():
             self.mechanisms[name] = build_mechanism(self.universe, m)
         self.family = build_family(raw["family"]) if "family" in raw else None
-        self.seed = raw.get("seed", 0)
-        self.samples = raw.get("samples", 1000)
 
     def prior(self, name) -> JointPrior:
         if not isinstance(name, str) or name not in self.priors:
@@ -386,31 +389,126 @@ def render_table(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Section fields
 # ---------------------------------------------------------------------------
+# A field kind reads one value of a section: KINDS[kind](raw, what,
+# scenario) returns what the task runs with, or raises an input error naming
+# what ("certify.k"). An absent key is read as its default, so null and
+# absent differ only where a default says so. Ranges, levels and
+# probabilities are the library's to check.
+
+ABSENT = object()  # the default of a field that falls back to the family
 
 
-def _parse_targets(raw, n):
+def _flag(raw, what, scn):
+    if not isinstance(raw, bool):
+        raise SchemaError(f"{what} must be true or false, got {raw!r}")
+    return raw
+
+
+def _name(raw, what, scn):
+    if not isinstance(raw, str) or not raw:
+        raise SchemaError(f"{what} must be a non-empty string, got {raw!r}")
+    return raw
+
+
+def _epochs(raw, what, scn):
+    entries = [_expect(e, dict, f"{what} entry") for e in _expect(raw, list, what)]
+    return EpochModel(tuple(
+        (scn.prior(e.get("prior")), scn.mechanism(e.get("mechanism")))
+        for e in entries))
+
+
+def _targets(raw, what, scn):
     if raw is None:
-        return list(range(n))
-    if isinstance(raw, int):
-        raw = [raw]
-    if not isinstance(raw, list):
-        raise SchemaError(f"targets must be a list, got {raw!r}")
-    return [normalize_target(n, entry) for entry in raw]
+        return None
+    entries = [raw] if isinstance(raw, int) else _expect(raw, list, what)
+    return [normalize_target(scn.universe.n, t) for t in entries]
 
 
-def _target_key(tgt) -> str:
-    return ",".join(str(i) for i in tgt)
+def _symbol_tables(raw, what, scn):
+    """Per-individual tables keyed by record symbols, "BOT" read as the
+    empty record; another shape is left for the library to reject."""
+    if not isinstance(raw, dict):
+        return raw
+    return {i: ({_symbol(s): p for s, p in t.items()}
+                if isinstance(t, dict) else t)
+            for i, t in raw.items()}
 
 
-def cmd_validate(scenario: Scenario, args, rng) -> tuple:
+def _family(raw, what, scn):
+    if raw is not ABSENT:
+        return build_family(raw)
+    if scn.family is None:
+        raise SchemaError(f"{what} is missing and the scenario has no family")
+    return scn.family
+
+
+def _block_limit(raw, what, scn):
+    # An absent k is the family's block limit, then 1; a given k, null
+    # included, is read as it stands.
+    if raw is ABSENT:
+        return (scn.family.k if scn.family else None) or 1
+    return parse_int(raw, what)
+
+
+def _exp_delta(raw, what, scn):
+    # Absent or null, exp_delta is the family's.
+    if raw is None and scn.family is not None:
+        raw = scn.family.exp_delta
+    if raw is None:
+        raise SchemaError(f"{what} is missing and the scenario family has none")
+    return raw
+
+
+KINDS = {
+    "int": lambda raw, what, scn: parse_int(raw, what),
+    "number": lambda raw, what, scn: _number(raw, what),
+    "flag": _flag,
+    "name": _name,
+    "list": lambda raw, what, scn: _expect(raw, list, what),
+    "object": lambda raw, what, scn: _expect(raw, dict, what),
+    "prior": lambda raw, what, scn: scn.prior(raw),
+    "mechanism": lambda raw, what, scn: scn.mechanism(raw),
+    "mechanisms": lambda raw, what, scn: [
+        scn.mechanism(name) for name in _expect(raw, list, what)],
+    "epochs": _epochs,
+    "targets": _targets,
+    "symbol tables": _symbol_tables,
+    "family": _family,
+    "block limit": _block_limit,
+    "exp_delta": _exp_delta,
+}
+
+
+class Field(NamedTuple):
+    """One field of a section: its key, the kind that reads its value (None
+    passes the value to the library as given), the value an absent key
+    takes, and the runner's argument it fills (the key unless given)."""
+
+    key: str
+    kind: Optional[str] = None
+    default: object = None
+    param: Optional[str] = None
+
+
+class Task(NamedTuple):
+    """A section kind: its runner, its fields, and the arguments it takes
+    from the scenario rather than the section. A runner returns a Verdict,
+    or (results, verdicts, exit hint)."""
+
+    run: Callable
+    fields: tuple
+    context: tuple = ("budget",)
+
+
+def _validate(*, scenario):
     results = {
         "universe": {
             "individuals": scenario.universe.n,
             "pooled_alphabet": list(scenario.universe.pooled_alphabet),
             "achievable_histograms": len(
-                scenario.universe.achievable_histograms(args.budget)
+                scenario.universe.achievable_histograms(scenario.budget)
             ),
         },
         "priors": {
@@ -429,269 +527,107 @@ def cmd_validate(scenario: Scenario, args, rng) -> tuple:
     return results, [], EXIT_PASS
 
 
-def cmd_leakage(scenario: Scenario, args, rng) -> tuple:
-    sec = scenario.section("leakage")
-    prior = scenario.prior(sec.get("prior"))
-    channel = scenario.mechanism(sec.get("mechanism"))
-    targets = _parse_targets(sec.get("targets"), scenario.universe.n)
-    rep = leakage_report(prior, channel, targets, args.budget)
-    per = {}
-    for tgt in rep.targets:
-        per[_target_key(tgt)] = {
-            name: quantity_dict(q) for name, q in rep.per_target[tgt].items()
-        }
+def _leakage(prior, channel, targets, *, budget, family):
+    rep = leakage_report(prior, channel, targets, budget)
     results = {
-        "per_target": per,
+        "per_target": {
+            ",".join(map(str, tgt)): {
+                name: quantity_dict(q) for name, q in rep.per_target[tgt].items()
+            }
+            for tgt in rep.targets
+        },
         "output_entropy": quantity_dict(rep.output_entropy),
         "prior_entropy_nats": to_jsonable(rep.prior_entropy_nats),
     }
-    if scenario.family is not None:
-        results["membership"] = membership_dict(prior, scenario.family)
+    if family is not None:
+        results["membership"] = membership_dict(prior, family)
     return results, [], EXIT_PASS
 
 
-def _run_certify_task(scenario: Scenario, sec: dict, args, rng) -> Verdict:
-    kind = sec.get("kind", "k_change")
-    channel = scenario.mechanism(sec.get("mechanism"))
-    if kind == "k_change":
-        return certify_pk(
-            channel,
-            parse_int(sec.get("k", 1), "certify.k"),
-            epsilon=sec.get("epsilon"),
-            exp_epsilon=sec.get("exp_epsilon"),
-            budget=args.budget,
-        )
-    if kind == "necessary_dependence":
-        fam = scenario.family
-        exp_delta = sec.get("exp_delta")
-        if exp_delta is None and fam is not None:
-            exp_delta = fam.exp_delta
-        if exp_delta is None:
-            raise SchemaError("necessary_dependence needs exp_delta")
-        return necessary_pdelta(
-            channel,
-            exp_delta=exp_delta,
-            epsilon=sec.get("epsilon"),
-            exp_epsilon=sec.get("exp_epsilon"),
-            budget=args.budget,
-        )
-    if kind == "sufficient_averaged":
-        return sufficient_nk(
-            channel,
-            parse_int(sec.get("k", 1), "certify.k"),
-            epsilon=sec.get("epsilon"),
-            exp_epsilon=sec.get("exp_epsilon"),
-            tau=_number(sec.get("tau", 0.0), "certify.tau"),
-            marginals=sec.get("marginals"),
-            budget=args.budget,
-        )
-    if kind == "group":
-        return group_certify(
-            channel,
-            parse_int(sec.get("k", 1), "certify.k"),
-            sec.get("group", [0]),
-            epsilon=sec.get("epsilon"),
-            exp_epsilon=sec.get("exp_epsilon"),
-            rng=rng,
-            samples=args.samples,
-            budget=args.budget,
-        )
-    if kind == "personalized":
-        prior = scenario.prior(sec.get("prior"))
-        if "epsilons" not in sec:
-            raise SchemaError("personalized needs epsilons")
-        return personalized_check(
-            channel, prior, sec["epsilons"], budget=args.budget
-        )
-    raise SchemaError(f"unknown certify kind {kind!r}")
-
-
-def cmd_certify(scenario: Scenario, args, rng) -> tuple:
-    sec = scenario.section("certify")
-    v = _run_certify_task(scenario, sec, args, rng)
-    return {}, [v], EXIT_PASS
-
-
-def cmd_bound(scenario: Scenario, args, rng) -> tuple:
-    sec = scenario.section("bound")
-    kind = sec.get("kind", "interpolated")
-    channel = scenario.mechanism(sec.get("mechanism"))
-    if kind == "interpolated":
-        exp_delta = sec.get("exp_delta")
-        if exp_delta is None and scenario.family is not None:
-            exp_delta = scenario.family.exp_delta
-        if exp_delta is None:
-            raise SchemaError("interpolated bound needs exp_delta")
-        # An absent k falls back to the family's block limit, then to 1; a
-        # given k is read as it stands, so 0 or null is an input error.
-        if "k" in sec:
-            k = parse_int(sec["k"], "bound.k")
-        else:
-            k = (scenario.family.k if scenario.family else None) or 1
-        v = bound_pdelta(
-            channel,
-            k,
-            exp_delta=exp_delta,
-            epsilon=sec.get("epsilon"),
-            exp_eps_step=sec.get("exp_eps_step"),
-            target=sec.get("target", 0),
-            rng=rng,
-            samples=args.samples,
-            budget=args.budget,
-        )
-        return {}, [v], EXIT_PASS
-    if kind == "worstcase":
-        fam = scenario.family
-        if "family" in sec:
-            fam = build_family(sec["family"])
-        if fam is None:
-            raise SchemaError("worstcase needs a family")
-        # Read before the search: input errors win over budget errors.
-        level = (sec.get("epsilon"), sec.get("exp_epsilon"))
-        bound = None if level == (None, None) else _parse_bound(*level)
-        sup = worstcase_sup(
-            channel,
-            fam,
-            sec.get("target", 0),
-            rng=rng,
-            samples=args.samples,
-            budget=args.budget,
-        )
-        results = {
-            "sup": {
-                "ratio": to_jsonable(sup.ratio),
-                "nats": to_jsonable(sup.nats),
-                "target": list(sup.target),
-                "witness": to_jsonable(sup.witness),
-                "evaluated": to_jsonable(sup.evaluated),
-                "notes": list(sup.notes),
-                "conclusive": sup.conclusive,
-            }
+def _worstcase(channel, family, epsilon, exp_epsilon, target, *, budget, rng,
+               samples):
+    # Read before the search: input errors win over budget errors.
+    level = (epsilon, exp_epsilon)
+    bound = None if level == (None, None) else _parse_bound(*level)
+    sup = worstcase_sup(channel, family, target, rng=rng, samples=samples,
+                        budget=budget)
+    results = {
+        "sup": {
+            "ratio": to_jsonable(sup.ratio),
+            "nats": to_jsonable(sup.nats),
+            "target": list(sup.target),
+            "witness": to_jsonable(sup.witness),
+            "evaluated": to_jsonable(sup.evaluated),
+            "notes": list(sup.notes),
+            "conclusive": sup.conclusive,
         }
-        verdicts = []
-        if bound is not None:
-            verdicts.append(
-                Verdict(
-                    claim="worst-case family leakage against a level",
-                    params={"target": list(sup.target)},
-                    measured_ratio=sup.ratio,
-                    bound_ratio=bound,
-                    satisfied=leq_with_tol(sup.ratio, bound),
-                    conclusive=sup.conclusive,
-                    witness=sup.witness,
-                    notes=sup.notes,
-                )
-            )
-        exit_hint = EXIT_PASS if (verdicts or sup.conclusive) else EXIT_INCONCLUSIVE
-        return results, verdicts, exit_hint
-    if kind == "tightness":
-        t = tightness_pk(
-            channel, parse_int(sec.get("k", 1), "bound.k"), budget=args.budget
-        )
-        results = {
-            "tightness": {
-                "scan_ratio": to_jsonable(t.scan.ratio),
-                "achieved_ratio": to_jsonable(t.achieved_ratio),
-                "attained": t.attained,
-                "target": t.target,
-                "prior": to_jsonable(t.prior_summary),
-                "notes": list(t.notes),
-            }
+    }
+    if bound is None:
+        return results, [], EXIT_PASS if sup.conclusive else EXIT_INCONCLUSIVE
+    return results, [Verdict(
+        claim="worst-case family leakage against a level",
+        params={"target": list(sup.target)},
+        measured_ratio=sup.ratio,
+        bound_ratio=bound,
+        satisfied=leq_with_tol(sup.ratio, bound),
+        conclusive=sup.conclusive,
+        witness=sup.witness,
+        notes=sup.notes,
+    )], EXIT_PASS
+
+
+def _tightness(channel, k, *, budget):
+    t = tightness_pk(channel, k, budget=budget)
+    results = {
+        "tightness": {
+            "scan_ratio": to_jsonable(t.scan.ratio),
+            "achieved_ratio": to_jsonable(t.achieved_ratio),
+            "attained": t.attained,
+            "target": t.target,
+            "prior": to_jsonable(t.prior_summary),
+            "notes": list(t.notes),
         }
-        return results, [], EXIT_PASS if t.attained else EXIT_VIOLATION
-    raise SchemaError(f"unknown bound kind {kind!r}")
+    }
+    return results, [], EXIT_PASS if t.attained else EXIT_VIOLATION
 
 
-def cmd_compose(scenario: Scenario, args, rng) -> tuple:
-    sec = scenario.section("compose")
-    kind = sec.get("kind", "product")
-    if kind == "product":
-        names = sec.get("mechanisms")
-        if not names:
-            raise SchemaError("compose.product needs mechanisms")
-        names = _expect(names, list, "compose.mechanisms")
-        channels = [scenario.mechanism(n) for n in names]
-        v = certify_composition(
-            channels,
-            parse_int(sec.get("k", 1), "compose.k"),
-            epsilons=sec.get("epsilons"),
-            exp_epsilons=sec.get("exp_epsilons"),
-            budget=args.budget,
-        )
-        return {}, [v], EXIT_PASS
-    if kind == "epochs":
-        entries = sec.get("epochs")
-        if not entries:
-            raise SchemaError("compose.epochs needs an epochs list")
-        pairs = []
-        for e in _expect(entries, list, "compose.epochs"):
-            _expect(e, dict, "compose.epochs entry")
-            pairs.append(
-                (scenario.prior(e.get("prior")), scenario.mechanism(e.get("mechanism")))
-            )
-        model = EpochModel(tuple(pairs))
-        target = sec.get("target", 0)
-        verify = sec.get("verify", True)
-        if not isinstance(verify, bool):
-            raise SchemaError(
-                f"compose.verify must be true or false, got {verify!r}")
-        rep = epoch_leakage(model, target, args.budget)
-        results = {
-            "per_epoch": [quantity_dict(q) for q in rep.per_epoch],
-            "total": {
-                "ratio": to_jsonable(rep.total_ratio),
-                "nats": to_jsonable(rep.total_nats),
-                "bits": to_jsonable(rep.total_bits),
-            },
-        }
-        if verify:
-            direct = direct_epoch_max_mi(model, target, args.budget)
-            agree = ratios_agree(rep.total_ratio, direct.ratio)
-            results["direct"] = quantity_dict(direct)
-            results["additivity_agrees"] = agree
-            code = EXIT_PASS if agree else EXIT_VIOLATION
-        else:
-            code = EXIT_PASS
-        return results, [], code
-    if kind == "equal_epochs":
-        names = sec.get("mechanisms")
-        if not names:
-            raise SchemaError("compose.equal_epochs needs mechanisms")
-        names = _expect(names, list, "compose.mechanisms")
-        channels = [scenario.mechanism(n) for n in names]
-        prior = scenario.prior(sec.get("prior"))
-        out = equal_epoch_reduction(prior, channels, sec.get("target", 0), args.budget)
-        results = {
-            "via_product_channel": quantity_dict(out["via_product_channel"]),
-            "direct_ratio": to_jsonable(out["direct_ratio"]),
-            "direct_nats": to_jsonable(out["direct_nats"]),
-            "agree": out["agree"],
-        }
-        return results, [], EXIT_PASS if out["agree"] else EXIT_VIOLATION
-    raise SchemaError(f"unknown compose kind {kind!r}")
+def _epoch_leakage(model, target, verify, *, budget):
+    rep = epoch_leakage(model, target, budget)
+    results = {
+        "per_epoch": [quantity_dict(q) for q in rep.per_epoch],
+        "total": {
+            "ratio": to_jsonable(rep.total_ratio),
+            "nats": to_jsonable(rep.total_nats),
+            "bits": to_jsonable(rep.total_bits),
+        },
+    }
+    if not verify:
+        return results, [], EXIT_PASS
+    direct = direct_epoch_max_mi(model, target, budget)
+    agree = ratios_agree(rep.total_ratio, direct.ratio)
+    results["direct"] = quantity_dict(direct)
+    results["additivity_agrees"] = agree
+    return results, [], EXIT_PASS if agree else EXIT_VIOLATION
 
 
-def cmd_sweep(scenario: Scenario, args, rng) -> tuple:
-    sec = scenario.section("sweep")
-    over = sec.get("over")
-    values = sec.get("values")
-    task = sec.get("task")
-    if not over or values is None or not isinstance(task, dict):
-        raise SchemaError("sweep needs over, values, and a task object")
-    if not isinstance(over, str):
-        raise SchemaError(f"sweep.over must be a non-empty string, got {over!r}")
-    _expect(values, list, "sweep.values")
+def _equal_epochs(channels, prior, target, *, budget):
+    out = equal_epoch_reduction(prior, channels, target, budget)
+    results = {
+        "via_product_channel": quantity_dict(out["via_product_channel"]),
+        "direct_ratio": to_jsonable(out["direct_ratio"]),
+        "direct_nats": to_jsonable(out["direct_nats"]),
+        "agree": out["agree"],
+    }
+    return results, [], EXIT_PASS if out["agree"] else EXIT_VIOLATION
+
+
+def _sweep(over, values, task, *, scenario):
     command = task.get("command", "bound")
-    rows = []
-    verdicts = []
+    rows, verdicts = [], []
     for value in values:
         if command not in ("bound", "certify"):
             raise SchemaError(f"sweep cannot run command {command!r}")
-        # Only the task section changes between rows: share everything the
-        # scenario has already built.
-        sub = copy.copy(scenario)
-        sub.raw = {**scenario.raw, command: {**task, over: value}}
-        _, vs, _ = COMMANDS[command](sub, args, random.Random(args.seed))
+        _, vs, _ = run_task(scenario, command, {**task, over: value})
         verdicts.extend(vs)
         rows.append({
             "value": to_jsonable(value),
@@ -700,14 +636,76 @@ def cmd_sweep(scenario: Scenario, args, rng) -> tuple:
     return {"over": over, "rows": rows}, verdicts, EXIT_PASS
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "leakage": cmd_leakage,
-    "certify": cmd_certify,
-    "bound": cmd_bound,
-    "compose": cmd_compose,
-    "sweep": cmd_sweep,
+CHANNEL = Field("mechanism", "mechanism", param="channel")
+CHANNELS = Field("mechanisms", "mechanisms", param="channels")
+PRIOR = Field("prior", "prior")
+K = Field("k", "int", 1)
+EPSILON = Field("epsilon")
+EXP_EPSILON = Field("exp_epsilon")
+EXP_DELTA = Field("exp_delta", "exp_delta")
+TARGET = Field("target", default=0)
+SAMPLED = ("budget", "rng", "samples")
+
+# Every section kind, keyed by (command, kind); a command without kinds has
+# the kind None. Fields are read in the order listed.
+TASKS = {
+    ("leakage", None): Task(_leakage, (
+        PRIOR, CHANNEL, Field("targets", "targets")), ("budget", "family")),
+    ("certify", "k_change"): Task(certify_pk, (
+        CHANNEL, K, EPSILON, EXP_EPSILON)),
+    ("certify", "necessary_dependence"): Task(necessary_pdelta, (
+        CHANNEL, EXP_DELTA, EPSILON, EXP_EPSILON)),
+    ("certify", "sufficient_averaged"): Task(sufficient_nk, (
+        CHANNEL, K, EPSILON, EXP_EPSILON, Field("tau", "number", 0.0),
+        Field("marginals", "symbol tables"))),
+    ("certify", "group"): Task(group_certify, (
+        CHANNEL, K, Field("group", default=[0]), EPSILON, EXP_EPSILON),
+        SAMPLED),
+    ("certify", "personalized"): Task(personalized_check, (
+        CHANNEL, PRIOR, Field("epsilons"))),
+    ("bound", "interpolated"): Task(bound_pdelta, (
+        CHANNEL, EXP_DELTA, Field("k", "block limit", ABSENT), EPSILON,
+        Field("exp_eps_step"), TARGET), SAMPLED),
+    ("bound", "worstcase"): Task(_worstcase, (
+        CHANNEL, Field("family", "family", ABSENT), EPSILON, EXP_EPSILON,
+        TARGET), SAMPLED),
+    ("bound", "tightness"): Task(_tightness, (CHANNEL, K)),
+    ("compose", "product"): Task(certify_composition, (
+        CHANNELS, K, Field("epsilons"), Field("exp_epsilons"))),
+    ("compose", "epochs"): Task(_epoch_leakage, (
+        Field("epochs", "epochs", param="model"), TARGET,
+        Field("verify", "flag", True))),
+    ("compose", "equal_epochs"): Task(_equal_epochs, (
+        CHANNELS, PRIOR, TARGET)),
+    ("sweep", None): Task(_sweep, (
+        Field("over", "name"), Field("values", "list"),
+        Field("task", "object")), ("scenario",)),
+    ("validate", None): Task(_validate, (), ("scenario",)),
 }
+DEFAULT_KINDS = {"certify": "k_change", "bound": "interpolated",
+                 "compose": "product"}
+
+
+def run_task(scenario: Scenario, command, sec: dict) -> tuple:
+    """(results, verdicts, exit hint) of the task a section declares. Every
+    field is read before the task runs, so an input error is reported
+    before any work is charged to the budget. Unknown fields are ignored."""
+    kind = sec.get("kind", DEFAULT_KINDS[command]) if command in DEFAULT_KINDS else None
+    task = TASKS.get((command, kind)) if isinstance(kind, (str, type(None))) else None
+    if task is None:
+        raise SchemaError(f"unknown {command} kind {kind!r}")
+    values = {}
+    for key, kind_of, default, param in task.fields:
+        raw = sec.get(key, default)
+        values[param or key] = (raw if kind_of is None else
+                                KINDS[kind_of](raw, f"{command}.{key}", scenario))
+    for name in task.context:
+        values[name] = (scenario if name == "scenario"
+                        # Each task draws from its own generator.
+                        else random.Random(scenario.seed) if name == "rng"
+                        else getattr(scenario, name))
+    out = task.run(**values)
+    return ({}, [out], EXIT_PASS) if isinstance(out, Verdict) else out
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +735,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact audit of adversarial leakage for discrete mechanisms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in sorted(COMMANDS):
+    for name in sorted({command for command, _ in TASKS}):
         p = sub.add_parser(name)
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--format", choices=("json", "table"), default="table")
@@ -772,25 +770,18 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return EXIT_INPUT
 
     try:
-        if args.budget is not None:
-            args.budget = parse_int(args.budget, "--budget", positive=True)
-        scenario = Scenario(raw, args.budget)
-        if args.seed is None:
-            args.seed = parse_int(scenario.seed, "seed")
-        if args.samples is None:
-            args.samples = parse_int(scenario.samples, "samples")
-        if args.budget is None:
-            args.budget = scenario.budget
-        rng = random.Random(args.seed)
-        results, verdicts, exit_hint = COMMANDS[args.command](scenario, args, rng)
+        scenario = Scenario(raw, args.budget, args.seed, args.samples)
+        # validate reads the scenario alone: it has no section.
+        sec = {} if args.command == "validate" else scenario.section(args.command)
+        results, verdicts, exit_hint = run_task(scenario, args.command, sec)
         report = {
             "schema_version": 1,
             "tool": {"name": "privlens", "version": __version__},
             "command": args.command,
             "scenario": scenario.name,
-            "seed": args.seed,
-            "samples": args.samples,
-            "budget": args.budget,
+            "seed": scenario.seed,
+            "samples": scenario.samples,
+            "budget": scenario.budget,
             "results": results,
             "verdicts": [verdict_dict(v) for v in verdicts],
         }

@@ -143,7 +143,12 @@ class Channel:
         dense's order."""
         if not self.outcomes:
             raise ChannelError("channel needs at least one outcome")
-        if len(set(self.outcomes)) != len(self.outcomes):
+        try:
+            distinct = len(set(self.outcomes))
+        except TypeError:
+            raise ChannelError("outcome labels must be hashable, not lists "
+                               "or objects") from None
+        if distinct != len(self.outcomes):
             raise ChannelError("outcome labels repeat")
         achievable = set(self.universe.achievable_histograms())
         keys = set(dense)

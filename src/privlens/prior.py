@@ -252,6 +252,8 @@ def prior_from_flat(
                 raise PriorError(
                     f"block index {i} out of range for n={universe.n}"
                 )
+    if len(flat_tables) != len(blocks):
+        raise PriorError("need one table per block")
     tables = []
     for b, flat in zip(blocks, flat_tables):
         keys = list(itertools.product(*(universe.alphabets[i] for i in b)))
@@ -265,8 +267,6 @@ def prior_from_flat(
             if p != 0:
                 table[key] = p
         tables.append(table)
-    if len(tables) != len(blocks):
-        raise PriorError("need one table per block")
     return JointPrior(universe, blocks, tuple(tables))
 
 
@@ -574,6 +574,8 @@ class FamilyParams:
     def of(cls, k=None, delta=None, exp_delta=None, ell=None, tau=None):
         """Normalize the two delta spellings; exp_delta wins when both given
         and consistent, conflicts raise. A bool is no number."""
+        if exp_delta is not None and not isinstance(exp_delta, (int, float, Fraction)):
+            exp_delta = parse_probability(exp_delta)
         if delta is not None:
             if isinstance(delta, bool):
                 raise PriorError(f"delta must be a number, got {delta!r}")
@@ -582,10 +584,8 @@ class FamilyParams:
             from_delta = math.exp(delta)
             if exp_delta is None:
                 exp_delta = from_delta
-            elif abs(float(exp_delta) - from_delta) > TOL:
+            elif abs(float_or_inf(exp_delta) - from_delta) > TOL:
                 raise PriorError("delta and exp_delta disagree")
-        if exp_delta is not None and not isinstance(exp_delta, (int, float, Fraction)):
-            exp_delta = parse_probability(exp_delta)
         return cls(k=k, exp_delta=exp_delta, ell=ell, tau=tau)
 
     def is_vacuous(self) -> bool:

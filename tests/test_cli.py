@@ -1098,6 +1098,73 @@ def test_compose_epochs_verify_false_skips_the_direct_pass(tmp_path):
     assert "direct" not in results and "additivity_agrees" not in results
 
 
+def test_marginals_read_bot_as_the_empty_record(tmp_path):
+    # "BOT" names the empty record in marginals as everywhere else.
+    reports = []
+    for bot in ("BOT", "⊥"):
+        scn = base_scenario(**N3, certify={**AVERAGED, "tau": 1, "marginals": {
+            "0": {bot: "1/2", "a": "1/2"}, "2": {bot: "2/3", "a": "1/3"}}})
+        code, out, err = invoke(["certify", write_scenario(tmp_path, scn),
+                                 "--format", "json"])
+        assert code in (0, 1), err
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("scenario, option, message", [
+    ({"samples": -5}, [], "samples must be a nonnegative integer, got -5"),
+    ({}, ["--samples", "-5"],
+     "--samples must be a nonnegative integer, got -5"),
+], ids=["scenario", "--samples"])
+def test_negative_samples_are_an_input_error(tmp_path, scenario, option,
+                                             message):
+    path = write_scenario(tmp_path, base_scenario(
+        certify=K_CHANGE, **scenario))
+    assert invoke(["certify", path, *option]) == (4, "", f"error: {message}\n")
+
+
+def test_zero_samples_measure_the_extremal_candidates_only(tmp_path):
+    scn = base_scenario(samples=0, bound={"kind": "worstcase", "mechanism":
+                                          "geo", "family": {"k": 1}})
+    code, out, err = invoke(["bound", write_scenario(tmp_path, scn),
+                             "--format", "json"])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["samples"] == 0
+    assert rep["results"]["sup"]["evaluated"]["sampled"] == 0
+    assert rep["results"]["sup"]["evaluated"]["extremal"] > 0
+
+
+@pytest.mark.parametrize("patch", [
+    {"family": {"delta": "-inf", "exp_delta": "1/2"}},
+    {"family": {"delta": -1, "exp_delta": [1]}},
+    {"family": {"delta": -1, "exp_delta": 10**400}},
+    {"mechanisms": {"m": {"type": "matrix", "outcomes": [["x"], "y"],
+                          "rows": {"0": ["1/2", "1/2"], "1": ["1/2", "1/2"],
+                                   "2": ["1/2", "1/2"]}}}},
+    {"mechanisms": {"m": {"type": "matrix", "outcomes": [{"x": 1}, "y"],
+                          "rows": {"0": ["1/2", "1/2"], "1": ["1/2", "1/2"],
+                                   "2": ["1/2", "1/2"]}}}},
+    {"priors": {"p": {"blocks": [[0, 1]],
+                      "tables": [["1/4"] * 4, ["1/2", "1/2"]]}}},
+], ids=["exp_delta=1/2", "exp_delta=[1]", "exp_delta=10**400",
+        "outcome=list", "outcome=object", "extra table"])
+def test_malformed_shared_objects_exit_4_with_one_line(tmp_path, patch):
+    path = write_scenario(tmp_path, base_scenario(**patch))
+    code, out, err = invoke(["validate", path])
+    assert (code, out) == (4, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scalars_are_read_before_the_universe_is_built(tmp_path):
+    # A malformed seed is an input error even where the universe alone
+    # exceeds the budget.
+    scn = base_scenario(universe={"n": 10**20, "alphabet": ["BOT", "a"]},
+                        seed="x")
+    assert invoke(["validate", write_scenario(tmp_path, scn)]) == (
+        4, "", "error: seed must be an integer, got 'x'\n")
+
+
 def test_unprintable_exact_bound_is_an_input_error(tmp_path):
     # 3**10000 has 4772 digits, more than the interpreter converts to a
     # string by default; an interpreter without that limit prints it.
@@ -1416,16 +1483,21 @@ def test_mutated_compose_scenarios_honour_the_exit_code_contract(tmp_path):
 
 # One small scenario per certify and bound kind not in the demo, plus
 # leakage with targets and a sweep, over a shared n=3 part whose geometric
-# mechanism is given by epsilon. Levels, tau and ell are fuzzed with values
+# mechanism is given by epsilon, next to a matrix mechanism; the family
+# gives both delta and exp_delta. Levels, tau and ell are fuzzed with values
 # whose exponentials or powers leave the float range as well.
 SECTION_SHARED = {
     "name": "section-demo",
     "universe": {"n": 3, "alphabet": ["BOT", "a"]},
     "priors": {"uniform": {"independent": [["1/2", "1/2"]] * 3}},
     "mechanisms": {"geo": {"type": "geometric_counting",
-                           "target_symbol": "a", "epsilon": 1}},
+                           "target_symbol": "a", "epsilon": 1},
+                   "m": {"type": "matrix", "outcomes": ["x", "y"],
+                         "rows": {str(c): ["1/2", "1/2"] for c in range(4)}}},
 }
-SECTION_FAMILY = {"k": 1, "delta": -1, "ell": 1, "tau": 1}
+# Both spellings of the dependence cap, in agreement.
+SECTION_FAMILY = {"k": 1, "delta": -1, "exp_delta": math.exp(-1), "ell": 1,
+                  "tau": 1}
 SECTION_DEMOS = [
     ({**SECTION_SHARED, **extra}, (command,)) for command, extra in (
         ("certify", {"certify": {"kind": "necessary_dependence",

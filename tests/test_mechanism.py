@@ -77,6 +77,13 @@ def test_channel_rejects_duplicate_outcome_labels():
         Channel(u, ("x", "x"), rows)
 
 
+@pytest.mark.parametrize("label", [[1], {"x": 1}])
+def test_channel_rejects_unhashable_outcome_labels(label):
+    u = counting_universe(1)
+    with pytest.raises(ChannelError, match="must be hashable"):
+        matrix_channel(u, ("x", label), {"0": ["1/2", "1/2"], "1": ["1/2", "1/2"]})
+
+
 def test_matrix_channel_accepts_string_keys():
     u = counting_universe(1)
     ch = matrix_channel(u, ("lo", "hi"), {"0": ["3/4", "1/4"], "1": [0.25, 0.75]})

@@ -9,6 +9,7 @@ from privlens import (
     FamilyParams,
     JointPrior,
     PriorError,
+    ProbabilityError,
     check_membership,
     dataset_distribution,
     extremal_pair_prior,
@@ -115,6 +116,15 @@ def test_prior_from_flat_row_major_order():
     assert p.prob((BOT, "a")) == QUARTER
     assert p.prob(("a", BOT)) == HALF
     assert p.prob(("a", "a")) == 0
+
+
+def test_prior_from_flat_needs_one_table_per_block():
+    # An extra table is an error, not silently dropped by the zip.
+    u = two_binary()
+    for blocks, tables in (([(0,), (1,)], [[HALF, HALF]]),
+                           ([(0, 1)], [[QUARTER] * 4, [HALF, HALF]])):
+        with pytest.raises(PriorError, match="need one table per block"):
+            prior_from_flat(u, blocks, tables)
 
 
 def test_verify_factorization_accepts_the_truth():
@@ -293,6 +303,21 @@ def test_family_delta_spellings():
         FamilyParams.of(delta=0.5)
     with pytest.raises(PriorError):
         FamilyParams.of(delta=math.log(0.5), exp_delta=0.9)
+
+
+@pytest.mark.parametrize("exp_delta, error", [
+    ("0", None), ("1/2", PriorError), ("x", ProbabilityError),
+    ([1], ProbabilityError), (10**400, PriorError),
+], ids=["0", "1/2", "x", "[1]", "10**400"])
+def test_family_reads_exp_delta_before_comparing_it_with_delta(exp_delta,
+                                                               error):
+    # exp_delta is parsed first, so a string or a non-number given with
+    # delta is an input error, not a float() failure.
+    if error is None:
+        assert FamilyParams.of(delta=-math.inf, exp_delta=exp_delta).exp_delta == 0
+        return
+    with pytest.raises(error):
+        FamilyParams.of(delta=-math.inf, exp_delta=exp_delta)
 
 
 @pytest.mark.parametrize("params", [
