@@ -18,7 +18,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .leakage import JointTables, MaxMiPlan, max_mi, normalize_target
 from .mechanism import (
@@ -31,16 +31,17 @@ from .prior import (
     DEFAULT_ETA,
     FamilyParams,
     JointPrior,
+    _band_members,
     _layout_violations,
     block_cells,
     check_membership,
     draw_member,
-    extremal_pair_cells,
+    extremal_pair_table,
     extremal_pair_violations,
-    extremal_pdelta_cells,
     extremal_pdelta_table,
     pdelta_branches,
     sample_prior,
+    support_cells,
 )
 from .probability import (
     TOL,
@@ -51,6 +52,7 @@ from .probability import (
     log_ratio,
     parse_probability,
     ratio_div,
+    tolerance_terms,
 )
 from .universe import check_budget
 
@@ -88,7 +90,8 @@ class Verdict:
 def leq_with_tol(measured, bound) -> bool:
     """measured <= bound with an absolute-plus-relative float tolerance TOL;
     exact comparison when both sides are rational. When a side is too large
-    for a float, the same test is decided on the exact values."""
+    for a float, the same test is decided on the exact values
+    (tolerance_terms)."""
     if is_inf(measured):
         return is_inf(bound)
     if is_inf(bound):
@@ -96,12 +99,8 @@ def leq_with_tol(measured, bound) -> bool:
     if isinstance(measured, Fraction) and isinstance(bound, Fraction):
         if measured <= bound:
             return True
-    try:
-        mf, bf = float(measured), float(bound)
-    except OverflowError:
-        m, b = Fraction(measured), Fraction(bound)
-        return m <= b + Fraction(TOL) * max(1, abs(b))
-    return mf <= bf + TOL * max(1.0, abs(bf))
+    m, b, slack = tolerance_terms(measured, bound)
+    return m <= b + slack
 
 
 def _number(value, what) -> float:
@@ -180,8 +179,8 @@ class SupResult:
     """Largest exp(max_mi) found over a prior family for a target.
 
     ratio/nats give the sup; witness describes the attaining prior and leak
-    cell. conclusive is True only when the extremal strategy ran and nothing
-    sampled ever exceeded it.
+    cell. conclusive is True only when some extremal construction was
+    admitted and nothing sampled ever exceeded it.
     """
 
     ratio: Prob
@@ -278,14 +277,13 @@ def _pair_description(s_num, s_den, block):
     }
 
 
-def _pair_max_mi(channel, tgt, budget, s_num, s_den, block, eta):
-    """max_mi about tgt of extremal_pair_prior(channel.universe, s_num,
-    s_den, block=block, eta=eta), read off its cells after its 2^m support
-    sequences are charged to the JointTables budget, as max_mi charges."""
-    two_point = sum(a != b for a, b in zip(s_num, s_den)) - len(block)
-    check_budget(2 ** (two_point + (1 if block else 0)), budget, "JointTables")
-    cells, d = extremal_pair_cells(channel.universe, s_num, s_den, block,
-                                   eta, tgt)
+def _table_max_mi(channel, tgt, budget, table, d):
+    """max_mi about tgt of the prior whose support is (table, d), an
+    extremal construction's table, read off its support_cells after the
+    table's size, the prior's support size, is charged to the JointTables
+    budget, as max_mi on the prior charges."""
+    check_budget(len(table), budget, "JointTables")
+    cells, d = support_cells(channel.universe, table, d, tgt)
     t = JointTables.from_cells(cells, channel._row_views, channel.outcomes, d)
     return max_mi(None, None, None, tables=t)
 
@@ -297,7 +295,8 @@ def _measure_pair(channel, family, tgt, budget, s_num, s_den, block, eta):
     if extremal_pair_violations(channel.universe, family, s_num, s_den, block,
                                 eta):
         return None, desc
-    return _pair_max_mi(channel, tgt, budget, s_num, s_den, block, eta), desc
+    table, d = extremal_pair_table(channel.universe, s_num, s_den, block, eta)
+    return _table_max_mi(channel, tgt, budget, table, d), desc
 
 
 def _pdelta_classes(channel, family, tgt, budget):
@@ -339,56 +338,50 @@ def _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den):
     }
 
 
-def _measure_pdelta(channel, family, tgt, budget, eta, branches, supports,
+def _measure_pdelta(channel, family, tgt, budget, eta, branches, admitted,
                     x_num, x_den, comp_shared, comp_num, comp_den):
     """(max_mi of the shared/private-complement prior, description) for an
     admitted candidate, (None, description) for a filtered one, read off its
     extremal_pdelta_table (branches is pdelta_branches(family.exp_delta,
-    eta)) without building the prior; its support, the table's size, is
-    charged to the JointTables budget.
+    eta)) by _table_max_mi without building the prior.
 
-    supports memoizes, per equality pattern of the complements, None for
-    a filtered candidate and the support size of an admitted one; the
-    first candidate of a pattern hands its table's items, at the prior's
-    masses, to _layout_violations. The pattern is, per other individual,
-    which of its shared, numerator and denominator symbols are equal. Two
-    candidates of one search with the same pattern differ by a relabelling
-    of each individual's alphabet (any two pairs of distinct target
-    records, and any two symbol triples with the same equalities, are
-    related by a permutation of the alphabet). Such a relabelling keeps the
-    table's items in branch order, which branches merge and so every mass,
-    and only renames the symbols of their sequences, the records whose
-    marginal and conditional masses sigma and the band read: sigma is a
-    minimum over unordered record pairs of an overlap symmetric in the
-    pair, the band tests every record of the alphabet alike, and the block
-    is always all n individuals. On floats the bits stay the same too: a
-    record pair's two conditionals split at most four items, so an overlap
-    sums at most two terms, and every marginal sums the items in table
-    order. So the verdict and the support depend on the pattern alone.
+    admitted memoizes, per equality pattern of the complements, whether its
+    candidates are family members; the first candidate of a pattern hands
+    its table's items, at the prior's masses, to _layout_violations. The
+    pattern is, per other individual, which of its shared, numerator and
+    denominator symbols are equal. Two candidates of one search with the
+    same pattern differ by a relabelling of each individual's alphabet (any
+    two pairs of distinct target records, and any two symbol triples with
+    the same equalities, are related by a permutation of the alphabet).
+    Such a relabelling keeps the table's items in branch order, which
+    branches merge and so every mass, and only renames the symbols of their
+    sequences, the records whose marginal and conditional masses sigma and
+    the band read: sigma is a minimum over unordered record pairs of an
+    overlap symmetric in the pair, the band tests every record of the
+    alphabet alike, and the block is always all n individuals. On floats
+    the bits stay the same too: a record pair's two conditionals split at
+    most four items, so an overlap sums at most two terms, and every
+    marginal sums the items in table order. So the verdict depends on the
+    pattern alone.
     """
     desc = _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den)
     pattern = tuple(zip(map(operator.eq, comp_shared, comp_num),
                         map(operator.eq, comp_shared, comp_den),
                         map(operator.eq, comp_num, comp_den)))
-    if pattern in supports and supports[pattern] is None:
+    if admitted.get(pattern) is False:
         # A filtered pattern: no table is built.
         return None, desc
     u = channel.universe
     table, d = extremal_pdelta_table(u, tgt[0], x_num, x_den, comp_shared,
                                      comp_num, comp_den, branches)
-    if pattern not in supports:
+    if pattern not in admitted:
         masses = (table if d is None
                   else {seq: Fraction(a, d) for seq, a in table.items()})
-        violations = _layout_violations(u, family, [tuple(range(u.n))],
-                                        [masses.items()])
-        supports[pattern] = None if violations else len(table)
-    support = supports[pattern]
-    if support is None:
-        return None, desc
-    check_budget(support, budget, "JointTables")
-    cells, d = extremal_pdelta_cells(u, table, d, tgt)
-    t = JointTables.from_cells(cells, channel._row_views, channel.outcomes, d)
-    return max_mi(None, None, None, tables=t), desc
+        admitted[pattern] = not _layout_violations(
+            u, family, [tuple(range(u.n))], [masses.items()])
+        if not admitted[pattern]:
+            return None, desc
+    return _table_max_mi(channel, tgt, budget, table, d), desc
 
 
 def _extremal_classes(channel, family, tgt, eta, budget):
@@ -436,12 +429,47 @@ def _check_largest_sample(channel, family, tgt, budget, rng, q, blocks,
             "rebuild to the member that was measured")
 
 
+def _sampled_members(channel, family, tgt, rng, samples, budget):
+    """(max_mi, description) of each of samples seeded draws from the
+    family, or (None, None) for a rejected draw, measured from the draw's
+    masses; once the draws are done, the largest member is rebuilt as a
+    prior and checked (_check_largest_sample)."""
+    # One plan per block layout and set of positive cells (a band mass can
+    # underflow to 0.0) measures its members from their positive masses.
+    # The largest member (the first to reach the sampled maximum) is kept
+    # with the last checkpoint before its draw.
+    u = channel.universe
+    plans = {}
+    top = None
+    for j in range(samples):
+        if j % _CHECKPOINT_DRAWS == 0:
+            checkpoint = rng.getstate()
+        drawn = draw_member(u, family, rng)
+        if drawn is None:
+            yield None, None
+            continue
+        blocks, masses = drawn
+        keep = tuple(tuple(p > 0 for p in ms) for ms in masses)
+        check_budget(math.prod(map(sum, keep)), budget, "JointTables")
+        plan = plans.get((blocks, keep))
+        if plan is None:
+            plan = plans[blocks, keep] = MaxMiPlan(blocks, channel, tgt, [
+                list(itertools.compress(block_cells(u, b), ks))
+                for b, ks in zip(blocks, keep)])
+        q = plan.max_mi_masses([[p for p in ms if p > 0] for ms in masses])
+        yield q, {"kind": "sampled_member",
+                  "blocks": [list(b) for b in blocks]}
+        if top is None or q.ratio > top[0].ratio:
+            top = (q, blocks, checkpoint, j % _CHECKPOINT_DRAWS)
+    if top is not None:
+        _check_largest_sample(channel, family, tgt, budget, rng, *top)
+
+
 def worstcase_sup(
     channel: Channel,
     family: FamilyParams,
     target,
     *,
-    strategies: Sequence[str] = ("extremal", "sampled"),
     rng: Optional[random.Random] = None,
     samples: int = 1000,
     eta: Prob = DEFAULT_ETA,
@@ -449,18 +477,16 @@ def worstcase_sup(
 ) -> SupResult:
     """Search the family for the largest exp(max_mi) about the target.
 
-    The extremal strategy enumerates the theorem-backed worst-case
+    The extremal half enumerates the theorem-backed worst-case
     constructions, filters them by family membership, and runs the real
     measurement on each (no shortcut through the row scan, so agreement
-    between the two routes is a genuine cross-check). The sampled strategy
-    draws seeded random members and measures them from their masses; the
-    largest is rebuilt as a prior and checked. If a sample ever beats every
-    extremal candidate the result is demoted to inconclusive, because that
-    would mean the extremal list missed the worst case.
+    between the two routes is a genuine cross-check). The sampled half
+    draws samples seeded random members and measures them from their
+    masses; the largest is rebuilt as a prior and checked; samples = 0
+    runs the extremal half alone. If a sample ever beats every extremal
+    candidate the result is demoted to inconclusive, because that would
+    mean the extremal list missed the worst case.
     """
-    for s in strategies:
-        if s not in ("extremal", "sampled"):
-            raise AuditError(f"unknown strategy {s!r}")
     tgt = normalize_target(channel.universe.n, target)
     best = None
     best_wit = None
@@ -478,55 +504,27 @@ def worstcase_sup(
             best_wit["leak"] = q.witness
             best_wit["origin"] = origin
 
-    extremal_best = None
-    if "extremal" in strategies:
-        # Each symmetry class is measured once and counts all its members.
-        for count, q, desc in _extremal_classes(channel, family, tgt, eta,
-                                                budget):
-            if q is None:
-                evaluated["filtered_candidates"] += count
-            else:
-                consider(q, desc, "extremal", count)
-        extremal_best = best
-        if evaluated["extremal"] == 0:
-            notes.append(
-                "no admissible extremal construction for this family"
-            )
+    # Each symmetry class is measured once and counts all its members.
+    for count, q, desc in _extremal_classes(channel, family, tgt, eta,
+                                            budget):
+        if q is None:
+            evaluated["filtered_candidates"] += count
+        else:
+            consider(q, desc, "extremal", count)
+    extremal_best = best
+    if evaluated["extremal"] == 0:
+        notes.append("no admissible extremal construction for this family")
 
-    if "sampled" in strategies and samples > 0:
+    if samples > 0:
         if rng is None:
             rng = random.Random(0)
             notes.append("no rng given; sampled strategy seeded with 0")
-        # One plan per block layout and set of positive cells (a band mass
-        # can underflow to 0.0) measures its members from their positive
-        # masses. The largest member (the first to reach the sampled
-        # maximum) is kept with the last checkpoint before its draw.
-        u = channel.universe
-        plans = {}
-        top = None
-        for j in range(samples):
-            if j % _CHECKPOINT_DRAWS == 0:
-                checkpoint = rng.getstate()
-            drawn = draw_member(u, family, rng)
-            if drawn is None:
+        for q, desc in _sampled_members(channel, family, tgt, rng, samples,
+                                        budget):
+            if q is None:
                 evaluated["rejected_samples"] += 1
-                continue
-            blocks, masses = drawn
-            keep = tuple(tuple(p > 0 for p in ms) for ms in masses)
-            check_budget(math.prod(map(sum, keep)), budget, "JointTables")
-            desc = {"kind": "sampled_member",
-                    "blocks": [list(b) for b in blocks]}
-            plan = plans.get((blocks, keep))
-            if plan is None:
-                plan = plans[blocks, keep] = MaxMiPlan(blocks, channel, tgt, [
-                    list(itertools.compress(block_cells(u, b), ks))
-                    for b, ks in zip(blocks, keep)])
-            q = plan.max_mi_masses([[p for p in ms if p > 0] for ms in masses])
-            consider(q, desc, "sampled")
-            if top is None or q.ratio > top[0].ratio:
-                top = (q, blocks, checkpoint, j % _CHECKPOINT_DRAWS)
-        if top is not None:
-            _check_largest_sample(channel, family, tgt, budget, rng, *top)
+            else:
+                consider(q, desc, "sampled")
 
     if best is None:
         return SupResult(
@@ -538,12 +536,10 @@ def worstcase_sup(
             conclusive=False,
         )
 
-    conclusive = "extremal" in strategies and evaluated["extremal"] > 0
+    conclusive = evaluated["extremal"] > 0
     if (
         conclusive
-        and best_wit is not None
-        and best_wit.get("origin") == "sampled"
-        and extremal_best is not None
+        and best_wit["origin"] == "sampled"
         and float_or_inf(best) > float_or_inf(extremal_best) * (1 + 1e-12)
     ):
         conclusive = False
@@ -647,8 +643,8 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
     s_num, s_den = found
     diff = tuple(i for i in range(u.n) if s_num[i] != s_den[i])
     target = diff[0]
-    achieved = _pair_max_mi(channel, (target,), budget, s_num, s_den, diff,
-                            eta).ratio
+    table, d = extremal_pair_table(u, s_num, s_den, diff, eta)
+    achieved = _table_max_mi(channel, (target,), budget, table, d).ratio
     notes = ()
     if is_inf(scan.ratio):
         if is_inf(achieved):
@@ -665,11 +661,8 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
     elif is_inf(achieved):
         attained = False
     else:
-        try:
-            a, r, t = float(achieved), float(scan.ratio), TOL
-        except OverflowError:
-            a, r, t = Fraction(achieved), Fraction(scan.ratio), Fraction(TOL)
-        attained = abs(a - r) <= t * max(1.0, abs(r))
+        a, r, slack = tolerance_terms(achieved, scan.ratio)
+        attained = abs(a - r) <= slack
     return TightnessResult(
         scan=scan,
         achieved_ratio=achieved,
@@ -719,7 +712,6 @@ def bound_pdelta(
     epsilon=None,
     exp_eps_step=None,
     target=0,
-    strategies: Sequence[str] = ("extremal", "sampled"),
     rng: Optional[random.Random] = None,
     samples: int = 1000,
     eta: Prob = DEFAULT_ETA,
@@ -742,6 +734,7 @@ def bound_pdelta(
         step = parse_probability(exp_eps_step, allow_unit_excess=True)
     else:
         eps = _number(epsilon, "epsilon")
+    tgt = normalize_target(channel.universe.n, target)
     # The bound raises the per-step level to the k-th power exactly. Input
     # errors win over budget errors, and eps / k waits for the charge.
     check_budget(k, budget, "interpolated_bound")
@@ -754,11 +747,8 @@ def bound_pdelta(
             f"exceeds per-step bound {float_or_inf(step)!r}"
         )
     family = FamilyParams(k=k, exp_delta=exp_delta)
-    sup = worstcase_sup(
-        channel, family, target,
-        strategies=strategies, rng=rng, samples=samples,
-        eta=eta, budget=budget,
-    )
+    sup = worstcase_sup(channel, family, tgt, rng=rng, samples=samples,
+                        eta=eta, budget=budget)
     bound = interpolated_bound(step, k, exp_delta)
     notes = list(sup.notes)
     if exp_delta == 0:
@@ -934,7 +924,7 @@ def sufficient_nk(
         raise AuditError(
             "k must be between 1 and n-1; at k = n use the unaveraged scan"
         )
-    if tau < 0:
+    if not tau >= 0:
         raise AuditError("tau must be nonnegative")
     bound = _parse_bound(epsilon, exp_epsilon)
 
@@ -954,14 +944,10 @@ def sufficient_nk(
             total = sum(w.values())
             if abs(float(total) - 1.0) > TOL:
                 raise AuditError(f"marginal for individual {j} does not normalize")
-            m = len(alpha)
-            lo = math.exp(-tau) / m - TOL
-            hi = exp_or_inf(tau) / m + TOL
-            for sym, p in w.items():
-                if float(p) < lo or float(p) > hi:
-                    raise AuditError(
-                        f"marginal for individual {j} leaves the band at {sym!r}"
-                    )
+            # The band test of uniformity_band, whose TOL is on p * |alpha|.
+            marginal = {(sym,): p for sym, p in w.items()}
+            if not _band_members([alpha], tau, lambda _: marginal):
+                raise AuditError(f"marginal for individual {j} leaves the band")
             supplied[j] = w
         notes.append("evaluated at the supplied in-band marginals")
     elif tau > 0:
@@ -1074,7 +1060,6 @@ def group_certify(
     *,
     epsilon=None,
     exp_epsilon=None,
-    strategies: Sequence[str] = ("extremal", "sampled"),
     rng: Optional[random.Random] = None,
     samples: int = 500,
     eta: Prob = DEFAULT_ETA,
@@ -1103,11 +1088,8 @@ def group_certify(
     bound_mid: Prob = _power(bound_unit, hops)
     bound_full: Prob = _power(bound_unit, s)
     family = FamilyParams(k=k)
-    sup = worstcase_sup(
-        channel, family, tgt,
-        strategies=strategies, rng=rng, samples=samples,
-        eta=eta, budget=budget,
-    )
+    sup = worstcase_sup(channel, family, tgt, rng=rng, samples=samples,
+                        eta=eta, budget=budget)
     chain_ok = leq_with_tol(sup.ratio, bound_mid) and leq_with_tol(
         bound_mid, bound_full
     )

@@ -7,13 +7,13 @@ are mutually independent. This covers everything from fully independent
 adversaries to a fully dependent joint (one block containing everyone).
 
 The worst-case search measures candidates without building their priors:
-draw_member hands out a sampled member's layout and masses,
-extremal_pair_cells and extremal_pair_violations a pair construction's
-(records key, histogram) cells and its family membership, and
-extremal_pdelta_table a shared/private-complement construction's one table,
-which extremal_pdelta_cells groups into cells and _layout_violations reads
-for membership, as it reads a draw's layout. tightness_pk measures its
-witness pair through extremal_pair_cells too.
+draw_member hands out a sampled member's layout and masses, and each
+extremal construction gives its support as one table, extremal_pair_table
+for a near-point-mass pair and extremal_pdelta_table for a shared/private
+complement, which support_cells groups into (records key, histogram) cells.
+Membership is read off the layout by extremal_pair_violations for a pair,
+and off the table by _layout_violations for a complement, as it reads a
+draw's layout. tightness_pk measures its witness pair from its table too.
 """
 
 from __future__ import annotations
@@ -560,14 +560,14 @@ class FamilyParams:
         for name, value in vars(self).items():
             if isinstance(value, bool):
                 raise PriorError(f"{name} must be a number, got {value!r}")
-        if self.k is not None and self.k < 1:
+        # Negated ranges: NaN fails every comparison, so it is rejected.
+        if self.k is not None and not self.k >= 1:
             raise PriorError("k must be at least 1")
-        if self.exp_delta is not None:
-            if self.exp_delta < 0 or self.exp_delta > 1:
-                raise PriorError("exp_delta must be in [0, 1]")
-        if self.ell is not None and self.ell < 0:
+        if self.exp_delta is not None and not 0 <= self.exp_delta <= 1:
+            raise PriorError("exp_delta must be in [0, 1]")
+        if self.ell is not None and not self.ell >= 0:
             raise PriorError("ell must be nonnegative")
-        if self.tau is not None and float_or_inf(self.tau) < 0:
+        if self.tau is not None and not float_or_inf(self.tau) >= 0:
             raise PriorError("tau must be nonnegative")
 
     @classmethod
@@ -914,34 +914,29 @@ def extremal_pair_violations(universe: RecordUniverse, family: FamilyParams,
                                  1 if size > 1 else 0, count)
 
 
-def extremal_pair_cells(universe: RecordUniverse, seq_num, seq_den, block,
-                        eta, target):
-    """histogram_cells(extremal_pair_prior(universe, seq_num, seq_den,
-    block=block, eta=eta), target), read off the two sequences without
-    building the prior.
+def extremal_pair_table(universe: RecordUniverse, seq_num, seq_den, block,
+                        eta):
+    """(table, d): the support of extremal_pair_prior(universe, seq_num,
+    seq_den, block=block, eta=eta) as one table, read off the two sequences
+    without building the prior.
 
     The prior's two-point tables are the dependent block's and the other
     differing coordinates' singletons, each giving eta to its numerator
-    cell and 1 - eta to its denominator cell; the point masses give 1. When
-    every two-point block holds a target coordinate, its two cells differ
-    in their target records, so no two of the 2^m support sequences share a
-    (records key, histogram) cell: the cells are those sequences in product
-    order over the two-point blocks in block order, numerator branch first.
-    A Fraction eta = p/q gives each its integer numerator over d = q^m; a
-    float eta gives the float product of its blocks' masses, in block
-    order, and d = None.
+    cell and 1 - eta to its denominator cell; the point masses give 1. The
+    table maps its 2^m support sequences, in product order over the
+    two-point blocks in block order, numerator branch first, to their
+    masses: a Fraction eta = p/q gives each its integer numerator over
+    d = q^m; a float eta gives the float product of its blocks' masses, in
+    block order, and d = None.
     """
     _check_eta(eta)
     diff = [i for i, (a, b) in enumerate(zip(seq_num, seq_den)) if a != b]
     block = tuple(sorted(set(block)))
+    if not diff or not set(block) <= set(diff):
+        raise PriorError("the pair's sequences must differ, and on every "
+                         "coordinate of the dependent block")
     groups = sorted(([block] if block else [])
                     + [(i,) for i in diff if i not in block])
-    idx = sorted(set(target))
-    if (not diff or not set(block) <= set(diff)
-            or any(set(g).isdisjoint(idx) for g in groups)):
-        raise PriorError("the pair's sequences must differ, on every "
-                         "coordinate of the dependent block, and every "
-                         "two-point block must hold a target coordinate")
     if isinstance(eta, Fraction):
         branch = (eta.numerator, eta.denominator - eta.numerator)
         d = eta.denominator ** len(groups)
@@ -951,15 +946,16 @@ def extremal_pair_cells(universe: RecordUniverse, seq_num, seq_den, block,
     masses = [1]
     for _ in groups:
         masses = [m * b for m in masses for b in branch]
-    sequences = []
-    for choice in itertools.product((False, True), repeat=len(groups)):
+    table = {}
+    for choice, m in zip(
+            itertools.product((False, True), repeat=len(groups)), masses):
         seq = list(seq_num)
         for g, den in zip(groups, choice):
             if den:
                 for i in g:
                     seq[i] = seq_den[i]
-        sequences.append(seq)
-    return _weighted_cells(universe, zip(sequences, masses), idx), d
+        table[tuple(seq)] = m
+    return table, d
 
 
 def extremal_pdelta_prior(
@@ -983,8 +979,6 @@ def extremal_pdelta_prior(
     1 - exp_delta when the two private complements differ, which is a family
     member exactly when exp_delta >= 1/2.
     """
-    if not (0 <= i < universe.n):
-        raise PriorError(f"target {i} out of range")
     table, d = extremal_pdelta_table(universe, i, x_num, x_den, comp_shared,
                                      comp_num, comp_den,
                                      pdelta_branches(exp_delta, eta))
@@ -1043,29 +1037,25 @@ def extremal_pdelta_table(universe: RecordUniverse, i, x_num, x_den,
     return table, d
 
 
-def extremal_pdelta_cells(universe: RecordUniverse, table, d, target):
-    """histogram_cells(extremal_pdelta_prior(...), target) of the prior
-    holding (table, d) = extremal_pdelta_table(...): the table's sequences
-    merged by (the target's records, histogram) in table order, integer
+def support_cells(universe: RecordUniverse, table, d, target):
+    """histogram_cells(prior, target) of the prior whose support is
+    (table, d), as extremal_pair_table and extremal_pdelta_table give it:
+    the table's sequences merged by (the target's records, histogram) in
+    table order, each cell's mass summed from its first term, integer
     numerators over d reduced by their gcd with d, as the prior keeps them.
     """
     items = table.items()
     if d is not None:
         g = math.gcd(d, *table.values())
-        items = [(seq, a // g) for seq, a in items]
-        d //= g
-    return _weighted_cells(universe, items, sorted(set(target))), d
-
-
-def _weighted_cells(universe: RecordUniverse, weighted, idx):
-    """The ((records key, histogram), mass) cells of (sequence, mass) items,
-    summed from their first term by (records at the sorted indices idx,
-    histogram code) in order of first appearance."""
+        if g > 1:
+            items = [(seq, a // g) for seq, a in items]
+            d //= g
+    idx = sorted(set(target))
     weight = universe.code_weights
     cells = {}
-    for seq, a in weighted:
+    for seq, a in items:
         key = (tuple(seq[j] for j in idx), sum(weight[s] for s in seq))
         old = cells.get(key)
         cells[key] = a if old is None else old + a
     decode = universe.decode_histogram
-    return [((rec, decode(code)), a) for (rec, code), a in cells.items()]
+    return [((rec, decode(code)), a) for (rec, code), a in cells.items()], d

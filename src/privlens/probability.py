@@ -106,15 +106,26 @@ def is_inf(value) -> bool:
     return isinstance(value, float) and math.isinf(value)
 
 
+def tolerance_terms(a, b):
+    """(a, b, slack) for comparing finite a with b within TOL relative to
+    b: the floats of a and b and TOL * max(1, |b|), or, when a side is
+    beyond the float range, the exact values and the exact slack."""
+    try:
+        a, b, tol = float(a), float(b), TOL
+    except OverflowError:
+        a, b, tol = Fraction(a), Fraction(b), Fraction(TOL)
+    return a, b, tol * max(1, abs(b))
+
+
 def ratios_agree(a, b) -> bool:
     """Exact equality on two Fractions, equality on infinities, otherwise
-    agreement within TOL relative to b."""
+    agreement within TOL relative to b (tolerance_terms)."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
     if is_inf(a) or is_inf(b):
         return a == b
-    fa, fb = float(a), float(b)
-    return abs(fa - fb) <= TOL * max(1.0, abs(fb))
+    fa, fb, slack = tolerance_terms(a, b)
+    return abs(fa - fb) <= slack
 
 
 def scale_to_integers(values):

@@ -702,9 +702,8 @@ def _measure_built(build, channel, family, tgt, budget):
     return max_mi(prior, channel, tgt, budget), desc
 
 
-def worstcase_sup(channel, family, target, *,
-                  strategies=("extremal", "sampled"), rng=None,
-                  samples=1000, eta=DEFAULT_ETA, budget=None):
+def worstcase_sup(channel, family, target, *, rng=None, samples=1000,
+                  eta=DEFAULT_ETA, budget=None):
     """worstcase_sup without symmetry classes: the candidate keys are
     ignored and each candidate is a prior of its own, filtered by
     check_membership and measured by max_mi (_measure_built); sampled
@@ -726,25 +725,21 @@ def worstcase_sup(channel, family, target, *,
             best_wit["leak"] = q.witness
             best_wit["origin"] = origin
 
-    extremal_best = None
-    if "extremal" in strategies:
-        candidates = itertools.chain(
-            _extremal_pair_candidates(channel, family, tgt, eta, budget),
-            _extremal_pdelta_candidates(channel, family, tgt, eta, budget),
-        )
-        for _, build in candidates:
-            q, desc = _measure_built(build, channel, family, tgt, budget)
-            if q is None:
-                evaluated["filtered_candidates"] += 1
-                continue
-            consider(q, desc, "extremal")
-        extremal_best = best
-        if evaluated["extremal"] == 0:
-            notes.append(
-                "no admissible extremal construction for this family"
-            )
+    candidates = itertools.chain(
+        _extremal_pair_candidates(channel, family, tgt, eta, budget),
+        _extremal_pdelta_candidates(channel, family, tgt, eta, budget),
+    )
+    for _, build in candidates:
+        q, desc = _measure_built(build, channel, family, tgt, budget)
+        if q is None:
+            evaluated["filtered_candidates"] += 1
+            continue
+        consider(q, desc, "extremal")
+    extremal_best = best
+    if evaluated["extremal"] == 0:
+        notes.append("no admissible extremal construction for this family")
 
-    if "sampled" in strategies and samples > 0:
+    if samples > 0:
         if rng is None:
             rng = random.Random(0)
             notes.append("no rng given; sampled strategy seeded with 0")
@@ -764,7 +759,7 @@ def worstcase_sup(channel, family, target, *,
             notes=tuple(notes + ["no prior evaluated; sup is vacuous"]),
             conclusive=False,
         )
-    conclusive = "extremal" in strategies and evaluated["extremal"] > 0
+    conclusive = evaluated["extremal"] > 0
     if (
         conclusive
         and best_wit is not None

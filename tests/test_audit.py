@@ -25,6 +25,7 @@ from privlens import (
     sufficient_nk,
     tightness_pk,
     uniform_universe,
+    uniformity_band,
     worstcase_sup,
 )
 
@@ -91,7 +92,7 @@ def test_certify_pk_argument_errors():
 
 def test_worstcase_sup_reaches_the_one_change_level():
     ch = geo_third()
-    sup = worstcase_sup(ch, FamilyParams(k=1), 0, strategies=("extremal",))
+    sup = worstcase_sup(ch, FamilyParams(k=1), 0, samples=0)
     assert sup.conclusive
     assert abs(float(sup.ratio) - 3.0) < 1e-9
     assert sup.witness["origin"] == "extremal"
@@ -99,7 +100,7 @@ def test_worstcase_sup_reaches_the_one_change_level():
 
 def test_worstcase_sup_block_budget_unlocks_longer_moves():
     ch = geo_third()
-    sup = worstcase_sup(ch, FamilyParams(k=2), 0, strategies=("extremal",))
+    sup = worstcase_sup(ch, FamilyParams(k=2), 0, samples=0)
     assert abs(float(sup.ratio) - 9.0) < 1e-6
 
 
@@ -110,9 +111,7 @@ def test_worstcase_sup_agrees_with_the_row_scan():
         ch = random_channel(rng, u)
         per_target = []
         for i in range(u.n):
-            sup = worstcase_sup(
-                ch, FamilyParams(k=1), i, strategies=("extremal",)
-            )
+            sup = worstcase_sup(ch, FamilyParams(k=1), i, samples=0)
             per_target.append(sup.nats)
         dp = dp_epsilon(ch)
         assert abs(max(per_target) - dp.nats) < 1e-6
@@ -124,7 +123,6 @@ def test_worstcase_sup_sampling_never_beats_extremal():
         ch,
         FamilyParams(k=1),
         0,
-        strategies=("extremal", "sampled"),
         rng=random.Random(1),
         samples=200,
     )
@@ -134,10 +132,12 @@ def test_worstcase_sup_sampling_never_beats_extremal():
 
 
 def test_worstcase_sup_sampled_only_is_inconclusive():
+    # The band puts every near-point-mass pair out of the family, so only
+    # sampled members are measured.
     ch = geo_third()
-    sup = worstcase_sup(
-        ch, FamilyParams(k=1), 0, strategies=("sampled",), samples=20
-    )
+    sup = worstcase_sup(ch, FamilyParams(k=1, ell=2, tau=0.0), 0, samples=20)
+    assert sup.evaluated["extremal"] == 0
+    assert sup.evaluated["sampled"] == 20
     assert not sup.conclusive
     assert any("seeded with 0" in n for n in sup.notes)
 
@@ -157,11 +157,6 @@ def test_worstcase_sup_is_deterministic_per_seed():
     assert runs[0].ratio == runs[1].ratio
     assert runs[0].witness == runs[1].witness
     assert runs[0].evaluated == runs[1].evaluated
-
-
-def test_worstcase_sup_rejects_unknown_strategy():
-    with pytest.raises(AuditError):
-        worstcase_sup(geo_third(), FamilyParams(), 0, strategies=("magic",))
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +237,13 @@ def test_bound_pdelta_on_the_geometric_fixture():
 def test_bound_pdelta_endpoints_collapse():
     lo = bound_pdelta(
         geo_third(), 2, exp_delta=Fraction(0), exp_eps_step=Fraction(3),
-        strategies=("extremal",), samples=0,
+        samples=0,
     )
     assert lo.bound_ratio == 3
     assert any("per-step level" in n for n in lo.notes)
     hi = bound_pdelta(
         geo_third(), 2, exp_delta=Fraction(1), exp_eps_step=Fraction(3),
-        strategies=("extremal",), samples=0,
+        samples=0,
     )
     assert hi.bound_ratio == 9
     assert any("k-step level" in n for n in hi.notes)
@@ -444,6 +439,20 @@ def test_sufficient_nk_supplied_marginals():
             ch, 1, exp_epsilon=Fraction(100), tau=tau,
             marginals={1: {BOT: 0.9, "a": 0.2}},
         )
+
+
+def test_sufficient_nk_validates_marginals_with_the_band_test():
+    # TOL applies to p * |alphabet|, as in uniformity_band: this marginal
+    # is within TOL of uniform in each mass but leaves the tau = 0 band.
+    u = uniform_universe(3, (BOT, "a", "b"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
+    near = {BOT: 1 / 3 + 4e-10, "a": 1 / 3 + 4e-10, "b": 1 / 3 - 8e-10}
+    assert uniformity_band(independent_prior(u, [near] * 3), 0.0) == (0, ())
+    with pytest.raises(AuditError, match="leaves the band"):
+        sufficient_nk(ch, 1, exp_epsilon=Fraction(100), tau=0.0,
+                      marginals={1: near})
+    with pytest.raises(AuditError, match="tau must be nonnegative"):
+        sufficient_nk(ch, 1, exp_epsilon=Fraction(100), tau=math.nan)
 
 
 def test_sufficient_nk_rejects_out_of_range_k():

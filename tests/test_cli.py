@@ -1002,7 +1002,9 @@ def test_huge_interpolated_k_is_charged_to_the_budget(tmp_path):
     ({"exp_delta": "nope"}, "nope"),
     ({"exp_eps_step": "nope"}, "nope"),
     ({"exp_eps_step": None, "epsilon": "x"}, "epsilon must be a number"),
-], ids=["exp_delta", "exp_eps_step", "epsilon"])
+    ({"target": "x"}, "target must be an individual index"),
+    ({"target": 7}, "target 7 out of range for n=2"),
+], ids=["exp_delta", "exp_eps_step", "epsilon", "target=x", "target=7"])
 def test_interpolated_inputs_are_read_before_k_is_charged(
         tmp_path, bad, message):
     # Input errors win over budget errors: k = 50 exceeds the budget of 10.
@@ -1154,6 +1156,20 @@ def test_malformed_shared_objects_exit_4_with_one_line(tmp_path, patch):
     code, out, err = invoke(["validate", path])
     assert (code, out) == (4, ""), err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family, message", [
+    ({"k": 1, "exp_delta": math.nan}, "exp_delta must be in [0, 1]"),
+    ({"k": 1, "ell": 1, "tau": math.nan}, "tau must be nonnegative"),
+], ids=["exp_delta", "tau"])
+def test_nan_family_parameters_are_input_errors(tmp_path, family, message):
+    # JSON NaN reads as a float NaN; the family rejects it before any work.
+    bound = {"kind": "worstcase", "mechanism": "geo", "target": 0,
+             "family": family}
+    for command, scn in (("bound", base_scenario(bound=bound)),
+                         ("validate", base_scenario(family=family))):
+        path = write_scenario(tmp_path, scn)
+        assert invoke([command, path]) == (4, "", f"error: {message}\n")
 
 
 def test_scalars_are_read_before_the_universe_is_built(tmp_path):
@@ -1485,7 +1501,7 @@ def test_mutated_compose_scenarios_honour_the_exit_code_contract(tmp_path):
 # leakage with targets and a sweep, over a shared n=3 part whose geometric
 # mechanism is given by epsilon, next to a matrix mechanism; the family
 # gives both delta and exp_delta. Levels, tau and ell are fuzzed with values
-# whose exponentials or powers leave the float range as well.
+# whose exponentials or powers leave the float range as well, and with NaN.
 SECTION_SHARED = {
     "name": "section-demo",
     "universe": {"n": 3, "alphabet": ["BOT", "a"]},
@@ -1532,6 +1548,6 @@ def test_mutated_section_scenarios_honour_the_exit_code_contract(tmp_path):
     # The gate above, on every section kind the demo leaves out.
     _assert_exit_contract(
         tmp_path,
-        _mutants(SECTION_DEMOS, MUTANT_VALUES + [400, 800], 4, 7,
+        _mutants(SECTION_DEMOS, MUTANT_VALUES + [400, 800, math.nan], 4, 7,
                  SECTION_SHARED),
         "--samples", "20")

@@ -68,6 +68,7 @@ from privlens.audit import (
     _measure_pdelta,
     _pair_classes,
     _pdelta_classes,
+    _sampled_members,
     tightness_pk,
 )
 from privlens.leakage import MaxMiPlan
@@ -76,13 +77,13 @@ from privlens.prior import (
     HistogramPlan,
     block_cells,
     draw_member,
-    extremal_pair_cells,
+    extremal_pair_table,
     extremal_pair_violations,
-    extremal_pdelta_cells,
     extremal_pdelta_table,
     histogram_cells,
     layout_prior,
     pdelta_branches,
+    support_cells,
 )
 from gen import random_channel
 
@@ -1274,8 +1275,7 @@ def test_search_charges_its_members_before_it_lists_them():
     u = uniform_universe(12, (BOT, "a", "b"))
     ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
     with pytest.raises(EnumerationBudgetError) as exc:
-        worstcase_sup(ch, FamilyParams(k=1), tuple(range(12)),
-                      strategies=("extremal",))
+        worstcase_sup(ch, FamilyParams(k=1), tuple(range(12)), samples=0)
     assert exc.value.stage == "worstcase_sup"
     assert exc.value.cardinality == 3**12 * (3**12 - 1)
 
@@ -1305,12 +1305,13 @@ def test_search_never_walks_the_sequence_pairs(monkeypatch):
 
 
 def test_pair_cells_and_membership_are_read_off_the_layout():
-    # Over every pair candidate, for a Fraction and a float eta: the cells
-    # read off the two sequences are histogram_cells of the built prior
-    # (keys, masses, d and order); the layout's membership, band included,
-    # is check_membership's; and an admitted candidate charges its 2^m
-    # support sequences to the JointTables budget and measures as max_mi of
-    # the built prior.
+    # Over every pair candidate, for a Fraction and a float eta: the table
+    # read off the two sequences is the built prior's iter_support as
+    # masses over d (sequences, masses and order), and its support_cells
+    # are histogram_cells of the prior (keys, masses, d and order); the
+    # layout's membership, band included, is check_membership's; and an
+    # admitted candidate charges its 2^m support sequences to the
+    # JointTables budget and measures as max_mi of the built prior.
     rng = random.Random(69)
     admitted = filtered = banded = 0
     for ch, family, target, exact_eta in sup_cases(rng):
@@ -1321,8 +1322,11 @@ def test_pair_cells_and_membership_are_read_off_the_layout():
                     ch, family, tgt, None):
                 prior = extremal_pair_prior(u, s_num, s_den, block=block,
                                             eta=eta)
-                assert repr(extremal_pair_cells(u, s_num, s_den, block, eta,
-                                                tgt)) == repr(
+                table, d = extremal_pair_table(u, s_num, s_den, block, eta)
+                assert repr([(seq, a if d is None else Fraction(a, d))
+                             for seq, a in table.items()]) == repr(
+                    list(prior.iter_support())), (u, s_num, s_den, block)
+                assert repr(support_cells(u, table, d, tgt)) == repr(
                     histogram_cells(prior, tgt)), (u, s_num, s_den, block)
                 m = check_membership(prior, family)
                 assert extremal_pair_violations(
@@ -1342,15 +1346,24 @@ def test_pair_cells_and_membership_are_read_off_the_layout():
                 q, _ = measure(support, s_num, s_den, block, eta)
                 assert repr(q) == repr(max_mi(prior, ch, tgt))
     assert admitted > 0 and filtered > 0 and banded > 0
+    # Two-point singletons outside the target share cells, which
+    # support_cells merges as histogram_cells does.
+    u = uniform_universe(3, (BOT, "a"))
+    s_num, s_den, eta = ("a", "a", BOT), (BOT, BOT, "a"), Fraction(1, 3)
+    prior = extremal_pair_prior(u, s_num, s_den, block=(), eta=eta)
+    cells = support_cells(u, *extremal_pair_table(u, s_num, s_den, (), eta),
+                          (0,))
+    assert repr(cells) == repr(histogram_cells(prior, (0,)))
+    assert len(cells[0]) < prior.support_size()
 
 
 def test_pair_read_off_rejects_an_eta_outside_the_unit_interval():
     u = uniform_universe(2, (BOT, "a"))
     s_num, s_den = ("a", BOT), (BOT, BOT)
     for eta in (0, 1, Fraction(3, 2), -0.5):
-        for read in (extremal_pair_cells, extremal_pair_violations):
-            args = ((u, s_num, s_den, (), eta, (0,)) if read is
-                    extremal_pair_cells else
+        for read in (extremal_pair_table, extremal_pair_violations):
+            args = ((u, s_num, s_den, (), eta) if read is
+                    extremal_pair_table else
                     (u, FamilyParams(k=1), s_num, s_den, (), eta))
             with pytest.raises(PriorError, match="eta"):
                 read(*args)
@@ -1416,7 +1429,7 @@ def test_pdelta_cells_are_read_off_the_construction():
                 branches = pdelta_branches(exp_delta, eta)
                 families = (f(exp_delta=exp_delta),
                             f(exp_delta=exp_delta, ell=1, tau=0.7))
-                supports = [{} for _ in families]
+                memos = [{} for _ in families]
                 for _, *layout in oracles._pdelta_layouts(
                         ch, families[0], (i,), None):
                     prior = extremal_pdelta_prior(u, i, *layout, exp_delta,
@@ -1430,13 +1443,13 @@ def test_pdelta_cells_are_read_off_the_construction():
                         seq: a if d is None else Fraction(a, d)
                         for seq, a in table.items()},))
                     for tgt in {(i,), (0, u.n - 1)}:
-                        cells = extremal_pdelta_cells(u, table, d, tgt)
+                        cells = support_cells(u, table, d, tgt)
                         assert repr(cells) == repr(histogram_cells(
                             prior, tgt)), (u, i, layout, exp_delta, eta)
                     seen["merged"] += prior.support_size() < sum(
                         map(bool, branches[0]))
                     seen["reduced"] += cells[1] not in (None, branches[1])
-                    for family, memo in zip(families, supports):
+                    for family, memo in zip(families, memos):
                         m = check_membership(prior, family)
                         seen["banded"] += bool(m.band_count)
 
@@ -1548,7 +1561,7 @@ def test_search_decides_complement_membership_once_per_pattern(monkeypatch):
     classes = {key for key, *_ in oracles._pdelta_layouts(ch, family, (0,),
                                                           None)}
     counted_calls(monkeypatch, calls)
-    sup = worstcase_sup(ch, family, 0, strategies=("extremal",))
+    sup = worstcase_sup(ch, family, 0, samples=0)
     assert sup.evaluated["extremal"] > 0
     assert sup.evaluated["filtered_candidates"] > 0
     assert len(classes) == 2268
@@ -1694,11 +1707,15 @@ def test_sampled_members_charge_their_support_to_the_budget():
     # With k = 1 every member has singleton blocks over {BOT, a, b}.
     u = uniform_universe(3, (BOT, "a", "b"))
     ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
-    run = functools.partial(worstcase_sup, ch, FamilyParams(k=1), 0,
-                            strategies=("sampled",), samples=5)
+
+    def run(budget):
+        return [q for q, _ in _sampled_members(
+            ch, FamilyParams(k=1), (0,), random.Random(0), 5, budget)]
+
     with pytest.raises(EnumerationBudgetError, match="JointTables"):
-        run(rng=random.Random(0), budget=26)
-    assert run(rng=random.Random(0), budget=27).evaluated["sampled"] == 5
+        run(26)
+    got = run(27)
+    assert len(got) == 5 and None not in got
 
 
 def test_draws_match_the_build_and_check_sampler():
@@ -1809,8 +1826,7 @@ def test_largest_member_with_a_zero_mass_is_replayed(monkeypatch):
                               checkpoint, skip)
 
     monkeypatch.setattr(audit_module, "_check_largest_sample", recorded)
-    got, want = (sup(ch, family, 0, strategies=("sampled",),
-                     rng=random.Random(2), samples=20)
+    got, want = (sup(ch, family, 0, rng=random.Random(2), samples=20)
                  for sup in (worstcase_sup, oracles.worstcase_sup))
     assert repr(got) == repr(want)
     [(_, masses)] = replayed

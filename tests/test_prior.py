@@ -332,6 +332,15 @@ def test_family_parameters_are_no_bools(params):
             FamilyParams(**params)
 
 
+@pytest.mark.parametrize("params", [
+    {"k": math.nan}, {"exp_delta": math.nan}, {"delta": math.nan},
+    {"ell": math.nan}, {"tau": math.nan}])
+def test_family_parameters_are_no_nan(params):
+    # NaN fails every comparison, so no range check may pass it.
+    with pytest.raises(PriorError, match="must be"):
+        FamilyParams.of(**params)
+
+
 def test_vacuous_family_admits_everything():
     rng = random.Random(2)
     u = random_universe(rng)

@@ -10,6 +10,7 @@ from privlens import (
     nats_to_bits,
     parse_probability,
     ratio_div,
+    ratios_agree,
 )
 from privlens.probability import entropy_nats
 
@@ -57,6 +58,13 @@ def test_log_ratio_handles_extreme_fractions():
     assert log_ratio(Fraction(0)) == -math.inf
     with pytest.raises(ProbabilityError):
         log_ratio(None)
+
+
+def test_ratios_agree_beyond_the_float_range_on_exact_values():
+    # float() of 10**400 overflows; the exact values decide, as they do in
+    # leq_with_tol.
+    assert not ratios_agree(Fraction(10**400), 2.0)
+    assert ratios_agree(10**400 + 1, Fraction(10**400))
 
 
 def test_nats_to_bits():
