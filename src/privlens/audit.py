@@ -49,6 +49,7 @@ from .probability import (
     exp_or_inf,
     float_or_inf,
     is_inf,
+    left_sum,
     log_ratio,
     parse_probability,
     ratio_div,
@@ -941,7 +942,7 @@ def sufficient_nk(
                 raise AuditError(f"marginal for individual {j} must be a table")
             alpha = u.alphabets[j]
             w = {sym: parse_probability(table.get(sym, 0)) for sym in alpha}
-            total = sum(w.values())
+            total = left_sum(w.values())
             if abs(float(total) - 1.0) > TOL:
                 raise AuditError(f"marginal for individual {j} does not normalize")
             # The band test of uniformity_band, whose TOL is on p * |alpha|.

@@ -28,6 +28,7 @@ from .mechanism import Channel, RowViews
 from .probability import (
     TOL,
     Prob,
+    left_sum,
     log_ratio,
     nats_to_bits,
     ratio_div,
@@ -390,7 +391,7 @@ class MaxMiPlan:
                 raise LeakageError(
                     f"masses of block {b} do not give every planned cell "
                     "a positive mass")
-            total = float(sum(ms))
+            total = float(left_sum(ms))
             if abs(total - 1.0) > TOL:
                 raise LeakageError(
                     f"masses of block {b} sum to {total!r}, expected 1")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -20,6 +21,7 @@ from typing import Dict, Optional, Tuple
 from .probability import (
     TOL,
     Prob,
+    left_sum,
     log_ratio,
     parse_probability,
     ratio_div,
@@ -49,6 +51,45 @@ class _Built(dict):
     def __missing__(self, key):
         value = self[key] = self._build(key)
         return value
+
+
+class FractionRows(Mapping):
+    """Read-only {histogram: row of Fractions} over integer rows
+    {histogram: (numerators, d)}, in their order. A row's Fractions are
+    built on its first read and kept, and equal numerators over one d (a
+    symmetric kernel repeats its entries across rows) share one Fraction.
+    It compares equal to, and prints as, the dict of its rows."""
+
+    def __init__(self, dense):
+        self._dense = dense
+        self._rows = _Built(self._build_row)
+        self._memo = {}
+
+    def _build_row(self, h):
+        nums, d = self._dense[h]
+        memo = self._memo
+        out = []
+        for a in nums:
+            f = memo.get((a, d))
+            if f is None:
+                f = memo[a, d] = Fraction(a, d)
+            out.append(f)
+        return tuple(out)
+
+    def __getitem__(self, h):
+        return self._rows[h]
+
+    def __iter__(self):
+        return iter(self._dense)
+
+    def __len__(self):
+        return len(self._dense)
+
+    def __contains__(self, h):
+        return h in self._dense
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 def _nonzero_views(row):
@@ -95,12 +136,13 @@ class Channel:
     and row normalization within 1e-9, and keeps each row of ints and
     Fractions as its integer numerators over the lcm of its denominators,
     which the ratio scans and joint tables read. from_numerators builds a
-    channel from rows that are integer numerators already.
+    channel from rows that are integer numerators already; its rows are a
+    FractionRows, which builds a row's Fractions when the row is first read.
     """
 
     universe: RecordUniverse
     outcomes: Tuple
-    rows: Dict[Tuple[int, ...], Tuple[Prob, ...]]
+    rows: Mapping[Tuple[int, ...], Tuple[Prob, ...]]
 
     def __post_init__(self):
         # (numerators, d) per histogram; None for a row that holds a float.
@@ -114,25 +156,13 @@ class Channel:
         """The channel whose row at h is numerators / d for each (h,
         (numerators, d)) in dense, with int numerators and a positive int
         d. The checks and messages are the constructor's, made on the
-        integers; each entry then becomes one Fraction, and dense is kept
-        as the channel's integer rows, so no row is scaled again."""
+        integers. dense is kept as the channel's integer rows, so no row is
+        scaled again, and rows reads it as Fractions (FractionRows)."""
         ch = cls.__new__(cls)
         object.__setattr__(ch, "universe", universe)
         object.__setattr__(ch, "outcomes", tuple(outcomes))
         ch._check(dense)
-        # Equal numerators over one d (a symmetric kernel repeats its
-        # entries across rows) share one Fraction.
-        memo = {}
-        rows = {}
-        for h, (nums, d) in dense.items():
-            row = []
-            for a in nums:
-                f = memo.get((a, d))
-                if f is None:
-                    f = memo[a, d] = Fraction(a, d)
-                row.append(f)
-            rows[h] = tuple(row)
-        object.__setattr__(ch, "rows", rows)
+        object.__setattr__(ch, "rows", FractionRows(dense))
         ch._keep(dense)
         return ch
 
@@ -169,7 +199,7 @@ class Channel:
                     f"row {h} has {len(entries)} entries for {len(self.outcomes)} outcomes"
                 )
             if scaled is None:
-                total = sum(entries)
+                total = left_sum(entries)
             else:
                 d = scaled[1]
                 if type(d) is not int or d <= 0:
@@ -271,26 +301,46 @@ def geometric_counting_channel(
             f"max_count {m} is below the largest achievable count {cap}"
         )
 
-    one = Fraction(1)
-
-    def row_for(c: int) -> Tuple[Prob, ...]:
-        if m == 0:
-            return (one,)
-        out = []
-        for j in range(m + 1):
-            if j == 0:
-                out.append(alpha**c / (1 + alpha))
-            elif j == m:
-                out.append(alpha ** (m - c) / (1 + alpha))
-            else:
-                out.append((1 - alpha) / (1 + alpha) * alpha ** abs(j - c))
-        return tuple(out)
-
-    # A row depends on the count alone: one tuple per count, shared.
+    # A row depends on the count alone: one row per count, shared.
     hists = universe.achievable_histograms()
-    by_count = {c: row_for(c) for c in {h[t_idx] for h in hists}}
-    rows = {h: by_count[h[t_idx]] for h in hists}
-    return Channel(universe, tuple(range(m + 1)), rows)
+    counts = {h[t_idx] for h in hists}
+    outcomes = tuple(range(m + 1))
+    if isinstance(alpha, float):
+        by_count = {c: _geometric_float_row(alpha, m, c) for c in counts}
+        return Channel(universe, outcomes,
+                       {h: by_count[h[t_idx]] for h in hists})
+    # alpha = p/q: every entry is an integer over q**m * (q + p), the
+    # masses above times q**m * (q + p).
+    p, q = alpha.numerator, alpha.denominator
+    p_pow = [1]
+    q_pow = [1]
+    for _ in range(m + 1):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
+    d = q_pow[m] * (q + p)
+    inner = [(q - p) * p_pow[e] * q_pow[m - e] for e in range(m)]
+
+    def numerators(c):
+        return (p_pow[c] * q_pow[m - c + 1],
+                *(inner[abs(j - c)] for j in range(1, m)),
+                p_pow[m - c] * q_pow[c + 1])
+
+    by_count = {c: (numerators(c), d) for c in counts}
+    return Channel.from_numerators(universe, outcomes,
+                                   {h: by_count[h[t_idx]] for h in hists})
+
+
+def _geometric_float_row(alpha, m, c):
+    """The row of count c of geometric_counting_channel at a float alpha."""
+    out = []
+    for j in range(m + 1):
+        if j == 0:
+            out.append(alpha**c / (1 + alpha))
+        elif j == m:
+            out.append(alpha ** (m - c) / (1 + alpha))
+        else:
+            out.append((1 - alpha) / (1 + alpha) * alpha ** abs(j - c))
+    return tuple(out)
 
 
 def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
@@ -545,8 +595,9 @@ def _scan_integer(channel: Channel, pairs):
     """(numerator histogram, denominator histogram, outcome index) of the
     first maximal cell on a channel of rational rows, None when no cell is
     comparable. Rows are integer numerators over their own d, so
-    (a/d1)/(b/d2) is a*d2 over b*d1 and each comparison against the best
-    so far, bn/bd, cross-multiplies; no Fraction is built."""
+    (a/d1)/(b/d2) is a*d2 over b*d1, or a over b when d1 == d2, and each
+    comparison against the best so far, bn/bd, cross-multiplies; no
+    Fraction is built."""
     dense = channel._dense
     # -1/1 sits below every ratio, so the first comparable cell wins.
     bn, bd = -1, 1
@@ -554,9 +605,10 @@ def _scan_integer(channel: Channel, pairs):
     for h1, h2 in pairs:
         nums1, d1 = dense[h1]
         nums2, d2 = dense[h2]
-        for j, (a, b) in enumerate(zip(nums1, nums2)):
-            x = a * d2
-            y = b * d1
+        if d1 != d2:
+            nums1 = [a * d2 for a in nums1]
+            nums2 = [b * d1 for b in nums2]
+        for j, (x, y) in enumerate(zip(nums1, nums2)):
             if y:
                 if x * bd > bn * y:
                     bn, bd, wit = x, y, (h1, h2, j)

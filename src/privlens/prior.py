@@ -32,6 +32,7 @@ from .probability import (
     entropy_nats,
     exp_or_inf,
     float_or_inf,
+    left_sum,
     parse_probability,
     scale_to_integers,
 )
@@ -203,7 +204,7 @@ class JointPrior:
     def entropy_nats(self) -> float:
         """Entropy of the full joint; blocks are independent so it is the sum
         of the per-block table entropies."""
-        return sum(entropy_nats(t.values()) for t in self.tables)
+        return left_sum(entropy_nats(t.values()) for t in self.tables)
 
     def describe(self) -> dict:
         return {
@@ -697,7 +698,7 @@ def _dirichlet(rng, m):
     # Uniform on the simplex via normalized exponentials; only rng.random()
     # is used so the stream is stable across Python versions.
     es = [-math.log(max(rng.random(), 1e-300)) for _ in range(m)]
-    s = sum(es)
+    s = left_sum(es)
     return [e / s for e in es]
 
 
@@ -769,7 +770,7 @@ def draw_member(universe: RecordUniverse, family: FamilyParams, rng, *,
                     ws = [Fraction(1, m)] * m
                 else:
                     raw = [math.exp(rng.uniform(-tau, tau)) for _ in range(m)]
-                    s = sum(raw)
+                    s = left_sum(raw)
                     ws = [w / s for w in raw]
             else:
                 ws = _dirichlet(rng, m)

@@ -10,6 +10,7 @@ only at report time.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Union
@@ -29,11 +30,20 @@ class ProbabilityError(ValueError):
     """A value could not be interpreted as a probability."""
 
 
+# The number strings parse_probability reads, one grammar on every Python
+# (Fraction(str) takes underscores from 3.11, spaces around "/" from 3.12
+# and non-ASCII digits everywhere): an optionally signed integer or p/q, or
+# a decimal with an optional exponent, in ASCII digits.
+_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+_DECIMAL = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
 def parse_probability(value, *, allow_unit_excess=False) -> Prob:
     """Parse a JSON-ish value into the tower.
 
     int -> Fraction (exact), float -> float, str -> Fraction (accepts "3/4",
-    "0.25", "1"). Negative values are rejected; values above 1 are rejected
+    "0.25", "1", "2.5e-3", with surrounding whitespace; see _RATIONAL and
+    _DECIMAL). Negative values are rejected; values above 1 are rejected
     unless allow_unit_excess is set (weights and distortion values reuse this
     parser).
     """
@@ -46,8 +56,16 @@ def parse_probability(value, *, allow_unit_excess=False) -> Prob:
             raise ProbabilityError(f"not a finite probability: {value!r}")
         out = value
     elif isinstance(value, str):
+        text = value.strip()
+        rational = _RATIONAL.fullmatch(text)
+        if not (rational or _DECIMAL.fullmatch(text)):
+            raise ProbabilityError(f"cannot parse probability {value!r}")
         try:
-            out = Fraction(value.strip())
+            if rational:
+                num, den = rational.groups()
+                out = Fraction(int(num), int(den or 1))
+            else:
+                out = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ProbabilityError(f"cannot parse probability {value!r}") from exc
     elif isinstance(value, Fraction):
@@ -176,6 +194,16 @@ def nats_to_bits(nats: float) -> float:
     if math.isinf(nats):
         return nats
     return nats / math.log(2.0)
+
+
+def left_sum(values):
+    """The sum of values added left to right from 0, on every Python: from
+    3.12 the builtin sum() of floats is compensated, so its last bits
+    differ from those of 3.10 and 3.11, which add left to right."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def entropy_nats(weights) -> float:

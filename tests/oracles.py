@@ -41,7 +41,7 @@ from privlens import (
     parse_probability,
     ratio_div,
 )
-from privlens.probability import exp_or_inf
+from privlens.probability import exp_or_inf, left_sum
 from privlens.universe import check_budget
 from privlens.audit import (
     _band_corners,
@@ -222,6 +222,35 @@ def equal_epoch_direct(prior, channels, target):
     )
     outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
     return max_mi(None, None, None, tables=tables_from_cells(cells, outcomes))
+
+
+# ---------------------------------------------------------------------------
+# Geometric counting rows, one Fraction (or float) operation per term
+# ---------------------------------------------------------------------------
+
+
+def geometric_counting_rows(universe, target_symbol, ratio, max_count=None):
+    """{histogram: row} of geometric_counting_channel by its mass formulas
+    on the parsed ratio alpha as is: alpha**c / (1 + alpha) at outcome 0,
+    alpha**(m - c) / (1 + alpha) at m, and (1 - alpha) / (1 + alpha) *
+    alpha**|j - c| in between, for the count c of target_symbol."""
+    alpha = parse_probability(ratio, allow_unit_excess=True)
+    t = universe.pooled_alphabet.index(target_symbol)
+    hists = universe.achievable_histograms()
+    m = max(h[t] for h in hists) if max_count is None else max_count
+    rows = {}
+    for h in hists:
+        c = h[t]
+        row = []
+        for j in range(m + 1):
+            if j == 0:
+                row.append(alpha**c / (1 + alpha))
+            elif j == m:
+                row.append(alpha ** (m - c) / (1 + alpha))
+            else:
+                row.append((1 - alpha) / (1 + alpha) * alpha ** abs(j - c))
+        rows[h] = tuple(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +509,7 @@ def table_error(universe, blocks, tables):
 
 def _dirichlet(rng, m):
     es = [-math.log(max(rng.random(), 1e-300)) for _ in range(m)]
-    s = sum(es)
+    s = left_sum(es)
     return [e / s for e in es]
 
 
@@ -526,7 +555,7 @@ def sample_prior(universe, family, rng, *, tries=200):
                     ws = [Fraction(1, m)] * m
                 else:
                     raw = [math.exp(rng.uniform(-tau, tau)) for _ in range(m)]
-                    s = sum(raw)
+                    s = left_sum(raw)
                     ws = [w / s for w in raw]
             else:
                 ws = _dirichlet(rng, m)

@@ -546,6 +546,48 @@ def test_randomized_response_float_keep_keeps_its_bits():
         assert repr(got) == repr(want)
 
 
+def test_geometric_integer_rows_match_the_fraction_oracle():
+    # Mixed alphabets, every count from 0 to the cap, max_count at and above
+    # the cap, several ratios: the same rows (values, types, order) as the
+    # Fraction formulas, one d for every row, and the same scans.
+    rng = random.Random(34)
+    ratios = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 8), Fraction(7, 8),
+              Fraction(1, 9), Fraction(99, 100), "2/7", "0.25")
+    boundary = set()
+    for _ in range(12):
+        while True:
+            u = per_individual_universe(rng, n_max=4)
+            if u.pooled_alphabet:
+                break
+        sym = rng.choice(u.pooled_alphabet)
+        t = u.pooled_alphabet.index(sym)
+        cap = max(h[t] for h in u.achievable_histograms())
+        for ratio in ratios:
+            for max_count in (None, cap, cap + 1, cap + 3):
+                ch = geometric_counting_channel(u, sym, ratio=ratio,
+                                                max_count=max_count)
+                want = oracles.geometric_counting_rows(u, sym, ratio, max_count)
+                assert repr(ch.rows) == repr(want), (u, sym, ratio, max_count)
+                assert len({d for _, d in ch._dense.values()}) == 1
+                m = len(ch.outcomes) - 1
+                boundary |= {(h[t] == 0, h[t] == m) for h in ch.rows}
+            assert_scans_match(ch)
+    assert boundary == {(True, False), (False, True), (False, False)}
+
+
+def test_geometric_float_rows_keep_their_bits():
+    u = RecordUniverse(((BOT, "a"), ("a", "b"), (BOT, "a", "b")))
+    for ratio in (0.3, 0.999):
+        for max_count in (None, 5):
+            ch = geometric_counting_channel(u, "a", ratio=ratio,
+                                            max_count=max_count)
+            want = oracles.geometric_counting_rows(u, "a", ratio, max_count)
+            assert repr(ch.rows) == repr(want)
+    ch = geometric_counting_channel(u, "b", epsilon=0.7)
+    assert repr(ch.rows) == repr(
+        oracles.geometric_counting_rows(u, "b", math.exp(-0.7)))
+
+
 def _mixed_channel(rng, u, ints=False):
     """A rational channel, or with ints a deterministic channel of int
     entries, with one row turned into floats."""
@@ -627,6 +669,48 @@ def test_integer_rows_share_the_constructor_messages():
         with pytest.raises(ChannelError) as exc:
             Channel.from_numerators(u, outcomes, {lo: good, hi: good})
         assert str(exc.value) == message
+
+
+def test_integer_rows_read_as_a_dict_of_fractions():
+    u = uniform_universe(4, (BOT, "a", "b"))
+    keep = Fraction(2, 5)
+    want = oracles.randomized_response_rows(u, keep)
+    hists = u.achievable_histograms()
+    ch = randomized_response_channel(u, keep)
+    rows = ch.rows
+    assert rows._rows == {}
+    assert len(rows) == len(want) and list(rows) == list(want) == list(hists)
+    assert hists[4] in rows and (9, 9) not in rows
+    assert rows[hists[3]] == want[hists[3]]
+    # Only a read builds a row.
+    assert list(rows._rows) == [hists[3]]
+    # A row read twice is one tuple, and equal entries share one Fraction.
+    assert rows[hists[3]] is rows[hists[3]]
+    equal = [(x, y) for x in rows[hists[0]] for y in rows[hists[1]] if x == y]
+    assert equal and all(x is y for x, y in equal)
+    assert ch.row(hists[2]) == want[hists[2]]
+    with pytest.raises(KeyError):
+        rows[(9, 9)]
+    with pytest.raises(ChannelError):
+        ch.row((9, 9))
+    assert rows.get((9, 9)) is None
+    assert dict(rows) == want and rows == want and want == rows
+    assert rows != {**want, hists[0]: want[hists[1]]}
+    assert list(rows.items()) == list(want.items())
+    assert repr(rows) == repr(want)
+    assert ch.describe()["row_count"] == len(want)
+    with pytest.raises(TypeError):
+        rows[hists[0]] = want[hists[0]]
+
+
+def test_a_k_change_certificate_builds_only_the_witness_rows():
+    u = uniform_universe(6, (BOT, "a", "b"))
+    for ch in (randomized_response_channel(u, Fraction(1, 3)),
+               geometric_counting_channel(u, "a", ratio=Fraction(1, 3))):
+        verdict = audit_module.certify_pk(ch, 2, exp_epsilon=10)
+        scan = lipschitz_ratio(ch, 2)
+        assert verdict.measured_ratio == scan.ratio
+        assert set(ch.rows._rows) == {scan.num_hist, scan.den_hist}
 
 
 def _tables_cases():
@@ -999,6 +1083,40 @@ def test_scan_edge_cells_match_the_ratio_div_oracle():
     assert (tie.ratio, tie.num_hist, tie.outcome) == (2, lo, 0)
     inf = lipschitz_ratio(Channel(u, (0, 1, 2), cases["inf"]), 1)
     assert (inf.ratio, inf.num_hist, inf.outcome) == (math.inf, hi, 2)
+
+
+def test_scans_on_shared_and_per_row_denominators_match_the_oracle():
+    # One channel's rows as integers over one shared d, over each row's own
+    # d, and half of each: the same scan as the ratio_div oracle. Small
+    # weights with zeros give ties, positive-over-zero and 0/0 cells.
+    rng = random.Random(63)
+    seen = set()
+    for _ in range(40):
+        u = per_individual_universe(rng, n_max=4)
+        hists = u.achievable_histograms()
+        n_out = rng.randint(1, 5)
+        own = {}
+        for h in hists:
+            weights = [0] * n_out
+            while not any(weights):
+                weights = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n_out)]
+            own[h] = weights, sum(weights)
+        d = math.lcm(*(t for _, t in own.values()))
+        shared = {h: ([w * (d // t) for w in ws], d)
+                  for h, (ws, t) in own.items()}
+        both = {h: (shared if i % 2 else own)[h] for i, h in enumerate(hists)}
+        for dense in (shared, own, both):
+            ch = Channel.from_numerators(u, tuple(range(n_out)), dense)
+            assert_scans_match(ch)
+            cells = [(a, b) for h1, h2 in change_histogram_pairs(u, u.n)
+                     for x, y in zip(ch.rows[h1], ch.rows[h2])
+                     for a, b in ((x, y), (y, x))]
+            seen |= {"0/0" for a, b in cells if a == b == 0}
+            seen |= {"x/0" for a, b in cells if a and not b}
+            finite = [a / b for a, b in cells if b]
+            if finite and finite.count(max(finite)) > 1:
+                seen.add("tie")
+    assert seen == {"0/0", "x/0", "tie"}
 
 
 def test_float_and_mixed_scans_keep_their_bits():

@@ -24,6 +24,8 @@ from privlens import (
 )
 
 from gen import random_prior, random_universe
+from privlens.prior import _dirichlet
+from privlens.probability import entropy_nats, left_sum
 
 
 HALF = Fraction(1, 2)
@@ -478,3 +480,48 @@ def test_pdelta_rejects_equal_targets():
     u = two_binary()
     with pytest.raises(PriorError):
         extremal_pdelta_prior(u, 0, "a", "a", (BOT,), (BOT,), ("a",), HALF)
+
+
+# ---------------------------------------------------------------------------
+# float sums added left to right on every Python
+# ---------------------------------------------------------------------------
+
+
+def left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_left_sum_adds_floats_left_to_right():
+    # From Python 3.12 the builtin sum() of these floats is 1.0.
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([HALF, 0.25, QUARTER]) == 1.0
+    assert left_sum([HALF, QUARTER]) == Fraction(3, 4)
+    assert left_sum([]) == 0
+
+
+def test_prior_entropy_adds_block_entropies_left_to_right():
+    u = uniform_universe(4, (BOT, "a", "b"))
+    rng = random.Random(4)
+    marginals = []
+    for _ in range(u.n):
+        raw = [rng.random() for _ in range(3)]
+        total = left_to_right(raw)
+        marginals.append(dict(zip((BOT, "a", "b"), (w / total for w in raw))))
+    prior = independent_prior(u, marginals)
+    parts = [entropy_nats(t.values()) for t in prior.tables]
+    want = left_to_right(parts)
+    # A compensated sum of these parts reads a different last bit.
+    assert math.fsum(parts) != want
+    assert prior.entropy_nats() == want
+
+
+def test_dirichlet_draws_normalize_left_to_right():
+    for seed in (2, 4, 5):
+        rng = random.Random(seed)
+        es = [-math.log(max(rng.random(), 1e-300)) for _ in range(6)]
+        total = left_to_right(es)
+        assert math.fsum(es) != total
+        assert _dirichlet(random.Random(seed), 6) == [e / total for e in es]

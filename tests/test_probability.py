@@ -34,6 +34,37 @@ def test_parse_rejects_garbage():
     assert parse_probability("3/2", allow_unit_excess=True) == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1/3", Fraction(1, 3)), ("9/4", Fraction(9, 4)), ("3", Fraction(3)),
+    ("0.25", Fraction(1, 4)), (".5", Fraction(1, 2)), ("5.", Fraction(5)),
+    ("2.5e-3", Fraction(1, 400)), ("1E+2", Fraction(100)),
+    ("1e-400", Fraction(1, 10**400)), (" 3/4\n", Fraction(3, 4)),
+    ("0/7", Fraction(0)), ("-0", Fraction(0)), ("+1/2", Fraction(1, 2)),
+])
+def test_number_strings_parse_alike_on_every_python(text, value):
+    got = parse_probability(text, allow_unit_excess=True)
+    assert type(got) is Fraction and got == value
+
+
+@pytest.mark.parametrize("text", [
+    "1_0/30", "1 / 2", "1/ 2", "٣/٤", "３", "1/-2", "1.5/2", "1/2/3", "7/0",
+    "", " ", ".", "1e", "e3", "nan", "inf", "0x10", "1,5",
+])
+def test_number_strings_outside_the_grammar_are_refused(text):
+    # Fraction(str) reads some of these on some Pythons only: underscores
+    # from 3.11, spaces around "/" from 3.12, non-ASCII digits everywhere.
+    with pytest.raises(ProbabilityError) as exc:
+        parse_probability(text, allow_unit_excess=True)
+    assert str(exc.value) == f"cannot parse probability {text!r}"
+
+
+def test_negative_number_strings_are_negative_probabilities():
+    for text in ("-1/2", "-0.5", "-1e-3"):
+        with pytest.raises(ProbabilityError) as exc:
+            parse_probability(text)
+        assert str(exc.value) == f"negative probability {text!r}"
+
+
 def test_format_number_round_trips_through_json_types():
     assert format_number(Fraction(3, 4)) == "3/4"
     assert format_number(Fraction(3)) == "3"
