@@ -105,13 +105,15 @@ def leq_with_tol(measured, bound) -> bool:
 
 
 def _number(value, what) -> float:
-    """A real value (an int beyond the float range is +-inf), not a bool."""
-    if not isinstance(value, bool):
-        try:
-            return float_or_inf(value)
-        except (TypeError, ValueError):
-            pass
-    raise AuditError(f"{what} must be a number, got {value!r}")
+    """A real value (an int beyond the float range is +-inf), not a bool
+    and not NaN."""
+    try:
+        x = float_or_inf(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, bool) or math.isnan(x):
+        raise AuditError(f"{what} must be a number, got {value!r}")
+    return x
 
 
 def _index(value, what, n) -> int:
@@ -131,11 +133,11 @@ def _index(value, what, n) -> int:
 def _parse_bound(epsilon=None, exp_epsilon=None):
     """Return the ratio-scale bound; rational exp values stay exact."""
     if (epsilon is None) == (exp_epsilon is None):
-        raise AuditError("give exactly one of epsilon or exp_epsilon")
+        raise AuditError("give exactly one of epsilon or its ratio-scale exp")
     if exp_epsilon is not None:
         val = parse_probability(exp_epsilon, allow_unit_excess=True)
         if val <= 0:
-            raise AuditError("exp_epsilon must be positive")
+            raise AuditError("a ratio-scale level must be positive")
         return val
     return exp_or_inf(_number(epsilon, "epsilon"))
 
@@ -722,25 +724,21 @@ def bound_pdelta(
 
     Premise: the channel's one-change level is at most eps/k (checked).
     exp_eps_step is exp(eps/k) on the ratio scale and keeps everything exact
-    when rational; alternatively pass the total epsilon in nats. The family is
+    when rational; give either it or the total epsilon in nats. The family is
     block size <= k with dependence coefficient <= exp_delta; the measured
     side is a genuine worst-case search over that family.
     """
     if k < 1:
         raise AuditError("k must be at least 1")
     exp_delta = parse_probability(exp_delta)
-    if exp_eps_step is None and epsilon is None:
-        raise AuditError("give exp_eps_step or epsilon")
-    if exp_eps_step is not None:
-        step = parse_probability(exp_eps_step, allow_unit_excess=True)
-    else:
-        eps = _number(epsilon, "epsilon")
+    # Read as every level is; a level in nats is split into k steps below.
+    step = _parse_bound(epsilon, exp_eps_step)
     tgt = normalize_target(channel.universe.n, target)
     # The bound raises the per-step level to the k-th power exactly. Input
     # errors win over budget errors, and eps / k waits for the charge.
     check_budget(k, budget, "interpolated_bound")
     if exp_eps_step is None:
-        step = exp_or_inf(eps / k)
+        step = exp_or_inf(_number(epsilon, "epsilon") / k)
     dp = dp_epsilon(channel, budget)
     if not leq_with_tol(dp.ratio, step):
         raise AuditError(

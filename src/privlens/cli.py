@@ -623,10 +623,10 @@ def _equal_epochs(channels, prior, target, *, budget):
 
 def _sweep(over, values, task, *, scenario):
     command = task.get("command", "bound")
+    if command not in ("bound", "certify"):
+        raise SchemaError(f"sweep cannot run command {command!r}")
     rows, verdicts = [], []
     for value in values:
-        if command not in ("bound", "certify"):
-            raise SchemaError(f"sweep cannot run command {command!r}")
         _, vs, _ = run_task(scenario, command, {**task, over: value})
         verdicts.extend(vs)
         rows.append({

@@ -30,7 +30,6 @@ from .probability import (
     Prob,
     float_or_inf,
     nats_to_bits,
-    parse_probability,
     ratios_agree,
 )
 from .universe import check_budget
@@ -91,15 +90,12 @@ def certify_composition(
     """
     if (epsilons is None) == (exp_epsilons is None):
         raise CompositionError("give exactly one of epsilons or exp_epsilons")
-    if exp_epsilons is not None:
-        if not isinstance(exp_epsilons, (list, tuple)):
-            raise CompositionError(
-                f"exp_epsilons must be a list, got {exp_epsilons!r}")
-        units = [parse_probability(e, allow_unit_excess=True) for e in exp_epsilons]
-    else:
-        if not isinstance(epsilons, (list, tuple)):
-            raise CompositionError(f"epsilons must be a list, got {epsilons!r}")
-        units = [_parse_bound(epsilon=e) for e in epsilons]
+    key, levels = (("epsilon", epsilons) if exp_epsilons is None
+                   else ("exp_epsilon", exp_epsilons))
+    if not isinstance(levels, (list, tuple)):
+        raise CompositionError(f"{key}s must be a list, got {levels!r}")
+    # Every level is read before the first scan.
+    units = [_parse_bound(**{key: e}) for e in levels]
     if len(units) != len(channels):
         raise CompositionError("need one level per channel")
     per_component = []

@@ -210,9 +210,10 @@ class Channel:
                 # int / int is the correctly rounded float of the exact sum,
                 # the same float as float(Fraction(sum, d)).
                 total = sum(entries) / d
-            if any(p < 0 for p in entries):
+            # Negated tests, so that NaN fails them.
+            if not all(p >= 0 for p in entries):
                 raise ChannelError(f"negative probability in row {h}")
-            if abs(float(total) - 1.0) > TOL:
+            if not abs(float(total) - 1.0) <= TOL:
                 raise ChannelError(
                     f"row {h} sums to {float(total)!r}, expected 1"
                 )
@@ -286,7 +287,7 @@ def geometric_counting_channel(
         if not (0 < alpha < 1):
             raise ChannelError("ratio must be strictly between 0 and 1")
     else:
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ChannelError("epsilon must be positive")
         alpha = math.exp(-epsilon)
     if target_symbol not in universe.pooled_alphabet:
@@ -304,6 +305,12 @@ def geometric_counting_channel(
     # A row depends on the count alone: one row per count, shared.
     hists = universe.achievable_histograms()
     counts = {h[t_idx] for h in hists}
+    # Each row holds m + 1 entries, and a rational entry is an integer of
+    # about m digits, so the rows hold about m**2 digits per count. The
+    # build takes no budget: the default one bounds it.
+    digits = 1 if isinstance(alpha, float) else m + 1
+    check_budget(len(counts) * (m + 1) * digits, None,
+                 "geometric_counting_channel")
     outcomes = tuple(range(m + 1))
     if isinstance(alpha, float):
         by_count = {c: _geometric_float_row(alpha, m, c) for c in counts}

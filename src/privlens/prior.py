@@ -111,7 +111,8 @@ class JointPrior:
                         raise PriorError(
                             f"symbol {sym!r} not in alphabet of individual {i}"
                         )
-                if p < 0:
+                # Negated tests, so that NaN fails them.
+                if not p >= 0:
                     raise PriorError(f"negative probability at {key} in block {b}")
                 total += p
             if scaled is None:
@@ -122,7 +123,7 @@ class JointPrior:
                 total /= scaled[1]
                 if numerators is not None:
                     numerators.append(scaled)
-            if abs(float(total) - 1.0) > TOL:
+            if not abs(float(total) - 1.0) <= TOL:
                 raise PriorError(
                     f"table of block {b} sums to {float(total)!r}, expected 1"
                 )
@@ -513,7 +514,7 @@ def uniformity_band(prior: JointPrior, tau) -> Tuple[int, Tuple[int, ...]]:
     if tau is None:
         raise PriorError("tau is required for a band computation")
     tau = float_or_inf(tau)
-    if tau < 0:
+    if not tau >= 0:
         raise PriorError("tau must be nonnegative")
     in_band = _band_members(prior.universe.alphabets, tau,
                             lambda i: prior.marginal((i,)))

@@ -177,7 +177,8 @@ class RecordUniverse:
 
         Backtracks against the histograms each suffix of individuals can
         reach, so only realizations of hist are visited. The budget counts the
-        steps that build those suffix sets.
+        steps that build those suffix sets, and then the realizations, which
+        are counted before any is listed.
         """
         hist = tuple(hist)
         # A count outside 0..n would carry into a neighbouring digit of the
@@ -190,6 +191,20 @@ class RecordUniverse:
         suffix = self._reachable_codes(
             reversed(self.alphabets), budget, "sequences_with_histogram"
         )[0][::-1]
+        code = self.encode_histogram(hist)
+        # ways[rest]: prefixes of the individuals so far that leave rest
+        # for the suffix after them.
+        ways = {code: 1} if code in suffix[0] else {}
+        for alpha, reach in zip(self.alphabets, suffix[1:]):
+            nxt = {}
+            for rest, w in ways.items():
+                for sym in alpha:
+                    r = rest - self.code_weights[sym]
+                    if r in reach:
+                        nxt[r] = nxt.get(r, 0) + w
+            ways = nxt
+        count = ways.get(0, 0)
+        check_budget(count, budget, "sequences_with_histogram")
         out = []
         prefix = []
 
@@ -206,8 +221,7 @@ class RecordUniverse:
                     extend(i + 1, nxt)
                     prefix.pop()
 
-        code = self.encode_histogram(hist)
-        if code in suffix[0]:
+        if count:
             extend(0, code)
         return out
 

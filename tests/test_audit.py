@@ -85,6 +85,12 @@ def test_certify_pk_argument_errors():
         certify_pk(ch, 1, exp_epsilon=0)
 
 
+def test_nan_level_is_refused_before_the_scan():
+    # Budget 1 would stop the scan; the level is read first.
+    with pytest.raises(AuditError, match="epsilon must be a number, got nan"):
+        certify_pk(geo_third(), 1, epsilon=math.nan, budget=1)
+
+
 # ---------------------------------------------------------------------------
 # worst-case family search
 # ---------------------------------------------------------------------------
@@ -257,6 +263,17 @@ def test_bound_pdelta_checks_its_premise():
         bound_pdelta(geo_third(), 0, exp_delta=HALF, exp_eps_step=Fraction(3))
     with pytest.raises(AuditError):
         bound_pdelta(geo_third(), 2, exp_delta=HALF)
+
+
+@pytest.mark.parametrize("level, message", [
+    ({"exp_eps_step": Fraction(3), "epsilon": "x"}, "exactly one of epsilon"),
+    ({"exp_eps_step": 0}, "level must be positive"),
+    ({"epsilon": math.nan}, "epsilon must be a number, got nan"),
+], ids=["both", "zero", "nan"])
+def test_bound_pdelta_reads_its_level_as_every_level_is_read(level, message):
+    # Budget 1 would stop the charge of k = 2; the level is read first.
+    with pytest.raises(AuditError, match=message):
+        bound_pdelta(geo_third(), 2, exp_delta=HALF, budget=1, **level)
 
 
 def test_leq_with_tol_decides_exactly_beyond_the_float_range():

@@ -667,17 +667,14 @@ def test_sweep_builds_its_channel_once(tmp_path, monkeypatch):
         assert row["verdicts"] == json.loads(out)["verdicts"]
 
 
-@pytest.mark.parametrize("values, code, err", [
-    (["1"], 4, "error: sweep cannot run command 'leakage'\n"),
-    ([], 0, ""),
-], ids=["values", "no-values"])
-def test_sweep_rejects_a_command_only_when_it_runs_a_row(
-        tmp_path, values, code, err):
+@pytest.mark.parametrize("values", [["1"], []], ids=["values", "no-values"])
+def test_sweep_rejects_a_command_it_cannot_run(tmp_path, values):
+    # The command is read before the first row, so a sweep without rows
+    # rejects it too.
     scn = base_scenario(sweep={"over": "k", "values": values,
                                "task": {"command": "leakage"}})
-    got, _, stderr = invoke(["sweep", write_scenario(tmp_path, scn)])
-    assert got == code
-    assert stderr.split("elapsed")[0] == err
+    assert invoke(["sweep", write_scenario(tmp_path, scn)]) == (
+        4, "", "error: sweep cannot run command 'leakage'\n")
 
 
 @pytest.mark.parametrize("over", [["k"], 2], ids=["list", "int"])
@@ -1056,6 +1053,70 @@ def worstcase_level_scenario(**level):
     )
 
 
+PRODUCT = {"kind": "product", "mechanisms": ["geo", "rr"], "k": 1}
+STEP = {"kind": "interpolated", "mechanism": "geo", "k": 3,
+        "exp_delta": "1/2"}
+
+
+# Each malformed level next to a well-formed one in the same section. Under
+# --budget 2 the well-formed section exits 3 at its first budgeted stage (a
+# k=1 scan charges 4 steps, the interpolated bound charges k = 3), so the
+# malformed one shows that its level is read before any budgeted work.
+@pytest.mark.parametrize("command, section, bad, good", [
+    ("certify", K_CHANGE, {"exp_epsilon": None, "epsilon": math.nan},
+     {"exp_epsilon": None, "epsilon": 1}),
+    ("certify", PERSONALIZED, {"epsilons": [1, math.nan]},
+     {"epsilons": [1, 1]}),
+    ("compose", PRODUCT, {"epsilons": [math.nan, 1]}, {"epsilons": [1, 1]}),
+    ("compose", PRODUCT, {"exp_epsilons": [0, 3]}, {"exp_epsilons": [3, 3]}),
+    ("bound", STEP, {"exp_eps_step": "3", "epsilon": 2},
+     {"exp_eps_step": "3"}),
+    ("bound", STEP, {"exp_eps_step": 0}, {"exp_eps_step": "3"}),
+], ids=["k_change.epsilon=nan", "personalized.epsilons=nan",
+        "product.epsilons=nan", "product.exp_epsilons=0",
+        "interpolated.both", "interpolated.exp_eps_step=0"])
+def test_malformed_levels_exit_4_before_any_budgeted_work(
+        tmp_path, command, section, bad, good):
+    good_path = write_scenario(
+        tmp_path, base_scenario(**{command: {**section, **good}}), "good.json")
+    assert invoke([command, good_path, "--budget", "2"])[0] == 3
+    path = write_scenario(tmp_path,
+                          base_scenario(**{command: {**section, **bad}}))
+    for options in ([], ["--budget", "2"]):
+        code, out, err = invoke([command, path, *options])
+        assert (code, out) == (4, ""), (options, err)
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_huge_geometric_max_count_is_charged_to_the_budget(tmp_path):
+    # Three counts at n=2, each row 10**6 + 1 integers of about 10**6
+    # digits: the charge trips before the rows are built.
+    scn = base_scenario(mechanisms={"g": {
+        "type": "geometric_counting", "target_symbol": "a", "ratio": "1/3",
+        "max_count": 10**6}})
+    assert invoke(["validate", write_scenario(tmp_path, scn)]) == (
+        3, "", "error: enumeration budget exceeded in "
+        f"geometric_counting_channel: {3 * (10**6 + 1) ** 2} items against "
+        "budget 10000000\n")
+
+
+def test_tightness_listing_is_charged_to_the_budget(tmp_path):
+    # n=12 over {BOT, a, b}, uniform rows but one: the k=1 scan charges
+    # 18720 steps, and its witness histogram a=4,b=5 has 12! / (4! 5! 3!) =
+    # 27720 realizations, charged before tightness lists them.
+    rows = {f"{a},{b}": ["1/3", "2/3"] if (a, b) == (5, 5) else ["1/2", "1/2"]
+            for a in range(13) for b in range(13 - a)}
+    scn = base_scenario(
+        universe={"n": 12, "alphabet": ["BOT", "a", "b"]}, priors={},
+        mechanisms={"m": {"type": "matrix", "outcomes": ["x", "y"],
+                          "rows": rows}},
+        bound={"kind": "tightness", "mechanism": "m", "k": 1})
+    path = write_scenario(tmp_path, scn)
+    assert invoke(["bound", path, "--budget", "20000"]) == (
+        3, "", "error: enumeration budget exceeded in "
+        "sequences_with_histogram: 27720 items against budget 20000\n")
+
+
 def test_worstcase_level_is_read_before_the_search(tmp_path):
     path = write_scenario(tmp_path, worstcase_level_scenario(epsilon="x"))
     code, out, err = invoke(["bound", path, "--budget", "200"])
@@ -1160,7 +1221,8 @@ def test_malformed_shared_objects_exit_4_with_one_line(tmp_path, patch):
 
 @pytest.mark.parametrize("family, message", [
     ({"k": 1, "exp_delta": math.nan}, "exp_delta must be in [0, 1]"),
-    ({"k": 1, "ell": 1, "tau": math.nan}, "tau must be nonnegative"),
+    ({"k": 1, "ell": 1, "tau": math.nan},
+     "family.tau must be a number, got nan"),
 ], ids=["exp_delta", "tau"])
 def test_nan_family_parameters_are_input_errors(tmp_path, family, message):
     # JSON NaN reads as a float NaN; the family rejects it before any work.

@@ -70,6 +70,14 @@ def test_channel_rejects_bad_row_shape_and_mass():
         )
 
 
+def test_channel_rejects_a_nan_entry():
+    # NaN < 0 and NaN - 1 > TOL are both false; the checks are negated.
+    u = counting_universe(2)
+    rows = {(0,): (math.nan, 0.5), (1,): (0.5, 0.5), (2,): (0.5, 0.5)}
+    with pytest.raises(ChannelError, match="negative probability in row"):
+        Channel(u, ("x", "y"), rows)
+
+
 def test_channel_rejects_duplicate_outcome_labels():
     u = counting_universe(1)
     rows = {(0,): (Fraction(1, 2), Fraction(1, 2)), (1,): (Fraction(1, 2), Fraction(1, 2))}
@@ -159,6 +167,8 @@ def test_geometric_argument_errors():
         geometric_counting_channel(u, "a", ratio=Fraction(3, 2))
     with pytest.raises(ChannelError):
         geometric_counting_channel(u, "a", epsilon=0.0)
+    with pytest.raises(ChannelError, match="epsilon must be positive"):
+        geometric_counting_channel(u, "a", epsilon=math.nan)
     with pytest.raises(ChannelError):
         geometric_counting_channel(u, "z", ratio=Fraction(1, 3))
     with pytest.raises(ChannelError):

@@ -61,6 +61,14 @@ def test_negative_cell_rejected():
         independent_prior(u, [{BOT: Fraction(3, 2), "a": -HALF}, {BOT: 1}])
 
 
+def test_nan_cell_rejected():
+    # NaN < 0 is false; the check is negated so that NaN fails it.
+    u = two_binary()
+    with pytest.raises(PriorError, match="negative probability"):
+        JointPrior(u, ((0,), (1,)), ({(BOT,): math.nan, ("a",): 0.5},
+                                     {(BOT,): 0.5, ("a",): 0.5}))
+
+
 def test_prob_multiplies_blocks():
     u = two_binary()
     p = independent_prior(u, [{BOT: HALF, "a": HALF}, {BOT: QUARTER, "a": Fraction(3, 4)}])
@@ -276,6 +284,14 @@ def test_band_rejects_zero_mass_records_for_finite_tau():
     assert members == (1,)
     count_inf, members_inf = uniformity_band(prior, math.inf)
     assert members_inf == (0, 1)
+
+
+def test_band_rejects_a_nan_tau():
+    # NaN < 0 is false; a NaN tau put no individual in the band.
+    u = two_binary()
+    prior = independent_prior(u, [{BOT: HALF, "a": HALF}] * 2)
+    with pytest.raises(PriorError, match="tau must be nonnegative"):
+        uniformity_band(prior, math.nan)
 
 
 @pytest.mark.parametrize("tau", [800, 10**400], ids=["800", "10**400"])

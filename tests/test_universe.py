@@ -14,6 +14,18 @@ from privlens import (
 from gen import random_universe
 
 
+def test_sequences_with_histogram_charges_its_realizations():
+    # The suffix sets of n=12 over {BOT, a, b} take 1092 steps; the
+    # histogram (4, 4) has 12! / (4! 4! 4!) = 34650 realizations, charged
+    # before any is listed.
+    u = uniform_universe(12, (BOT, "a", "b"))
+    with pytest.raises(EnumerationBudgetError) as exc:
+        u.sequences_with_histogram((4, 4), budget=5000)
+    assert (exc.value.stage, exc.value.cardinality) == (
+        "sequences_with_histogram", 34650)
+    assert len(u.sequences_with_histogram((4, 4), budget=34650)) == 34650
+
+
 def test_pooled_alphabet_drops_bot_and_keeps_first_appearance_order():
     u = RecordUniverse((("a", BOT, "b"), (BOT, "c", "a")))
     assert u.pooled_alphabet == ("a", "b", "c")
