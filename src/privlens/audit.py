@@ -733,12 +733,13 @@ def bound_pdelta(
     exp_delta = parse_probability(exp_delta)
     # Read as every level is; a level in nats is split into k steps below.
     step = _parse_bound(epsilon, exp_eps_step)
+    eps = None if exp_eps_step is not None else _number(epsilon, "epsilon")
     tgt = normalize_target(channel.universe.n, target)
     # The bound raises the per-step level to the k-th power exactly. Input
     # errors win over budget errors, and eps / k waits for the charge.
     check_budget(k, budget, "interpolated_bound")
-    if exp_eps_step is None:
-        step = exp_or_inf(_number(epsilon, "epsilon") / k)
+    if eps is not None:
+        step = exp_or_inf(eps / k)
     dp = dp_epsilon(channel, budget)
     if not leq_with_tol(dp.ratio, step):
         raise AuditError(

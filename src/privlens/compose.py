@@ -94,7 +94,10 @@ def certify_composition(
                    else ("exp_epsilon", exp_epsilons))
     if not isinstance(levels, (list, tuple)):
         raise CompositionError(f"{key}s must be a list, got {levels!r}")
-    # Every level is read before the first scan.
+    # Every level is read before the first scan; a null entry is no level.
+    if None in levels:
+        raise CompositionError(
+            f"{key}s[{levels.index(None)}] must be a level, got None")
     units = [_parse_bound(**{key: e}) for e in levels]
     if len(units) != len(channels):
         raise CompositionError("need one level per channel")

@@ -305,11 +305,12 @@ def geometric_counting_channel(
     # A row depends on the count alone: one row per count, shared.
     hists = universe.achievable_histograms()
     counts = {h[t_idx] for h in hists}
-    # Each row holds m + 1 entries, and a rational entry is an integer of
-    # about m digits, so the rows hold about m**2 digits per count. The
-    # build takes no budget: the default one bounds it.
+    # Rows up to the largest achievable count grow with the universe alone.
+    # A max_count beyond it adds m - cap entries to each row, and a rational
+    # entry is an integer of about m digits; that excess is charged. The
+    # build takes no budget, so the default one bounds it.
     digits = 1 if isinstance(alpha, float) else m + 1
-    check_budget(len(counts) * (m + 1) * digits, None,
+    check_budget(len(counts) * (m - cap) * digits, None,
                  "geometric_counting_channel")
     outcomes = tuple(range(m + 1))
     if isinstance(alpha, float):

@@ -1069,11 +1069,14 @@ STEP = {"kind": "interpolated", "mechanism": "geo", "k": 3,
      {"epsilons": [1, 1]}),
     ("compose", PRODUCT, {"epsilons": [math.nan, 1]}, {"epsilons": [1, 1]}),
     ("compose", PRODUCT, {"exp_epsilons": [0, 3]}, {"exp_epsilons": [3, 3]}),
+    ("compose", PRODUCT, {"exp_epsilons": [None, 3]},
+     {"exp_epsilons": [3, 3]}),
     ("bound", STEP, {"exp_eps_step": "3", "epsilon": 2},
      {"exp_eps_step": "3"}),
     ("bound", STEP, {"exp_eps_step": 0}, {"exp_eps_step": "3"}),
 ], ids=["k_change.epsilon=nan", "personalized.epsilons=nan",
         "product.epsilons=nan", "product.exp_epsilons=0",
+        "product.exp_epsilons=null",
         "interpolated.both", "interpolated.exp_eps_step=0"])
 def test_malformed_levels_exit_4_before_any_budgeted_work(
         tmp_path, command, section, bad, good):
@@ -1089,15 +1092,30 @@ def test_malformed_levels_exit_4_before_any_budgeted_work(
 
 
 def test_huge_geometric_max_count_is_charged_to_the_budget(tmp_path):
-    # Three counts at n=2, each row 10**6 + 1 integers of about 10**6
-    # digits: the charge trips before the rows are built.
+    # Three counts at n=2, each row 10**6 - 2 integers beyond the largest
+    # count, of about 10**6 digits: the charge trips before the rows are
+    # built.
     scn = base_scenario(mechanisms={"g": {
         "type": "geometric_counting", "target_symbol": "a", "ratio": "1/3",
         "max_count": 10**6}})
     assert invoke(["validate", write_scenario(tmp_path, scn)]) == (
         3, "", "error: enumeration budget exceeded in "
-        f"geometric_counting_channel: {3 * (10**6 + 1) ** 2} items against "
-        "budget 10000000\n")
+        f"geometric_counting_channel: {3 * (10**6 - 2) * (10**6 + 1)} items "
+        "against budget 10000000\n")
+
+
+def test_geometric_rows_up_to_the_largest_count_are_not_charged(tmp_path):
+    # At n=220 the default rows hold about 221**3 digits, beyond the default
+    # budget; they grow with the universe, so only a larger max_count is
+    # charged.
+    geo = base_scenario()["mechanisms"]["geo"]
+    scn = base_scenario(universe={"n": 220, "alphabet": ["BOT", "a"]},
+                        priors={}, mechanisms={"geo": geo}, certify=K_CHANGE)
+    path = write_scenario(tmp_path, scn)
+    assert invoke(["certify", path])[0] == 0
+    geo["max_count"] = 221
+    path = write_scenario(tmp_path, scn)
+    assert invoke(["certify", path])[0] == 0
 
 
 def test_tightness_listing_is_charged_to_the_budget(tmp_path):

@@ -127,16 +127,19 @@ def test_certify_composition_epsilon_spelling_and_errors():
         certify_composition([rr, rr], 1, exp_epsilons=[Fraction(3)])
 
 
-@pytest.mark.parametrize("levels, message", [
-    ({"exp_epsilons": [0, Fraction(3)]}, "level must be positive"),
-    ({"epsilons": [1.0, math.nan]}, "epsilon must be a number, got nan"),
-], ids=["zero", "nan"])
+@pytest.mark.parametrize("levels, error, message", [
+    ({"exp_epsilons": [0, Fraction(3)]}, AuditError, "level must be positive"),
+    ({"epsilons": [1.0, math.nan]}, AuditError,
+     "epsilon must be a number, got nan"),
+    ({"exp_epsilons": [None, 3]}, CompositionError,
+     r"exp_epsilons\[0\] must be a level, got None"),
+], ids=["zero", "nan", "null"])
 def test_certify_composition_reads_every_level_before_the_first_scan(
-        levels, message):
+        levels, error, message):
     # Budget 1 would stop the first component's scan.
     u = uniform_universe(2, (BOT, "a"))
     geo = geometric_counting_channel(u, "a", ratio=Fraction(1, 3))
-    with pytest.raises(AuditError, match=message):
+    with pytest.raises(error, match=message):
         certify_composition([geo, geo], 1, budget=1, **levels)
 
 
