@@ -577,13 +577,22 @@ class TightnessResult:
 
 def _first_realizing_pair(u, num_hist, den_hist, k, budget):
     """The first pair of sorted(change_sequence_pairs(u, k)) whose histograms
-    are (num_hist, den_hist), found without listing the pairs.
+    are (num_hist, den_hist), found without listing the pairs or the
+    realizations of num_hist.
 
     Sorted order compares symbol strings (BOT sorts after letters), so the
-    realizations of num_hist are tried in that order and each is paired with
-    its smallest edit of at most k positions that realizes den_hist.
+    realizations of num_hist are walked in that order, each position's
+    symbols sorted, and each is paired with its smallest edit of at most k
+    positions that realizes den_hist, until one pairs. The budget counts
+    the steps that build the suffix sets of the walk, then each realization
+    tried, at stage tightness_pk.
     """
-    for s_num in sorted(u.sequences_with_histogram(num_hist, budget)):
+    layers, steps = u._reachable_codes(reversed(u.alphabets), budget,
+                                       "tightness_pk")
+    for s_num in u._realizations(u.encode_histogram(num_hist), layers[::-1],
+                                 [sorted(a) for a in u.alphabets]):
+        steps += 1
+        check_budget(steps, budget, "tightness_pk")
         s_den = _smallest_edit(u, s_num, den_hist, k)
         if s_den is not None:
             return s_num, s_den

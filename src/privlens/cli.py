@@ -165,7 +165,7 @@ def build_prior(universe: RecordUniverse, raw) -> JointPrior:
     raise SchemaError("prior needs blocks+tables or independent marginals")
 
 
-def build_mechanism(universe: RecordUniverse, raw) -> Channel:
+def build_mechanism(universe: RecordUniverse, raw, budget=None) -> Channel:
     if not isinstance(raw, dict) or "type" not in raw:
         raise SchemaError("mechanism must be an object with a type")
     kind = raw["type"]
@@ -186,6 +186,7 @@ def build_mechanism(universe: RecordUniverse, raw) -> Channel:
             epsilon=None if epsilon is None else _number(epsilon, "epsilon"),
             max_count=(None if max_count is None
                        else parse_int(max_count, "max_count")),
+            budget=budget,
         )
     if kind == "randomized_response":
         if "keep_prob" not in raw:
@@ -268,7 +269,8 @@ class Scenario:
         self.mechanisms = {}
         mechanisms = _expect(raw.get("mechanisms") or {}, dict, "mechanisms")
         for name, m in mechanisms.items():
-            self.mechanisms[name] = build_mechanism(self.universe, m)
+            self.mechanisms[name] = build_mechanism(self.universe, m,
+                                                    self.budget)
         self.family = build_family(raw["family"]) if "family" in raw else None
 
     def prior(self, name) -> JointPrior:
@@ -621,19 +623,30 @@ def _equal_epochs(channels, prior, target, *, budget):
     return results, [], EXIT_PASS if out["agree"] else EXIT_VIOLATION
 
 
+# Exit hints from the least to the most severe.
+_SEVERITY = (EXIT_PASS, EXIT_INCONCLUSIVE, EXIT_VIOLATION)
+
+
 def _sweep(over, values, task, *, scenario):
+    """One row per value, each the task with over set to the value. Every
+    row is read before the first runs, so an input error in any row wins
+    over the budget and the checks; the exit hint is the rows' worst."""
     command = task.get("command", "bound")
     if command not in ("bound", "certify"):
         raise SchemaError(f"sweep cannot run command {command!r}")
-    rows, verdicts = [], []
-    for value in values:
-        _, vs, _ = run_task(scenario, command, {**task, over: value})
+    runs = [read_task(scenario, command, {**task, over: value})
+            for value in values]
+    rows, verdicts, hint = [], [], EXIT_PASS
+    for value, run_row in zip(values, runs):
+        results, vs, row_hint = run_row()
         verdicts.extend(vs)
-        rows.append({
-            "value": to_jsonable(value),
-            "verdicts": [verdict_dict(v) for v in vs],
-        })
-    return {"over": over, "rows": rows}, verdicts, EXIT_PASS
+        row = {"value": to_jsonable(value),
+               "verdicts": [verdict_dict(v) for v in vs]}
+        if results:
+            row["results"] = results
+        rows.append(row)
+        hint = max(hint, row_hint, key=_SEVERITY.index)
+    return {"over": over, "rows": rows}, verdicts, hint
 
 
 CHANNEL = Field("mechanism", "mechanism", param="channel")
@@ -686,10 +699,11 @@ DEFAULT_KINDS = {"certify": "k_change", "bound": "interpolated",
                  "compose": "product"}
 
 
-def run_task(scenario: Scenario, command, sec: dict) -> tuple:
-    """(results, verdicts, exit hint) of the task a section declares. Every
-    field is read before the task runs, so an input error is reported
-    before any work is charged to the budget. Unknown fields are ignored."""
+def read_task(scenario: Scenario, command, sec: dict):
+    """The task a section declares, with every field read, as a callable
+    that runs it and returns (results, verdicts, exit hint). Reading does
+    no budgeted work, so an input error is reported before any work is
+    charged to the budget. Unknown fields are ignored."""
     kind = sec.get("kind", DEFAULT_KINDS[command]) if command in DEFAULT_KINDS else None
     task = TASKS.get((command, kind)) if isinstance(kind, (str, type(None))) else None
     if task is None:
@@ -704,8 +718,12 @@ def run_task(scenario: Scenario, command, sec: dict) -> tuple:
                         # Each task draws from its own generator.
                         else random.Random(scenario.seed) if name == "rng"
                         else getattr(scenario, name))
-    out = task.run(**values)
-    return ({}, [out], EXIT_PASS) if isinstance(out, Verdict) else out
+
+    def run_task():
+        out = task.run(**values)
+        return ({}, [out], EXIT_PASS) if isinstance(out, Verdict) else out
+
+    return run_task
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +791,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         scenario = Scenario(raw, args.budget, args.seed, args.samples)
         # validate reads the scenario alone: it has no section.
         sec = {} if args.command == "validate" else scenario.section(args.command)
-        results, verdicts, exit_hint = run_task(scenario, args.command, sec)
+        results, verdicts, exit_hint = read_task(scenario, args.command, sec)()
         report = {
             "schema_version": 1,
             "tool": {"name": "privlens", "version": __version__},

@@ -92,21 +92,22 @@ class JointTables:
     """Exact joint of (records key, outcome) plus both marginals.
 
     p_x maps records keys (the target's records) to prior mass, p_r is
-    aligned with outcomes, joint maps (records key, outcome index) to mass.
-    A channel sees only the histogram, so the joint is built from the
-    prior's (records key, histogram) masses, one cell per pair, never from
-    its support sequences. from_cells builds the same tables from cells
-    read off without a prior (the worst-case pair candidates and the
-    composition cross-checks). Keys appear in deterministic sorted order so
-    every scan below is reproducible bit for bit.
+    aligned with outcomes, and rows maps each records key to its joint
+    masses, aligned with outcomes. A channel sees only the histogram, so the
+    joint is built from the prior's (records key, histogram) masses, one
+    cell per pair, never from its support sequences. from_cells builds the
+    same tables from cells read off without a prior (the worst-case pair
+    candidates and the composition cross-checks). p_x and rows list their
+    keys in sorted order, so every scan below is reproducible bit for bit.
 
     When every mass and row entry is rational, integers holds the same
-    tables as integer numerators, (p_x, p_r, joint, m): p_x over m, p_r and
-    joint over one common multiple of m, and the Fraction p_x, p_r and joint
-    are built from them on first use. Otherwise integers is None. A
-    rational prior hands over its masses as integer numerators
-    (histogram_cells), so no Fraction is built on the way; the callers of
-    from_cells hand theirs over the same way.
+    tables as integer numerators, (p_x, p_r, rows, m): p_x over m, p_r and
+    rows over one common multiple of m, a numerator of 0 where no mass
+    arrives. The quantities read these alone; the Fraction p_x, p_r and
+    rows are built from them on first use. Otherwise integers is None and
+    rows holds None where no mass arrives. A rational prior hands over its
+    masses as integer numerators (histogram_cells), so no Fraction is built
+    on the way; the callers of from_cells hand theirs over the same way.
     """
 
     def __init__(self, prior: JointPrior, channel: Channel, target,
@@ -151,51 +152,32 @@ class JointTables:
             return
         # Exact path: masses are integers over m and row entries integers
         # over d, the lcm of the rows' own denominators, so every sum is an
-        # int and each result is one Fraction. Each records key sums into
-        # its own list aligned with the outcomes, and order lists the
-        # (records key, outcome) cells as their first terms arrive, which
-        # is the joint's insertion order. A bit mask per records key of the
-        # outcomes it has reached finds the cells a later row reaches first.
+        # int and each result is one Fraction.
         nums, m = masses
-        d = math.lcm(*{dr for dr, _, _ in rows.values()})
-        rows = {rk: (d // dr, row, mask)
-                for rk, (dr, row, mask) in rows.items()}
+        d = math.lcm(*{dr for dr, _ in rows.values()})
+        rows = {rk: (d // dr, row) for rk, (dr, row) in rows.items()}
         n_out = len(outcomes)
-        acc = {}  # records key -> [mass, outcomes mask, joint row]
-        order = []
+        p_x, acc = {}, {}
         for ((xv, rk), _), a in zip(cells, nums):
-            scale, row, mask = rows[rk]
-            st = acc.get(xv)
-            if st is None:
-                # A new records key: every cell of the row is new.
-                vals = [0] * n_out
-                acc[xv] = [a, mask, vals]
-                a *= scale
-                for j, b in row:
-                    vals[j] = a * b
-                    order.append((xv, j))
-                continue
-            st[0] += a
-            vals = st[2]
-            new = mask & ~st[1]
-            if new:
-                st[1] |= new
-                order += [(xv, j) for j, _ in row if new >> j & 1]
+            scale, row = rows[rk]
+            vals = acc.get(xv)
+            if vals is None:
+                vals = acc[xv] = [0] * n_out
+                p_x[xv] = a
+            else:
+                p_x[xv] += a
             a *= scale
             for j, b in row:
                 vals[j] += a * b
-        p_x = {k: acc[k][0] for k in sorted(acc)}
-        joint = {(xv, j): acc[xv][2][j] for xv, j in order}
+        p_x = {k: p_x[k] for k in sorted(p_x)}
         # Each outcome's mass is the sum of its joint cells: int sums, so
         # the same ints as summing the terms as they come.
-        p_r = [0] * n_out
-        for _, _, vals in acc.values():
-            p_r = list(map(operator.add, p_r, vals))
-        self.integers = (p_x, p_r, joint, m)
+        p_r = [sum(col) for col in zip([0] * n_out, *acc.values())]
+        self.integers = (p_x, p_r, {k: acc[k] for k in p_x}, m)
         self._md = m * d
 
-    # The quantities read the integers alone. The generic path assigns these
-    # three names on the instance, which shadows the cached properties.
+    # The generic path assigns these three names on the instance, which
+    # shadows the cached properties.
 
     @functools.cached_property
     def p_x(self) -> Dict[tuple, Prob]:
@@ -207,16 +189,16 @@ class JointTables:
         return [Fraction(w, self._md) for w in self.integers[1]]
 
     @functools.cached_property
-    def joint(self) -> Dict[Tuple[tuple, int], Prob]:
-        return {cell: Fraction(w, self._md)
-                for cell, w in self.integers[2].items()}
+    def rows(self) -> Dict[tuple, list]:
+        return {xv: [Fraction(w, self._md) if w else None for w in row]
+                for xv, row in self.integers[2].items()}
 
     def _accumulate_generic(self, cells, views):
-        p_x, rows, p_r, order = _accumulate_first_terms(
+        p_x, rows, p_r = _accumulate_first_terms(
             cells, views.nonzero, len(self.outcomes))
         self.p_x = {k: p_x[k] for k in sorted(p_x)}
+        self.rows = {k: rows[k] for k in self.p_x}
         self.p_r = [Fraction(0) if pr is None else pr for pr in p_r]
-        self.joint = {(xv, j): rows[xv][j] for xv, j in order}
 
 
 def _accumulate_first_terms(cells, nonzero, n_out):
@@ -226,17 +208,15 @@ def _accumulate_first_terms(cells, nonzero, n_out):
     pairs as given and as floats (RowViews.nonzero); n_out is the number
     of outcomes.
 
-    Returns (p_x, rows, p_r, order): p_x maps x to its mass and rows maps x
-    to its joint masses, both in order of first appearance; rows and p_r
-    are aligned with the outcomes, with None where no mass arrives; order
-    lists the (x, j) in the order they first get mass."""
+    Returns (p_x, rows, p_r): p_x maps x to its mass and rows maps x to its
+    joint masses, both in order of first appearance; rows and p_r are
+    aligned with the outcomes, with None where no mass arrives."""
     p_x = {}
     rows = {}
     # None until an outcome gets mass; a first mass is stored as is, so no
     # sum starts from an int (an int + Fraction takes the slow operator
     # fallback).
     p_r = [None] * n_out
-    order = []
     for (x, rk), p in cells:
         old = p_x.get(x)
         if old is None:
@@ -251,14 +231,10 @@ def _accumulate_first_terms(cells, nonzero, n_out):
         for j, q in nonzero[rk][isinstance(p, float)]:
             w = p * q
             old = row[j]
-            if old is None:
-                row[j] = w
-                order.append((x, j))
-            else:
-                row[j] = old + w
+            row[j] = w if old is None else old + w
             old = p_r[j]
             p_r[j] = w if old is None else old + w
-    return p_x, rows, p_r, order
+    return p_x, rows, p_r
 
 
 def max_mi(prior, channel, target, budget=None, tables=None) -> Quantity:
@@ -270,7 +246,9 @@ def max_mi(prior, channel, target, budget=None, tables=None) -> Quantity:
     t = tables or JointTables(prior, channel, target, budget)
     if t.integers is not None:
         return _max_mi_quantity(*_max_mi_integers(t))
-    return _max_mi_quantity(*_max_mi_generic(t))
+    return _max_mi_quantity(*_max_mi_scan(
+        ((xv, px, t.rows[xv]) for xv, px in t.p_x.items()), t.p_r,
+        t.outcomes))
 
 
 def _max_mi_quantity(best, wit) -> Quantity:
@@ -289,21 +267,18 @@ def _max_mi_quantity(best, wit) -> Quantity:
 
 
 def _max_mi_integers(t):
-    """The max_mi scan on the integer tables. With p_x = a/m and p_r, joint
+    """The max_mi scan on the integer tables. With p_x = a/m and p_r, rows
     = c/D, w/D over one D, the ratio (w/D) / (a/m) / (c/D) is w*m / (a*c),
     so two cells compare by cross-multiplying and one Fraction is built
     for the winner."""
-    p_x, p_r, joint, m = t.integers
+    p_x, p_r, rows, m = t.integers
     best_w = best_den = None
     wit = None
     for xv, a in p_x.items():
         if a == 0:
             continue
-        for j, c in enumerate(p_r):
-            if c == 0:
-                continue
-            w = joint.get((xv, j), 0)
-            if w == 0:
+        for j, (c, w) in enumerate(zip(p_r, rows[xv])):
+            if c == 0 or w == 0:
                 continue
             den = a * c
             if best_w is None or w * best_den > best_w * den:
@@ -312,17 +287,6 @@ def _max_mi_integers(t):
     if best_w is None:
         return None, None
     return Fraction(best_w * m, best_den), wit
-
-
-def _max_mi_generic(t):
-    """The max_mi scan on the stored entries, for float or mixed tables."""
-    rows = {xv: [None] * len(t.outcomes) for xv in t.p_x}
-    for (xv, j), w in t.joint.items():
-        row = rows.get(xv)
-        if row is not None:
-            row[j] = w
-    return _max_mi_scan(((xv, px, rows[xv]) for xv, px in t.p_x.items()),
-                        t.p_r, t.outcomes)
 
 
 def _max_mi_scan(cells, p_r, outcomes):
@@ -395,7 +359,7 @@ class MaxMiPlan:
             if abs(total - 1.0) > TOL:
                 raise LeakageError(
                     f"masses of block {b} sum to {total!r}, expected 1")
-        p_x, rows, p_r, _ = _accumulate_first_terms(
+        p_x, rows, p_r = _accumulate_first_terms(
             zip(self._row_keys, self._plan.masses(masses)), self._nonzero,
             len(self.channel.outcomes))
         best, wit = _max_mi_scan(
@@ -407,23 +371,25 @@ class MaxMiPlan:
 
 
 def _float_entries(t):
-    """(p_x, p_r, joint, fx, fr): the tables' entries as the scans read them
+    """(p_x, p_r, rows, fx, fr): the tables' entries as the scans read them
     and the functions giving their floats, fx for p_x entries and fr for
-    p_r and joint entries. On the integer tables the entries are the
+    p_r and rows entries. On the integer tables the entries are the
     numerators and fx, fr divide by their denominators: int / int is the
     correctly rounded float of the exact value, the same float as float()
     of its Fraction, so no Fraction is built."""
     if t.integers is None:
-        return t.p_x, t.p_r, t.joint, float, float
-    p_x, p_r, joint, m = t.integers
-    return p_x, p_r, joint, m.__rtruediv__, t._md.__rtruediv__
+        return t.p_x, t.p_r, t.rows, float, float
+    p_x, p_r, rows, m = t.integers
+    return p_x, p_r, rows, m.__rtruediv__, t._md.__rtruediv__
 
 
-def _exact_log_ratio(t, xv, j):
-    """log of joint / (p_x * p_r) at (xv, j) from the exact entries, for a
-    cell whose float denominator underflows to zero."""
-    return log_ratio(Fraction(t.joint[xv, j])
-                     / (Fraction(t.p_x[xv]) * Fraction(t.p_r[j])))
+def _exact_log_ratio(t, w, px, pr):
+    """log of the joint-to-marginals ratio of a cell from its exact entries
+    w, px, pr as _float_entries gives them, for a cell whose float
+    denominator underflows to zero. On the integer tables w and pr are over
+    one D and px over m, so the ratio is w * m / (px * pr)."""
+    m = 1 if t.integers is None else t.integers[3]
+    return log_ratio(Fraction(w) * m / (Fraction(px) * Fraction(pr)))
 
 
 def mi(prior, channel, target, budget=None, tables=None) -> Quantity:
@@ -433,21 +399,20 @@ def mi(prior, channel, target, budget=None, tables=None) -> Quantity:
     in which the joint was built. A cell whose mass is 0.0 as a float adds
     nothing, like a zero cell."""
     t = tables or JointTables(prior, channel, target, budget)
-    p_x, p_r, joint, fx, fr = _float_entries(t)
+    p_x, p_r, rows, fx, fr = _float_entries(t)
     f_r = [fr(c) for c in p_r]
     total = 0.0
     for xv, px in p_x.items():
         fpx = fx(px)
-        for j, fpr in enumerate(f_r):
-            w = joint.get((xv, j), 0)
-            if w == 0:
+        for j, (fpr, w) in enumerate(zip(f_r, rows[xv])):
+            if not w:
                 continue
             fw = fr(w)
             if fw == 0.0:
                 continue
             den = fpx * fpr
             total += fw * (math.log(fw / den) if den
-                           else _exact_log_ratio(t, xv, j))
+                           else _exact_log_ratio(t, w, px, p_r[j]))
     total = max(total, 0.0)
     return Quantity(nats=total)
 
@@ -457,8 +422,8 @@ def max_rel_entropy(prior, channel, target, budget=None, tables=None) -> Quantit
     to the prior, over positive-probability outcomes. A posterior whose
     float is 0.0 adds nothing to the divergence."""
     t = tables or JointTables(prior, channel, target, budget)
-    p_x, p_r, joint, fx, fr = _float_entries(t)
-    f_x = [(xv, px, fx(px)) for xv, px in p_x.items()]
+    p_x, p_r, rows, fx, fr = _float_entries(t)
+    f_x = [(rows[xv], px, fx(px)) for xv, px in p_x.items()]
     best = None
     wit = None
     for j, label in enumerate(t.outcomes):
@@ -467,16 +432,18 @@ def max_rel_entropy(prior, channel, target, budget=None, tables=None) -> Quantit
             continue
         fpr = fr(pr)
         acc = 0.0
-        for xv, px, fpx in f_x:
-            w = joint.get((xv, j), 0)
-            if w == 0:
+        for row, px, fpx in f_x:
+            w = row[j]
+            if not w:
                 continue
+            # On the integer tables w and pr are over one D, so w / pr is
+            # the posterior on both paths.
             post = (fr(w) / fpr if fpr
-                    else float(Fraction(t.joint[xv, j]) / Fraction(t.p_r[j])))
+                    else float(Fraction(w) / Fraction(pr)))
             if post == 0.0:
                 continue
             acc += post * (math.log(post / fpx) if fpx
-                           else _exact_log_ratio(t, xv, j))
+                           else _exact_log_ratio(t, w, px, pr))
         acc = max(acc, 0.0)
         if best is None or acc > best:
             best = acc
@@ -525,14 +492,12 @@ def inferential_eps(prior, channel, target, budget=None, tables=None) -> Quantit
 
 def _inferential_eps_integers(t, support):
     """The inferential_eps scan on the integer tables. The likelihoods are
-    la = w_a / p_a and lb = w_b / p_b with p_x over m and joint over one D,
+    la = w_a / p_a and lb = w_b / p_b with p_x over m and rows over one D,
     so la / lb = (w_a * p_b) / (w_b * p_a): two cells compare by
     cross-multiplying and one Fraction is built for the winner. Positive
     over zero is inf, which no later ratio exceeds, so the first one ends
     the scan; zero over zero is skipped."""
-    p_x, _, joint, _ = t.integers
-    n_out = len(t.outcomes)
-    rows = {x: [joint.get((x, j), 0) for j in range(n_out)] for x in support}
+    p_x, _, rows, _ = t.integers
     best_num = best_den = None
     wit = None
     for a in support:
@@ -562,14 +527,15 @@ def _inferential_eps_generic(t, support):
     best = None
     wit = None
     for a in support:
-        pa = t.p_x[a]
+        pa, row_a = t.p_x[a], t.rows[a]
         for b in support:
             if a == b:
                 continue
-            pb = t.p_x[b]
+            pb, row_b = t.p_x[b], t.rows[b]
             for j, label in enumerate(t.outcomes):
-                la = t.joint.get((a, j), 0) / pa
-                lb = t.joint.get((b, j), 0) / pb
+                wa, wb = row_a[j], row_b[j]
+                la = (0 if wa is None else wa) / pa
+                lb = (0 if wb is None else wb) / pb
                 r = ratio_div(la, lb)
                 if r is None:
                     continue

@@ -114,15 +114,13 @@ class RowViews:
         self._integer = {}
 
     def integer(self, key):
-        """(d, [(outcome index, entry * d)], mask) without zero entries,
-        where bit j of mask is set when outcome j has a pair, or None when
-        the row holds a float."""
+        """(d, [(outcome index, entry * d)]) without zero entries, or None
+        when the row holds a float."""
         if key not in self._integer:
             scaled = self._dense_of(key)
             if scaled is not None:
                 nums, d = scaled
-                pairs = [(j, b) for j, b in enumerate(nums) if b]
-                scaled = d, pairs, sum(1 << j for j, _ in pairs)
+                scaled = d, [(j, b) for j, b in enumerate(nums) if b]
             self._integer[key] = scaled
         return self._integer[key]
 
@@ -270,6 +268,7 @@ def geometric_counting_channel(
     ratio=None,
     epsilon: Optional[float] = None,
     max_count: Optional[int] = None,
+    budget: Optional[int] = None,
 ) -> Channel:
     r"""Truncated symmetric geometric noise on a counting query.
 
@@ -278,7 +277,8 @@ def geometric_counting_channel(
     (1 - alpha)/(1 + alpha) * alpha^|j - c| and the folded boundary outcomes
     absorb their tails: alpha^c / (1 + alpha) at 0 and alpha^(m - c) / (1 + alpha)
     at m. Rows are exactly epsilon-differentially private and rational when
-    alpha is given as a rational ``ratio``.
+    alpha is given as a rational ``ratio``. A max_count beyond the largest
+    achievable count is charged against the budget.
     """
     if (ratio is None) == (epsilon is None):
         raise ChannelError("give exactly one of ratio or epsilon")
@@ -307,10 +307,9 @@ def geometric_counting_channel(
     counts = {h[t_idx] for h in hists}
     # Rows up to the largest achievable count grow with the universe alone.
     # A max_count beyond it adds m - cap entries to each row, and a rational
-    # entry is an integer of about m digits; that excess is charged. The
-    # build takes no budget, so the default one bounds it.
+    # entry is an integer of about m digits; that excess is charged.
     digits = 1 if isinstance(alpha, float) else m + 1
-    check_budget(len(counts) * (m - cap) * digits, None,
+    check_budget(len(counts) * (m - cap) * digits, budget,
                  "geometric_counting_channel")
     outcomes = tuple(range(m + 1))
     if isinstance(alpha, float):

@@ -205,25 +205,41 @@ class RecordUniverse:
             ways = nxt
         count = ways.get(0, 0)
         check_budget(count, budget, "sequences_with_histogram")
-        out = []
-        prefix = []
+        if not count:
+            return []
+        return list(self._realizations(code, suffix, self.alphabets))
 
-        def extend(i, rest):
-            if i == self.n:
-                out.append(tuple(prefix))
-                return
-            for sym in self.alphabets[i]:
+    def _realizations(self, code, suffix, alphabets):
+        """The sequences whose histogram has the reachable code, one at a
+        time: depth first over alphabets[i], an ordering of individual i's
+        symbols, at position i, where suffix[i] holds the codes individuals
+        i..n-1 can reach. A symbol is kept when the code it leaves is in the
+        next suffix set, so every kept prefix completes and no dead end is
+        walked."""
+        weights = self.code_weights
+        # syms[i] iterates position i's symbols; rests[i] is the code left
+        # for positions i..n-1 under the prefix seq[:i].
+        seq, rests, syms = [], [code], [iter(alphabets[0])]
+        while syms:
+            i = len(seq)
+            for sym in syms[i]:
                 # rest - weight is a code of the next suffix only when sym's
                 # count in rest is positive, so membership needs no sign test.
-                nxt = rest - self.code_weights[sym]
+                nxt = rests[i] - weights[sym]
                 if nxt in suffix[i + 1]:
-                    prefix.append(sym)
-                    extend(i + 1, nxt)
-                    prefix.pop()
-
-        if count:
-            extend(0, code)
-        return out
+                    break
+            else:
+                syms.pop()
+                rests.pop()
+                if seq:
+                    seq.pop()
+                continue
+            if i + 1 == self.n:
+                yield (*seq, sym)
+                continue
+            seq.append(sym)
+            rests.append(nxt)
+            syms.append(iter(alphabets[i + 1]))
 
     def histogram_label(self, hist) -> str:
         """Human-readable rendering, e.g. ``a=2,b=0``; counts-only when pooled

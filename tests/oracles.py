@@ -105,24 +105,27 @@ def change_histogram_pairs(universe, k):
 
 def tables_from_cells(cells, outcomes):
     """The joint-table build over (records key, mass, row) cells: every mass
-    times its whole row, in cell order. Has the attributes the leakage
-    quantities read."""
+    times its whole row, in cell order, each records key's joint row None
+    where no term arrives. Has the attributes the leakage quantities
+    read."""
     n_out = len(outcomes)
-    p_x, joint, p_r = {}, {}, [Fraction(0)] * n_out
+    p_x, rows, p_r = {}, {}, [Fraction(0)] * n_out
     for xv, p, row in cells:
         p_x[xv] = p_x.get(xv, 0) + p
+        joint = rows.setdefault(xv, [None] * n_out)
         for j in range(n_out):
             q = row[j]
             if q == 0:
                 continue
             w = p * q
-            joint[(xv, j)] = joint.get((xv, j), 0) + w
+            joint[j] = w if joint[j] is None else joint[j] + w
             p_r[j] = p_r[j] + w
+    keys = sorted(p_x)
     return SimpleNamespace(
         outcomes=tuple(outcomes),
-        p_x={k: p_x[k] for k in sorted(p_x)},
+        p_x={k: p_x[k] for k in keys},
         p_r=p_r,
-        joint=joint,
+        rows={k: rows[k] for k in keys},
         integers=None,
     )
 
@@ -371,8 +374,8 @@ def max_mi_scan(t):
             pr = t.p_r[j]
             if pr == 0:
                 continue
-            w = t.joint.get((xv, j), 0)
-            if w == 0:
+            w = t.rows[xv][j]
+            if w is None or w == 0:
                 continue
             r = (w / px) / pr
             if best is None or r > best:
@@ -396,8 +399,8 @@ def mi_scan(t):
     total = 0.0
     for xv, px in t.p_x.items():
         for j, pr in enumerate(t.p_r):
-            w = t.joint.get((xv, j), 0)
-            if w == 0:
+            w = t.rows[xv][j]
+            if w is None or w == 0:
                 continue
             total += float(w) * math.log(float(w) / (float(px) * float(pr)))
     total = max(total, 0.0)
@@ -415,8 +418,8 @@ def max_rel_entropy_scan(t):
             continue
         acc = 0.0
         for xv, px in t.p_x.items():
-            w = t.joint.get((xv, j), 0)
-            if w == 0:
+            w = t.rows[xv][j]
+            if w is None or w == 0:
                 continue
             post = float(w) / float(pr)
             acc += post * math.log(post / float(px))
@@ -447,8 +450,9 @@ def inferential_eps_scan(t):
                 continue
             pb = t.p_x[b]
             for j, label in enumerate(t.outcomes):
-                la = t.joint.get((a, j), 0) / pa
-                lb = t.joint.get((b, j), 0) / pb
+                wa, wb = t.rows[a][j], t.rows[b][j]
+                la = (0 if wa is None else wa) / pa
+                lb = (0 if wb is None else wb) / pb
                 r = ratio_div(la, lb)
                 if r is None:
                     continue

@@ -644,7 +644,8 @@ def test_sweep_builds_its_channel_once(tmp_path, monkeypatch):
     built = []
     real = cli.build_mechanism
     monkeypatch.setattr(cli, "build_mechanism",
-                        lambda u, raw: built.append(raw) or real(u, raw))
+                        lambda u, raw, budget: built.append(raw)
+                        or real(u, raw, budget))
     task = {"command": "certify", "kind": "necessary_dependence",
             "mechanism": "geo", "exp_epsilon": "9"}
     values = ["0", "1/2", "1"]
@@ -689,6 +690,57 @@ def test_sweep_over_must_be_a_string(tmp_path, over):
     assert out == ""
     assert err.split("elapsed")[0] == (
         f"error: sweep.over must be a non-empty string, got {over!r}\n")
+
+
+def test_sweep_reads_every_row_before_running_any(tmp_path):
+    # Row 1 alone charges 90 neighbour pairs, beyond --budget 50; row 2 is
+    # malformed, and an input error wins over the budget.
+    scn = base_scenario(
+        universe={"n": 6, "alphabet": ["BOT", "a", "b"]}, priors={},
+        sweep={"over": "k", "values": [1, "x"],
+               "task": {"command": "certify", "kind": "k_change",
+                        "mechanism": "geo", "exp_epsilon": 3}})
+    path = write_scenario(tmp_path, scn)
+    want = (4, "", "error: certify.k must be an integer, got 'x'\n")
+    assert invoke(["sweep", path, "--budget", "50"]) == want
+    assert invoke(["sweep", path]) == want
+    scn["sweep"]["values"] = [1]
+    assert invoke(["sweep", write_scenario(tmp_path, scn), "--budget",
+                   "50"]) == (3, "", "error: enumeration budget exceeded in "
+                              "change_histogram_pairs: 90 items against "
+                              "budget 50\n")
+
+
+def test_sweep_rows_keep_their_results_and_the_worst_exit_hint(tmp_path):
+    # A tightness row has results and no verdicts; the row on m is not
+    # attained (exit 1 alone), the one on geo is (exit 0 alone).
+    mechanisms = {**base_scenario()["mechanisms"], "m": {
+        "type": "matrix", "outcomes": ["x", "y"], "rows": {
+            "0": [f"1/{10**400}", f"{10**400 - 1}/{10**400}"],
+            "1": ["1/2", "1/2"], "2": ["1/2", "1/2"]}}}
+    task = {"kind": "tightness", "k": 1}
+    scn = base_scenario(mechanisms=mechanisms, sweep={
+        "over": "mechanism", "values": ["m", "geo"],
+        "task": {"command": "bound", **task}})
+    code, out, _ = invoke(["sweep", write_scenario(tmp_path, scn), "--format",
+                           "json"])
+    assert code == 1
+    rows = json.loads(out)["results"]["rows"]
+    for name, want_code, row in zip(("m", "geo"), (1, 0), rows):
+        alone = base_scenario(mechanisms=mechanisms,
+                              bound={**task, "mechanism": name})
+        code, out, _ = invoke(["bound", write_scenario(
+            tmp_path, alone, name=f"{name}.json"), "--format", "json"])
+        assert code == want_code
+        assert row == {"value": name, "verdicts": [],
+                       "results": json.loads(out)["results"]}
+    # A row of verdicts alone has no results key, as before.
+    scn = base_scenario(sweep={"over": "k", "values": [1], "task": {
+        "command": "certify", "mechanism": "geo", "exp_epsilon": 3}})
+    code, out, _ = invoke(["sweep", write_scenario(tmp_path, scn), "--format",
+                           "json"])
+    assert code == 0
+    assert list(json.loads(out)["results"]["rows"][0]) == ["value", "verdicts"]
 
 
 # ---------------------------------------------------------------------------
@@ -1118,21 +1170,53 @@ def test_geometric_rows_up_to_the_largest_count_are_not_charged(tmp_path):
     assert invoke(["certify", path])[0] == 0
 
 
+def test_geometric_max_count_is_charged_to_the_scenario_budget(tmp_path):
+    # --budget bounds the build as it bounds every other stage: at n=2 a
+    # max_count of 40 charges 3 * 38 * 41 = 4674, and at n=3 one of 3000
+    # charges 4 * 2997 * 3001, beyond the default budget.
+    scn = base_scenario(mechanisms={"g": {
+        "type": "geometric_counting", "target_symbol": "a", "ratio": "1/3",
+        "max_count": 40}})
+    path = write_scenario(tmp_path, scn)
+    assert invoke(["validate", path])[0] == 0
+    assert invoke(["validate", path, "--budget", "100"]) == (
+        3, "", "error: enumeration budget exceeded in "
+        "geometric_counting_channel: 4674 items against budget 100\n")
+    scn["universe"]["n"] = 3
+    scn["priors"] = {}
+    scn["mechanisms"]["g"]["max_count"] = 3000
+    path = write_scenario(tmp_path, scn)
+    assert invoke(["validate", path])[0] == 3
+    code, out, _ = invoke(["validate", path, "--budget", "100000000"])
+    assert code == 0
+
+
 def test_tightness_listing_is_charged_to_the_budget(tmp_path):
-    # n=12 over {BOT, a, b}, uniform rows but one: the k=1 scan charges
-    # 18720 steps, and its witness histogram a=4,b=5 has 12! / (4! 5! 3!) =
-    # 27720 realizations, charged before tightness lists them.
-    rows = {f"{a},{b}": ["1/3", "2/3"] if (a, b) == (5, 5) else ["1/2", "1/2"]
-            for a in range(13) for b in range(13 - a)}
+    # n=16, individual 0 over {BOT, a, b} and the rest over {BOT, a}. The
+    # k=1 scan charges 4749 steps; its witness is a=8 against a=8,b=1,
+    # which needs BOT at individual 0, so tightness walks the C(15, 7) =
+    # 6435 realizations of a=8 that start with "a" first. It charges 288
+    # suffix steps and 6436 tried realizations, and lists none of them.
+    rows = {f"{a},{b}": ["2/3", "1/3"] if (a, b) == (8, 0) else
+            ["1/3", "2/3"] if (a, b) == (8, 1) else ["1/2", "1/2"]
+            for a in range(17) for b in range(2)}
+    del rows["16,1"]
     scn = base_scenario(
-        universe={"n": 12, "alphabet": ["BOT", "a", "b"]}, priors={},
+        universe={"alphabets": [["BOT", "a", "b"]] + [["BOT", "a"]] * 15},
+        priors={},
         mechanisms={"m": {"type": "matrix", "outcomes": ["x", "y"],
                           "rows": rows}},
         bound={"kind": "tightness", "mechanism": "m", "k": 1})
     path = write_scenario(tmp_path, scn)
-    assert invoke(["bound", path, "--budget", "20000"]) == (
+    assert invoke(["bound", path, "--budget", "6723"]) == (
         3, "", "error: enumeration budget exceeded in "
-        "sequences_with_histogram: 27720 items against budget 20000\n")
+        "tightness_pk: 6724 items against budget 6723\n")
+    code, out, _ = invoke(["bound", path, "--budget", "6724", "--format",
+                           "json"])
+    assert code == 0
+    prior = json.loads(out)["results"]["tightness"]["prior"]
+    assert prior["numerator_sequence"] == ["⊥"] + ["a"] * 8 + ["⊥"] * 7
+    assert prior["denominator_sequence"] == ["b"] + ["a"] * 8 + ["⊥"] * 7
 
 
 def test_worstcase_level_is_read_before_the_search(tmp_path):

@@ -134,6 +134,21 @@ def test_sequences_with_histogram_match_the_sequence_oracle():
             assert u.sequences_with_histogram(h) == oracles.sequences_with_histogram(u, h)
 
 
+def test_realizations_walk_sorted_symbols_in_sorted_order():
+    # With each position's symbols sorted, as the tightness walk takes them,
+    # the realizations come one at a time in sorted (string) order, where
+    # BOT sorts after letters.
+    rng = random.Random(21)
+    for _ in range(40):
+        u = per_individual_universe(rng)
+        suffix = u._reachable_codes(reversed(u.alphabets), None, "walk")[0]
+        alphabets = [sorted(a) for a in u.alphabets]
+        for h in u.achievable_histograms():
+            walk = u._realizations(u.encode_histogram(h), suffix[::-1],
+                                   alphabets)
+            assert list(walk) == sorted(oracles.sequences_with_histogram(u, h))
+
+
 def test_change_histogram_pairs_match_the_sequence_oracle_for_every_k():
     rng = random.Random(22)
     for _ in range(60):
@@ -300,18 +315,21 @@ def assert_quantities_agree(got, want, exact):
 
 def assert_tables_agree(got, want, exact):
     assert list(got.p_x) == list(want.p_x)
-    assert set(got.joint) == set(want.joint)
+    assert list(got.rows) == list(want.rows)
+    for xv, row in want.rows.items():
+        assert [w is None for w in got.rows[xv]] == [w is None for w in row]
     if exact:
         assert got.p_x == want.p_x
         assert got.p_r == want.p_r
-        assert got.joint == want.joint
+        assert got.rows == want.rows
     else:
         for xv in want.p_x:
             assert close(float(got.p_x[xv]), float(want.p_x[xv]))
         for a, b in zip(got.p_r, want.p_r):
             assert close(float(a), float(b))
-        for cell in want.joint:
-            assert close(float(got.joint[cell]), float(want.joint[cell]))
+        for xv, row in want.rows.items():
+            for a, b in zip(got.rows[xv], row):
+                assert b is None or close(float(a), float(b))
     for q in QUANTITIES:
         assert_quantities_agree(q(None, None, None, tables=got),
                                 q(None, None, None, tables=want), exact)
@@ -326,7 +344,8 @@ def test_joint_tables_match_the_sequence_oracle(exact):
         tgt = block_target(rng, prior.universe.n)
         got = JointTables(prior, ch, tgt)
         if exact:
-            assert all(isinstance(w, Fraction) for w in got.joint.values())
+            assert all(isinstance(w, Fraction) for row in got.rows.values()
+                       for w in row if w is not None)
         assert_tables_agree(got, oracles.joint_tables(prior, ch, tgt), exact)
 
 
@@ -414,7 +433,7 @@ def test_float_masses_meet_float_rows_bit_for_bit():
         got = JointTables(prior, ch, tgt)
         assert repr(got.p_x) == repr(want.p_x)
         assert repr(got.p_r) == repr(want.p_r)
-        assert repr(got.joint) == repr(want.joint)
+        assert repr(got.rows) == repr(want.rows)
     assert floats > 0
 
 
@@ -478,7 +497,7 @@ def assert_same_bits(got, want):
     """Same values, types and order: equal reprs."""
     assert repr(got.p_x) == repr(want.p_x)
     assert repr(got.p_r) == repr(want.p_r)
-    assert repr(got.joint) == repr(want.joint)
+    assert repr(got.rows) == repr(want.rows)
 
 
 def test_randomized_response_rows_match_the_fraction_oracle():
@@ -781,7 +800,7 @@ def test_row_views_are_freed_without_the_cycle_collector():
 
 def test_exact_tables_build_their_fraction_views_on_first_use():
     rng = random.Random(33)
-    views = ("p_x", "p_r", "joint")
+    views = ("p_x", "p_r", "rows")
     for _ in range(20):
         prior = block_prior(rng, True)
         ch = block_channel(rng, prior.universe, True)
@@ -794,8 +813,48 @@ def test_exact_tables_build_their_fraction_views_on_first_use():
         p_x, _, _, m = t.integers
         assert t.p_x == {k: Fraction(a, m) for k, a in p_x.items()}
         want = oracles.joint_tables(prior, ch, tgt)
-        assert (t.p_r, t.joint) == (want.p_r, want.joint)
+        assert (t.p_r, t.rows) == (want.p_r, want.rows)
         assert set(views) <= set(vars(t))
+
+
+def test_rows_list_the_keys_of_p_x_and_mark_cells_without_mass_none():
+    # One table form on the integer, float and mixed paths: rows lists the
+    # records keys of p_x in their sorted order, and a cell that no support
+    # sequence reaches through a nonzero row entry is None (a numerator of
+    # 0 in the integer tables). Outcome j is the count of "a"; outcome 3 is
+    # never reached.
+    u = uniform_universe(2, (BOT, "a", "b"))
+    hists = u.achievable_histograms()
+    ints = Channel(u, (0, 1, 2, 3),
+                   {h: tuple(int(j == h[0]) for j in range(4)) for h in hists})
+    floats = Channel(u, (0, 1, 2, 3), {
+        h: tuple(float(q) for q in row) for h, row in ints.rows.items()})
+    exact = independent_prior(u, [{BOT: Fraction(1, 2), "b": Fraction(1, 2)},
+                                  {"a": Fraction(1, 3), "b": Fraction(2, 3)}])
+    inexact = independent_prior(u, [{BOT: 0.5, "b": 0.5},
+                                    {"a": 0.25, "b": 0.75}])
+    paths = 0
+    for prior, ch, integer in ((exact, ints, True), (inexact, floats, False),
+                               (exact, floats, False), (inexact, ints, False)):
+        for tgt in ((0,), (1,), (0, 1)):
+            reached = {(tuple(seq[i] for i in tgt), j)
+                       for seq, p in prior.iter_support()
+                       for j, q in enumerate(ch.rows[u.to_histogram(seq)])
+                       if q != 0}
+            t = JointTables(prior, ch, tgt)
+            assert (t.integers is not None) is integer
+            assert list(t.rows) == list(t.p_x) == sorted(t.p_x)
+            for xv, row in t.rows.items():
+                assert [w is not None for w in row] == [
+                    (xv, j) in reached for j in range(4)]
+            if integer:
+                p_x, _, rows, _ = t.integers
+                assert list(rows) == list(p_x) == list(t.p_x)
+                assert {xv: [w != 0 for w in row] for xv, row in rows.items()} \
+                    == {xv: [w is not None for w in row]
+                        for xv, row in t.rows.items()}
+            paths += 1
+    assert paths == 12
 
 
 # ---------------------------------------------------------------------------
