@@ -280,26 +280,61 @@ def _pair_description(s_num, s_den, block):
     }
 
 
-def _table_max_mi(channel, tgt, budget, table, d):
+# What _table_max_mi gives in place of a measurement when the table's rows
+# show that its max_mi cannot exceed the best so far.
+_BOUNDED = object()
+
+
+def _rows_bound(channel, table, best):
+    """True when max_mi of every prior supported on table's sequences is at
+    most best: best is a Fraction, the rows of the sequences' histograms are
+    rational, and on every outcome the largest of their entries is at most
+    best times the smallest. P(r | x) and P(r) are both convex combinations
+    of those rows' entries at r, so P(r | x) is at most the largest and
+    P(r) at least the smallest. Decided on the channel's integer rows,
+    cross-multiplied; no Fraction is built."""
+    if not isinstance(best, Fraction):
+        return False
+    u = channel.universe
+    weight = u.code_weights.__getitem__
+    rows = [channel._dense[u.decode_histogram(code)]
+            for code in {sum(map(weight, seq)) for seq in table}]
+    if None in rows:
+        return False
+    d = math.lcm(*(dr for _, dr in rows))
+    p, q = best.numerator, best.denominator
+    return all(max(col) * q <= p * min(col) for col in zip(*(
+        nums if dr == d else [a * (d // dr) for a in nums]
+        for nums, dr in rows)))
+
+
+def _table_max_mi(channel, tgt, budget, table, d, best=None):
     """max_mi about tgt of the prior whose support is (table, d), an
     extremal construction's table, read off its support_cells after the
     table's size, the prior's support size, is charged to the JointTables
-    budget, as max_mi on the prior charges."""
+    budget, as max_mi on the prior charges. With best, the best ratio so
+    far, a table whose rows bound its max_mi by best (_rows_bound) gives
+    _BOUNDED and is not measured: the search keeps the first maximum, so
+    it cannot change the result."""
     check_budget(len(table), budget, "JointTables")
+    if _rows_bound(channel, table, best):
+        return _BOUNDED
     cells, d = support_cells(channel.universe, table, d, tgt)
     t = JointTables.from_cells(cells, channel._row_views, channel.outcomes, d)
     return max_mi(None, None, None, tables=t)
 
 
-def _measure_pair(channel, family, tgt, budget, s_num, s_den, block, eta):
+def _measure_pair(channel, family, tgt, budget, s_num, s_den, block, eta,
+                  best=None):
     """(max_mi of the pair prior, description) for an admitted candidate,
-    (None, description) for a filtered one, without building the prior."""
+    (None, description) for a filtered one, without building the prior;
+    _BOUNDED in place of max_mi when it cannot beat best (_table_max_mi)."""
     desc = _pair_description(s_num, s_den, block)
     if extremal_pair_violations(channel.universe, family, s_num, s_den, block,
                                 eta):
         return None, desc
     table, d = extremal_pair_table(channel.universe, s_num, s_den, block, eta)
-    return _table_max_mi(channel, tgt, budget, table, d), desc
+    return _table_max_mi(channel, tgt, budget, table, d, best), desc
 
 
 def _pdelta_classes(channel, family, tgt, budget):
@@ -342,11 +377,12 @@ def _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den):
 
 
 def _measure_pdelta(channel, family, tgt, budget, eta, branches, admitted,
-                    x_num, x_den, comp_shared, comp_num, comp_den):
+                    x_num, x_den, comp_shared, comp_num, comp_den, best=None):
     """(max_mi of the shared/private-complement prior, description) for an
     admitted candidate, (None, description) for a filtered one, read off its
     extremal_pdelta_table (branches is pdelta_branches(family.exp_delta,
-    eta)) by _table_max_mi without building the prior.
+    eta)) by _table_max_mi without building the prior; _BOUNDED in place
+    of max_mi when it cannot beat best.
 
     admitted memoizes, per equality pattern of the complements, whether its
     candidates are family members; the first candidate of a pattern hands
@@ -384,23 +420,25 @@ def _measure_pdelta(channel, family, tgt, budget, eta, branches, admitted,
             u, family, [tuple(range(u.n))], [masses.items()])
         if not admitted[pattern]:
             return None, desc
-    return _table_max_mi(channel, tgt, budget, table, d), desc
+    return _table_max_mi(channel, tgt, budget, table, d, best), desc
 
 
-def _extremal_classes(channel, family, tgt, eta, budget):
-    """(member count, max_mi or None, description) of each symmetry class,
-    pair classes first, measured on its first member, whose verdict and
-    ratio the others share; only complement classes read exp_delta."""
+def _extremal_classes(channel, family, tgt, eta, budget, best):
+    """(member count, max_mi or None or _BOUNDED, description) of each
+    symmetry class, pair classes first, measured on its first member, whose
+    verdict and ratio the others share; best() is the best ratio so far,
+    read as each class is measured. Only complement classes read
+    exp_delta."""
     for count, *layout in _pair_classes(channel, family, tgt, budget):
         yield (count, *_measure_pair(channel, family, tgt, budget, *layout,
-                                     eta))
+                                     eta, best()))
     measure = None
     for count, *layout in _pdelta_classes(channel, family, tgt, budget):
         if measure is None:
             measure = functools.partial(
                 _measure_pdelta, channel, family, tgt, budget, eta,
                 pdelta_branches(family.exp_delta, eta), {})
-        yield (count, *measure(*layout))
+        yield (count, *measure(*layout, best()))
 
 
 # The sampled search saves a generator state once per this many draws
@@ -430,6 +468,16 @@ def _check_largest_sample(channel, family, tgt, budget, rng, q, blocks,
         raise AuditError(
             f"the largest sampled member (blocks {list(blocks)}) does not "
             "rebuild to the member that was measured")
+
+
+def _exceeds(r, best, best_float):
+    """r > best, where best_float is float_or_inf(best). A float r is
+    compared with a Fraction best through best_float unless the two floats
+    are equal: best_float is best rounded to the nearest float, so no float
+    lies strictly between them and the float comparison is exact."""
+    if isinstance(r, float) and isinstance(best, Fraction) and r != best_float:
+        return r > best_float
+    return r > best
 
 
 def _sampled_members(channel, family, tgt, rng, samples, budget):
@@ -482,34 +530,38 @@ def worstcase_sup(
 
     The extremal half enumerates the theorem-backed worst-case
     constructions, filters them by family membership, and runs the real
-    measurement on each (no shortcut through the row scan, so agreement
-    between the two routes is a genuine cross-check). The sampled half
-    draws samples seeded random members and measures them from their
-    masses; the largest is rebuilt as a prior and checked; samples = 0
-    runs the extremal half alone. If a sample ever beats every extremal
+    measurement on each whose rows do not already bound it by the best so
+    far (the winner is always measured, never read off the row scan, so
+    agreement between the two routes is a genuine cross-check). The sampled
+    half draws samples seeded random members and measures them from their
+    masses; the largest is rebuilt as a prior and checked; samples = 0 runs
+    the extremal half alone. If a sample ever beats every extremal
     candidate the result is demoted to inconclusive, because that would
     mean the extremal list missed the worst case.
     """
     tgt = normalize_target(channel.universe.n, target)
-    best = None
+    best = best_float = None
     best_wit = None
     notes = []
     evaluated = {"extremal": 0, "sampled": 0, "rejected_samples": 0,
                  "filtered_candidates": 0}
 
     def consider(q, desc, origin, count=1):
-        nonlocal best, best_wit
+        nonlocal best, best_float, best_wit
         evaluated[origin] += count
+        if q is _BOUNDED:
+            return
         r = q.ratio
-        if best is None or r > best:
-            best = r
+        if best is None or _exceeds(r, best, best_float):
+            best, best_float = r, float_or_inf(r)
             best_wit = dict(desc)
             best_wit["leak"] = q.witness
             best_wit["origin"] = origin
 
-    # Each symmetry class is measured once and counts all its members.
+    # Each symmetry class is measured at most once and counts all its
+    # members; one whose rows bound it by the best so far is not measured.
     for count, q, desc in _extremal_classes(channel, family, tgt, eta,
-                                            budget):
+                                            budget, lambda: best):
         if q is None:
             evaluated["filtered_candidates"] += count
         else:

@@ -176,7 +176,7 @@ def build_mechanism(universe: RecordUniverse, raw, budget=None) -> Channel:
         for row in rows.values():
             _expect(row, list, "matrix row")
         outcomes = _expect(raw["outcomes"], list, "matrix outcomes")
-        return matrix_channel(universe, tuple(outcomes), rows)
+        return matrix_channel(universe, tuple(outcomes), rows, budget)
     if kind == "geometric_counting":
         epsilon, max_count = raw.get("epsilon"), raw.get("max_count")
         return geometric_counting_channel(
@@ -191,7 +191,7 @@ def build_mechanism(universe: RecordUniverse, raw, budget=None) -> Channel:
     if kind == "randomized_response":
         if "keep_prob" not in raw:
             raise SchemaError("randomized_response needs keep_prob")
-        return randomized_response_channel(universe, raw["keep_prob"])
+        return randomized_response_channel(universe, raw["keep_prob"], budget)
     raise SchemaError(f"unknown mechanism type {kind!r}")
 
 

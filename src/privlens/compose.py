@@ -32,7 +32,7 @@ from .probability import (
     nats_to_bits,
     ratios_agree,
 )
-from .universe import check_budget
+from .universe import channel_build_budget, check_budget
 from .audit import Verdict, _parse_bound, leq_with_tol
 
 
@@ -45,7 +45,9 @@ def product_channel(channels: Sequence[Channel],
     """Simultaneous release of several mechanisms run on the same dataset.
 
     All channels must share one universe. Outcomes are tuples of component
-    outcomes; each row is the product of the component rows.
+    outcomes; each row is the product of the component rows. The product's
+    entries are charged against the budget; the achievable histograms are
+    listed against channel_build_budget(budget).
     """
     if not channels:
         raise CompositionError("need at least one channel")
@@ -54,24 +56,22 @@ def product_channel(channels: Sequence[Channel],
         if c.universe is not u and c.universe.alphabets != u.alphabets:
             raise CompositionError("channels are over different universes")
     n_out = prod(len(c.outcomes) for c in channels)
-    check_budget(
-        n_out * len(u.achievable_histograms()), budget, "product_channel"
-    )
+    hists = u.achievable_histograms(channel_build_budget(budget))
+    check_budget(n_out * len(hists), budget, "product_channel")
     outcomes = tuple(itertools.product(*(c.outcomes for c in channels)))
-    hists = u.achievable_histograms()
     if _rational(channels):
         # Rational rows: int products of the numerators over the product
         # of the row denominators, one Fraction per entry at the end.
         return Channel.from_numerators(u, outcomes, {
             h: _fold_dense([c._dense[h] for c in channels]) for h in hists
-        })
+        }, budget)
     # A float somewhere: each entry is the product of the component
     # entries taken from Fraction(1), as Fraction or float operators give.
     one = (Fraction(1),)
     return Channel(u, outcomes, {
         h: tuple(_fold_rows([one, *(c.rows[h] for c in channels)]))
         for h in hists
-    })
+    }, budget)
 
 
 def certify_composition(

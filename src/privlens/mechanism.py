@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -32,6 +32,7 @@ from .universe import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
     RecordUniverse,
+    channel_build_budget,
     check_budget,
 )
 
@@ -136,21 +137,24 @@ class Channel:
     which the ratio scans and joint tables read. from_numerators builds a
     channel from rows that are integer numerators already; its rows are a
     FractionRows, which builds a row's Fractions when the row is first read.
+    The achievable histograms that coverage is checked against are listed
+    against channel_build_budget(budget); budget is not kept.
     """
 
     universe: RecordUniverse
     outcomes: Tuple
     rows: Mapping[Tuple[int, ...], Tuple[Prob, ...]]
+    budget: InitVar[Optional[int]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, budget):
         # (numerators, d) per histogram; None for a row that holds a float.
         dense = {h: scale_to_integers(row) for h, row in self.rows.items()}
-        self._check(dense)
+        self._check(dense, budget)
         self._keep(dense)
 
     @classmethod
     def from_numerators(cls, universe: RecordUniverse, outcomes,
-                        dense) -> "Channel":
+                        dense, budget: Optional[int] = None) -> "Channel":
         """The channel whose row at h is numerators / d for each (h,
         (numerators, d)) in dense, with int numerators and a positive int
         d. The checks and messages are the constructor's, made on the
@@ -159,16 +163,17 @@ class Channel:
         ch = cls.__new__(cls)
         object.__setattr__(ch, "universe", universe)
         object.__setattr__(ch, "outcomes", tuple(outcomes))
-        ch._check(dense)
+        ch._check(dense, budget)
         object.__setattr__(ch, "rows", FractionRows(dense))
         ch._keep(dense)
         return ch
 
-    def _check(self, dense):
+    def _check(self, dense, budget=None):
         """Validate the channel whose rows have the integer form dense:
         histogram -> (numerators, d), or None for a row with a float, which
         is read from self.rows. A message names the first offending row in
-        dense's order."""
+        dense's order. The achievable histograms are listed against
+        channel_build_budget(budget)."""
         if not self.outcomes:
             raise ChannelError("channel needs at least one outcome")
         try:
@@ -178,7 +183,8 @@ class Channel:
                                "or objects") from None
         if distinct != len(self.outcomes):
             raise ChannelError("outcome labels repeat")
-        achievable = set(self.universe.achievable_histograms())
+        achievable = set(self.universe.achievable_histograms(
+            channel_build_budget(budget)))
         keys = set(dense)
         missing = achievable - keys
         if missing:
@@ -243,9 +249,11 @@ class Channel:
         }
 
 
-def matrix_channel(universe: RecordUniverse, outcomes, raw_rows) -> Channel:
+def matrix_channel(universe: RecordUniverse, outcomes, raw_rows,
+                   budget: Optional[int] = None) -> Channel:
     """Channel from explicit rows; raw_rows maps histogram tuples (or
-    canonical count-key strings) to probability lists."""
+    canonical count-key strings) to probability lists. budget is the
+    Channel's."""
     rows = {}
     for key, row in raw_rows.items():
         if isinstance(key, str):
@@ -253,7 +261,7 @@ def matrix_channel(universe: RecordUniverse, outcomes, raw_rows) -> Channel:
         else:
             hist = tuple(key)
         rows[hist] = tuple(parse_probability(p) for p in row)
-    return Channel(universe, tuple(outcomes), rows)
+    return Channel(universe, tuple(outcomes), rows, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +286,8 @@ def geometric_counting_channel(
     absorb their tails: alpha^c / (1 + alpha) at 0 and alpha^(m - c) / (1 + alpha)
     at m. Rows are exactly epsilon-differentially private and rational when
     alpha is given as a rational ``ratio``. A max_count beyond the largest
-    achievable count is charged against the budget.
+    achievable count is charged against the budget; the achievable
+    histograms are listed against channel_build_budget(budget).
     """
     if (ratio is None) == (epsilon is None):
         raise ChannelError("give exactly one of ratio or epsilon")
@@ -295,7 +304,8 @@ def geometric_counting_channel(
             f"target symbol {target_symbol!r} not in the pooled alphabet"
         )
     t_idx = universe.pooled_alphabet.index(target_symbol)
-    cap = max(h[t_idx] for h in universe.achievable_histograms())
+    hists = universe.achievable_histograms(channel_build_budget(budget))
+    cap = max(h[t_idx] for h in hists)
     m = cap if max_count is None else max_count
     if m < cap:
         raise ChannelError(
@@ -303,7 +313,6 @@ def geometric_counting_channel(
         )
 
     # A row depends on the count alone: one row per count, shared.
-    hists = universe.achievable_histograms()
     counts = {h[t_idx] for h in hists}
     # Rows up to the largest achievable count grow with the universe alone.
     # A max_count beyond it adds m - cap entries to each row, and a rational
@@ -315,7 +324,7 @@ def geometric_counting_channel(
     if isinstance(alpha, float):
         by_count = {c: _geometric_float_row(alpha, m, c) for c in counts}
         return Channel(universe, outcomes,
-                       {h: by_count[h[t_idx]] for h in hists})
+                       {h: by_count[h[t_idx]] for h in hists}, budget)
     # alpha = p/q: every entry is an integer over q**m * (q + p), the
     # masses above times q**m * (q + p).
     p, q = alpha.numerator, alpha.denominator
@@ -334,7 +343,8 @@ def geometric_counting_channel(
 
     by_count = {c: (numerators(c), d) for c in counts}
     return Channel.from_numerators(universe, outcomes,
-                                   {h: by_count[h[t_idx]] for h in hists})
+                                   {h: by_count[h[t_idx]] for h in hists},
+                                   budget)
 
 
 def _geometric_float_row(alpha, m, c):
@@ -350,7 +360,8 @@ def _geometric_float_row(alpha, m, c):
     return tuple(out)
 
 
-def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
+def randomized_response_channel(universe: RecordUniverse, keep_prob,
+                                budget: Optional[int] = None) -> Channel:
     """Per-record randomized response, reported as an output histogram.
 
     Each record is kept with probability ``keep_prob`` and otherwise resampled
@@ -360,6 +371,8 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
     histogram. A rational ``keep_prob`` runs one integer state DP per class
     of input count vectors sorted in descending order and reads each row
     through its sorting permutation; a float one runs the DP per histogram.
+    The achievable histograms are listed against
+    channel_build_budget(budget).
     """
     alpha0 = universe.alphabets[0]
     for a in universe.alphabets:
@@ -371,7 +384,7 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
     m = len(alpha0)
     base = (1 - keep) / m
     n = universe.n
-    achievable = universe.achievable_histograms()
+    achievable = universe.achievable_histograms(channel_build_budget(budget))
     outcomes = tuple(universe.histogram_key(h) for h in achievable)
     # Full count vectors over alpha0, BOT included, in alpha0 order.
     where = [universe.pooled_alphabet.index(v) if v != BOT else None
@@ -392,7 +405,7 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
         for h, f in zip(achievable, full):
             states = _rr_states(f, kernel)
             rows[h] = tuple(states.get(c, Fraction(0)) for c in out_codes)
-        return Channel(universe, outcomes, rows)
+        return Channel(universe, outcomes, rows, budget)
 
     # Rational kernel: it runs on integers over its common denominator, so
     # each state sums ints and each row is integer numerators over
@@ -421,7 +434,7 @@ def randomized_response_channel(universe: RecordUniverse, keep_prob) -> Channel:
                 sum(g[j] * p for j, p in zip(order, places)) for g in full
             ]
         rows[h] = [states.get(c, 0) for c in cols], denom
-    return Channel.from_numerators(universe, outcomes, rows)
+    return Channel.from_numerators(universe, outcomes, rows, budget)
 
 
 def _rr_kernel(weights, diag, off):

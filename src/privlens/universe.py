@@ -48,6 +48,18 @@ def check_budget(cardinality, budget, stage):
         raise EnumerationBudgetError(cardinality, budget, stage)
 
 
+def channel_build_budget(budget):
+    """The budget that a channel build lists the achievable histograms
+    against: budget when it is above DEFAULT_ENUMERATION_BUDGET, else the
+    default. A scenario builds its channels before any task reads its
+    input, so a budget below the default stops the task's own stages, not
+    the build, and an input error in the task is still reported first; a
+    budget above it lets a larger universe build its channels."""
+    if budget is None:
+        return DEFAULT_ENUMERATION_BUDGET
+    return max(budget, DEFAULT_ENUMERATION_BUDGET)
+
+
 @dataclass(frozen=True)
 class RecordUniverse:
     """Per-individual record alphabets over a shared symbol pool.

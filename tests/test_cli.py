@@ -246,6 +246,53 @@ def test_integral_scenario_budgets_are_accepted(tmp_path, budget):
     assert json.loads(out)["budget"] == 1000
 
 
+def six_record_scenario(**extra):
+    """n=6 over {BOT, a, b}: listing the 28 achievable histograms takes 168
+    steps; a geometric, a randomized-response and a matrix mechanism."""
+    from privlens.universe import BOT, uniform_universe
+
+    u = uniform_universe(6, (BOT, "a", "b"))
+    scn = base_scenario(universe={"n": 6, "alphabet": ["BOT", "a", "b"]})
+    del scn["priors"]
+    scn["mechanisms"]["matrix"] = {
+        "type": "matrix", "outcomes": [0, 1],
+        "rows": {u.histogram_key(h): ["1/3", "2/3"]
+                 for h in u.achievable_histograms()},
+    }
+    scn.update(extra)
+    return scn
+
+
+@pytest.mark.parametrize("command, section", [
+    ("certify", {"kind": "k_change", "mechanism": "geo", "k": 1,
+                 "exp_epsilon": "3"}),
+    ("certify", {"kind": "k_change", "mechanism": "rr", "k": 1,
+                 "exp_epsilon": "1000"}),
+    ("certify", {"kind": "k_change", "mechanism": "matrix", "k": 1,
+                 "exp_epsilon": "1"}),
+    ("compose", {"kind": "product", "mechanisms": ["geo", "rr", "matrix"],
+                 "k": 1, "exp_epsilons": ["3", "1000", "1"]}),
+], ids=["geometric", "randomized_response", "matrix", "product"])
+def test_budget_reaches_channel_construction(tmp_path, monkeypatch, command,
+                                             section):
+    # The default budget is lowered below the 168 steps of the achievable
+    # histograms' listing, so only a --budget that reaches every builder,
+    # the channel check and the product channel lets the request run; one
+    # step short of the listing, above the lowered default, stops it.
+    from privlens import universe
+
+    path = write_scenario(tmp_path, six_record_scenario(**{command: section}))
+    monkeypatch.setattr(universe, "DEFAULT_ENUMERATION_BUDGET", 50)
+    code, out, err = invoke([command, path, "--budget", "100000",
+                             "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["verdicts"][0]["satisfied"]
+    code, _, err = invoke([command, path, "--budget", "167"])
+    assert (code, err) == (3, "error: enumeration budget exceeded in "
+                              "achievable_histograms: 168 items against "
+                              "budget 167\n")
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     scn = base_scenario(
         certify={"kind": "k_change", "mechanism": "geo", "k": 1, "exp_epsilon": "3"}

@@ -64,15 +64,19 @@ from privlens import (
 )
 from privlens.audit import (
     _check_largest_sample,
+    _exceeds,
     _measure_pair,
     _measure_pdelta,
     _pair_classes,
     _pdelta_classes,
+    _rows_bound,
     _sampled_members,
+    _table_max_mi,
     tightness_pk,
 )
 from privlens.leakage import MaxMiPlan
 from privlens.mechanism import RowViews
+from privlens.probability import float_or_inf
 from privlens.prior import (
     HistogramPlan,
     block_cells,
@@ -1564,6 +1568,155 @@ def test_worstcase_sup_float_inputs_match_the_per_candidate_oracle(exact,
                 for sup in (worstcase_sup, oracles.worstcase_sup)
             )
             assert repr(got) == repr(want), (family, target)
+
+
+# ---------------------------------------------------------------------------
+# Extremal candidates bounded by their rows before they are measured
+# ---------------------------------------------------------------------------
+
+
+def admitted_tables(ch, family, tgt, eta):
+    """(kind, table, d) of the first member of each admitted extremal class
+    of the search, pair classes first; membership of a complement class is
+    read off its built prior."""
+    u = ch.universe
+    for _, s_num, s_den, block in _pair_classes(ch, family, tgt, None):
+        if not extremal_pair_violations(u, family, s_num, s_den, block, eta):
+            yield ("pair", *extremal_pair_table(u, s_num, s_den, block, eta))
+    for _, *layout in _pdelta_classes(ch, family, tgt, None):
+        prior = extremal_pdelta_prior(u, tgt[0], *layout, family.exp_delta,
+                                      eta=eta)
+        if check_membership(prior, family).ok:
+            yield ("complement", *extremal_pdelta_table(
+                u, tgt[0], *layout, pdelta_branches(family.exp_delta, eta)))
+
+
+def test_row_bound_never_undercuts_the_measurement():
+    # Wherever the rows bound a candidate's max_mi by b, its measured
+    # max_mi is at most b. b runs over the measured ratios of the case (at
+    # most eight of them, both ends included), so the bound holds and
+    # fails, and holds with equality; the cases bring group targets at
+    # k=2, complement candidates and matrix rows with their own
+    # denominators. Float rows are never bounded.
+    rng = random.Random(74)
+    seen = collections.Counter()
+    for ch, family, target, eta in sup_cases(rng):
+        tgt = normalize_target(ch.universe.n, target)
+        tables = list(admitted_tables(ch, family, tgt, eta))
+        measured = [_table_max_mi(ch, tgt, None, table, d).ratio
+                    for _, table, d in tables]
+        ratios = sorted(set(measured), key=float)
+        bounds = ratios[::max(1, len(ratios) // 7)] + ratios[-1:]
+        rational = all(row is not None for row in ch._dense.values())
+        own = rational and len({d for _, d in ch._dense.values()}) > 1
+        for (kind, table, _), r in zip(tables, measured):
+            for b in bounds:
+                if not _rows_bound(ch, table, b):
+                    seen["open"] += 1
+                    continue
+                assert rational and r <= b, (ch.universe, family, tgt, b)
+                seen["bounded"] += 1
+                seen["tight"] += r == b
+                seen[kind] += 1
+                seen["own denominators"] += own
+                seen["group k=2"] += len(tgt) > 1 and family.k == 2
+        seen["float rows"] += not rational
+    assert min(seen[k] for k in (
+        "open", "bounded", "tight", "pair", "complement", "own denominators",
+        "group k=2", "float rows")) > 0, seen
+
+
+@pytest.mark.parametrize("samples", [0, 200])
+def test_worstcase_sup_with_the_row_bound_matches_the_oracle(samples):
+    # The oracle measures every candidate; the search skips the bounded
+    # ones, and still gives the same result, witness, counts and notes,
+    # with no sampled half and with 200 draws.
+    rng = random.Random(75 + samples)
+    cases = list(sup_cases(rng))
+    if samples:
+        cases = cases[::4]
+    for ch, family, target, eta in cases:
+        sampler_seed = rng.randrange(1000)
+        got, want = (
+            sup(ch, family, target, rng=random.Random(sampler_seed),
+                samples=samples, eta=eta)
+            for sup in (worstcase_sup, oracles.worstcase_sup)
+        )
+        assert repr(got) == repr(want), (ch.universe, family, target, eta)
+
+
+def count_measurements(monkeypatch):
+    """A Counter of the admitted extremal tables the search reads
+    ("admitted") and the joint tables it builds from cells ("measured")."""
+    calls = collections.Counter()
+    table_max_mi = audit_module._table_max_mi
+    from_cells = JointTables.from_cells.__func__
+
+    def counted_table_max_mi(*args, **kwargs):
+        calls["admitted"] += 1
+        return table_max_mi(*args, **kwargs)
+
+    def counted_from_cells(cls, *args, **kwargs):
+        calls["measured"] += 1
+        return from_cells(cls, *args, **kwargs)
+
+    monkeypatch.setattr(audit_module, "_table_max_mi", counted_table_max_mi)
+    monkeypatch.setattr(JointTables, "from_cells",
+                        classmethod(counted_from_cells))
+    return calls
+
+
+def test_worstcase_sup_at_a_float_eta_measures_every_admitted_class(
+        monkeypatch):
+    # A float eta gives float ratios, which the rows never bound: every
+    # admitted class is measured, and the result is the oracle's.
+    calls = count_measurements(monkeypatch)
+    rng = random.Random(77)
+    for ch, family, target, eta in list(sup_cases(rng))[::3]:
+        calls.clear()
+        got = worstcase_sup(ch, family, target, samples=20, eta=float(eta),
+                            rng=random.Random(1))
+        assert calls["measured"] == calls["admitted"]
+        want = oracles.worstcase_sup(ch, family, target, samples=20,
+                                     eta=float(eta), rng=random.Random(1))
+        assert repr(got) == repr(want), (ch.universe, family, target)
+
+
+def test_row_bound_skips_most_extremal_measurements(monkeypatch):
+    # A geometric group target at k=2, n=4: the classes measured first set
+    # a best that the rows of most later ones cannot beat, so the search
+    # builds far fewer joint tables than it admits classes.
+    u = uniform_universe(4, (BOT, "a", "b"))
+    ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 2))
+    family = FamilyParams(k=2)
+    calls = count_measurements(monkeypatch)
+    got = worstcase_sup(ch, family, (0, 1), samples=0)
+    assert calls["admitted"] > 100
+    assert calls["measured"] * 4 < calls["admitted"], calls
+    assert repr(got) == repr(oracles.worstcase_sup(ch, family, (0, 1),
+                                                   samples=0))
+
+
+def test_exceeds_compares_a_float_with_a_fraction_exactly():
+    # Floats just below, equal to and just above float(best), with best no
+    # float: 1/3 rounds down to its float, 1/10 up, so the equal float
+    # loses to the first and beats the second; beyond the float range the
+    # float of best is inf.
+    huge = Fraction(10**400, 3)
+    for best in (Fraction(1, 3), Fraction(1, 10), Fraction(7), huge):
+        f = float_or_inf(best)
+        floats = (f,) if math.isinf(f) else (
+            math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf))
+        for r in floats + (0.0, math.inf, 1e308):
+            want = (r == math.inf or not math.isinf(r)
+                    and Fraction(r) > best)
+            assert _exceeds(r, best, f) is want, (r, best)
+    assert _exceeds(float(Fraction(1, 10)), Fraction(1, 10), 0.1)
+    assert not _exceeds(float(Fraction(1, 3)), Fraction(1, 3), 1 / 3)
+    # Either side rational, or both floats: the plain comparison.
+    assert _exceeds(Fraction(1, 2), Fraction(1, 3), 1 / 3)
+    assert not _exceeds(Fraction(1, 3), 0.5, 0.5)
+    assert _exceeds(0.5, 0.25, 0.25)
 
 
 # ---------------------------------------------------------------------------
