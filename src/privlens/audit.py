@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import collections
 import copy
-import functools
 import itertools
 import math
 import operator
@@ -280,11 +279,6 @@ def _pair_description(s_num, s_den, block):
     }
 
 
-# What _table_max_mi gives in place of a measurement when the table's rows
-# show that its max_mi cannot exceed the best so far.
-_BOUNDED = object()
-
-
 def _rows_bound(channel, table, best):
     """True when max_mi of every prior supported on table's sequences is at
     most best: best is a Fraction, the rows of the sequences' histograms are
@@ -314,27 +308,14 @@ def _table_max_mi(channel, tgt, budget, table, d, best=None):
     table's size, the prior's support size, is charged to the JointTables
     budget, as max_mi on the prior charges. With best, the best ratio so
     far, a table whose rows bound its max_mi by best (_rows_bound) gives
-    _BOUNDED and is not measured: the search keeps the first maximum, so
-    it cannot change the result."""
+    None and is not measured: the search keeps the first maximum, so it
+    cannot change the result."""
     check_budget(len(table), budget, "JointTables")
     if _rows_bound(channel, table, best):
-        return _BOUNDED
+        return None
     cells, d = support_cells(channel.universe, table, d, tgt)
     t = JointTables.from_cells(cells, channel._row_views, channel.outcomes, d)
     return max_mi(None, None, None, tables=t)
-
-
-def _measure_pair(channel, family, tgt, budget, s_num, s_den, block, eta,
-                  best=None):
-    """(max_mi of the pair prior, description) for an admitted candidate,
-    (None, description) for a filtered one, without building the prior;
-    _BOUNDED in place of max_mi when it cannot beat best (_table_max_mi)."""
-    desc = _pair_description(s_num, s_den, block)
-    if extremal_pair_violations(channel.universe, family, s_num, s_den, block,
-                                eta):
-        return None, desc
-    table, d = extremal_pair_table(channel.universe, s_num, s_den, block, eta)
-    return _table_max_mi(channel, tgt, budget, table, d, best), desc
 
 
 def _pdelta_classes(channel, family, tgt, budget):
@@ -376,69 +357,62 @@ def _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den):
     }
 
 
-def _measure_pdelta(channel, family, tgt, budget, eta, branches, admitted,
-                    x_num, x_den, comp_shared, comp_num, comp_den, best=None):
-    """(max_mi of the shared/private-complement prior, description) for an
-    admitted candidate, (None, description) for a filtered one, read off its
-    extremal_pdelta_table (branches is pdelta_branches(family.exp_delta,
-    eta)) by _table_max_mi without building the prior; _BOUNDED in place
-    of max_mi when it cannot beat best.
+def _extremal_tables(channel, family, tgt, eta, budget):
+    """(member count, description, support) of each symmetry class, pair
+    classes first, where support is the first member's support table
+    (table, d), or None when the class's members are not family members;
+    the other members share the first member's verdict and max_mi. Only
+    complement classes read exp_delta: their branches are made at the
+    first complement class.
 
-    admitted memoizes, per equality pattern of the complements, whether its
-    candidates are family members; the first candidate of a pattern hands
-    its table's items, at the prior's masses, to _layout_violations. The
-    pattern is, per other individual, which of its shared, numerator and
-    denominator symbols are equal. Two candidates of one search with the
-    same pattern differ by a relabelling of each individual's alphabet (any
-    two pairs of distinct target records, and any two symbol triples with
-    the same equalities, are related by a permutation of the alphabet).
-    Such a relabelling keeps the table's items in branch order, which
-    branches merge and so every mass, and only renames the symbols of their
-    sequences, the records whose marginal and conditional masses sigma and
-    the band read: sigma is a minimum over unordered record pairs of an
-    overlap symmetric in the pair, the band tests every record of the
-    alphabet alike, and the block is always all n individuals. On floats
-    the bits stay the same too: a record pair's two conditionals split at
-    most four items, so an overlap sums at most two terms, and every
-    marginal sums the items in table order. So the verdict depends on the
-    pattern alone.
+    A complement class's verdict is memoized per equality pattern of its
+    complements; the first class of a pattern hands its table's items, at
+    the prior's masses, to _layout_violations, and a filtered pattern
+    builds no further table. The pattern is, per other individual, which
+    of its shared, numerator and denominator symbols are equal. Two
+    candidates of one search with the same pattern differ by a relabelling
+    of each individual's alphabet (any two pairs of distinct target
+    records, and any two symbol triples with the same equalities, are
+    related by a permutation of the alphabet). Such a relabelling keeps the
+    table's items in branch order, which branches merge and so every mass,
+    and only renames the symbols of their sequences, the records whose
+    marginal and conditional masses sigma and the band read: sigma is a
+    minimum over unordered record pairs of an overlap symmetric in the
+    pair, the band tests every record of the alphabet alike, and the block
+    is always all n individuals. On floats the bits stay the same too: a
+    record pair's two conditionals split at most four items, so an overlap
+    sums at most two terms, and every marginal sums the items in table
+    order. So the verdict depends on the pattern alone.
     """
-    desc = _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den)
-    pattern = tuple(zip(map(operator.eq, comp_shared, comp_num),
-                        map(operator.eq, comp_shared, comp_den),
-                        map(operator.eq, comp_num, comp_den)))
-    if admitted.get(pattern) is False:
-        # A filtered pattern: no table is built.
-        return None, desc
     u = channel.universe
-    table, d = extremal_pdelta_table(u, tgt[0], x_num, x_den, comp_shared,
-                                     comp_num, comp_den, branches)
-    if pattern not in admitted:
-        masses = (table if d is None
-                  else {seq: Fraction(a, d) for seq, a in table.items()})
-        admitted[pattern] = not _layout_violations(
-            u, family, [tuple(range(u.n))], [masses.items()])
-        if not admitted[pattern]:
-            return None, desc
-    return _table_max_mi(channel, tgt, budget, table, d, best), desc
-
-
-def _extremal_classes(channel, family, tgt, eta, budget, best):
-    """(member count, max_mi or None or _BOUNDED, description) of each
-    symmetry class, pair classes first, measured on its first member, whose
-    verdict and ratio the others share; best() is the best ratio so far,
-    read as each class is measured. Only complement classes read
-    exp_delta."""
-    for count, *layout in _pair_classes(channel, family, tgt, budget):
-        yield (count, *_measure_pair(channel, family, tgt, budget, *layout,
-                                     eta, best()))
-    measure = None
-    for count, *layout in _pdelta_classes(channel, family, tgt, budget):
-        if measure is None:
-            measure = functools.partial(
-                _measure_pdelta, channel, family, tgt, budget, eta,
-                pdelta_branches(family.exp_delta, eta), {})
-        yield (count, *measure(*layout, best()))
+    for count, s_num, s_den, block in _pair_classes(channel, family, tgt,
+                                                    budget):
+        support = None
+        if not extremal_pair_violations(u, family, s_num, s_den, block, eta):
+            support = extremal_pair_table(u, s_num, s_den, block, eta)
+        yield count, _pair_description(s_num, s_den, block), support
+    branches = None
+    admitted = {}
+    for count, x_num, x_den, shared, num, den in _pdelta_classes(
+            channel, family, tgt, budget):
+        if branches is None:
+            branches = pdelta_branches(family.exp_delta, eta)
+        pattern = tuple(zip(map(operator.eq, shared, num),
+                            map(operator.eq, shared, den),
+                            map(operator.eq, num, den)))
+        support = None
+        if admitted.get(pattern) is not False:
+            table, d = extremal_pdelta_table(u, tgt[0], x_num, x_den, shared,
+                                             num, den, branches)
+            if pattern not in admitted:
+                masses = (table if d is None else
+                          {seq: Fraction(a, d) for seq, a in table.items()})
+                admitted[pattern] = not _layout_violations(
+                    u, family, [tuple(range(u.n))], [masses.items()])
+            if admitted[pattern]:
+                support = table, d
+        yield (count, _pdelta_description(x_num, x_den, shared, num, den),
+               support)
 
 
 # The sampled search saves a generator state once per this many draws
@@ -533,8 +507,8 @@ def worstcase_sup(
     measurement on each whose rows do not already bound it by the best so
     far (the winner is always measured, never read off the row scan, so
     agreement between the two routes is a genuine cross-check). The sampled
-    half draws samples seeded random members and measures them from their
-    masses; the largest is rebuilt as a prior and checked; samples = 0 runs
+    half charges its samples to the budget, then draws that many seeded
+    random members and measures them from their masses; the largest is rebuilt as a prior and checked; samples = 0 runs
     the extremal half alone. If a sample ever beats every extremal
     candidate the result is demoted to inconclusive, because that would
     mean the extremal list missed the worst case.
@@ -549,7 +523,7 @@ def worstcase_sup(
     def consider(q, desc, origin, count=1):
         nonlocal best, best_float, best_wit
         evaluated[origin] += count
-        if q is _BOUNDED:
+        if q is None:
             return
         r = q.ratio
         if best is None or _exceeds(r, best, best_float):
@@ -560,17 +534,19 @@ def worstcase_sup(
 
     # Each symmetry class is measured at most once and counts all its
     # members; one whose rows bound it by the best so far is not measured.
-    for count, q, desc in _extremal_classes(channel, family, tgt, eta,
-                                            budget, lambda: best):
-        if q is None:
+    for count, desc, support in _extremal_tables(channel, family, tgt, eta,
+                                                 budget):
+        if support is None:
             evaluated["filtered_candidates"] += count
         else:
-            consider(q, desc, "extremal", count)
+            consider(_table_max_mi(channel, tgt, budget, *support, best),
+                     desc, "extremal", count)
     extremal_best = best
     if evaluated["extremal"] == 0:
         notes.append("no admissible extremal construction for this family")
 
     if samples > 0:
+        check_budget(samples, budget, "worstcase_sup")
         if rng is None:
             rng = random.Random(0)
             notes.append("no rng given; sampled strategy seeded with 0")
@@ -1030,18 +1006,6 @@ def sufficient_nk(
         for avg_set in itertools.combinations(others, n - k - 1):
             free = [u.alphabets[j] for j in others if j not in avg_set]
             avg_alphas = [u.alphabets[j] for j in avg_set]
-            work = (len(alpha) * math.prod(map(len, avg_alphas))
-                    * math.prod(map(len, free)) * n_out)
-            check_budget(work, budget, "sufficient_nk")
-            avg_cells = [(x_avg, sum(weight[s] for s in x_avg))
-                         for x_avg in itertools.product(*avg_alphas)]
-            # Free assignments with one code average to one row, so one code
-            # stands for them all; the codes keep first-occurrence order.
-            free_codes = list(dict.fromkeys(
-                sum(weight[s] for s in x_free)
-                for x_free in itertools.product(*free)
-            ))
-
             # Weight assignments for the averaging set.
             options = [[(supplied or {}).get(j) or _uniform_marginal(u, j)]
                        for j in avg_set]
@@ -1052,6 +1016,19 @@ def sufficient_nk(
                     options = corners
                 elif fallback not in notes:
                     notes.append(fallback)
+            # Every weight choice averages every row again.
+            work = (len(alpha) * math.prod(map(len, avg_alphas))
+                    * math.prod(map(len, free)) * n_out)
+            check_budget(work * math.prod(map(len, options)), budget,
+                         "sufficient_nk")
+            avg_cells = [(x_avg, sum(weight[s] for s in x_avg))
+                         for x_avg in itertools.product(*avg_alphas)]
+            # Free assignments with one code average to one row, so one code
+            # stands for them all; the codes keep first-occurrence order.
+            free_codes = list(dict.fromkeys(
+                sum(weight[s] for s in x_free)
+                for x_free in itertools.product(*free)
+            ))
 
             for weight_choice in itertools.product(*options):
                 cells = []

@@ -478,18 +478,21 @@ def change_histogram_pairs(
     """Unordered pairs of distinct achievable histograms reachable from each
     other by editing at most k records of some realizing sequence.
 
-    For k >= n this is every pair. Otherwise one pass over the individuals
-    carries every pair of partial histograms (h1, h2) with the fewest record
-    changes that reach it, dropping pairs that need more than k; a pair
-    that has used all k changes only copies the next record. The budget
-    counts one step per (state, record pair), an upper bound on the moves
-    taken. Returned sorted for deterministic scans.
+    For k >= n this is every pair, and the budget counts them. Otherwise
+    one pass over the individuals carries every pair of partial histograms
+    (h1, h2) with the fewest record changes that reach it, dropping pairs
+    that need more than k; a pair that has used all k changes only copies
+    the next record. The budget counts one step per (state, record pair),
+    an upper bound on the moves taken. Returned sorted for deterministic
+    scans.
     """
     if k < 1:
         raise ChannelError("k must be at least 1")
     if k >= universe.n:
         # achievable_histograms is sorted, so its combinations are too.
         hists = universe.achievable_histograms(budget)
+        check_budget(len(hists) * (len(hists) - 1) // 2, budget,
+                     "change_histogram_pairs")
         return list(itertools.combinations(hists, 2))
     states = {(0, 0): 0}
     steps = 0

@@ -167,12 +167,14 @@ def test_budget_error_names_the_stage_that_ran_out(tmp_path):
 def test_extremal_budgets_bite_at_the_candidate_count(
         tmp_path, alphabet, family, count, stage):
     uniform = [[f"1/{len(alphabet)}"] * len(alphabet)] * 2
+    # The draws are charged too, so there are no more of them than items
+    # in the budget that the extremal half fits in.
     scn = base_scenario(
         universe={"n": 2, "alphabet": alphabet},
         priors={"uniform": {"independent": uniform}},
         bound={"kind": "worstcase", "mechanism": "geo", "target": 0,
                "family": family},
-        samples=5,
+        samples=min(5, count),
     )
     path = write_scenario(tmp_path, scn)
     code, _, err = invoke(["bound", path, "--budget", str(count - 1)])
@@ -182,6 +184,36 @@ def test_extremal_budgets_bite_at_the_candidate_count(
     code, _, err = invoke(["bound", path, "--budget", str(count)])
     assert code in (0, 2)
     assert "budget" not in err
+
+
+@pytest.mark.parametrize("command, extra, budget, message", [
+    # 10**8 draws on two individuals over {BOT, a}: the sampled half charges
+    # its draws before the first one.
+    ("bound", {"bound": {"kind": "worstcase", "mechanism": "geo",
+                         "target": 0, "family": {"k": 1}},
+               "samples": 100_000_000},
+     1000, "worstcase_sup: 100000000 items against budget 1000"),
+    # Six individuals over {BOT, a, b}, k=1, tau > 0: each averaging set of
+    # four charges its 3 * 3**4 * 3 * 7 = 5103 cells times its 3**4 band
+    # corner weight choices.
+    ("certify", {"universe": {"n": 6, "alphabet": ["BOT", "a", "b"]},
+                 "certify": {"kind": "sufficient_averaged", "mechanism": "geo",
+                             "k": 1, "tau": 0.1, "exp_epsilon": "1000"}},
+     6000, "sufficient_nk: 413343 items against budget 6000"),
+    # Forty individuals over {BOT, a, b} at k = n: every pair of the 861
+    # achievable histograms is charged before it is listed.
+    ("certify", {"universe": {"n": 40, "alphabet": ["BOT", "a", "b"]},
+                 "certify": {"kind": "k_change", "mechanism": "geo", "k": 40,
+                             "exp_epsilon": "1000"}},
+     300000, "change_histogram_pairs: 370230 items against budget 300000"),
+], ids=["draws", "weight_choices", "all_pairs"])
+def test_budget_bounds_the_draws_weight_choices_and_pairs(tmp_path, command,
+                                                          extra, budget,
+                                                          message):
+    path = write_scenario(tmp_path, base_scenario(priors={}, **extra))
+    code, _, err = invoke([command, path, "--budget", str(budget)])
+    assert code == 3
+    assert err == f"error: enumeration budget exceeded in {message}\n"
 
 
 @pytest.mark.parametrize("certify, stage", [

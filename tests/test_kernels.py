@@ -65,8 +65,7 @@ from privlens import (
 from privlens.audit import (
     _check_largest_sample,
     _exceeds,
-    _measure_pair,
-    _measure_pdelta,
+    _extremal_tables,
     _pair_classes,
     _pdelta_classes,
     _rows_bound,
@@ -1384,7 +1383,7 @@ def test_worstcase_sup_classes_match_the_per_candidate_oracle(exact):
         assert repr(got) == repr(want), (ch.universe, family, target, eta)
 
 
-def test_extremal_classes_measure_and_filter_alike():
+def test_class_members_measure_and_filter_alike():
     # What the search relies on: every member of a class has the first
     # member's max_mi and membership, whether or not it would change the
     # sup.
@@ -1485,20 +1484,40 @@ def test_search_never_walks_the_sequence_pairs(monkeypatch):
     assert all(g.evaluated["extremal"] for g in got)
 
 
+def class_tables(ch, family, tgt, eta, kind):
+    """{first member's layout: support} of the search's classes of one
+    kind, the layout read back from the class's description: (s_num, s_den,
+    block) for a pair class, (x_num, x_den, shared, numerator and
+    denominator complements) for a complement class."""
+    def layout(desc):
+        if kind == "near_point_pair":
+            return tuple(tuple(desc[f]) for f in (
+                "numerator_sequence", "denominator_sequence",
+                "dependent_block"))
+        return (*desc["target_records"], tuple(desc["shared_complement"]),
+                *map(tuple, desc["private_complements"]))
+
+    return {layout(desc): support for _, desc, support in _extremal_tables(
+        ch, family, tgt, eta, None) if desc["kind"] == kind}
+
+
 def test_pair_cells_and_membership_are_read_off_the_layout():
     # Over every pair candidate, for a Fraction and a float eta: the table
     # read off the two sequences is the built prior's iter_support as
     # masses over d (sequences, masses and order), and its support_cells
     # are histogram_cells of the prior (keys, masses, d and order); the
-    # layout's membership, band included, is check_membership's; and an
-    # admitted candidate charges its 2^m support sequences to the
-    # JointTables budget and measures as max_mi of the built prior.
+    # layout's membership, band included, is check_membership's; and the
+    # search's stream gives a filtered class no table, and an admitted one
+    # its first member's table, which charges its 2^m support sequences to
+    # the JointTables budget and measures as max_mi of the built prior.
+    # Every class of the stream is a candidate.
     rng = random.Random(69)
     admitted = filtered = banded = 0
     for ch, family, target, exact_eta in sup_cases(rng):
         u = ch.universe
         tgt = normalize_target(u.n, target)
         for eta in (exact_eta, float(exact_eta)):
+            classes = class_tables(ch, family, tgt, eta, "near_point_pair")
             for _, s_num, s_den, block in oracles._pair_layouts(
                     ch, family, tgt, None):
                 prior = extremal_pair_prior(u, s_num, s_den, block=block,
@@ -1514,18 +1533,22 @@ def test_pair_cells_and_membership_are_read_off_the_layout():
                     u, family, s_num, s_den, block, eta) == list(
                         m.violations), (family, s_num, s_den, block, eta)
                 banded += m.band_count is not None and 0 < m.band_count
-                measure = functools.partial(_measure_pair, ch, family, tgt)
+                if (s_num, s_den, block) not in classes:
+                    continue
+                support = classes.pop((s_num, s_den, block))
                 if not m.ok:
                     filtered += 1
-                    assert measure(None, s_num, s_den, block, eta)[0] is None
+                    assert support is None
                     continue
                 admitted += 1
-                support = prior.support_size()
+                assert repr(support) == repr((table, d))
+                size = prior.support_size()
                 with pytest.raises(EnumerationBudgetError,
                                    match="JointTables"):
-                    measure(support - 1, s_num, s_den, block, eta)
-                q, _ = measure(support, s_num, s_den, block, eta)
+                    _table_max_mi(ch, tgt, size - 1, *support)
+                q = _table_max_mi(ch, tgt, size, *support)
                 assert repr(q) == repr(max_mi(prior, ch, tgt))
+            assert not classes, (u, family, tgt, eta)
     assert admitted > 0 and filtered > 0 and banded > 0
     # Two-point singletons outside the target share cells, which
     # support_cells merges as histogram_cells does.
@@ -1744,10 +1767,11 @@ def test_pdelta_cells_are_read_off_the_construction():
     # a band, at a Fraction or a float eta: the construction's one table is
     # the built prior's (as masses over d), and the cells grouped from it
     # are histogram_cells of the built prior (keys, masses, d and order) for
-    # the target and for a pair target; and the search's measure, its
-    # pattern memo shared over the candidates, admits exactly the members,
-    # charges their support to the JointTables budget and measures max_mi
-    # of the built prior.
+    # the target and for a pair target; and the search's stream, its
+    # pattern memo shared over the classes, gives a table to exactly the
+    # member classes, and that table charges its support to the JointTables
+    # budget and measures max_mi of the built prior. Every complement class
+    # of the stream is a candidate.
     rng = random.Random(71)
     f = FamilyParams
     seen = collections.Counter()
@@ -1759,7 +1783,9 @@ def test_pdelta_cells_are_read_off_the_construction():
                 branches = pdelta_branches(exp_delta, eta)
                 families = (f(exp_delta=exp_delta),
                             f(exp_delta=exp_delta, ell=1, tau=0.7))
-                memos = [{} for _ in families]
+                streams = [class_tables(ch, family, (i,), eta,
+                                        "shared_private_complement")
+                           for family in families]
                 for _, *layout in oracles._pdelta_layouts(
                         ch, families[0], (i,), None):
                     prior = extremal_pdelta_prior(u, i, *layout, exp_delta,
@@ -1779,26 +1805,27 @@ def test_pdelta_cells_are_read_off_the_construction():
                     seen["merged"] += prior.support_size() < sum(
                         map(bool, branches[0]))
                     seen["reduced"] += cells[1] not in (None, branches[1])
-                    for family, memo in zip(families, memos):
+                    for family, classes in zip(families, streams):
                         m = check_membership(prior, family)
                         seen["banded"] += bool(m.band_count)
-
-                        def measure(budget):
-                            return _measure_pdelta(ch, family, (i,), budget,
-                                                   eta, branches, memo,
-                                                   *layout)
-                        q, _ = measure(None)
+                        if tuple(layout) not in classes:
+                            continue
+                        support = classes.pop(tuple(layout))
                         if not m.ok:
                             seen["filtered"] += 1
-                            assert q is None
+                            assert support is None
                             continue
                         seen["admitted"] += 1
+                        assert repr(support) == repr((table, d))
+                        q = _table_max_mi(ch, (i,), None, *support)
                         assert repr(q) == repr(max_mi(prior, ch, i))
-                        support = prior.support_size()
+                        size = prior.support_size()
                         with pytest.raises(EnumerationBudgetError,
                                            match="JointTables"):
-                            measure(support - 1)
-                        assert measure(support)[0] is not None
+                            _table_max_mi(ch, (i,), size - 1, *support)
+                        assert _table_max_mi(ch, (i,), size,
+                                             *support) is not None
+                assert not any(streams), (u, i, exp_delta)
     assert min(seen[k] for k in ("merged", "reduced", "banded", "filtered",
                                  "admitted")) > 0, seen
 

@@ -1,0 +1,75 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_reports = load_tool("compare_reports")
+
+
+def write_dump(path, reports):
+    """A dump as tools/dump_reports.py writes it: one JSON line per
+    (workload, seed, name, exit, stdout)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for workload, seed, name, code, stdout in reports:
+            fh.write(json.dumps({"workload": workload, "seed": seed,
+                                 "name": name, "exit": code,
+                                 "stdout": stdout}, sort_keys=True) + "\n")
+    return str(path)
+
+
+BASE = [
+    ("search", 0, "group", 0, "{}\n"),
+    ("scan", 1, "rr", 2, "{\"a\": 1}\n"),
+    ("scan", 0, "geo", 0, "{}\n"),
+    ("exact", 3, "compose", 0, "{}\n"),
+]
+
+
+def test_equal_dumps_give_no_lines(tmp_path, capsys):
+    base = write_dump(tmp_path / "base.jsonl", BASE)
+    head = write_dump(tmp_path / "head.jsonl", reversed(BASE))
+    assert compare_reports.compare(compare_reports.load(base),
+                                   compare_reports.load(head)) == []
+    assert compare_reports.main([base, head]) == 0
+    assert "4 requests in both dumps; 0 differ" in capsys.readouterr().out
+
+
+def test_each_difference_gives_one_line_in_key_order(tmp_path, capsys):
+    head = [
+        ("search", 0, "group", 3, "{}\n"),
+        ("scan", 1, "rr", 2, "{\"a\": 2}\n"),
+        ("scan", 0, "geo", 0, "{}\n"),
+        ("search", 2, "new", 0, "{}\n"),
+    ]
+    want = [
+        "- `scan` seed 1 `rr`: stdout",
+        "- `search` seed 0 `group`: exit code (0 -> 3)",
+        "- `exact` seed 3 `compose`: only at the base",
+        "- `search` seed 2 `new`: only at the head",
+    ]
+    base_path = write_dump(tmp_path / "base.jsonl", BASE)
+    head_path = write_dump(tmp_path / "head.jsonl", head)
+    assert compare_reports.compare(compare_reports.load(base_path),
+                                   compare_reports.load(head_path)) == want
+    assert compare_reports.main([base_path, head_path]) == 0
+    out = capsys.readouterr().out
+    assert "3 requests in both dumps; 4 differ or are in one dump only" in out
+    assert out.splitlines()[-4:] == want
+
+
+def test_a_missing_dump_is_reported_and_exits_0(tmp_path, capsys):
+    head = write_dump(tmp_path / "head.jsonl", BASE)
+    missing = str(tmp_path / "base.jsonl")
+    assert compare_reports.main([missing, head]) == 0
+    out = capsys.readouterr().out
+    assert "No comparison: a dump could not be read" in out
+    assert "FileNotFoundError" in out
