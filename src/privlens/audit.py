@@ -88,17 +88,16 @@ class Verdict:
 
 
 def leq_with_tol(measured, bound) -> bool:
-    """measured <= bound with an absolute-plus-relative float tolerance TOL;
-    exact comparison when both sides are rational. When a side is too large
-    for a float, the same test is decided on the exact values
+    """measured <= bound: exactly when both sides are Fractions, otherwise
+    with an absolute-plus-relative float tolerance TOL. When a side is too
+    large for a float, that test is decided on the exact values
     (tolerance_terms)."""
+    if isinstance(measured, Fraction) and isinstance(bound, Fraction):
+        return measured <= bound
     if is_inf(measured):
         return is_inf(bound)
     if is_inf(bound):
         return True
-    if isinstance(measured, Fraction) and isinstance(bound, Fraction):
-        if measured <= bound:
-            return True
     m, b, slack = tolerance_terms(measured, bound)
     return m <= b + slack
 
@@ -681,9 +680,8 @@ def tightness_pk(channel: Channel, k: int, *, eta: Prob = DEFAULT_ETA,
         # Cannot happen: the scan's pairs come from the same edit moves.
         raise AuditError("no sequence pair realizes the scan witness")
     s_num, s_den = found
-    diff = tuple(i for i in range(u.n) if s_num[i] != s_den[i])
-    target = diff[0]
-    table, d = extremal_pair_table(u, s_num, s_den, diff, eta)
+    table, d = extremal_pair_table(u, s_num, s_den, None, eta)
+    target = next(i for i in range(u.n) if s_num[i] != s_den[i])
     achieved = _table_max_mi(channel, (target,), budget, table, d).ratio
     notes = ()
     if is_inf(scan.ratio):

@@ -524,7 +524,9 @@ def change_sequence_pairs(
     universe: RecordUniverse, k: int, budget: Optional[int] = None
 ):
     """Ordered pairs of distinct sequences differing in at most k coordinates,
-    deduplicated and sorted. Used to enumerate worst-case prior candidates."""
+    deduplicated and sorted: the sequence-level reference for
+    change_histogram_pairs and for the pair candidates and tightness
+    witness of audit, which find their pairs without listing these."""
     if k < 1:
         raise ChannelError("k must be at least 1")
     n = universe.n

@@ -11,6 +11,8 @@ draw_member hands out a sampled member's layout and masses, and each
 extremal construction gives its support as one table, extremal_pair_table
 for a near-point-mass pair and extremal_pdelta_table for a shared/private
 complement, which support_cells groups into (records key, histogram) cells.
+A pair's two-point blocks and their checks are derived once, by
+_pair_groups, which extremal_pair_prior and extremal_pair_table both read.
 Membership is read off the layout by extremal_pair_violations for a pair,
 and off the table by _layout_violations for a complement, as it reads a
 draw's layout. tightness_pk measures its witness pair from its table too.
@@ -840,6 +842,26 @@ def _check_eta(eta):
         raise PriorError("eta must be strictly between 0 and 1")
 
 
+def _pair_groups(seq_num, seq_den, block, eta) -> list:
+    """The two-point blocks of the near-point-mass pair on seq_num and
+    seq_den, in block order: the dependent block (every differing
+    coordinate when block is None) and a singleton for each other
+    differing coordinate. Raises PriorError for an eta outside (0, 1),
+    identical sequences, or a block coordinate that does not differ."""
+    _check_eta(eta)
+    diff = [i for i, (a, b) in enumerate(zip(seq_num, seq_den)) if a != b]
+    if not diff:
+        raise PriorError("sequences are identical; no pair to concentrate on")
+    block = tuple(diff if block is None else sorted(set(block)))
+    for i in block:
+        if i not in diff:
+            raise PriorError(
+                f"coordinate {i} in the dependent block does not differ"
+            )
+    return sorted(([block] if block else [])
+                  + [(i,) for i in diff if i not in block])
+
+
 def extremal_pair_prior(
     universe: RecordUniverse,
     seq_num: Sequence[str],
@@ -850,43 +872,21 @@ def extremal_pair_prior(
 ) -> JointPrior:
     """Near-point-mass prior concentrated on a pair of sequences.
 
-    Mass eta goes to seq_num and 1 - eta to seq_den. Differing coordinates
-    listed in ``block`` form one dependent block; remaining differing
-    coordinates become independent two-point singletons; agreeing coordinates
-    are point masses. With block = all differing coordinates this is the
-    dependent-block worst case; leaving some out models a group adversary with
-    independent per-member uncertainty.
+    Each two-point block of _pair_groups gives mass eta to its seq_num
+    values and 1 - eta to its seq_den values; agreeing coordinates are
+    point masses. With block = all differing coordinates (the default) this
+    is the dependent-block worst case; leaving some out models a group
+    adversary with independent per-member uncertainty.
     """
     seq_num = universe.validate_sequence(seq_num)
     seq_den = universe.validate_sequence(seq_den)
-    _check_eta(eta)
-    diff = [i for i in range(universe.n) if seq_num[i] != seq_den[i]]
-    if not diff:
-        raise PriorError("sequences are identical; no pair to concentrate on")
-    if block is None:
-        block = diff
-    block = tuple(sorted(set(block)))
-    for i in block:
-        if i not in diff:
-            raise PriorError(
-                f"coordinate {i} in the dependent block does not differ"
-            )
-    blocks = []
-    tables = []
-    if block:
-        blocks.append(block)
-        key_num = tuple(seq_num[i] for i in block)
-        key_den = tuple(seq_den[i] for i in block)
-        tables.append({key_num: eta, key_den: 1 - eta})
-    for i in range(universe.n):
-        if i in block:
-            continue
-        blocks.append((i,))
-        if i in diff:
-            tables.append({(seq_num[i],): eta, (seq_den[i],): 1 - eta})
-        else:
-            tables.append({(seq_num[i],): Fraction(1)})
-    return JointPrior(universe, tuple(blocks), tuple(tables))
+    groups = _pair_groups(seq_num, seq_den, block, eta)
+    points = [i for i in range(universe.n) if seq_num[i] == seq_den[i]]
+    tables = [{tuple(seq_num[i] for i in g): eta,
+               tuple(seq_den[i] for i in g): 1 - eta} for g in groups]
+    tables += [{(seq_num[i],): Fraction(1)} for i in points]
+    return JointPrior(universe, tuple(groups + [(i,) for i in points]),
+                      tuple(tables))
 
 
 def extremal_pair_violations(universe: RecordUniverse, family: FamilyParams,
@@ -920,25 +920,17 @@ def extremal_pair_table(universe: RecordUniverse, seq_num, seq_den, block,
                         eta):
     """(table, d): the support of extremal_pair_prior(universe, seq_num,
     seq_den, block=block, eta=eta) as one table, read off the two sequences
-    without building the prior.
+    without building the prior; raises as the prior does.
 
-    The prior's two-point tables are the dependent block's and the other
-    differing coordinates' singletons, each giving eta to its numerator
-    cell and 1 - eta to its denominator cell; the point masses give 1. The
-    table maps its 2^m support sequences, in product order over the
-    two-point blocks in block order, numerator branch first, to their
-    masses: a Fraction eta = p/q gives each its integer numerator over
+    The prior's two-point tables are those of the m blocks of _pair_groups,
+    each giving eta to its numerator cell and 1 - eta to its denominator
+    cell; the point masses give 1. The table maps its 2^m support
+    sequences, in product order over the two-point blocks in block order,
+    numerator branch first, to their masses: a Fraction eta = p/q gives each its integer numerator over
     d = q^m; a float eta gives the float product of its blocks' masses, in
     block order, and d = None.
     """
-    _check_eta(eta)
-    diff = [i for i, (a, b) in enumerate(zip(seq_num, seq_den)) if a != b]
-    block = tuple(sorted(set(block)))
-    if not diff or not set(block) <= set(diff):
-        raise PriorError("the pair's sequences must differ, and on every "
-                         "coordinate of the dependent block")
-    groups = sorted(([block] if block else [])
-                    + [(i,) for i in diff if i not in block])
+    groups = _pair_groups(seq_num, seq_den, block, eta)
     if isinstance(eta, Fraction):
         branch = (eta.numerator, eta.denominator - eta.numerator)
         d = eta.denominator ** len(groups)

@@ -282,8 +282,8 @@ def test_leq_with_tol_decides_exactly_beyond_the_float_range():
     assert not leq_with_tol(huge, 1e308)
     assert leq_with_tol(2.5, huge)
     assert leq_with_tol(3, huge + 1)
-    # The tolerance is relative to the bound, as on floats.
-    assert leq_with_tol(huge + huge / 10**10, huge)
+    # Two Fractions compare exactly: no tolerance, however large they are.
+    assert not leq_with_tol(huge + huge / 10**10, huge)
     assert not leq_with_tol(huge + huge / 10**8, huge)
 
 

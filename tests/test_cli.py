@@ -369,6 +369,21 @@ def test_certify_refutes_below_the_level(tmp_path):
     assert "VIOLATED" in out
 
 
+def test_certify_decides_two_rationals_exactly(tmp_path):
+    # The level sits 10^-10 below the measured ratio 3, well inside
+    # the float tolerance TOL; two Fractions are compared without it.
+    scn = base_scenario(
+        universe={"n": 3, "alphabet": ["BOT", "a"]}, priors={},
+        certify={"kind": "k_change", "mechanism": "geo", "k": 1,
+                 "exp_epsilon": "29999999999/10000000000"},
+    )
+    path = write_scenario(tmp_path, scn)
+    code, out, _ = invoke(["certify", path, "--format", "table"])
+    assert code == 1
+    assert "measured ratio 3 " in out
+    assert "verdict: VIOLATED (conclusive)" in out
+
+
 def test_certify_necessary_dependence_uses_the_scenario_family(tmp_path):
     scn = base_scenario(
         family={"exp_delta": "1"},

@@ -1573,6 +1573,57 @@ def test_pair_read_off_rejects_an_eta_outside_the_unit_interval():
                 read(*args)
 
 
+def test_pair_block_none_is_every_differing_coordinate():
+    # On every pair candidate of the seeded cases, for a Fraction and a
+    # float eta, block=None builds the prior and reads the table of the
+    # explicit block of differing coordinates, as tightness_pk reads it.
+    rng = random.Random(71)
+    pairs = set()
+    for ch, family, target, eta in sup_cases(rng):
+        tgt = normalize_target(ch.universe.n, target)
+        for _, s_num, s_den, _ in oracles._pair_layouts(ch, family, tgt,
+                                                         None):
+            pairs.add((ch.universe, s_num, s_den, eta))
+    assert len(pairs) > 100
+    for u, s_num, s_den, exact_eta in pairs:
+        diff = tuple(i for i in range(u.n) if s_num[i] != s_den[i])
+        for eta in (exact_eta, float(exact_eta)):
+            got, want = (extremal_pair_prior(u, s_num, s_den, block=block,
+                                             eta=eta)
+                         for block in (None, diff))
+            assert got.blocks == want.blocks, (s_num, s_den)
+            assert repr(got.tables) == repr(want.tables), (s_num, s_den)
+            assert repr(extremal_pair_table(u, s_num, s_den, None, eta)) == (
+                repr(extremal_pair_table(u, s_num, s_den, diff, eta)))
+
+
+@pytest.mark.parametrize("s_num, s_den, block, eta, message", [
+    (("a", BOT), ("a", BOT), None, DEFAULT_ETA,
+     "sequences are identical; no pair to concentrate on"),
+    (("a", BOT), ("a", BOT), (), DEFAULT_ETA,
+     "sequences are identical; no pair to concentrate on"),
+    (("a", BOT), (BOT, BOT), (0, 1), DEFAULT_ETA,
+     "coordinate 1 in the dependent block does not differ"),
+    (("a", BOT), (BOT, BOT), (1,), DEFAULT_ETA,
+     "coordinate 1 in the dependent block does not differ"),
+    (("a", BOT), (BOT, BOT), None, Fraction(0),
+     "eta must be strictly between 0 and 1"),
+    (("a", BOT), (BOT, BOT), (0,), 1.5,
+     "eta must be strictly between 0 and 1"),
+], ids=["identical", "identical_empty_block", "block_agrees",
+        "block_agrees_only", "eta_0", "eta_above_1"])
+def test_pair_prior_and_table_raise_the_same_error(s_num, s_den, block, eta,
+                                                   message):
+    u = uniform_universe(2, (BOT, "a"))
+    for read in (
+            lambda: extremal_pair_prior(u, s_num, s_den, block=block,
+                                        eta=eta),
+            lambda: extremal_pair_table(u, s_num, s_den, block, eta)):
+        with pytest.raises(PriorError) as err:
+            read()
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("exact, eta", [(False, DEFAULT_ETA), (True, 0.25)],
                          ids=["float_channel", "float_eta"])
 def test_worstcase_sup_float_inputs_match_the_per_candidate_oracle(exact,

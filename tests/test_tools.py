@@ -67,9 +67,14 @@ def test_each_difference_gives_one_line_in_key_order(tmp_path, capsys):
 
 
 def test_a_missing_dump_is_reported_and_exits_0(tmp_path, capsys):
-    head = write_dump(tmp_path / "head.jsonl", BASE)
-    missing = str(tmp_path / "base.jsonl")
-    assert compare_reports.main([missing, head]) == 0
-    out = capsys.readouterr().out
-    assert "No comparison: a dump could not be read" in out
-    assert "FileNotFoundError" in out
+    # The message names the side and the path of the unreadable dump.
+    present = write_dump(tmp_path / "present.jsonl", BASE)
+    missing = str(tmp_path / "missing.jsonl")
+    for side, argv in (("base", [missing, present]),
+                       ("head", [present, missing])):
+        assert compare_reports.main(argv) == 0
+        out = capsys.readouterr().out
+        assert (f"No comparison: the {side} dump `{missing}` could not be "
+                "read") in out
+        assert "FileNotFoundError" in out
+        assert "requests in both dumps" not in out

@@ -8,9 +8,9 @@ Run from anywhere:
 
 A request is keyed by its workload, seed and name. The output names every
 request whose exit code or stdout differ, and every request that only one
-dump holds. A dump that is missing or unreadable is reported as such. The
-exit code is always 0: the comparison informs, it does not gate. Only the
-standard library is used.
+dump holds. A dump that is missing or unreadable is reported by its side
+(base or head) and its path. The exit code is always 0: the comparison
+informs, it does not gate. Only the standard library is used.
 """
 
 import argparse
@@ -55,11 +55,17 @@ def main(argv=None):
     parser.add_argument("head", help="dump of the head commit")
     args = parser.parse_args(argv)
     print("## Reports against the base commit\n")
-    try:
-        base, head = load(args.base), load(args.head)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"No comparison: a dump could not be read ({exc!r}).")
+    dumps, unread = [], []
+    for side, path in (("base", args.base), ("head", args.head)):
+        try:
+            dumps.append(load(path))
+        except (OSError, ValueError, KeyError) as exc:
+            unread.append(f"No comparison: the {side} dump `{path}` could "
+                          f"not be read ({exc!r}).")
+    if unread:
+        print("\n".join(unread))
         return 0
+    base, head = dumps
     lines = compare(base, head)
     print(f"{len(base.keys() & head.keys())} requests in both dumps; "
           f"{len(lines)} differ or are in one dump only.\n")
