@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import copy
+import functools
 import itertools
 import math
 import operator
@@ -32,6 +33,8 @@ from .prior import (
     JointPrior,
     _band_members,
     _layout_violations,
+    _pair_groups,
+    _pair_table,
     block_cells,
     check_membership,
     draw_member,
@@ -278,40 +281,66 @@ def _pair_description(s_num, s_den, block):
     }
 
 
-def _rows_bound(channel, table, best):
-    """True when max_mi of every prior supported on table's sequences is at
-    most best: best is a Fraction, the rows of the sequences' histograms are
-    rational, and on every outcome the largest of their entries is at most
-    best times the smallest. P(r | x) and P(r) are both convex combinations
-    of those rows' entries at r, so P(r | x) is at most the largest and
-    P(r) at least the smallest. Decided on the channel's integer rows,
-    cross-multiplied; no Fraction is built."""
+def _pair_codes(u, s_num, s_den, groups):
+    """The histogram codes of the 2^m support sequences of the pair whose
+    _pair_groups are groups: code(s_num) plus every subset sum of the
+    groups' deltas, the change in code when a group takes its s_den
+    records."""
+    weight = u.code_weights
+    codes = {sum(map(weight.__getitem__, s_num))}
+    for g in groups:
+        delta = sum(weight[s_den[i]] - weight[s_num[i]] for i in g)
+        codes |= {c + delta for c in codes}
+    return frozenset(codes)
+
+
+def _column_ratio(channel, codes):
+    """The largest ratio of an outcome column's largest entry to its
+    smallest over the channel's integer rows of the histograms with these
+    codes, as an integer pair (num, den), den 0 for an infinite ratio;
+    all-zero columns are skipped. None when some row holds a float."""
+    u = channel.universe
+    rows = [channel._dense[u.decode_histogram(code)] for code in codes]
+    if None in rows:
+        return None
+    d = math.lcm(*(dr for _, dr in rows))
+    num, den = 0, 1
+    for col in zip(*(nums if dr == d else [a * (d // dr) for a in nums]
+                     for nums, dr in rows)):
+        hi, lo = max(col), min(col)
+        if hi * den > num * lo:
+            num, den = hi, lo
+    return num, den
+
+
+def _rows_bound(channel, codes, best, ratios):
+    """True when max_mi of every prior supported on sequences whose
+    histograms have these codes is at most best: best is a Fraction, the
+    histograms' rows are rational, and on every outcome the largest of
+    their entries is at most best times the smallest. P(r | x) and P(r) are
+    both convex combinations of those rows' entries at r, so P(r | x) is at
+    most the largest and P(r) at least the smallest.
+
+    Decided on the codes' _column_ratio, cross-multiplied; no Fraction is
+    built. ratios keeps each set of codes' column ratio for the later calls
+    of one search."""
     if not isinstance(best, Fraction):
         return False
-    u = channel.universe
-    weight = u.code_weights.__getitem__
-    rows = [channel._dense[u.decode_histogram(code)]
-            for code in {sum(map(weight, seq)) for seq in table}]
-    if None in rows:
+    if codes not in ratios:
+        ratios[codes] = _column_ratio(channel, codes)
+    ratio = ratios[codes]
+    if ratio is None:
         return False
-    d = math.lcm(*(dr for _, dr in rows))
-    p, q = best.numerator, best.denominator
-    return all(max(col) * q <= p * min(col) for col in zip(*(
-        nums if dr == d else [a * (d // dr) for a in nums]
-        for nums, dr in rows)))
+    num, den = ratio
+    return num * best.denominator <= best.numerator * den
 
 
-def _table_max_mi(channel, tgt, budget, table, d, best=None):
+def _table_max_mi(channel, tgt, budget, table, d):
     """max_mi about tgt of the prior whose support is (table, d), an
     extremal construction's table, read off its support_cells after the
     table's size, the prior's support size, is charged to the JointTables
-    budget, as max_mi on the prior charges. With best, the best ratio so
-    far, a table whose rows bound its max_mi by best (_rows_bound) gives
-    None and is not measured: the search keeps the first maximum, so it
-    cannot change the result."""
+    budget, as max_mi on the prior charges."""
     check_budget(len(table), budget, "JointTables")
-    if _rows_bound(channel, table, best):
-        return None
     cells, d = support_cells(channel.universe, table, d, tgt)
     t = JointTables.from_cells(cells, channel._row_views, channel.outcomes, d)
     return max_mi(None, None, None, tables=t)
@@ -358,11 +387,15 @@ def _pdelta_description(x_num, x_den, comp_shared, comp_num, comp_den):
 
 def _extremal_tables(channel, family, tgt, eta, budget):
     """(member count, description, support) of each symmetry class, pair
-    classes first, where support is the first member's support table
-    (table, d), or None when the class's members are not family members;
-    the other members share the first member's verdict and max_mi. Only
-    complement classes read exp_delta: their branches are made at the
-    first complement class.
+    classes first, where support is None when the class's members are not
+    family members, and otherwise (size, codes, build) of the first
+    member's support table: its size, the set of its sequences' histogram
+    codes, and a callable that gives the table as (table, d). A pair class
+    reads its size and codes off its _pair_groups, which also give its
+    membership, and builds its table only when build is called; a
+    complement class has built its table already. The other members share
+    the first member's verdict and max_mi. Only complement classes read
+    exp_delta: their branches are made at the first complement class.
 
     A complement class's verdict is memoized per equality pattern of its
     complements; the first class of a pattern hands its table's items, at
@@ -384,11 +417,16 @@ def _extremal_tables(channel, family, tgt, eta, budget):
     order. So the verdict depends on the pattern alone.
     """
     u = channel.universe
+    weight = u.code_weights.__getitem__
     for count, s_num, s_den, block in _pair_classes(channel, family, tgt,
                                                     budget):
+        groups = _pair_groups(s_num, s_den, block, eta)
         support = None
-        if not extremal_pair_violations(u, family, s_num, s_den, block, eta):
-            support = extremal_pair_table(u, s_num, s_den, block, eta)
+        if not extremal_pair_violations(u, family, s_num, s_den, groups,
+                                        eta):
+            support = (2 ** len(groups), _pair_codes(u, s_num, s_den, groups),
+                       functools.partial(_pair_table, s_num, s_den, groups,
+                                         eta))
         yield count, _pair_description(s_num, s_den, block), support
     branches = None
     admitted = {}
@@ -409,7 +447,9 @@ def _extremal_tables(channel, family, tgt, eta, budget):
                 admitted[pattern] = not _layout_violations(
                     u, family, [tuple(range(u.n))], [masses.items()])
             if admitted[pattern]:
-                support = table, d
+                support = (len(table),
+                           frozenset(sum(map(weight, seq)) for seq in table),
+                           lambda built=(table, d): built)
         yield (count, _pdelta_description(x_num, x_den, shared, num, den),
                support)
 
@@ -507,10 +547,11 @@ def worstcase_sup(
     far (the winner is always measured, never read off the row scan, so
     agreement between the two routes is a genuine cross-check). The sampled
     half charges its samples to the budget, then draws that many seeded
-    random members and measures them from their masses; the largest is rebuilt as a prior and checked; samples = 0 runs
-    the extremal half alone. If a sample ever beats every extremal
-    candidate the result is demoted to inconclusive, because that would
-    mean the extremal list missed the worst case.
+    random members and measures them from their masses; the largest is
+    rebuilt as a prior and checked. samples = 0 runs the extremal half
+    alone. If a sample ever beats every extremal candidate the result is
+    demoted to inconclusive, because that would mean the extremal list
+    missed the worst case.
     """
     tgt = normalize_target(channel.universe.n, target)
     best = best_float = None
@@ -532,14 +573,24 @@ def worstcase_sup(
             best_wit["origin"] = origin
 
     # Each symmetry class is measured at most once and counts all its
-    # members; one whose rows bound it by the best so far is not measured.
+    # members. One whose rows bound it by the best so far is not measured
+    # (the search keeps the first maximum, so it cannot change the result)
+    # and is charged its support size as _table_max_mi charges a measured
+    # one; a pair class's table is built only when it is measured. ratios
+    # keeps each histogram set's column ratio for this search alone.
+    ratios = {}
     for count, desc, support in _extremal_tables(channel, family, tgt, eta,
                                                  budget):
         if support is None:
             evaluated["filtered_candidates"] += count
+            continue
+        size, codes, build = support
+        q = None
+        if _rows_bound(channel, codes, best, ratios):
+            check_budget(size, budget, "JointTables")
         else:
-            consider(_table_max_mi(channel, tgt, budget, *support, best),
-                     desc, "extremal", count)
+            q = _table_max_mi(channel, tgt, budget, *build())
+        consider(q, desc, "extremal", count)
     extremal_best = best
     if evaluated["extremal"] == 0:
         notes.append("no admissible extremal construction for this family")

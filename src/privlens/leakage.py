@@ -319,7 +319,8 @@ class MaxMiPlan:
     priors sample_prior draws over the channel's universe give every cell a
     positive mass unless a band mass underflows to zero.
 
-    The layout's HistogramPlan is built once, so each prior skips
+    The layout's HistogramPlan is built once, and with it each final
+    state's records rank and nonzero row views, so each prior skips
     histogram_masses' bookkeeping. Its masses, in histogram_masses order,
     are summed by the records key's rank among the sorted records keys, as
     JointTables sums them by the key itself, and scanned in rank order, so
@@ -336,11 +337,9 @@ class MaxMiPlan:
         self._plan = HistogramPlan(channel.universe, self.blocks, target, cells)
         self.records = sorted({xv for xv, _ in self._plan.keys})
         rank = {xv: x for x, xv in enumerate(self.records)}
-        # Final state i sums into rank x with the row of its histogram.
-        self._row_keys = [(rank[xv], i)
-                          for i, (xv, _) in enumerate(self._plan.keys)]
+        # Final state i sums into its rank with the row of its histogram.
         views = channel._row_views.nonzero
-        self._nonzero = [views[h] for _, h in self._plan.keys]
+        self._states = [(rank[xv], views[h]) for xv, h in self._plan.keys]
 
     def max_mi_masses(self, masses) -> Quantity:
         """max_mi of the prior whose blocks give the plan's cells these
@@ -359,12 +358,23 @@ class MaxMiPlan:
             if abs(total - 1.0) > TOL:
                 raise LeakageError(
                     f"masses of block {b} sum to {total!r}, expected 1")
-        p_x, rows, p_r = _accumulate_first_terms(
-            zip(self._row_keys, self._plan.masses(masses)), self._nonzero,
-            len(self.channel.outcomes))
-        best, wit = _max_mi_scan(
-            ((x, p_x[x], rows[x]) for x in range(len(self.records))),
-            p_r, self.channel.outcomes)
+        # Each state takes the row view of its mass's type. Each sum starts
+        # from an int 0, and 0 + x is x itself; every term is nonnegative,
+        # so no -0.0 arises, and a cell no mass reaches stays 0, which the
+        # scan skips.
+        n_out = len(self.channel.outcomes)
+        p_x = [0] * len(self.records)
+        rows = [[0] * n_out for _ in self.records]
+        p_r = [0] * n_out
+        for (x, views), p in zip(self._states, self._plan.masses(masses)):
+            p_x[x] += p
+            row = rows[x]
+            for j, q in views[isinstance(p, float)]:
+                w = p * q
+                row[j] += w
+                p_r[j] += w
+        best, wit = _max_mi_scan(zip(range(len(p_x)), p_x, rows), p_r,
+                                 self.channel.outcomes)
         if wit is not None:
             wit = (self.records[wit[0]], wit[1])
         return _max_mi_quantity(best, wit)

@@ -12,10 +12,12 @@ extremal construction gives its support as one table, extremal_pair_table
 for a near-point-mass pair and extremal_pdelta_table for a shared/private
 complement, which support_cells groups into (records key, histogram) cells.
 A pair's two-point blocks and their checks are derived once, by
-_pair_groups, which extremal_pair_prior and extremal_pair_table both read.
-Membership is read off the layout by extremal_pair_violations for a pair,
-and off the table by _layout_violations for a complement, as it reads a
-draw's layout. tightness_pk measures its witness pair from its table too.
+_pair_groups, which extremal_pair_prior and extremal_pair_table read; the
+search derives them once per class and hands them to _pair_table and to
+extremal_pair_violations. Membership is read off the layout by
+extremal_pair_violations for a pair, and off the table by
+_layout_violations for a complement, as it reads a draw's layout.
+tightness_pk measures its witness pair from its table too.
 """
 
 from __future__ import annotations
@@ -379,12 +381,14 @@ class HistogramPlan:
         return self._convolve(numerators, int_to_fraction=False)
 
     def _convolve(self, masses, int_to_fraction):
+        # Every local index and every state receives at least one term, and
+        # each sum starts from an int 0: 0 + x is x itself, of the same type
+        # and bits, for an int, a float or a Fraction.
         states = None
         for ms, (index, size, steps, n_states) in zip(masses, self._blocks):
-            local = [None] * size
+            local = [0] * size
             for loc, p in zip(index, ms):
-                old = local[loc]
-                local[loc] = p if old is None else old + p
+                local[loc] += p
             if steps is None:
                 # iter_support starts each mass at Fraction(1), and 1 * p is
                 # p itself for a float or a Fraction; only an int changes
@@ -392,11 +396,9 @@ class HistogramPlan:
                 states = [Fraction(m) if int_to_fraction and isinstance(m, int)
                           else m for m in local]
                 continue
-            nxt = [None] * n_states
+            nxt = [0] * n_states
             for dst, s, loc in steps:
-                m = states[s] * local[loc]
-                old = nxt[dst]
-                nxt[dst] = m if old is None else old + m
+                nxt[dst] += states[s] * local[loc]
             states = nxt
         return states
 
@@ -890,18 +892,18 @@ def extremal_pair_prior(
 
 
 def extremal_pair_violations(universe: RecordUniverse, family: FamilyParams,
-                             seq_num, seq_den, block, eta) -> list:
+                             seq_num, seq_den, groups, eta) -> list:
     """membership_violations of extremal_pair_prior(universe, seq_num,
     seq_den, block=block, eta=eta), read off the layout without building
-    the prior; raises PriorError for an eta outside (0, 1), as the prior
-    does.
+    the prior, where groups is the pair's _pair_groups(seq_num, seq_den,
+    block, eta): deriving them raises PriorError wherever the prior does.
 
-    Every block but the dependent one is a singleton. sigma is exactly 1
-    for a dependent block of two or more (its two cells share no
-    complement) and 0 otherwise. Each individual's marginal is a point mass
-    on its agreeing record, or eta and 1 - eta on its two records.
+    Every block but the dependent one is a singleton, so the largest block
+    is the largest group. sigma is exactly 1 for a dependent block of two
+    or more (its two cells share no complement) and 0 otherwise. Each
+    individual's marginal is a point mass on its agreeing record, or eta
+    and 1 - eta on its two records.
     """
-    _check_eta(eta)
     count = None
     band = family.effective_band()
     if band is not None:
@@ -911,32 +913,36 @@ def extremal_pair_violations(universe: RecordUniverse, family: FamilyParams,
             return {(seq_num[i],): eta, (seq_den[i],): 1 - eta}
 
         count = len(_band_members(universe.alphabets, band[0], marginal))
-    size = len(set(block))
-    return membership_violations(family, max(size, 1),
-                                 1 if size > 1 else 0, count)
+    size = max(map(len, groups))
+    return membership_violations(family, size, 1 if size > 1 else 0, count)
 
 
 def extremal_pair_table(universe: RecordUniverse, seq_num, seq_den, block,
                         eta):
     """(table, d): the support of extremal_pair_prior(universe, seq_num,
     seq_den, block=block, eta=eta) as one table, read off the two sequences
-    without building the prior; raises as the prior does.
+    without building the prior; raises as the prior does."""
+    return _pair_table(seq_num, seq_den,
+                       _pair_groups(seq_num, seq_den, block, eta), eta)
 
-    The prior's two-point tables are those of the m blocks of _pair_groups,
-    each giving eta to its numerator cell and 1 - eta to its denominator
-    cell; the point masses give 1. The table maps its 2^m support
-    sequences, in product order over the two-point blocks in block order,
-    numerator branch first, to their masses: a Fraction eta = p/q gives each its integer numerator over
-    d = q^m; a float eta gives the float product of its blocks' masses, in
-    block order, and d = None.
+
+def _pair_table(seq_num, seq_den, groups, eta):
+    """extremal_pair_table of the pair whose _pair_groups are groups.
+
+    The prior's two-point tables are those of the m groups, each giving eta
+    to its numerator cell and 1 - eta to its denominator cell; the point
+    masses give 1. The table maps its 2^m support sequences, in product
+    order over the groups, numerator branch first, to their masses: a
+    Fraction eta = p/q gives each its integer numerator over d = q^m; a
+    float eta gives the float product of its groups' masses, in group
+    order, and d = None.
     """
-    groups = _pair_groups(seq_num, seq_den, block, eta)
     if isinstance(eta, Fraction):
         branch = (eta.numerator, eta.denominator - eta.numerator)
         d = eta.denominator ** len(groups)
     else:
         branch, d = (eta, 1 - eta), None
-    # Each mass is its branches' product taken in block order.
+    # Each mass is its branches' product taken in group order.
     masses = [1]
     for _ in groups:
         masses = [m * b for m in masses for b in branch]

@@ -78,6 +78,7 @@ from privlens.mechanism import RowViews
 from privlens.probability import float_or_inf
 from privlens.prior import (
     HistogramPlan,
+    _pair_groups,
     block_cells,
     draw_member,
     extremal_pair_table,
@@ -1508,9 +1509,11 @@ def test_pair_cells_and_membership_are_read_off_the_layout():
     # are histogram_cells of the prior (keys, masses, d and order); the
     # layout's membership, band included, is check_membership's; and the
     # search's stream gives a filtered class no table, and an admitted one
-    # its first member's table, which charges its 2^m support sequences to
-    # the JointTables budget and measures as max_mi of the built prior.
-    # Every class of the stream is a candidate.
+    # the (size, codes, build) of its first member: its size is the 2^m
+    # support sequences, its codes their histograms' codes, and build gives
+    # the member's table, which charges its size to the JointTables budget
+    # and measures as max_mi of the built prior. Every class of the stream
+    # is a candidate.
     rng = random.Random(69)
     admitted = filtered = banded = 0
     for ch, family, target, exact_eta in sup_cases(rng):
@@ -1530,7 +1533,8 @@ def test_pair_cells_and_membership_are_read_off_the_layout():
                     histogram_cells(prior, tgt)), (u, s_num, s_den, block)
                 m = check_membership(prior, family)
                 assert extremal_pair_violations(
-                    u, family, s_num, s_den, block, eta) == list(
+                    u, family, s_num, s_den,
+                    _pair_groups(s_num, s_den, block, eta), eta) == list(
                         m.violations), (family, s_num, s_den, block, eta)
                 banded += m.band_count is not None and 0 < m.band_count
                 if (s_num, s_den, block) not in classes:
@@ -1541,12 +1545,16 @@ def test_pair_cells_and_membership_are_read_off_the_layout():
                     assert support is None
                     continue
                 admitted += 1
-                assert repr(support) == repr((table, d))
-                size = prior.support_size()
+                size, codes, build = support
+                assert repr(build()) == repr((table, d))
+                assert size == prior.support_size()
+                assert codes == {u.encode_histogram(h)
+                                 for (_, h), _ in histogram_cells(prior,
+                                                                  ())[0]}
                 with pytest.raises(EnumerationBudgetError,
                                    match="JointTables"):
-                    _table_max_mi(ch, tgt, size - 1, *support)
-                q = _table_max_mi(ch, tgt, size, *support)
+                    _table_max_mi(ch, tgt, size - 1, *build())
+                q = _table_max_mi(ch, tgt, size, *build())
                 assert repr(q) == repr(max_mi(prior, ch, tgt))
             assert not classes, (u, family, tgt, eta)
     assert admitted > 0 and filtered > 0 and banded > 0
@@ -1565,12 +1573,13 @@ def test_pair_read_off_rejects_an_eta_outside_the_unit_interval():
     u = uniform_universe(2, (BOT, "a"))
     s_num, s_den = ("a", BOT), (BOT, BOT)
     for eta in (0, 1, Fraction(3, 2), -0.5):
-        for read in (extremal_pair_table, extremal_pair_violations):
-            args = ((u, s_num, s_den, (), eta) if read is
-                    extremal_pair_table else
-                    (u, FamilyParams(k=1), s_num, s_den, (), eta))
+        for read in (
+                lambda: extremal_pair_table(u, s_num, s_den, (), eta),
+                lambda: extremal_pair_violations(
+                    u, FamilyParams(k=1), s_num, s_den,
+                    _pair_groups(s_num, s_den, (), eta), eta)):
             with pytest.raises(PriorError, match="eta"):
-                read(*args)
+                read()
 
 
 def test_pair_block_none_is_every_differing_coordinate():
@@ -1624,6 +1633,32 @@ def test_pair_prior_and_table_raise_the_same_error(s_num, s_den, block, eta,
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("s_num, s_den, block", [
+    (("a", BOT), ("a", BOT), None),
+    (("a", BOT), ("a", BOT), ()),
+    (("a", BOT), (BOT, BOT), (0, 1)),
+    (("a", BOT), (BOT, BOT), (1,)),
+], ids=["identical", "identical_empty_block", "block_agrees",
+        "block_agrees_only"])
+def test_pair_violations_raise_as_the_prior_and_table(s_num, s_den, block):
+    # The layout's membership reader takes the pair's _pair_groups, which
+    # check the pair as the prior and its table do and give the same
+    # message.
+    u = uniform_universe(2, (BOT, "a"))
+    messages = set()
+    for read in (
+            lambda: extremal_pair_prior(u, s_num, s_den, block=block),
+            lambda: extremal_pair_table(u, s_num, s_den, block, DEFAULT_ETA),
+            lambda: extremal_pair_violations(
+                u, FamilyParams(ell=1, tau=0.5), s_num, s_den,
+                _pair_groups(s_num, s_den, block, DEFAULT_ETA),
+                DEFAULT_ETA)):
+        with pytest.raises(PriorError) as err:
+            read()
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
+
+
 @pytest.mark.parametrize("exact, eta", [(False, DEFAULT_ETA), (True, 0.25)],
                          ids=["float_channel", "float_eta"])
 def test_worstcase_sup_float_inputs_match_the_per_candidate_oracle(exact,
@@ -1655,7 +1690,9 @@ def admitted_tables(ch, family, tgt, eta):
     read off its built prior."""
     u = ch.universe
     for _, s_num, s_den, block in _pair_classes(ch, family, tgt, None):
-        if not extremal_pair_violations(u, family, s_num, s_den, block, eta):
+        if not extremal_pair_violations(
+                u, family, s_num, s_den,
+                _pair_groups(s_num, s_den, block, eta), eta):
             yield ("pair", *extremal_pair_table(u, s_num, s_den, block, eta))
     for _, *layout in _pdelta_classes(ch, family, tgt, None):
         prior = extremal_pdelta_prior(u, tgt[0], *layout, family.exp_delta,
@@ -1663,6 +1700,12 @@ def admitted_tables(ch, family, tgt, eta):
         if check_membership(prior, family).ok:
             yield ("complement", *extremal_pdelta_table(
                 u, tgt[0], *layout, pdelta_branches(family.exp_delta, eta)))
+
+
+def table_codes(u, table):
+    """The set of histogram codes of a support table's sequences."""
+    return frozenset(sum(u.code_weights[sym] for sym in seq)
+                     for seq in table)
 
 
 def test_row_bound_never_undercuts_the_measurement():
@@ -1685,7 +1728,8 @@ def test_row_bound_never_undercuts_the_measurement():
         own = rational and len({d for _, d in ch._dense.values()}) > 1
         for (kind, table, _), r in zip(tables, measured):
             for b in bounds:
-                if not _rows_bound(ch, table, b):
+                if not _rows_bound(ch, table_codes(ch.universe, table), b,
+                                   {}):
                     seen["open"] += 1
                     continue
                 assert rational and r <= b, (ch.universe, family, tgt, b)
@@ -1698,6 +1742,53 @@ def test_row_bound_never_undercuts_the_measurement():
     assert min(seen[k] for k in (
         "open", "bounded", "tight", "pair", "complement", "own denominators",
         "group k=2", "float rows")) > 0, seen
+
+
+def test_memoized_row_bound_decides_like_the_column_check():
+    # On every admitted class of the search's stream, at bounds from the
+    # measured ratios of the case and at a float, the bound through one
+    # ratios dict per search decides as the direct check: best is a
+    # Fraction, the rows of the support's histograms are rational, and on
+    # every outcome their largest entry is at most best times their
+    # smallest, compared on the Fraction rows. A class's codes are those of
+    # its built table, so a pair class, bounded before its table is built,
+    # decides as that table does; the cases bring group targets at k=2,
+    # complement classes and matrix rows with their own denominators.
+    rng = random.Random(78)
+    seen = collections.Counter()
+    for ch, family, target, eta in sup_cases(rng):
+        u = ch.universe
+        tgt = normalize_target(u.n, target)
+        items = [(desc["kind"], support[1], support[2]())
+                 for _, desc, support in _extremal_tables(ch, family, tgt,
+                                                          eta, None)
+                 if support is not None]
+        ratios = sorted({_table_max_mi(ch, tgt, None, *t).ratio
+                         for _, _, t in items}, key=float)
+        bounds = ratios[::max(1, len(ratios) // 5)] + ratios[-1:] + [1e9]
+        rational = all(row is not None for row in ch._dense.values())
+        own = rational and len({d for _, d in ch._dense.values()}) > 1
+        memo = {}
+        for kind, codes, (table, _) in items:
+            assert codes == table_codes(u, table), (u, family, tgt, kind)
+            rows = [ch.rows[u.decode_histogram(code)] for code in codes]
+            for b in bounds:
+                hit = len(memo)
+                got = _rows_bound(ch, codes, b, memo)
+                seen["memo hits"] += isinstance(b, Fraction) and (
+                    len(memo) == hit)
+                want = isinstance(b, Fraction) and rational and all(
+                    max(col) <= b * min(col) for col in zip(*rows))
+                assert got is want is _rows_bound(ch, codes, b, {}), (
+                    u, family, tgt, kind, b)
+                seen["bounded" if got else "open"] += 1
+                seen[kind] += got
+                seen["own denominators"] += got and own
+                seen["group k=2"] += got and len(tgt) > 1 and family.k == 2
+    assert min(seen[k] for k in (
+        "open", "bounded", "memo hits", "near_point_pair",
+        "shared_private_complement", "own denominators",
+        "group k=2")) > 0, seen
 
 
 @pytest.mark.parametrize("samples", [0, 200])
@@ -1720,21 +1811,29 @@ def test_worstcase_sup_with_the_row_bound_matches_the_oracle(samples):
 
 
 def count_measurements(monkeypatch):
-    """A Counter of the admitted extremal tables the search reads
-    ("admitted") and the joint tables it builds from cells ("measured")."""
+    """A Counter of the admitted classes of the search's extremal stream
+    ("admitted"), the pair tables it builds ("pair tables") and the joint
+    tables it builds from cells ("measured")."""
     calls = collections.Counter()
-    table_max_mi = audit_module._table_max_mi
+    stream = audit_module._extremal_tables
+    pair_table = audit_module._pair_table
     from_cells = JointTables.from_cells.__func__
 
-    def counted_table_max_mi(*args, **kwargs):
-        calls["admitted"] += 1
-        return table_max_mi(*args, **kwargs)
+    def counted_stream(*args):
+        for item in stream(*args):
+            calls["admitted"] += item[2] is not None
+            yield item
+
+    def counted_pair_table(*args):
+        calls["pair tables"] += 1
+        return pair_table(*args)
 
     def counted_from_cells(cls, *args, **kwargs):
         calls["measured"] += 1
         return from_cells(cls, *args, **kwargs)
 
-    monkeypatch.setattr(audit_module, "_table_max_mi", counted_table_max_mi)
+    monkeypatch.setattr(audit_module, "_extremal_tables", counted_stream)
+    monkeypatch.setattr(audit_module, "_pair_table", counted_pair_table)
     monkeypatch.setattr(JointTables, "from_cells",
                         classmethod(counted_from_cells))
     return calls
@@ -1750,7 +1849,7 @@ def test_worstcase_sup_at_a_float_eta_measures_every_admitted_class(
         calls.clear()
         got = worstcase_sup(ch, family, target, samples=20, eta=float(eta),
                             rng=random.Random(1))
-        assert calls["measured"] == calls["admitted"]
+        assert calls["measured"] == calls["admitted"], calls
         want = oracles.worstcase_sup(ch, family, target, samples=20,
                                      eta=float(eta), rng=random.Random(1))
         assert repr(got) == repr(want), (ch.universe, family, target)
@@ -1759,7 +1858,8 @@ def test_worstcase_sup_at_a_float_eta_measures_every_admitted_class(
 def test_row_bound_skips_most_extremal_measurements(monkeypatch):
     # A geometric group target at k=2, n=4: the classes measured first set
     # a best that the rows of most later ones cannot beat, so the search
-    # builds far fewer joint tables than it admits classes.
+    # builds far fewer joint tables than its stream admits classes, and it
+    # builds a pair class's table only for a class it measures.
     u = uniform_universe(4, (BOT, "a", "b"))
     ch = geometric_counting_channel(u, "a", ratio=Fraction(1, 2))
     family = FamilyParams(k=2)
@@ -1767,6 +1867,7 @@ def test_row_bound_skips_most_extremal_measurements(monkeypatch):
     got = worstcase_sup(ch, family, (0, 1), samples=0)
     assert calls["admitted"] > 100
     assert calls["measured"] * 4 < calls["admitted"], calls
+    assert calls["pair tables"] == calls["measured"], calls
     assert repr(got) == repr(oracles.worstcase_sup(ch, family, (0, 1),
                                                    samples=0))
 
@@ -1867,10 +1968,13 @@ def test_pdelta_cells_are_read_off_the_construction():
                             assert support is None
                             continue
                         seen["admitted"] += 1
+                        size, codes, build = support
+                        support = build()
                         assert repr(support) == repr((table, d))
+                        assert codes == table_codes(u, table)
                         q = _table_max_mi(ch, (i,), None, *support)
                         assert repr(q) == repr(max_mi(prior, ch, i))
-                        size = prior.support_size()
+                        assert size == prior.support_size()
                         with pytest.raises(EnumerationBudgetError,
                                            match="JointTables"):
                             _table_max_mi(ch, (i,), size - 1, *support)
@@ -2071,12 +2175,19 @@ def plan_families(n):
 
 
 def test_plan_matches_max_mi_on_sampled_members():
+    # Each kind of member, planned on its positive cells as the search
+    # plans it: all-float, mixed (a tau = 0 band's Fraction(1, m)
+    # singletons beside Dirichlet floats), all-exact (every individual in
+    # a tau = 0 band), and one whose band mass underflowed to 0.0 and was
+    # dropped (tau = 700).
     rng = random.Random(91)
+    kinds = collections.Counter()
     exact = 0
     for _ in range(12):
         u = plan_universe(rng)
         for ch in plan_channels(rng, u):
-            for family in plan_families(u.n):
+            for family in plan_families(u.n) + (
+                    FamilyParams(k=1, ell=u.n, tau=700.0),):
                 for target in (0, tuple(range(u.n))):
                     tgt = normalize_target(u.n, target)
                     plans = {}
@@ -2084,18 +2195,30 @@ def test_plan_matches_max_mi_on_sampled_members():
                         p = sample_prior(u, family, rng)
                         if p is None:
                             continue
-                        plan = plans.get(p.blocks)
+                        masses = [list(t.values()) for t in p.tables]
+                        keep = tuple(tuple(m > 0 for m in ms)
+                                     for ms in masses)
+                        plan = plans.get((p.blocks, keep))
                         if plan is None:
-                            plan = plans[p.blocks] = MaxMiPlan(
-                                p.blocks, ch, tgt,
-                                [block_cells(u, b) for b in p.blocks])
+                            plan = plans[p.blocks, keep] = MaxMiPlan(
+                                p.blocks, ch, tgt, [
+                                    list(itertools.compress(
+                                        block_cells(u, b), ks))
+                                    for b, ks in zip(p.blocks, keep)])
                         want = max_mi(p, ch, tgt)
                         got = plan.max_mi_masses(
-                            [list(t.values()) for t in p.tables])
+                            [[m for m in ms if m > 0] for ms in masses])
                         assert repr(got) == repr(want), (
                             u, ch.rows, family, tgt, p.tables)
                         exact += isinstance(want.ratio, Fraction)
+                        floats = {isinstance(m, float)
+                                  for ms in masses for m in ms}
+                        kinds["mixed" if len(floats) > 1 else
+                              "float" if True in floats else "exact"] += 1
+                        kinds["dropped"] += not all(map(all, keep))
     assert exact > 0
+    assert min(kinds[k] for k in ("float", "mixed", "exact",
+                                  "dropped")) > 0, kinds
 
 
 def test_worstcase_sup_with_many_samples_matches_the_oracle():

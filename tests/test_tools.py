@@ -1,6 +1,10 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -78,3 +82,35 @@ def test_a_missing_dump_is_reported_and_exits_0(tmp_path, capsys):
                 "read") in out
         assert "FileNotFoundError" in out
         assert "requests in both dumps" not in out
+
+
+def run_dump(path, *options):
+    """The lines tools/dump_reports.py writes to path with these options,
+    run in its own process, since it imports privlens afresh."""
+    subprocess.run([sys.executable, str(TOOLS / "dump_reports.py"),
+                    "--out", str(path), *options], check=True,
+                   capture_output=True)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.fixture(scope="module")
+def full_dump(tmp_path_factory):
+    return run_dump(tmp_path_factory.mktemp("dump") / "all.jsonl")
+
+
+def test_dump_defaults_to_every_workload_and_seed_0_to_3(full_dump):
+    keys = [(r["workload"], r["seed"]) for r in map(json.loads, full_dump)]
+    assert len(full_dump) == 284
+    assert list(dict.fromkeys(keys)) == [
+        (w, s) for w in ("scan", "search", "exact") for s in range(4)]
+
+
+def test_dump_writes_only_the_named_workloads_and_seeds(tmp_path, full_dump):
+    # Repeated options, in any order, give the full dump's lines of those
+    # workloads and seeds, in its order.
+    got = run_dump(tmp_path / "some.jsonl", "--seed", "3", "--workload",
+                   "search", "--seed", "1", "--workload", "exact")
+    want = [line for line in full_dump
+            if json.loads(line)["workload"] in ("search", "exact")
+            and json.loads(line)["seed"] in (1, 3)]
+    assert got == want and want
