@@ -31,6 +31,8 @@ from .prior import (
     DEFAULT_ETA,
     FamilyParams,
     JointPrior,
+    MemberSampler,
+    _IndexPlan,
     _band_members,
     _layout_violations,
     _pair_groups,
@@ -398,7 +400,7 @@ def _extremal_tables(channel, family, tgt, eta, budget):
     exp_delta: their branches are made at the first complement class.
 
     A complement class's verdict is memoized per equality pattern of its
-    complements; the first class of a pattern hands its table's items, at
+    complements; the first class of a pattern hands its table's cells, at
     the prior's masses, to _layout_violations, and a filtered pattern
     builds no further table. The pattern is, per other individual, which
     of its shared, numerator and denominator symbols are equal. Two
@@ -442,10 +444,13 @@ def _extremal_tables(channel, family, tgt, eta, budget):
             table, d = extremal_pdelta_table(u, tgt[0], x_num, x_den, shared,
                                              num, den, branches)
             if pattern not in admitted:
-                masses = (table if d is None else
-                          {seq: Fraction(a, d) for seq, a in table.items()})
+                block = tuple(range(u.n))
+                masses = list(table.values())
+                if d is not None:
+                    masses = [Fraction(a, d) for a in masses]
+                plan = _IndexPlan(u.alphabets, block, list(table))
                 admitted[pattern] = not _layout_violations(
-                    u, family, [tuple(range(u.n))], [masses.items()])
+                    u.alphabets, family, [block], [masses], {block: plan})
             if admitted[pattern]:
                 support = (len(table),
                            frozenset(sum(map(weight, seq)) for seq in table),
@@ -498,31 +503,45 @@ def _sampled_members(channel, family, tgt, rng, samples, budget):
     family, or (None, None) for a rejected draw, measured from the draw's
     masses; once the draws are done, the largest member is rebuilt as a
     prior and checked (_check_largest_sample)."""
-    # One plan per block layout and set of positive cells (a band mass can
-    # underflow to 0.0) measures its members from their positive masses.
-    # The largest member (the first to reach the sampled maximum) is kept
-    # with the last checkpoint before its draw.
+    # One sampler makes every draw. One entry per block layout and set of
+    # positive cells (a band mass can underflow to 0.0; keep is None when
+    # every mass is positive) holds the plan that measures its members from
+    # their positive masses, the support size charged for each member, and
+    # the members' description. The largest member (the first to reach the
+    # sampled maximum) is kept with the last checkpoint before its draw.
     u = channel.universe
-    plans = {}
+    sampler = MemberSampler(u, family)
+    entries = {}
     top = None
     for j in range(samples):
         if j % _CHECKPOINT_DRAWS == 0:
             checkpoint = rng.getstate()
-        drawn = draw_member(u, family, rng)
+        drawn = sampler.draw(rng)
         if drawn is None:
             yield None, None
             continue
         blocks, masses = drawn
-        keep = tuple(tuple(p > 0 for p in ms) for ms in masses)
-        check_budget(math.prod(map(sum, keep)), budget, "JointTables")
-        plan = plans.get((blocks, keep))
-        if plan is None:
-            plan = plans[blocks, keep] = MaxMiPlan(blocks, channel, tgt, [
-                list(itertools.compress(block_cells(u, b), ks))
-                for b, ks in zip(blocks, keep)])
-        q = plan.max_mi_masses([[p for p in ms if p > 0] for ms in masses])
-        yield q, {"kind": "sampled_member",
-                  "blocks": [list(b) for b in blocks]}
+        keep = None
+        if not all(map(all, masses)):
+            keep = tuple(tuple(p > 0 for p in ms) for ms in masses)
+            masses = [[p for p in ms if p > 0] for ms in masses]
+        entry = entries.get((blocks, keep))
+        if entry is not None:
+            plan, size, desc = entry
+            check_budget(size, budget, "JointTables")
+        else:
+            cells = [block_cells(u, b) for b in blocks]
+            if keep is not None:
+                cells = [list(itertools.compress(cs, ks))
+                         for cs, ks in zip(cells, keep)]
+            size = math.prod(map(len, cells))
+            check_budget(size, budget, "JointTables")
+            plan = MaxMiPlan(blocks, channel, tgt, cells)
+            desc = {"kind": "sampled_member",
+                    "blocks": [list(b) for b in blocks]}
+            entries[blocks, keep] = plan, size, desc
+        q = plan.max_mi_masses(masses)
+        yield q, desc
         if top is None or q.ratio > top[0].ratio:
             top = (q, blocks, checkpoint, j % _CHECKPOINT_DRAWS)
     if top is not None:
@@ -1031,8 +1050,7 @@ def sufficient_nk(
             if abs(float(total) - 1.0) > TOL:
                 raise AuditError(f"marginal for individual {j} does not normalize")
             # The band test of uniformity_band, whose TOL is on p * |alpha|.
-            marginal = {(sym,): p for sym, p in w.items()}
-            if not _band_members([alpha], tau, lambda _: marginal):
+            if not _band_members([alpha], tau, lambda _: list(w.values())):
                 raise AuditError(f"marginal for individual {j} leaves the band")
             supplied[j] = w
         notes.append("evaluated at the supplied in-band marginals")

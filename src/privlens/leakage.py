@@ -313,6 +313,9 @@ def _max_mi_scan(cells, p_r, outcomes):
     return best, wit
 
 
+_FLOAT = {float}
+
+
 class MaxMiPlan:
     """max_mi for every prior with one block layout and, per block, one
     list of positive cells in table order, as HistogramPlan takes them: the
@@ -320,7 +323,7 @@ class MaxMiPlan:
     positive mass unless a band mass underflows to zero.
 
     The layout's HistogramPlan is built once, and with it each final
-    state's records rank and nonzero row views, so each prior skips
+    state's records rank and nonzero row in both views, so each prior skips
     histogram_masses' bookkeeping. Its masses, in histogram_masses order,
     are summed by the records key's rank among the sorted records keys, as
     JointTables sums them by the key itself, and scanned in rank order, so
@@ -337,9 +340,12 @@ class MaxMiPlan:
         self._plan = HistogramPlan(channel.universe, self.blocks, target, cells)
         self.records = sorted({xv for xv, _ in self._plan.keys})
         rank = {xv: x for x, xv in enumerate(self.records)}
-        # Final state i sums into its rank with the row of its histogram.
+        # Final state i sums into its rank with the row of its histogram,
+        # as given ([0]) and as floats ([1]).
         views = channel._row_views.nonzero
-        self._states = [(rank[xv], views[h]) for xv, h in self._plan.keys]
+        self._states = tuple(
+            [(rank[xv], views[h][as_float]) for xv, h in self._plan.keys]
+            for as_float in (0, 1))
 
     def max_mi_masses(self, masses) -> Quantity:
         """max_mi of the prior whose blocks give the plan's cells these
@@ -350,26 +356,34 @@ class MaxMiPlan:
             raise LeakageError(
                 f"{len(masses)} mass lists for {len(self.blocks)} blocks")
         for b, ms, cells in zip(self.blocks, masses, self._cells):
-            if len(ms) != len(cells) or not all(p > 0 for p in ms):
+            # min can pass over a NaN, but the NaN then makes the sum NaN,
+            # which the negated sum test rejects.
+            if len(ms) != len(cells) or not min(ms, default=0) > 0:
                 raise LeakageError(
                     f"masses of block {b} do not give every planned cell "
                     "a positive mass")
             total = float(left_sum(ms))
-            if abs(total - 1.0) > TOL:
+            if not abs(total - 1.0) <= TOL:
                 raise LeakageError(
                     f"masses of block {b} sum to {total!r}, expected 1")
-        # Each state takes the row view of its mass's type. Each sum starts
-        # from an int 0, and 0 + x is x itself; every term is nonnegative,
-        # so no -0.0 arises, and a cell no mass reaches stays 0, which the
-        # scan skips.
+        # The row view is picked once for the member. A state's mass sums
+        # products of one mass per block, so when some block's masses are
+        # all floats every state's mass is a float and takes the float rows;
+        # otherwise every state takes the rows as given, and a float mass
+        # times a Fraction entry is computed as the float times the entry's
+        # float, the same bits. Each sum starts from an int 0, and 0 + x is
+        # x itself; every term is nonnegative, so no -0.0 arises, and a
+        # cell no mass reaches stays 0, which the scan skips.
+        states = self._states[any(set(map(type, ms)) == _FLOAT
+                                  for ms in masses)]
         n_out = len(self.channel.outcomes)
         p_x = [0] * len(self.records)
         rows = [[0] * n_out for _ in self.records]
         p_r = [0] * n_out
-        for (x, views), p in zip(self._states, self._plan.masses(masses)):
+        for (x, view), p in zip(states, self._plan.masses(masses)):
             p_x[x] += p
             row = rows[x]
-            for j, q in views[isinstance(p, float)]:
+            for j, q in view:
                 w = p * q
                 row[j] += w
                 p_r[j] += w

@@ -7,7 +7,7 @@ are mutually independent. This covers everything from fully independent
 adversaries to a fully dependent joint (one block containing everyone).
 
 The worst-case search measures candidates without building their priors:
-draw_member hands out a sampled member's layout and masses, and each
+a MemberSampler hands out sampled members' layouts and masses, and each
 extremal construction gives its support as one table, extremal_pair_table
 for a near-point-mass pair and extremal_pdelta_table for a shared/private
 complement, which support_cells groups into (records key, histogram) cells.
@@ -447,56 +447,97 @@ def sigma(prior: JointPrior):
     one. Returns (value, witness) where witness is (i, x, x') or None when no
     individual admits two positive records.
     """
-    return _sigma(prior.universe.alphabets,
-                  zip(prior.blocks, map(dict.items, prior.tables)))
+    alphabets = prior.universe.alphabets
+    return _sigma([(_IndexPlan(alphabets, b, list(table)), list(table.values()))
+                   for b, table in zip(prior.blocks, prior.tables)])
 
 
-def _sigma(alphabets, layout):
-    """sigma over layout, (block, items) pairs in block order, where items
-    are the block's (cell, mass) pairs in table order and can be iterated
-    more than once."""
-    best = None
-    witness = None
-    for b, items in layout:
-        for pos, i in enumerate(b):
-            # Every sum starts from its first term: an int 0 + Fraction takes
-            # the slow operator fallback.
-            marg: Dict[str, Prob] = {}
-            for key, p in items:
+class _IndexPlan:
+    """The indices through which sigma and the band marginals read one
+    block's masses, for one order of its cells.
+
+    Per position of the block: its individual and alphabet, each record's
+    cells (aligned with the alphabet, empty for a record no cell holds),
+    and, for each pair of held records in alphabet order, the (cell,
+    partner cell) pairs of the first record's cells, in cell order, whose
+    complement (the cell without this position) the second record also
+    holds. A cell's record and complement determine it, so each
+    conditional mass sigma reads is one cell's mass.
+    """
+
+    def __init__(self, alphabets, block, cells):
+        self.block = block
+        self.positions = []
+        for pos, i in enumerate(block):
+            alphabet = alphabets[i]
+            rank = {v: a for a, v in enumerate(alphabet)}
+            records = [[] for _ in alphabet]
+            # Each cell's group: its complement's cells by record.
+            group_of = {}
+            groups = {}
+            for c, key in enumerate(cells):
+                a = rank.get(key[pos])
+                if a is not None:
+                    records[a].append(c)
+                    group = group_of[c] = groups.setdefault(
+                        key[:pos] + key[pos + 1:], {})
+                    group[a] = c
+            held = [a for a, cs in enumerate(records) if cs]
+            pairs = []
+            for x, a in enumerate(held):
+                for b in held[x + 1:]:
+                    pairs.append((a, b, [(c, group_of[c][b])
+                                         for c in records[a]
+                                         if b in group_of[c]]))
+            self.positions.append((i, alphabet, records, pairs))
+
+    def marginal(self, pos, masses):
+        """The masses of the individual at position pos, summed by record
+        in alphabet order from each sum's first term, zero masses skipped;
+        0 for a record with no positive mass. masses is aligned with the
+        cells."""
+        out = []
+        for cs in self.positions[pos][2]:
+            total = None
+            for c in cs:
+                p = masses[c]
                 if p == 0:
                     continue
-                old = marg.get(key[pos])
-                marg[key[pos]] = p if old is None else old + p
-            values = [v for v in alphabets[i] if marg.get(v, 0) > 0]
-            if len(values) < 2:
+                total = p if total is None else total + p
+            out.append(0 if total is None else total)
+        return out
+
+
+def _sigma(layout):
+    """sigma over layout, (plan, masses) pairs in block order, where plan
+    is the block's _IndexPlan and masses is aligned with its cells. Zero
+    masses are skipped, and every sum starts from its first term: an int 0
+    + Fraction takes the slow operator fallback."""
+    best = None
+    witness = None
+    for plan, ms in layout:
+        for pos, (i, alphabet, _, pairs) in enumerate(plan.positions):
+            if not pairs:
                 continue
-            cond: Dict[str, Dict[Tuple[str, ...], Prob]] = {v: {} for v in values}
-            for key, p in items:
-                if p == 0 or key[pos] not in cond:
+            marg = plan.marginal(pos, ms)
+            for a, b, links in pairs:
+                ma, mb = marg[a], marg[b]
+                if not (ma > 0 and mb > 0):
                     continue
-                comp = key[:pos] + key[pos + 1 :]
-                d = cond[key[pos]]
-                old = d.get(comp)
-                d[comp] = p if old is None else old + p
-            for a_idx in range(len(values)):
-                for b_idx in range(a_idx + 1, len(values)):
-                    va, vb = values[a_idx], values[b_idx]
-                    da, db = cond[va], cond[vb]
-                    ma, mb = marg[va], marg[vb]
-                    overlap = None
-                    for comp, pa in da.items():
-                        pb = db.get(comp)
-                        if pb is None:
-                            continue
-                        m = min(pa / ma, pb / mb)
-                        overlap = m if overlap is None else overlap + m
-                    if overlap is None:
-                        # No shared complement: the overlap is an int 0, so
-                        # sigma is an int 1.
-                        overlap = 0
-                    if best is None or overlap < best:
-                        best = overlap
-                        witness = (i, va, vb)
+                overlap = None
+                for ca, cb in links:
+                    pa, pb = ms[ca], ms[cb]
+                    if pa == 0 or pb == 0:
+                        continue
+                    m = min(pa / ma, pb / mb)
+                    overlap = m if overlap is None else overlap + m
+                if overlap is None:
+                    # No shared complement: the overlap is an int 0, so
+                    # sigma is an int 1.
+                    overlap = 0
+                if best is None or overlap < best:
+                    best = overlap
+                    witness = (i, alphabet[a], alphabet[b])
     if best is None:
         return Fraction(0), None
     return 1 - best, witness
@@ -520,24 +561,28 @@ def uniformity_band(prior: JointPrior, tau) -> Tuple[int, Tuple[int, ...]]:
     tau = float_or_inf(tau)
     if not tau >= 0:
         raise PriorError("tau must be nonnegative")
-    in_band = _band_members(prior.universe.alphabets, tau,
-                            lambda i: prior.marginal((i,)))
+    alphabets = prior.universe.alphabets
+
+    def marginal(i):
+        marg = prior.marginal((i,))
+        return [marg.get((sym,), 0) for sym in alphabets[i]]
+
+    in_band = _band_members(alphabets, tau, marginal)
     return len(in_band), in_band
 
 
 def _band_members(alphabets, tau, marginal) -> Tuple[int, ...]:
     """The individuals in the exp(+-tau) band, for a float tau >= 0, where
-    marginal(i) maps each (symbol,) of individual i with positive mass to
-    that mass; it is not called when the band is unbounded."""
+    marginal(i) gives the mass of each record of individual i in alphabet
+    order; it is not called when the band is unbounded."""
     if math.isinf(exp_or_inf(tau)):
         return tuple(range(len(alphabets)))
     lo = math.exp(-tau) - TOL
     hi = math.exp(tau) + TOL
     in_band = []
     for i, alphabet in enumerate(alphabets):
-        marg = marginal(i)
         m = len(alphabet)
-        if all(lo <= float(marg.get((sym,), 0)) * m <= hi for sym in alphabet):
+        if all(lo <= float(p) * m <= hi for p in marginal(i)):
             in_band.append(i)
     return tuple(in_band)
 
@@ -729,88 +774,126 @@ def sample_prior(
 
 def draw_member(universe: RecordUniverse, family: FamilyParams, rng, *,
                 tries: int = 200):
-    """sample_prior's member as (blocks, masses), or None: the same rng
-    stream, tries and rejection, without building a JointPrior.
+    """sample_prior's member as (blocks, masses), or None: one draw of a
+    MemberSampler made for this call."""
+    return MemberSampler(universe, family).draw(rng, tries=tries)
 
-    blocks are in the prior's order (by first individual) and masses holds,
-    per block, the mass of every cell of the block in block_cells order.
-    Membership is read off the layout and the masses; sigma is computed
-    only when the family caps dependence and the band only when it has one.
+
+class MemberSampler:
+    """sample_prior's draws from one family over one universe, as (blocks,
+    masses) without building a JointPrior: the same rng stream, tries and
+    rejection.
+
+    What depends on the universe and family alone (the block limit, the
+    band, each individual's alphabet size and uniform masses) is computed
+    once, and each dependent block's cells and _IndexPlan once per block,
+    when membership reads the masses, so a sampler kept for many draws
+    sets nothing up per draw. Membership is read off the layout and the
+    masses (_layout_violations).
     """
-    n = universe.n
-    alphabets = universe.alphabets
-    k_eff = n if family.k is None else min(family.k, n)
-    band = family.effective_band()
-    ell_req = 0
-    tau = math.inf
-    if band is not None:
-        tau, ell_req = band
-        ell_req = min(ell_req, n)
-    bounded = not math.isinf(exp_or_inf(tau))
-    force_independent = family.exp_delta is not None and family.exp_delta == 0
 
-    for _ in range(tries):
-        band_set = sorted(rng.sample(range(n), ell_req)) if ell_req else []
-        free = [i for i in range(n) if i not in band_set]
-        max_b = 1 if force_independent else min(k_eff, max(len(free), 1))
-        b_size = 1 if max_b <= 1 else rng.randint(1, max_b)
-        if b_size > 1 and len(free) >= b_size:
-            members = tuple(sorted(rng.sample(free, b_size)))
-            # The dependent block's masses are drawn before the singletons'.
-            joint = _dirichlet(rng, prod(len(alphabets[i]) for i in members))
+    def __init__(self, universe: RecordUniverse, family: FamilyParams):
+        n = universe.n
+        self.universe = universe
+        self.family = family
+        band = family.effective_band()
+        ell = 0
+        tau = math.inf
+        if band is not None:
+            tau, ell = band
+            ell = min(ell, n)
+        self._ell = ell
+        self._tau = tau
+        self._bounded = not math.isinf(exp_or_inf(tau))
+        # exp_delta == 0 forces full independence.
+        if family.exp_delta is not None and family.exp_delta == 0:
+            self._k = 1
         else:
-            members = ()
+            self._k = n if family.k is None else min(family.k, n)
+        self._sizes = [len(a) for a in universe.alphabets]
+        self._uniform = [Fraction(1, m) for m in self._sizes]
+        # Membership reads the masses only when the family caps dependence
+        # or has a band; only then does a dependent block need its plan.
+        self._reads_masses = family.exp_delta is not None or band is not None
+        self._plans = {}
 
-        blocks = []
-        masses = []
-        for i in range(n):
-            if i in members:
-                if i == members[0]:
-                    blocks.append(members)
-                    masses.append(joint)
-                continue
-            m = len(alphabets[i])
-            if i in band_set and bounded:
-                if tau == 0:
-                    ws = [Fraction(1, m)] * m
-                else:
-                    raw = [math.exp(rng.uniform(-tau, tau)) for _ in range(m)]
-                    s = left_sum(raw)
-                    ws = [w / s for w in raw]
+    def draw(self, rng, *, tries: int = 200):
+        """A member as (blocks, masses), or None when all tries draws are
+        rejected. blocks are in the prior's order (by first individual) and
+        masses holds, per block, the mass of every cell of the block in
+        block_cells order."""
+        n = self.universe.n
+        ell, tau, k = self._ell, self._tau, self._k
+        sizes = self._sizes
+        for _ in range(tries):
+            band_set = sorted(rng.sample(range(n), ell)) if ell else ()
+            free = ([i for i in range(n) if i not in band_set] if ell
+                    else range(n))
+            max_b = min(k, max(len(free), 1))
+            b_size = 1 if max_b <= 1 else rng.randint(1, max_b)
+            if b_size > 1 and len(free) >= b_size:
+                members = tuple(sorted(rng.sample(free, b_size)))
+                if self._reads_masses and members not in self._plans:
+                    self._plans[members] = _IndexPlan(
+                        self.universe.alphabets, members,
+                        block_cells(self.universe, members))
+                # The dependent block's masses are drawn before the
+                # singletons'.
+                joint = _dirichlet(rng, prod(sizes[i] for i in members))
             else:
-                ws = _dirichlet(rng, m)
-            blocks.append((i,))
-            masses.append(ws)
-        blocks = tuple(blocks)
-        items = (list(zip(block_cells(universe, b), ms))
-                 for b, ms in zip(blocks, masses))
-        if not _layout_violations(universe, family, blocks, items):
-            return blocks, masses
-    return None
+                members = ()
+
+            blocks = []
+            masses = []
+            for i in range(n):
+                if i in members:
+                    if i == members[0]:
+                        blocks.append(members)
+                        masses.append(joint)
+                    continue
+                m = sizes[i]
+                if i in band_set and self._bounded:
+                    if tau == 0:
+                        ws = [self._uniform[i]] * m
+                    else:
+                        raw = [math.exp(rng.uniform(-tau, tau))
+                               for _ in range(m)]
+                        s = left_sum(raw)
+                        ws = [w / s for w in raw]
+                else:
+                    ws = _dirichlet(rng, m)
+                blocks.append((i,))
+                masses.append(ws)
+            blocks = tuple(blocks)
+            if not _layout_violations(self.universe.alphabets, self.family,
+                                      blocks, masses, self._plans):
+                return blocks, masses
+        return None
 
 
-def _layout_violations(universe, family, blocks, block_items) -> list:
-    """membership_violations of the prior whose (block, items) pairs are
-    zip(blocks, block_items): each block holds its (cell, mass) items in
-    table order, which can be iterated more than once. block_items is read
-    only when the family caps dependence or has a band, so a generator that
-    builds the items builds nothing otherwise."""
-    alphabets = universe.alphabets
+def _layout_violations(alphabets, family, blocks, masses, plans) -> list:
+    """membership_violations of the prior whose block blocks[j] gives
+    masses[j][c] to its c-th cell, read off the layout and the masses
+    without building the prior. plans maps every block of two or more
+    individuals, and any singleton whose masses do not follow its
+    individual's alphabet, to the _IndexPlan of its cells; the masses of
+    any other singleton follow the alphabet. sigma is computed only when
+    the family caps dependence and the band only when it has one."""
     band = family.effective_band()
     sig = count = None
-    if family.exp_delta is not None or band is not None:
-        layout = list(zip(blocks, block_items))
     if family.exp_delta is not None:
         # A singleton block's two records share the empty complement, so its
         # overlap is exactly 1 and never decides the verdict.
-        sig, _ = _sigma(alphabets, [(b, items) for b, items in layout
-                                    if len(b) > 1])
+        sig, _ = _sigma([(plans[b], ms) for b, ms in zip(blocks, masses)
+                         if len(b) > 1])
     if band is not None:
-        where = {i: (b.index(i), items) for b, items in layout for i in b}
+        where = {i: (b, pos, ms) for b, ms in zip(blocks, masses)
+                 for pos, i in enumerate(b)}
 
         def marginal(i):
-            pos, items = where[i]
-            return _aggregate(items, (pos,))
+            b, pos, ms = where[i]
+            plan = plans.get(b)
+            return ms if plan is None else plan.marginal(pos, ms)
 
         count = len(_band_members(alphabets, band[0], marginal))
     return membership_violations(family, max(map(len, blocks)), sig, count)
@@ -907,12 +990,16 @@ def extremal_pair_violations(universe: RecordUniverse, family: FamilyParams,
     count = None
     band = family.effective_band()
     if band is not None:
-        def marginal(i):
-            if seq_num[i] == seq_den[i]:
-                return {(seq_num[i],): Fraction(1)}
-            return {(seq_num[i],): eta, (seq_den[i],): 1 - eta}
+        alphabets = universe.alphabets
 
-        count = len(_band_members(universe.alphabets, band[0], marginal))
+        def marginal(i):
+            num, den = seq_num[i], seq_den[i]
+            if num == den:
+                return [1 if sym == num else 0 for sym in alphabets[i]]
+            return [eta if sym == num else 1 - eta if sym == den else 0
+                    for sym in alphabets[i]]
+
+        count = len(_band_members(alphabets, band[0], marginal))
     size = max(map(len, groups))
     return membership_violations(family, size, 1 if size > 1 else 0, count)
 

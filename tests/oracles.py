@@ -5,7 +5,8 @@ per-cell and per-candidate loops that the integer scans and the symmetry
 classes replace, the worst-case search's member walks that the class
 generator replaces, the shared/private-complement prior built branch by
 branch, each weight its own product of eta and exp_delta, the sampler that
-builds and checks a prior per draw, the leakage quantities and the prior
+builds and checks a prior per draw, the draw that sets itself up per call
+and reads sigma through dicts, the leakage quantities and the prior
 table check on
 Fractions where the library reads integer numerators, the dict-update
 convolution that the compiled histogram plan and the integer prior masses
@@ -41,6 +42,7 @@ from privlens import (
     parse_probability,
     ratio_div,
 )
+from privlens.prior import membership_violations
 from privlens.probability import exp_or_inf, left_sum
 from privlens.universe import check_budget
 from privlens.audit import (
@@ -856,6 +858,144 @@ def sigma(prior):
     if best is None:
         return Fraction(0), None
     return 1 - best, witness
+
+
+def dict_sigma(alphabets, layout):
+    """sigma over layout, (block, items) pairs in block order, where items
+    are the block's (cell, mass) pairs in table order: each position's
+    marginal and conditionals gathered into dicts per call, every sum
+    started from its first term, as the library's loop did before its
+    index plans."""
+    best = None
+    witness = None
+    for b, items in layout:
+        for pos, i in enumerate(b):
+            marg = {}
+            for key, p in items:
+                if p == 0:
+                    continue
+                old = marg.get(key[pos])
+                marg[key[pos]] = p if old is None else old + p
+            values = [v for v in alphabets[i] if marg.get(v, 0) > 0]
+            if len(values) < 2:
+                continue
+            cond = {v: {} for v in values}
+            for key, p in items:
+                if p == 0 or key[pos] not in cond:
+                    continue
+                comp = key[:pos] + key[pos + 1:]
+                d = cond[key[pos]]
+                old = d.get(comp)
+                d[comp] = p if old is None else old + p
+            for a_idx in range(len(values)):
+                for b_idx in range(a_idx + 1, len(values)):
+                    va, vb = values[a_idx], values[b_idx]
+                    da, db = cond[va], cond[vb]
+                    ma, mb = marg[va], marg[vb]
+                    overlap = None
+                    for comp, pa in da.items():
+                        pb = db.get(comp)
+                        if pb is None:
+                            continue
+                        m = min(pa / ma, pb / mb)
+                        overlap = m if overlap is None else overlap + m
+                    if overlap is None:
+                        overlap = 0
+                    if best is None or overlap < best:
+                        best = overlap
+                        witness = (i, va, vb)
+    if best is None:
+        return Fraction(0), None
+    return 1 - best, witness
+
+
+def draw_member(universe, family, rng, *, tries=200):
+    """draw_member with its setup made per call and its membership read
+    per try from (cell, mass) lists of every block: the family's bounds
+    and band recomputed, each block's cells listed, sigma read by
+    dict_sigma on the blocks of two or more, and each band marginal
+    aggregated into a dict keyed by (symbol,)."""
+    n = universe.n
+    alphabets = universe.alphabets
+    k_eff = n if family.k is None else min(family.k, n)
+    band = family.effective_band()
+    ell_req = 0
+    tau = math.inf
+    if band is not None:
+        tau, ell_req = band
+        ell_req = min(ell_req, n)
+    bounded = not math.isinf(exp_or_inf(tau))
+    force_independent = family.exp_delta is not None and family.exp_delta == 0
+
+    for _ in range(tries):
+        band_set = sorted(rng.sample(range(n), ell_req)) if ell_req else []
+        free = [i for i in range(n) if i not in band_set]
+        max_b = 1 if force_independent else min(k_eff, max(len(free), 1))
+        b_size = 1 if max_b <= 1 else rng.randint(1, max_b)
+        if b_size > 1 and len(free) >= b_size:
+            members = tuple(sorted(rng.sample(free, b_size)))
+            joint = _dirichlet(rng, prod(len(alphabets[i]) for i in members))
+        else:
+            members = ()
+
+        blocks = []
+        masses = []
+        for i in range(n):
+            if i in members:
+                if i == members[0]:
+                    blocks.append(members)
+                    masses.append(joint)
+                continue
+            m = len(alphabets[i])
+            if i in band_set and bounded:
+                if tau == 0:
+                    ws = [Fraction(1, m)] * m
+                else:
+                    raw = [math.exp(rng.uniform(-tau, tau)) for _ in range(m)]
+                    s = left_sum(raw)
+                    ws = [w / s for w in raw]
+            else:
+                ws = _dirichlet(rng, m)
+            blocks.append((i,))
+            masses.append(ws)
+        blocks = tuple(blocks)
+        layout = [
+            (b, list(zip(itertools.product(*(alphabets[i] for i in b)), ms)))
+            for b, ms in zip(blocks, masses)
+        ]
+        sig = count = None
+        if family.exp_delta is not None:
+            sig, _ = dict_sigma(alphabets, [(b, items) for b, items in layout
+                                            if len(b) > 1])
+        if band is not None:
+            count = _band_count(alphabets, band[0], layout)
+        if not membership_violations(family, max(map(len, blocks)), sig,
+                                     count):
+            return blocks, masses
+    return None
+
+
+def _band_count(alphabets, tau, layout):
+    """The number of individuals in the exp(+-tau) band of the prior whose
+    (block, items) pairs are layout, each marginal summed from an int 0
+    into a dict keyed by (symbol,)."""
+    if math.isinf(exp_or_inf(tau)):
+        return len(alphabets)
+    lo = math.exp(-tau) - TOL
+    hi = math.exp(tau) + TOL
+    where = {i: (pos, items) for b, items in layout
+             for pos, i in enumerate(b)}
+    count = 0
+    for i, alphabet in enumerate(alphabets):
+        pos, items = where[i]
+        marg = {}
+        for key, p in items:
+            if p != 0:
+                marg[key[pos],] = marg.get((key[pos],), 0) + p
+        m = len(alphabet)
+        count += all(lo <= float(marg.get((sym,), 0)) * m <= hi
+                     for sym in alphabet)
+    return count
 
 
 # ---------------------------------------------------------------------------

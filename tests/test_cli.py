@@ -201,8 +201,13 @@ def test_extremal_budgets_bite_at_the_candidate_count(
                              "k": 1, "tau": 0.1, "exp_epsilon": "1000"}},
      6000, "sufficient_nk: 413343 items against budget 6000"),
     # Forty individuals over {BOT, a, b} at k = n: every pair of the 861
-    # achievable histograms is charged before it is listed.
+    # achievable histograms is charged before it is listed. Only the geo
+    # mechanism is given, since every mechanism is built when the scenario
+    # is read.
     ("certify", {"universe": {"n": 40, "alphabet": ["BOT", "a", "b"]},
+                 "mechanisms": {"geo": {"type": "geometric_counting",
+                                        "target_symbol": "a",
+                                        "ratio": "1/3"}},
                  "certify": {"kind": "k_change", "mechanism": "geo", "k": 40,
                              "exp_epsilon": "1000"}},
      300000, "change_histogram_pairs: 370230 items against budget 300000"),

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import weakref
 from fractions import Fraction
 
@@ -53,6 +54,7 @@ from privlens import (
     necessary_pdelta,
     normalize_target,
     output_entropy,
+    prior_from_flat,
     product_channel,
     randomized_response_channel,
     ratios_agree,
@@ -78,6 +80,7 @@ from privlens.mechanism import RowViews
 from privlens.probability import float_or_inf
 from privlens.prior import (
     HistogramPlan,
+    MemberSampler,
     _pair_groups,
     block_cells,
     draw_member,
@@ -2291,10 +2294,10 @@ def test_draws_leave_singleton_blocks_out_of_sigma(monkeypatch):
     layouts = []
     real = prior_module._sigma
 
-    def recorded(alphabets, layout):
+    def recorded(layout):
         layout = list(layout)
         layouts.append(layout)
-        return real(alphabets, layout)
+        return real(layout)
 
     monkeypatch.setattr(prior_module, "_sigma", recorded)
     rng = random.Random(94)
@@ -2302,9 +2305,91 @@ def test_draws_leave_singleton_blocks_out_of_sigma(monkeypatch):
                    FamilyParams(k=1, exp_delta=Fraction(1, 2))):
         for _ in range(20):
             draw_member(u, family, rng)
-    blocks = [b for layout in layouts for b, _ in layout]
+    blocks = [plan.block for layout in layouts for plan, _ in layout]
     assert layouts and blocks
     assert all(len(b) > 1 for b in blocks)
+
+
+def test_sampler_draws_match_the_per_call_draw():
+    # One MemberSampler per family makes every draw, as the search keeps
+    # one per call, and draw_member makes one per call; both give the
+    # per-call draw's (blocks, masses) bit for bit, reject where it rejects
+    # (None at a low tries) and leave the generator where it leaves it.
+    # The universes mix alphabets, one of a single symbol; tau = 400 draws
+    # subnormal band masses and tau = 0 exact ones; ell above n admits
+    # nothing.
+    f = FamilyParams
+    universes = (
+        uniform_universe(3, (BOT, "a", "b")),
+        RecordUniverse(((BOT, "a", "b"), (BOT,), ("a", BOT))),
+        RecordUniverse((("a", BOT), (BOT, "a", "b"), ("b",), ("b", BOT, "a"))),
+    )
+    rng = random.Random(96)
+    kinds = collections.Counter()
+    for u in universes:
+        bands = ((None, None), (1, 0), (2, 0.1), (u.n, 400), (u.n + 1, 1.0))
+        for k, exp_delta, (ell, tau) in itertools.product(
+                (1, 2, None),
+                (None, 0, Fraction(1, 8), Fraction(1, 2), 0.875), bands):
+            family = f(k=k, exp_delta=exp_delta, ell=ell, tau=tau)
+            sampler = MemberSampler(u, family)
+            seed = rng.randrange(1 << 30)
+            kept, once, want_rng = (random.Random(seed) for _ in range(3))
+            for _ in range(6):
+                got = sampler.draw(kept, tries=3)
+                one_shot = draw_member(u, family, once, tries=3)
+                want = oracles.draw_member(u, family, want_rng, tries=3)
+                assert kept.getstate() == once.getstate() == want_rng.getstate()
+                assert repr(got) == repr(one_shot) == repr(want), family
+                if want is None:
+                    kinds["rejected"] += 1
+                    continue
+                blocks, masses = want
+                kinds["accepted"] += 1
+                kinds["joint"] += max(map(len, blocks)) > 1
+                kinds["exact"] += any(isinstance(p, Fraction)
+                                      for ms in masses for p in ms)
+                kinds["subnormal or zero"] += any(
+                    p < sys.float_info.min for ms in masses for p in ms)
+                kinds["single symbol in a joint block"] += any(
+                    len(b) > 1 and any(len(u.alphabets[i]) == 1 for i in b)
+                    for b in blocks)
+    assert len(kinds) == 6 and min(kinds.values()) > 0, kinds
+
+
+def test_sigma_through_index_plans_matches_the_dict_loop():
+    # sigma reads each block through an index plan of its cells; the
+    # oracle gathers marginals and conditionals into dicts per call. Value
+    # and witness are equal, of the same types, on float and Fraction
+    # tables with zero cells, on the sparse tables of prior_from_flat, on
+    # tables listed out of product order, and on blocks of up to three
+    # individuals.
+    rng = random.Random(95)
+    kinds = collections.Counter()
+    for exact in (True, False):
+        for _ in range(80):
+            prior = block_prior(rng, exact)
+            u = prior.universe
+            shuffled = tuple(dict(rng.sample(list(t.items()), len(t)))
+                             for t in prior.tables)
+            sparse = prior_from_flat(u, prior.blocks, [
+                [t.get(cell, 0) for cell in block_cells(u, b)]
+                for b, t in zip(prior.blocks, prior.tables)])
+            for p in (prior, JointPrior(u, prior.blocks, shuffled), sparse):
+                got = sigma(p)
+                want = oracles.dict_sigma(u.alphabets, [
+                    (b, list(t.items())) for b, t in zip(p.blocks, p.tables)])
+                assert got == want and type(got[0]) is type(want[0]), (
+                    p.blocks, p.tables)
+            kinds["zero cells"] += any(0 in t.values() for t in prior.tables)
+            kinds["sparse"] += any(len(t) < len(block_cells(u, b))
+                                   for b, t in zip(sparse.blocks,
+                                                   sparse.tables))
+            kinds["reordered"] += any(list(t) != list(s)
+                                      for t, s in zip(prior.tables, shuffled))
+            kinds["three individuals"] += prior.max_block_size() == 3
+            kinds["witness"] += got[1] is not None
+    assert len(kinds) == 5 and min(kinds.values()) > 0, kinds
 
 
 def test_plan_checks_each_members_masses():

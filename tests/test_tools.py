@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -6,17 +7,46 @@ from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name, directory=TOOLS):
+    spec = importlib.util.spec_from_file_location(name,
+                                                  directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 compare_reports = load_tool("compare_reports")
+
+
+def test_benchmark_tracer_binds_every_traced_name():
+    # The benchmark's tracer wraps each traced function wherever a privlens
+    # module binds it and lists the names it cannot find; a renamed or
+    # removed function would otherwise only show in the traced benchmark
+    # run. Uninstalling puts every original back.
+    tracing = load_tool("tracer", ROOT / "perfbench")
+    modules = {name: importlib.import_module(f"privlens.{name}")
+               for name in tracing.MODULES}
+    originals = {(module, name): getattr(modules[module], name)
+                 for module, name in (("prior", "sample_prior"),
+                                      ("prior", "sigma"),
+                                      ("prior", "check_membership"),
+                                      ("audit", "check_membership"),
+                                      ("leakage", "max_mi"),
+                                      ("audit", "max_mi"))}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        for (module, name), original in originals.items():
+            assert getattr(modules[module], name).__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    for (module, name), original in originals.items():
+        assert getattr(modules[module], name) is original
 
 
 def write_dump(path, reports):
