@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
@@ -29,9 +30,9 @@ from .probability import (
 )
 from .universe import (
     BOT,
-    DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
     RecordUniverse,
+    budget_limit,
     channel_build_budget,
     check_budget,
 )
@@ -223,11 +224,25 @@ class Channel:
                 )
 
     def _keep(self, dense):
-        """Keep dense as the integer rows that the scans and views read."""
+        """Keep dense as the integer rows that the scans and views read, and
+        the index of each histogram's row, equal rows sharing one: an
+        integer row is compared as its (numerators, d), and a row with a
+        float as its entries and their types, so that equal rows give equal
+        ratios of the same type."""
         object.__setattr__(self, "_dense", dense)
         object.__setattr__(
             self, "_row_views", RowViews(self.rows.__getitem__, dense.__getitem__)
         )
+        distinct = {}
+        index = {}
+        for h, scaled in dense.items():
+            if scaled is None:
+                row = self.rows[h]
+                key = row, tuple(map(type, row))
+            else:
+                key = tuple(scaled[0]), scaled[1]
+            index[h] = distinct.setdefault(key, len(distinct))
+        object.__setattr__(self, "_row_index", index)
 
     def row(self, hist) -> Tuple[Prob, ...]:
         hist = tuple(hist)
@@ -479,45 +494,108 @@ def change_histogram_pairs(
     other by editing at most k records of some realizing sequence.
 
     For k >= n this is every pair, and the budget counts them. Otherwise
-    one pass over the individuals carries every pair of partial histograms
-    (h1, h2) with the fewest record changes that reach it, dropping pairs
-    that need more than k; a pair that has used all k changes only copies
-    the next record. The budget counts one step per (state, record pair),
-    an upper bound on the moves taken. Returned sorted for deterministic
-    scans.
+    the pairs depend only on each alphabet's multiset of records, so the
+    individuals are grouped by alphabet. A group of g individuals gives the
+    pairs of multisets of g records at most min(k, g) changes apart, g
+    minus their overlap (_unit_move_pairs). The groups are combined into
+    every unordered pair of partial histograms (h1 <= h2) with the fewest
+    changes that reach it, dropping pairs that need more than k. The budget
+    counts each group's multisets before they are listed, then its pairs
+    times the states they meet: those at 0 and 1 changes before any is
+    listed, and those farther apart as they are listed. Returned sorted for
+    deterministic scans.
     """
     if k < 1:
         raise ChannelError("k must be at least 1")
+    stage = "change_histogram_pairs"
     if k >= universe.n:
         # achievable_histograms is sorted, so its combinations are too.
         hists = universe.achievable_histograms(budget)
-        check_budget(len(hists) * (len(hists) - 1) // 2, budget,
-                     "change_histogram_pairs")
+        check_budget(len(hists) * (len(hists) - 1) // 2, budget, stage)
         return list(itertools.combinations(hists, 2))
-    states = {(0, 0): 0}
+    weight = universe.code_weights.__getitem__
+    groups = {}
+    for alpha, g in Counter(universe.alphabets).items():
+        key = tuple(sorted(map(weight, alpha)))
+        groups[key] = groups.get(key, 0) + g
+    states = None
     steps = 0
     far = k + 1
-    for alpha in universe.alphabets:
-        weights = [universe.code_weights[s] for s in alpha]
-        steps += len(states) * len(weights) ** 2
-        check_budget(steps, budget, "change_histogram_pairs")
-        changes = [(x, y) for x in weights for y in weights if x != y]
+    for weights, g in groups.items():
+        m = len(weights)
+        multisets = math.comb(g + m - 1, m - 1)
+        steps += multisets
+        check_budget(steps, budget, stage)
+        # Each of the group's pairs meets every state; the first group meets
+        # the empty pair alone. The pairs at 0 changes are the multisets
+        # themselves; those at 1 are their unit moves, which turn a record
+        # of a symbol the multiset holds into one of the m - 1 others, and
+        # the multisets holding a given symbol are those of g - 1 records.
+        meets = 1 if states is None else len(states)
+        steps += meets * (multisets + m * (m - 1) * math.comb(g + m - 2, m - 1))
+        check_budget(steps, budget, stage)
+        buckets, listed = _unit_move_pairs(
+            weights, g, min(k, g), (budget_limit(budget) - steps) // meets)
+        steps += meets * listed
+        check_budget(steps, budget, stage)
+        if states is None:
+            states = {(x, y): e for e, bucket in enumerate(buckets)
+                      for x, y in bucket if x <= y}
+            continue
+        # reach[d]: the group's pairs that a state at d changes may take,
+        # each with the change count it leads to.
+        reach = [[(x, y, e) for e, bucket in zip(range(d, far), buckets)
+                  for x, y in bucket] for d in range(far)]
         nxt = {}
         get = nxt.get
         for (c1, c2), d in states.items():
-            for x in weights:
-                key = (c1 + x, c2 + x)
-                if d < get(key, far):
-                    nxt[key] = d
-            if d < k:
-                e = d + 1
-                for x, y in changes:
-                    key = (c1 + x, c2 + y)
-                    if e < get(key, far):
-                        nxt[key] = e
+            for x, y, e in reach[d]:
+                a = c1 + x
+                b = c2 + y
+                # The group's pairs come in both orders, so a pair reached
+                # in the wrong order is also reached in the right one, from
+                # its mirror state.
+                key = (a, b) if a <= b else (b, a)
+                if e < get(key, far):
+                    nxt[key] = e
         states = nxt
     decode = universe.decode_histogram
     return [(decode(c1), decode(c2)) for c1, c2 in sorted(states) if c1 < c2]
+
+
+def _unit_move_pairs(weights, g, r, room):
+    """(buckets, listed) over the multisets of g records on the symbols of
+    the sorted code weights: buckets[e] lists the ordered (code, code) pairs
+    of multisets e changes apart, for e in 0..r, and listed counts those
+    at 2 or more changes. The change count is g minus the overlap. A
+    unit move (one record turned into another symbol) raises the overlap
+    by at most one, so the pairs at e changes are those e unit moves
+    apart, found breadth first from each multiset. Listing stops after the
+    first multiset that brings listed above room."""
+    neighbours = {}
+    for records in itertools.combinations_with_replacement(weights, g):
+        code = sum(records)
+        neighbours[code] = [code + b - a for a in dict.fromkeys(records)
+                            for b in weights if b != a]
+    buckets = [list(zip(neighbours, neighbours)),
+               [(c, m) for c, ring in neighbours.items() for m in ring]]
+    farther = [[] for _ in range(r - 1)]
+    listed = 0
+    for c, ring in neighbours.items():
+        if not farther or listed > room:
+            break
+        seen = {c, *ring}
+        for bucket in farther:
+            nxt = []
+            for p in ring:
+                for m in neighbours[p]:
+                    if m not in seen:
+                        seen.add(m)
+                        nxt.append(m)
+            bucket += [(c, m) for m in nxt]
+            listed += len(nxt)
+            ring = nxt
+    return buckets + farther, listed
 
 
 def change_sequence_pairs(
@@ -530,8 +608,7 @@ def change_sequence_pairs(
     if k < 1:
         raise ChannelError("k must be at least 1")
     n = universe.n
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
+    budget = budget_limit(budget)
     pairs = set()
     work = 0
     for seq in universe.iter_sequences(budget):
@@ -592,7 +669,19 @@ class RatioScan:
 def _scan_pairs(channel: Channel, pairs) -> RatioScan:
     """Largest row ratio over the pairs, both directions. Cells are read by
     pair, then outcome index, h1/h2 before h2/h1, and the first maximum is
-    kept; positive over zero is inf and zero over zero is skipped."""
+    kept; positive over zero is inf and zero over zero is skipped.
+
+    A pair whose two rows, in either order, are those of an earlier pair
+    has the same cells, none above the best so far, so only the first pair
+    of each pair of row indices is scanned; the witness, the ratio and the
+    note are those of the whole list."""
+    index = channel._row_index
+    first = {}
+    for pair in pairs:
+        i = index[pair[0]]
+        j = index[pair[1]]
+        first.setdefault((i, j) if i <= j else (j, i), pair)
+    pairs = list(first.values())
     if None not in channel._dense.values():
         wit = _scan_integer(channel, pairs)
         if wit is None:

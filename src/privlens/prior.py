@@ -329,7 +329,8 @@ class HistogramPlan:
     so the work grows polynomially in n for a fixed alphabet.
 
     The plan does that bookkeeping once and keeps indices: per block, each
-    cell's local index, and per later block the convolution as (dst,
+    cell's local index (none when each cell is its own local, in cell
+    order), and per later block the convolution as (dst,
     state, local) triples. keys lists each final state's (records key,
     histogram); masses computes the states' masses for one prior.
     """
@@ -363,6 +364,10 @@ class HistogramPlan:
                     for loc, (key1, code1) in enumerate(local)
                 ]
                 states = list(nxt)
+            # A block whose cells each have their own local, in cell order,
+            # keeps no index: its masses are its locals.
+            if len(local) == len(keys):
+                index = None
             self._blocks.append((index, len(local), steps, len(states)))
         order = sorted(range(len(contributed)), key=contributed.__getitem__)
         decode = universe.decode_histogram
@@ -383,12 +388,16 @@ class HistogramPlan:
     def _convolve(self, masses, int_to_fraction):
         # Every local index and every state receives at least one term, and
         # each sum starts from an int 0: 0 + x is x itself, of the same type
-        # and bits, for an int, a float or a Fraction.
+        # and bits, for an int, a float or a Fraction. So a block without
+        # an index reads its masses as they are.
         states = None
         for ms, (index, size, steps, n_states) in zip(masses, self._blocks):
-            local = [0] * size
-            for loc, p in zip(index, ms):
-                local[loc] += p
+            if index is None:
+                local = list(ms)
+            else:
+                local = [0] * size
+                for loc, p in zip(index, ms):
+                    local[loc] += p
             if steps is None:
                 # iter_support starts each mass at Fraction(1), and 1 * p is
                 # p itself for a float or a Fraction; only an int changes

@@ -39,11 +39,15 @@ class EnumerationBudgetError(RuntimeError):
         self.stage = stage
 
 
+def budget_limit(budget):
+    """The budget in force: DEFAULT_ENUMERATION_BUDGET when None."""
+    return DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+
+
 def check_budget(cardinality, budget, stage):
     """Raise EnumerationBudgetError when cardinality exceeds the budget
     (DEFAULT_ENUMERATION_BUDGET when None)."""
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
+    budget = budget_limit(budget)
     if cardinality > budget:
         raise EnumerationBudgetError(cardinality, budget, stage)
 
@@ -55,9 +59,7 @@ def channel_build_budget(budget):
     input, so a budget below the default stops the task's own stages, not
     the build, and an input error in the task is still reported first; a
     budget above it lets a larger universe build its channels."""
-    if budget is None:
-        return DEFAULT_ENUMERATION_BUDGET
-    return max(budget, DEFAULT_ENUMERATION_BUDGET)
+    return max(budget_limit(budget), DEFAULT_ENUMERATION_BUDGET)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Reference loops kept as oracles for the fast kernels: sequence-domain
 enumerators that walk dataset sequences (all |A|^n of them or a prior's
-whole support), the per-sequence dependence and averaging scans, and the
+whole support), the neighbour-pair DP that steps once per individual
+where the library steps once per alphabet group, the per-sequence
+dependence and averaging scans, and the
 per-cell and per-candidate loops that the integer scans and the symmetry
 classes replace, the worst-case search's member walks that the class
 generator replaces, the shared/private-complement prior built branch by
@@ -98,6 +100,34 @@ def change_histogram_pairs(universe, k):
                     if h2 != h1:
                         pairs.add((h1, h2) if h1 < h2 else (h2, h1))
     return sorted(pairs)
+
+
+def per_individual_pairs(universe, k):
+    """change_histogram_pairs at k < n by one DP step per individual: every
+    pair of partial histogram codes with the fewest record changes that
+    reach it, a pair that has used all k changes only copying the next
+    record."""
+    states = {(0, 0): 0}
+    far = k + 1
+    for alpha in universe.alphabets:
+        weights = [universe.code_weights[s] for s in alpha]
+        changes = [(x, y) for x in weights for y in weights if x != y]
+        nxt = {}
+        get = nxt.get
+        for (c1, c2), d in states.items():
+            for x in weights:
+                key = (c1 + x, c2 + x)
+                if d < get(key, far):
+                    nxt[key] = d
+            if d < k:
+                e = d + 1
+                for x, y in changes:
+                    key = (c1 + x, c2 + y)
+                    if e < get(key, far):
+                        nxt[key] = e
+        states = nxt
+    decode = universe.decode_histogram
+    return [(decode(c1), decode(c2)) for c1, c2 in sorted(states) if c1 < c2]
 
 
 # ---------------------------------------------------------------------------

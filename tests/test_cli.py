@@ -141,17 +141,18 @@ def test_leakage_budget_exhaustion_is_exit_three(tmp_path):
 
 
 def test_budget_error_names_the_stage_that_ran_out(tmp_path):
-    # Two individuals over {BOT, a}: the one-change pair kernel takes 4 + 16
-    # steps, the achievable histograms only 2 + 4.
+    # Two individuals over {BOT, a}: the one-change pair kernel charges 3
+    # multisets of two records, then their 3 + 4 pairs at 0 and 1 changes;
+    # the achievable histograms take only 2 + 4 steps.
     scn = base_scenario(
         certify={"kind": "k_change", "mechanism": "geo", "k": 1, "exp_epsilon": "3"}
     )
     path = write_scenario(tmp_path, scn)
-    code, _, err = invoke(["certify", path, "--budget", "10"])
+    code, _, err = invoke(["certify", path, "--budget", "9"])
     assert code == 3
     assert err.strip() == (
         "error: enumeration budget exceeded in change_histogram_pairs: "
-        "20 items against budget 10"
+        "10 items against budget 9"
     )
 
 
@@ -792,8 +793,9 @@ def test_sweep_over_must_be_a_string(tmp_path, over):
 
 
 def test_sweep_reads_every_row_before_running_any(tmp_path):
-    # Row 1 alone charges 90 neighbour pairs, beyond --budget 50; row 2 is
-    # malformed, and an input error wins over the budget.
+    # Row 1 alone charges 28 multisets of six records over three symbols
+    # and their 28 + 126 pairs at 0 and 1 changes, beyond --budget 50; row
+    # 2 is malformed, and an input error wins over the budget.
     scn = base_scenario(
         universe={"n": 6, "alphabet": ["BOT", "a", "b"]}, priors={},
         sweep={"over": "k", "values": [1, "x"],
@@ -806,7 +808,7 @@ def test_sweep_reads_every_row_before_running_any(tmp_path):
     scn["sweep"]["values"] = [1]
     assert invoke(["sweep", write_scenario(tmp_path, scn), "--budget",
                    "50"]) == (3, "", "error: enumeration budget exceeded in "
-                              "change_histogram_pairs: 90 items against "
+                              "change_histogram_pairs: 182 items against "
                               "budget 50\n")
 
 

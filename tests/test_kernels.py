@@ -171,12 +171,131 @@ def test_change_histogram_pairs_match_on_shared_alphabets():
             assert change_histogram_pairs(u, k) == oracles.change_histogram_pairs(u, k)
 
 
+def grouped_universe(rng, n_max=16):
+    """Up to n_max individuals, each taking one of 1-3 alphabets, so that
+    the alphabet groups interleave. The alphabets are drawn with and
+    without BOT, some of one symbol, and one may repeat another's symbols
+    in another order."""
+    n = rng.randint(1, n_max)
+    pool = [random_alphabet(rng) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        pool.append((rng.choice(SYMBOLS),))
+    if rng.random() < 0.3:
+        pool.append(tuple(reversed(pool[0])))
+    return RecordUniverse(tuple(rng.choice(pool) for _ in range(n)))
+
+
+def test_change_histogram_pairs_match_the_per_individual_dp():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(40):
+        u = grouped_universe(rng)
+        if len(u.achievable_histograms()) > 120:
+            continue
+        groups = {frozenset(a) for a in u.alphabets}
+        seen |= {"bot" if BOT in a else "no bot" for a in groups}
+        if len(groups) > 1:
+            seen.add("several groups")
+        if min(map(len, groups)) == 1:
+            seen.add("one-symbol")
+        if u.n > 8:
+            seen.add("n > 8")
+        for k in range(1, u.n + 2):
+            want = (oracles.per_individual_pairs(u, k) if k < u.n
+                    else list(itertools.combinations(
+                        u.achievable_histograms(), 2)))
+            assert change_histogram_pairs(u, k) == want, (u.alphabets, k)
+    assert seen == {"several groups", "one-symbol", "bot", "no bot", "n > 8"}
+
+
+def test_group_scans_match_the_ratio_div_oracle_on_the_full_pair_list():
+    # Geometric channels repeat a row for every histogram of one count, so
+    # most of their pairs are skipped; matrix and randomized-response rows
+    # are mostly distinct.
+    rng = random.Random(24)
+    for _ in range(12):
+        u = grouped_universe(rng, n_max=10)
+        if not u.pooled_alphabet or len(u.achievable_histograms()) > 60:
+            continue
+        channels = [
+            geometric_counting_channel(u, rng.choice(u.pooled_alphabet),
+                                       ratio=Fraction(rng.randint(1, 6), 7)),
+            geometric_counting_channel(u, rng.choice(u.pooled_alphabet),
+                                       epsilon=rng.uniform(0.1, 2)),
+            Channel(u, (0, 1, 2), random_rational_rows(
+                rng, u.achievable_histograms(), 3)),
+        ]
+        shared = uniform_universe(rng.randint(1, 4), random_alphabet(rng))
+        channels.append(randomized_response_channel(
+            shared, Fraction(rng.randint(0, 6), 6)))
+        for ch in channels:
+            for k in sorted({1, 2, ch.universe.n}):
+                pairs = (oracles.per_individual_pairs(ch.universe, k)
+                         if k < ch.universe.n else
+                         change_histogram_pairs(ch.universe, k))
+                assert repr(lipschitz_ratio(ch, k)) == repr(
+                    oracles.ratio_scan(ch, pairs)), k
+
+
+def row_pair_channels():
+    """(name, channel) for matrix channels whose rows repeat. Over two
+    individuals over {BOT, a, b}, the six histograms h0 < ... < h5 give
+    all-pairs scans in the order (h0, h1), (h0, h2), ..., (h4, h5)."""
+    u = uniform_universe(2, (BOT, "a", "b"))
+    h = u.achievable_histograms()
+    f = Fraction
+    a, b, c = (f(1, 2), f(1, 2), 0), (f(1, 4), f(3, 4), 0), (f(1, 2), f(1, 4), f(1, 4))
+    # (h0, h1) is rows (a, b); (h1, h2) meets it as (b, a) and (h0, h3) as
+    # (a, b) again, so both are skipped; then (h0, h4) has 1/4 over 0.
+    repeats = {h[0]: a, h[1]: b, h[2]: a, h[3]: b, h[4]: c, h[5]: b}
+    yield "repeats", Channel(u, (0, 1, 2), repeats)
+    yield "constant", Channel(u, (0, 1), {x: (f(1, 3), f(2, 3)) for x in h})
+    yield "floats", Channel(
+        u, (0, 1, 2), {x: tuple(map(float, row)) for x, row in repeats.items()})
+    # Rows that are equal in value but not in the types of their entries
+    # are different rows: the Fraction 1/3 over the Fraction of 0.1 is
+    # exact and above 1/3 over the float 0.1, so the later pair, (h1, h2),
+    # sets the maximum.
+    one = uniform_universe(1, (BOT, "a", "b"))
+    h = one.achievable_histograms()
+    rest = 1 - 0.2 - 0.1
+    yield "types", Channel(one, (0, 1, 2), {
+        h[0]: (f(0.2), 0.1, rest), h[1]: (f(1, 3),) * 3,
+        h[2]: (0.2, f(0.1), rest)})
+
+
+def test_row_pair_skip_keeps_the_full_scan():
+    scans = {}
+    for name, ch in row_pair_channels():
+        u = ch.universe
+        for k in (1, u.n):
+            pairs = change_histogram_pairs(u, k)
+            got = lipschitz_ratio(ch, k)
+            assert repr(got) == repr(oracles.ratio_scan(ch, pairs)), (name, k)
+            scans[name] = got
+        index = ch._row_index
+        if name != "types":
+            keys = [tuple(sorted((index[x], index[y]))) for x, y in pairs]
+            assert len(set(keys)) < len(keys), name
+    h = uniform_universe(2, (BOT, "a", "b")).achievable_histograms()
+    witness = {name: (s.ratio, s.num_hist, s.den_hist, s.outcome)
+               for name, s in scans.items()}
+    assert witness["repeats"] == (math.inf, h[4], h[0], 2)
+    assert witness["floats"] == (math.inf, h[4], h[0], 2)
+    assert witness["constant"] == (1, h[0], h[1], 0)
+    h = uniform_universe(1, (BOT, "a", "b")).achievable_histograms()
+    assert witness["types"][1:] == (h[1], h[2], 1)
+    assert isinstance(scans["types"].ratio, Fraction)
+
+
 def test_kernel_budgets_name_their_stage():
     u = uniform_universe(3, (BOT, "a", "b"))
     with pytest.raises(EnumerationBudgetError) as exc:
         change_histogram_pairs(u, 1, budget=5)
     assert exc.value.stage == "change_histogram_pairs"
-    assert exc.value.cardinality == 9
+    # The 10 multisets of three records over three symbols, charged before
+    # they are listed.
+    assert exc.value.cardinality == 10
     assert "change_histogram_pairs" in str(exc.value)
     with pytest.raises(EnumerationBudgetError) as exc:
         u.achievable_histograms(budget=5)
@@ -186,13 +305,54 @@ def test_kernel_budgets_name_their_stage():
 
 
 def test_change_histogram_pairs_charge_every_record_pair_past_the_first_layer():
-    # Layers of 1, 9 and 36 states, each charged 3 x 3 record pairs; the
-    # third holds the first states that have used both changes.
+    # One group of four individuals: its 15 multisets of four records over
+    # three symbols, then its 15 + 60 + 72 pairs at 0, 1 and 2 changes,
+    # times the one starting state. The pairs at 2 changes are the first
+    # that need a second unit move.
     u = uniform_universe(4, (BOT, "a", "b"))
     with pytest.raises(EnumerationBudgetError) as exc:
-        change_histogram_pairs(u, 2, budget=400)
+        change_histogram_pairs(u, 2, budget=161)
     assert exc.value.stage == "change_histogram_pairs"
-    assert exc.value.cardinality == 9 + 81 + 324
+    assert exc.value.cardinality == 15 + 15 + 60 + 72
+    assert len(change_histogram_pairs(u, 2, budget=162)) == 72 // 2 + 60 // 2
+    # A smaller budget stops the listing part way through the second move.
+    with pytest.raises(EnumerationBudgetError) as exc:
+        change_histogram_pairs(u, 2, budget=100)
+    assert 100 < exc.value.cardinality < 162
+
+
+@pytest.mark.parametrize("n, symbols, budget, charged", [
+    # 10^5 individuals over three symbols: their multisets alone pass the
+    # budget.
+    (10**5, 3, 10**6, math.comb(10**5 + 2, 2)),
+    # Five individuals over 20 symbols: the 42,504 multisets fit the
+    # budget, but with their pairs at 0 and 1 changes, 20 x 19 times the
+    # multisets of four records more, they do not.
+    (5, 20, 100_000, 2 * math.comb(24, 19) + 20 * 19 * math.comb(23, 19)),
+])
+def test_change_histogram_pairs_charge_before_listing(
+        monkeypatch, n, symbols, budget, charged):
+    u = uniform_universe(n, (BOT, *(f"s{i}" for i in range(symbols - 1))))
+
+    def listed(*args):
+        raise AssertionError("multisets listed")
+
+    monkeypatch.setattr(mechanism_module, "_unit_move_pairs", listed)
+    with pytest.raises(EnumerationBudgetError) as exc:
+        change_histogram_pairs(u, 1, budget=budget)
+    assert exc.value.stage == "change_histogram_pairs"
+    assert exc.value.cardinality == charged
+
+
+def test_later_groups_charge_their_pairs_per_state():
+    # {BOT, a} x 2 gives 3 multisets and 3 + 4 ordered pairs, kept as 5
+    # states of unordered pairs; the one-symbol individual then adds 1
+    # multiset and its 1 pair once per state.
+    u = RecordUniverse(((BOT, "a"), ("b",), (BOT, "a")))
+    with pytest.raises(EnumerationBudgetError) as exc:
+        change_histogram_pairs(u, 1, budget=3 + 7 + 1 + 4)
+    assert exc.value.cardinality == 3 + 7 + 1 + 5
+    assert len(change_histogram_pairs(u, 1, budget=3 + 7 + 1 + 5)) == 2
 
 
 def test_cached_histograms_still_charge_the_budget():
@@ -463,6 +623,29 @@ def test_histogram_plan_matches_the_dict_convolution():
                 got = dict(zip(plan.keys, plan.masses(
                     t.values() for t in other.tables)))
                 assert repr(got) == repr(oracles.histogram_masses(other, tgt))
+
+
+def test_histogram_plan_reads_identity_blocks_as_they_are():
+    # Block (0,) is the target's: each cell is its own local. Block (1, 2)
+    # is not, and its cells (a, b) and (b, a) share a histogram code. Both
+    # kinds in one layout, in either order, on Fraction and float masses.
+    u = uniform_universe(3, (BOT, "a", "b"))
+    rng = random.Random(36)
+    for blocks in (((0,), (1, 2)), ((1, 2), (0,))):
+        cells = [list(itertools.product(*(u.alphabets[i] for i in b)))
+                 for b in blocks]
+        plan = HistogramPlan(u, blocks, (0,), cells)
+        assert [index is None for index, *_ in plan._blocks] == [
+            len(b) == 1 for b in blocks]
+        for exact in (True, False):
+            tables = tuple(dict(zip(keys, _positive_weights(rng, len(keys),
+                                                            exact)))
+                           for keys in cells)
+            got = zip(plan.keys, plan.masses(list(t.values())
+                                             for t in tables))
+            want = oracles.histogram_masses(JointPrior(u, blocks, tables),
+                                            (0,))
+            assert repr(sorted(got)) == repr(sorted(want.items()))
 
 
 def _positive_weights(rng, m, exact):
